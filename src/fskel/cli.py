@@ -18,7 +18,7 @@ from .syntax import (
     FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton,
     canonical_constraint, canonical_type,
 )
-from .typecheck import Judgement, SkeletonError, check_skeleton
+from .typecheck import Judgement, SkeletonError, check_skeleton, judgements
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -129,47 +129,44 @@ def cmd_erase_f(args) -> int:
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _tree_lines(q: Skeleton, prefix: str = "") -> list[str]:
-    j = check_skeleton(q)
-    label = {
-        QVar: "var", QAbs: "abs", QApp: "app", QForall: "forall",
-        QEVar: "evar", QSub: "sub", QWeak: "weak",
-    }[type(q)]
-    line = (f"{prefix}{label}: {print_term(j.term)} : "
-            f"{print_type_env(j.env)} |- {print_type(j.rtype)}")
-    out = [line]
+def _children(q: Skeleton) -> list[Skeleton]:
     match q:
         case QVar(_, _):
-            kids = []
-        case QAbs(_, body) | QForall(_, body):
-            kids = [body]
-        case QEVar(_, _, body) | QSub(body, _) | QWeak(body, _):
-            kids = [body]
+            return []
         case QApp(f, a):
-            kids = [f, a]
-    for kid in kids:
-        out += _tree_lines(kid, prefix + "  ")
+            return [f, a]
+        case QAbs(_, b) | QForall(_, b) | QEVar(_, _, b) | QSub(b, _) | QWeak(b, _):
+            return [b]
+    raise TypeError(q)
+
+
+def _tree_lines(q: Skeleton) -> list[str]:
+    js = judgements(q)
+    out: list[str] = []
+
+    def go(q: Skeleton, prefix: str) -> None:
+        j = js[id(q)]
+        label = type(q).__name__[1:].lower()  # QEVar -> evar
+        out.append(f"{prefix}{label}: {print_term(j.term)} : "
+                   f"{print_type_env(j.env)} |- {print_type(j.rtype)}")
+        for kid in _children(q):
+            go(kid, prefix + "  ")
+
+    go(q, "")
     return out
 
 
 def _tree_dot(q: Skeleton) -> str:
+    js = judgements(q)
     lines = ["digraph skeleton {"]
     counter = [0]
 
     def go(q: Skeleton) -> int:
         me = counter[0]
         counter[0] += 1
-        j = check_skeleton(q)
-        label = print_type(j.rtype).replace('"', '\\"')
+        label = print_type(js[id(q)].rtype).replace('"', '\\"')
         lines.append(f'  n{me} [label="{type(q).__name__}\\n{label}"];')
-        match q:
-            case QApp(f, a):
-                kids = [f, a]
-            case QVar(_, _):
-                kids = []
-            case QAbs(_, b) | QForall(_, b) | QEVar(_, _, b) | QSub(b, _) | QWeak(b, _):
-                kids = [b]
-        for kid in kids:
+        for kid in _children(q):
             lines.append(f"  n{me} -> n{go(kid)};")
         return me
 
@@ -245,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SkeletonError, NotAStep, OSError) as e:
+    except (ParseError, SkeletonError, NotAStep, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except NotSolved as e:

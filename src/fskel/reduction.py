@@ -9,11 +9,11 @@ from dataclasses import dataclass
 from .syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
     QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, fresh_name, ftv,
-    fv, term_alpha_eq, type_eq, canonical_type,
+    env_eq, fv, term_alpha_eq, type_eq, canonical_type,
 )
 from .expansion import apply_subst
 from .solve import REL_F, leq_f_witness, solved
-from .typecheck import check_skeleton
+from .typecheck import Judgement, check_skeleton
 
 
 class NotSolved(Exception):
@@ -272,8 +272,7 @@ def check_neq(q: NeqSkeleton) -> tuple[Term, TypeEnv, Type]:
         case NApp(f, a):
             m1, env1, t1 = check_neq(f)
             m2, env2, t2 = check_neq(a)
-            if env1.supp() != env2.supp() or not all(
-                    type_eq(t, env2.lookup(x)) for x, t in env1.entries):
+            if not env_eq(env1, env2):
                 raise NeqError("application premises carry different environments")
             arr = _as_arrow(t1)
             if arr is None:
@@ -355,10 +354,10 @@ def _subst_type(a: str, x: Type, t: Type) -> Type:
 def subst_proof(a: str, x: Type, p: SubtypeSkeleton) -> SubtypeSkeleton:
     match p:
         case Inst(src, arg):
-            return Inst(_keep_forall(_subst_type(a, x, src), src),
+            return Inst(_keep_foralls(_subst_type(a, x, src), src, 1),
                         _subst_type(a, x, arg))
         case QuantComm(src):
-            return QuantComm(_keep_forall2(_subst_type(a, x, src), src))
+            return QuantComm(_keep_foralls(_subst_type(a, x, src), src, 2))
         case DummyIn(b, t):
             if b == a:
                 return DummyIn(b, t)  # a cannot occur in t
@@ -386,17 +385,14 @@ def subst_proof(a: str, x: Type, p: SubtypeSkeleton) -> SubtypeSkeleton:
     raise TypeError(p)
 
 
-def _keep_forall(t: Type, orig: Type) -> Type:
-    """Re-expose the leading quantifier lost to renaming, if any (substitution
-    never removes it: the source is structurally a Forall)."""
-    if not isinstance(t, Forall):
-        raise BadSubProof(f"substitution destroyed a quantified source {orig!r}")
-    return t
-
-
-def _keep_forall2(t: Type, orig: Type) -> Type:
-    if not (isinstance(t, Forall) and isinstance(t.body, Forall)):
-        raise BadSubProof(f"substitution destroyed a double quantifier {orig!r}")
+def _keep_foralls(t: Type, orig: Type, depth: int) -> Type:
+    """Check that substitution kept the depth leading quantifiers of a proof's
+    source (it never removes them: the source is structurally quantified)."""
+    inner = t
+    for _ in range(depth):
+        if not isinstance(inner, Forall):
+            raise BadSubProof(f"substitution destroyed a quantified source {orig!r}")
+        inner = inner.body
     return t
 
 
@@ -538,48 +534,57 @@ def _transform_sub(body: NeqSkeleton, proof: SubtypeSkeleton) -> NeqSkeleton:
 # Between the two skeleton languages
 
 
-def to_neq(q: Skeleton) -> NeqSkeleton:
-    """Elaborate a valid skeleton with a solved constraint into a
-    proof-carrying one (weakening-free skeletons only)."""
+def _solved_judgement(q: Skeleton) -> Judgement:
+    """q's judgement, provided its constraint holds under REL_F."""
     j = check_skeleton(q)
     if not solved(j.constraint, REL_F):
         raise NotSolved("constraint does not hold under quantifier elimination")
+    return j
 
-    def go(q: Skeleton) -> tuple[NeqSkeleton, Type]:
+
+def _elaborate(q: Skeleton) -> NeqSkeleton:
+    """to_neq for a q already known to be valid and solved."""
+
+    def go(q: Skeleton) -> tuple[NeqSkeleton, TypeEnv, Type]:
         match q:
             case QVar(x, env):
                 t = env.lookup(x)
                 assert t is not None
-                return NVar(x, env), t
+                return NVar(x, env), env, t
             case QAbs(x, body):
-                n, t = go(body)
-                dom = check_neq(n)[1].lookup(x)
-                return NAbs(x, n), Arrow(dom, t)
+                n, env, t = go(body)
+                return NAbs(x, n), env.remove(x), Arrow(env.lookup(x), t)
             case QApp(f, a):
-                nf, tf = go(f)
-                na, _ = go(a)
-                arr = _as_arrow(tf)
-                return NApp(nf, na), arr.cod
+                nf, env, tf = go(f)
+                na, _, _ = go(a)
+                return NApp(nf, na), env, _as_arrow(tf).cod
             case QForall(a, body):
-                n, t = go(body)
-                return NForall(a, n), Forall(a, t)
+                n, env, t = go(body)
+                return NForall(a, n), env, Forall(a, t)
             case QEVar(s, forbidden, body):
-                n, t = go(body)
-                return NEVar(s, forbidden, n), EVarApp(s, forbidden, t)
+                n, env, t = go(body)
+                return NEVar(s, forbidden, n), env, EVarApp(s, forbidden, t)
             case QSub(body, target):
-                n, t = go(body)
+                n, env, t = go(body)
                 if type_eq(t, target):
-                    return n, t
+                    return n, env, t
                 w = leq_f_witness(t, target)
                 if w is None:
                     raise NotSolved("subtyping step not derivable by one elimination")
                 a, rest, x = w
-                return NSub(n, Inst(Forall(a, rest), x)), target
+                return NSub(n, Inst(Forall(a, rest), x)), env, target
             case QWeak(_, _):
                 raise NotSolved("weakening cannot be elaborated into a proof")
         raise TypeError(q)
 
     return go(q)[0]
+
+
+def to_neq(q: Skeleton) -> NeqSkeleton:
+    """Elaborate a valid skeleton with a solved constraint into a
+    proof-carrying one (weakening-free skeletons only)."""
+    _solved_judgement(q)
+    return _elaborate(q)
 
 
 def _rewrite_env_var(q: Skeleton, y: str, t: Type) -> Skeleton:
@@ -709,10 +714,6 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
     raise TypeError(q)
 
 
-def _drop_env_var(env: TypeEnv, x: str) -> TypeEnv:
-    return TypeEnv(tuple(e for e in env.entries if e[0] != x))
-
-
 def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     """Substitute the argument skeleton for the bound variable x in the
     abstraction body's skeleton."""
@@ -724,7 +725,7 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
             case NVar(y, env):
                 if y == x:
                     return _extend_envs(arg, extras)
-                return NVar(y, _drop_env_var(env, x))
+                return NVar(y, env.remove(x))
             case NAbs(y, body):
                 if y == x:
                     raise NotAStep("redex variable rebound inside the abstraction body")
@@ -785,36 +786,38 @@ def step_neq(n: NeqSkeleton) -> NeqSkeleton:
     m, _, _ = check_neq(n)
     if cbv_step(m) is None:
         raise NotAStep("the skeleton's term is not reducible")
+    return _step_at(n, m)
+
+
+def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
+    """Step n, whose judged term m is reducible, at m's call-by-value redex."""
     match n:
         case NForall(a, body):
-            return NForall(a, step_neq(body))
+            return NForall(a, _step_at(body, m))
         case NEVar(s, forbidden, body):
-            return NEVar(s, forbidden, step_neq(body))
+            return NEVar(s, forbidden, _step_at(body, m))
         case NSub(body, proof):
-            return NSub(step_neq(body), proof)
+            return NSub(_step_at(body, m), proof)
         case NEnvSub(body, y, proof):
-            return NEnvSub(step_neq(body), y, proof)
+            return NEnvSub(_step_at(body, m), y, proof)
         case NApp(f, a):
-            mf, _, _ = check_neq(f)
-            ma, _, _ = check_neq(a)
-            if isinstance(mf, Abs) and is_value(ma):
+            if isinstance(m.fun, Abs) and is_value(m.arg):
                 exposed = _expose_abs(f)
                 return subst_redex(exposed.body, exposed.binder, a)
-            if cbv_step(mf) is not None:
-                return NApp(step_neq(f), a)
-            if is_value(mf) and cbv_step(ma) is not None:
-                return NApp(f, step_neq(a))
-            raise NotAStep("stuck application")
-    raise NotAStep("the skeleton's term is not reducible")
+            # m is reducible, so either its function part is reducible or
+            # that part is a value and the argument is reducible
+            if not is_value(m.fun):
+                return NApp(_step_at(f, m.fun), a)
+            return NApp(f, _step_at(a, m.arg))
+    raise TypeError(n)
 
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     """A valid skeleton for m_next with the same environment and result type
     and a solved constraint, given that q's term steps to m_next."""
-    j = check_skeleton(q)
-    if not solved(j.constraint, REL_F):
-        raise NotSolved("constraint does not hold under quantifier elimination")
+    j = _solved_judgement(q)
     stepped = cbv_step(j.term)
     if stepped is None or not term_alpha_eq(stepped, m_next):
         raise NotAStep("the given term is not the skeleton's one-step reduct")
-    return from_neq(step_neq(to_neq(q)))
+    # the elaborated skeleton judges the same term as q
+    return from_neq(_step_at(_elaborate(q), j.term))

@@ -654,25 +654,17 @@ def _canon_item(prefix, atom):
     if atom is not None:
         atom = Atomic(canonical_type(atom.lhs), canonical_type(atom.rhs))
     # Canonically rename existential binders, left to right.
-    free = _item_ftv(prefix, atom)
-    outer_free = free
     mapping: dict[str, str] = {}
-    used: set[str] = set(outer_free)
-    new_prefix = []
-    rest = list(prefix)
-    for i, p in enumerate(rest):
+    used: set[str] = set(_item_ftv(prefix, atom))
+    for p in prefix:
         if p[0] != "ex":
-            suffix_prefix, suffix_atom = _rename_item(tuple(rest[i:]), atom, mapping)
-            p2 = suffix_prefix[0]
-            new_prefix.append(p2)
             continue
         j = 0
         while f"e{j}" in used:
             j += 1
         name = f"e{j}"
         used.add(name)
-        mapping = {**mapping, p[1]: name}
-        new_prefix.append(("ex", name))
+        mapping[p[1]] = name
     _, atom = _rename_item((), atom, mapping)
     # Rebuild prefix with the final mapping applied consistently.
     out_prefix = []

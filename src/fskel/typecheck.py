@@ -57,72 +57,75 @@ class Judgement:
     constraint: Constraint
 
 
+def judgements(q: Skeleton) -> dict[int, Judgement]:
+    """Validate q against the typing rules in one bottom-up pass and return
+    the judgement of every node, keyed by the node's id()."""
+    out: dict[int, Judgement] = {}
+
+    def go(q: Skeleton) -> Judgement:
+        match q:
+            case QVar(x, env):
+                if not env.well_formed():
+                    raise MalformedEnv(f"environment of {x} mentions a variable twice")
+                t = env.lookup(x)
+                if t is None:
+                    raise UnboundVariable(f"{x} not in its environment")
+                j = Judgement(Var(x), env, t, Omega())
+            case QAbs(x, body):
+                jb = go(body)
+                t1 = jb.env.lookup(x)
+                if t1 is None:
+                    raise UnboundVariable(f"abstraction binder {x} not in the body environment")
+                j = Judgement(Abs(x, jb.term), jb.env.remove(x), Arrow(t1, jb.rtype),
+                              jb.constraint)
+            case QApp(f, a):
+                j1 = go(f)
+                j2 = go(a)
+                if not env_eq(j1.env, j2.env):
+                    raise EnvMismatch("application premises carry different environments")
+                if not isinstance(j1.rtype, Arrow):
+                    raise NotAnArrow("function part does not have an arrow type")
+                if not type_eq(j1.rtype.dom, j2.rtype):
+                    raise DomainMismatch("argument type does not match the function domain")
+                j = Judgement(App(j1.term, j2.term), j1.env, j1.rtype.cod,
+                              And(j1.constraint, j2.constraint))
+            case QForall(a, body):
+                jb = go(body)
+                if a in ftv(jb.env):
+                    raise EscapingVariable(f"{a} is free in the environment")
+                j = Judgement(jb.term, jb.env, Forall(a, jb.rtype), Exists(a, jb.constraint))
+            case QEVar(s, forbidden, body):
+                jb = go(body)
+                if not ftv(jb.env) <= forbidden:
+                    raise ForbiddenSetTooSmall(
+                        f"{s}: environment variables {sorted(ftv(jb.env) - forbidden)} "
+                        "missing from the forbidden set")
+                j = Judgement(jb.term, jb.env, EVarApp(s, forbidden, jb.rtype),
+                              EGuard(s, forbidden, jb.rtype, jb.constraint))
+            case QSub(body, target):
+                jb = go(body)
+                j = Judgement(jb.term, jb.env, target,
+                              And(jb.constraint, Atomic(jb.rtype, target)))
+            case QWeak(body, extra):
+                jb = go(body)
+                if not extra.well_formed():
+                    raise MalformedEnv("weakening environment mentions a variable twice")
+                if jb.env.supp() & extra.supp():
+                    raise SupportOverlap(
+                        f"weakening re-binds {sorted(jb.env.supp() & extra.supp())}")
+                j = Judgement(jb.term, jb.env.concat(extra), jb.rtype, jb.constraint)
+            case _:
+                raise TypeError(q)
+        out[id(q)] = j
+        return j
+
+    go(q)
+    return out
+
+
 def check_skeleton(q: Skeleton) -> Judgement:
     """Validate q against the typing rules and return its judgement."""
-    match q:
-        case QVar(x, env):
-            if not env.well_formed():
-                raise MalformedEnv(f"environment of {x} mentions a variable twice")
-            t = env.lookup(x)
-            if t is None:
-                raise UnboundVariable(f"{x} not in its environment")
-            return Judgement(Var(x), env, t, Omega())
-        case QAbs(x, body):
-            j = check_skeleton(body)
-            t1 = j.env.lookup(x)
-            if t1 is None:
-                raise UnboundVariable(f"abstraction binder {x} not in the body environment")
-            return Judgement(Abs(x, j.term), j.env.remove(x), Arrow(t1, j.rtype), j.constraint)
-        case QApp(f, a):
-            j1 = check_skeleton(f)
-            j2 = check_skeleton(a)
-            if not env_eq(j1.env, j2.env):
-                raise EnvMismatch("application premises carry different environments")
-            match j1.rtype:
-                case Arrow(dom, cod):
-                    if not type_eq(dom, j2.rtype):
-                        raise DomainMismatch(
-                            "argument type does not match the function domain")
-                    return Judgement(App(j1.term, j2.term), j1.env, cod,
-                                     And(j1.constraint, j2.constraint))
-                case _:
-                    raise NotAnArrow("function part does not have an arrow type")
-        case QForall(a, body):
-            j = check_skeleton(body)
-            if a in ftv(j.env):
-                raise EscapingVariable(f"{a} is free in the environment")
-            return Judgement(j.term, j.env, Forall(a, j.rtype), Exists(a, j.constraint))
-        case QEVar(s, forbidden, body):
-            j = check_skeleton(body)
-            if not ftv(j.env) <= forbidden:
-                raise ForbiddenSetTooSmall(
-                    f"{s}: environment variables {sorted(ftv(j.env) - forbidden)} "
-                    "missing from the forbidden set")
-            return Judgement(j.term, j.env, EVarApp(s, forbidden, j.rtype),
-                             EGuard(s, forbidden, j.rtype, j.constraint))
-        case QSub(body, target):
-            j = check_skeleton(body)
-            return Judgement(j.term, j.env, target,
-                             And(j.constraint, Atomic(j.rtype, target)))
-        case QWeak(body, extra):
-            j = check_skeleton(body)
-            if not extra.well_formed():
-                raise MalformedEnv("weakening environment mentions a variable twice")
-            if j.env.supp() & extra.supp():
-                raise SupportOverlap(
-                    f"weakening re-binds {sorted(j.env.supp() & extra.supp())}")
-            return Judgement(j.term, j.env.concat(extra), j.rtype, j.constraint)
-    raise TypeError(q)
-
-
-def rtype(q: Skeleton) -> Type:
-    """Result type of a valid skeleton."""
-    return check_skeleton(q).rtype
-
-
-def tenv(q: Skeleton) -> TypeEnv:
-    """Type environment of a valid skeleton."""
-    return check_skeleton(q).env
+    return judgements(q)[id(q)]
 
 
 def relevant(q: Skeleton) -> bool:

@@ -8,10 +8,10 @@ import random
 import pytest
 
 from fskel import (
-    Arrow, EVarApp, Forall, FreshSupply, Omega, QApp, QSub, QWeak, TVar,
+    Arrow, EVarApp, Forall, FreshSupply, Omega, QApp, QSub, QVar, QWeak, TVar,
     TypeEnv, apply_subst, canonical_constraint, check_skeleton, check_system_f,
-    cbv_step, constraint_eq, erase_evars, ftv, initial_skeleton, preserve,
-    solved, type_eq,
+    cbv_step, constraint_eq, erase_evars, ftv, initial_skeleton, judgements,
+    preserve, solved, type_eq,
 )
 from fskel.expansion import judgements_agree, property_expansion_sound, property_subst_sound
 from fskel.generators import (
@@ -363,6 +363,13 @@ def _reduction_cases():
     arg = parse_skeleton("all a. \\y. y<y: a>")
     ja = check_skeleton(arg)
     cases.append(QApp(QSub(fun, Arrow(ja.rtype, jf.rtype.cod)), arg))
+    # a polymorphic identity instantiated at c -> c at each use in a chain
+    f = "f<f: all b. b -> b, x: c -> c> |> (c -> c) -> c -> c"
+    chain = "x<f: all b. b -> b, x: c -> c>"
+    for _ in range(4):
+        chain = f"({f}) @ ({chain})"
+    cases.append(parse_skeleton(
+        f"((\\f. \\x. {chain}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)"))
     return cases
 
 
@@ -410,13 +417,14 @@ def _random_neq(rng):
 def test_transformation_size_nonincreasing():
     rng = random.Random(1011)
     checked = 0
-    for q in _reduction_cases():
+    cases = _reduction_cases()
+    for q in cases:
         n = to_neq(q)
         t = transform_T(n)
         check_neq(t)
         assert sz(t) <= sz(n)
         checked += 1
-    while checked < 10_000 + len(_reduction_cases()):
+    while checked < 10_000 + len(cases):
         n = _random_neq(rng)
         if n is None:
             continue
@@ -439,3 +447,23 @@ def test_erased_solved_skeletons_are_system_f():
         j = check_skeleton(q)
         assert solved(j.constraint, REL_F)
         assert check_system_f(erase_evars(q))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass judgement table agrees with checking each node on its own
+
+
+def _subskeletons(q):
+    match q:
+        case QVar(_, _):
+            return [q]
+        case QApp(f, a):
+            return [q] + _subskeletons(f) + _subskeletons(a)
+    return [q] + _subskeletons(q.body)
+
+
+def test_judgements_pass_agrees_with_check_skeleton():
+    for q in _reduction_cases():
+        js = judgements(q)
+        for node in _subskeletons(q):
+            assert js[id(node)] == check_skeleton(node)

@@ -136,3 +136,11 @@ def test_tree(write, capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["check", "/nonexistent/file"])
     assert code == EXIT_INVALID and "error" in err
+
+
+def test_non_utf8_input(tmp_path, capsys):
+    p = tmp_path / "bad.skel"
+    p.write_bytes(b"x<x: \xff>")
+    code, _, err = run(capsys, ["check", str(p)])
+    assert code == EXIT_INVALID
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fskel import reduction
 from fskel.expansion import judgements_agree
 from fskel.generators import random_neq_decoration
 from fskel.reduction import (
@@ -190,3 +191,30 @@ def test_binder_collision_renamed_during_substitution():
     q2 = preserve(q, m2)
     j2 = check_skeleton(q2)
     assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+
+
+def _id_chain(n):
+    """(\\u. u) @ ((\\u. u) @ ... @ (\\z. z)) at type c -> c."""
+    text = "\\z. z<z: c>"
+    for _ in range(n):
+        text = f"(\\u. u<u: c -> c>) @ ({text})"
+    return parse_skeleton(text)
+
+
+def test_preserve_judges_once_per_step(monkeypatch):
+    # every call is counted, including check_neq's calls to itself, so any
+    # re-check of a subtree would make the counts grow with the chain
+    counts = []
+    for n in (8, 16):
+        calls = {"check_skeleton": 0, "solved": 0, "check_neq": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(reduction, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(reduction, name, counted)
+        q = _id_chain(n)
+        preserve(q, cbv_step(check_skeleton(q).term))
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["check_skeleton"] == counts[0]["solved"] == 1

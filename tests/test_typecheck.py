@@ -4,7 +4,7 @@ import pytest
 
 from fskel.surface import parse_constraint, parse_skeleton, parse_type, parse_type_env
 from fskel.syntax import constraint_eq, env_eq, type_eq
-from fskel.typecheck import SkeletonError, check_skeleton, relevant, rtype, tenv
+from fskel.typecheck import SkeletonError, check_skeleton, relevant
 
 
 def J(text):
@@ -96,7 +96,7 @@ def test_weakening_node():
 
 def test_rtype_tenv_relevant():
     q = parse_skeleton("x<x: a, y: b>")
-    assert type_eq(rtype(q), parse_type("a"))
-    assert env_eq(tenv(q), parse_type_env("{x: a, y: b}"))
+    assert type_eq(check_skeleton(q).rtype, parse_type("a"))
+    assert env_eq(check_skeleton(q).env, parse_type_env("{x: a, y: b}"))
     assert not relevant(q)
     assert relevant(parse_skeleton("x<x: a>"))
