@@ -7,7 +7,7 @@ import sys
 
 from .expansion import apply_exp_skel, apply_subst
 from .initial import initial_skeleton
-from .reduction import NotAStep, NotSolved, cbv_step, preserve
+from .reduction import NotAStep, NotSolved, _preserve_judged, cbv_step
 from .solve import RELATIONS, check_system_f, erase_evars, solved
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,
@@ -114,7 +114,8 @@ def cmd_reduce(args) -> int:
         if nxt is None:
             print("normal form reached")
             return EXIT_OK
-        q = preserve(q, nxt)
+        # j is valid and solved under rel, hence under F: do not judge it again
+        q = _preserve_judged(q, j, nxt)
         j = check_skeleton(q)
         step += 1
 
@@ -248,6 +249,10 @@ def main(argv: list[str] | None = None) -> int:
     except NotSolved as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSOLVED
+    except RecursionError:
+        # the parser and the walkers recurse once per level of nesting
+        print("error: input nested too deeply", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

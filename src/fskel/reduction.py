@@ -542,8 +542,21 @@ def _solved_judgement(q: Skeleton) -> Judgement:
     return j
 
 
+def _sub_proof(t: Type, target: Type) -> Inst | None:
+    """The elimination proof of t <= target, or None when the two are equal."""
+    if type_eq(t, target):
+        return None
+    w = leq_f_witness(t, target)
+    if w is None:
+        raise NotSolved("subtyping step not derivable by one elimination")
+    a, rest, x = w
+    return Inst(Forall(a, rest), x)
+
+
 def _elaborate(q: Skeleton) -> NeqSkeleton:
-    """to_neq for a q already known to be valid and solved."""
+    """to_neq for a q already known to be valid and solved. Each distinct
+    subtyping step (t, target) is settled once."""
+    proofs: dict[tuple[Type, Type], Inst | None] = {}
 
     def go(q: Skeleton) -> tuple[NeqSkeleton, TypeEnv, Type]:
         match q:
@@ -566,13 +579,12 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
                 return NEVar(s, forbidden, n), env, EVarApp(s, forbidden, t)
             case QSub(body, target):
                 n, env, t = go(body)
-                if type_eq(t, target):
+                if (t, target) not in proofs:
+                    proofs[t, target] = _sub_proof(t, target)
+                proof = proofs[t, target]
+                if proof is None:
                     return n, env, t
-                w = leq_f_witness(t, target)
-                if w is None:
-                    raise NotSolved("subtyping step not derivable by one elimination")
-                a, rest, x = w
-                return NSub(n, Inst(Forall(a, rest), x)), env, target
+                return NSub(n, proof), env, target
             case QWeak(_, _):
                 raise NotSolved("weakening cannot be elaborated into a proof")
         raise TypeError(q)
@@ -714,6 +726,27 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
     raise TypeError(q)
 
 
+def _env_lookup(q: NeqSkeleton, y: str) -> Type | None:
+    """y's type in the environment of a valid q, read down q's leftmost
+    path without typing it."""
+    while True:
+        match q:
+            case NVar(_, env):
+                return env.lookup(y)
+            case NAbs(x, body):
+                if x == y:
+                    return None
+                q = body
+            case NApp(body, _) | NForall(_, body) | NEVar(_, _, body) | NSub(body, _):
+                q = body
+            case NEnvSub(body, z, proof):
+                if z == y:
+                    return check_subproof(proof)[0]
+                q = body
+            case _:
+                raise TypeError(q)
+
+
 def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     """Substitute the argument skeleton for the bound variable x in the
     abstraction body's skeleton."""
@@ -736,7 +769,7 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
                                     | {x} | {z for z, _ in extras})
                     body = _rename_term_var(body, y, y2)
                     y = y2
-                ty = check_neq(body)[1].lookup(y)
+                ty = _env_lookup(body, y)
                 return NAbs(y, go(body, arg, extras + [(y, ty)]))
             case NApp(f, a):
                 return NApp(go(f, arg, extras), go(a, arg, extras))
@@ -815,7 +848,13 @@ def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     """A valid skeleton for m_next with the same environment and result type
     and a solved constraint, given that q's term steps to m_next."""
-    j = _solved_judgement(q)
+    return _preserve_judged(q, _solved_judgement(q), m_next)
+
+
+def _preserve_judged(q: Skeleton, j: Judgement, m_next: Term) -> Skeleton:
+    """preserve for a q whose judgement j is already computed, with a
+    constraint known to hold under REL_F (or under REL_EQ, which is
+    stronger: an atom that holds under EQ holds under F)."""
     stepped = cbv_step(j.term)
     if stepped is None or not term_alpha_eq(stepped, m_next):
         raise NotAStep("the given term is not the skeleton's one-step reduct")

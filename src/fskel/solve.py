@@ -33,18 +33,16 @@ def _subterms(t: Type) -> list[Type]:
     return out
 
 
-def _witness_candidates(t1: Type, t2: Type) -> list[Type]:
-    cands = _subterms(canonical_type(t2)) + [t2]
-    cands += [TVar(v) for v in sorted(ftv(t1) | ftv(t2))]
-    cands.append(TVar(fresh_name("w", ftv(t1) | ftv(t2))))
+def _witness_candidates(t1: Type, t2: Type, c2: Type) -> list[Type]:
+    free = ftv(t1) | ftv(t2)
+    cands = _subterms(c2) + [t2]
+    cands += [TVar(v) for v in sorted(free)]
+    cands.append(TVar(fresh_name("w", free)))
     return cands
 
 
-def leq_f_witness(t1: Type, t2: Type) -> tuple[str, Type, Type] | None:
-    """A triple (a, body, X) with canonical t1 = all a. body and
-    body[a := X] equal to t2, when one exists and t1 is not already equal
-    to t2. Returns None when no single elimination step works."""
-    c1 = canonical_type(t1)
+def _witness(t1: Type, t2: Type, c1: Type, c2: Type) -> tuple[str, Type, Type] | None:
+    """leq_f_witness for t1 and t2 with canonical forms c1 and c2."""
     binders: list[str] = []
     cur = c1
     while isinstance(cur, Forall):
@@ -52,26 +50,34 @@ def leq_f_witness(t1: Type, t2: Type) -> tuple[str, Type, Type] | None:
         cur = cur.body
     if not binders:
         return None
-    cands = _witness_candidates(t1, t2)
+    cands = [(x, ftv(x)) for x in _witness_candidates(t1, t2, c2)]
     for i, a in enumerate(binders):
         rest = binders[:i] + binders[i + 1:]
         body = cur
         for b in reversed(rest):
             body = Forall(b, body)
-        for x in cands:
-            if ftv(x) & set(rest):
+        for x, free in cands:
+            if not free.isdisjoint(rest):
                 continue  # would be captured by the remaining binders
-            if type_eq(apply_subst(Subst(((a, x),)), body), t2):
+            if canonical_type(apply_subst(Subst(((a, x),)), body)) == c2:
                 return a, body, x
     return None
+
+
+def leq_f_witness(t1: Type, t2: Type) -> tuple[str, Type, Type] | None:
+    """A triple (a, body, X) with canonical t1 = all a. body and
+    body[a := X] equal to t2, when one exists and t1 is not already equal
+    to t2. Returns None when no single elimination step works."""
+    return _witness(t1, t2, canonical_type(t1), canonical_type(t2))
 
 
 def leq_f(t1: Type, t2: Type) -> bool:
     """One-step quantifier-elimination subtyping (reflexive via a dummy
     quantifier)."""
-    if type_eq(t1, t2):
+    if t1 == t2:
         return True
-    return leq_f_witness(t1, t2) is not None
+    c1, c2 = canonical_type(t1), canonical_type(t2)
+    return c1 == c2 or _witness(t1, t2, c1, c2) is not None
 
 
 def leq_eq(t1: Type, t2: Type) -> bool:
@@ -97,19 +103,26 @@ RELATIONS = {"F": REL_F, "EQ": REL_EQ}
 
 
 def solved(c: Constraint, rel: SubtypingRelation) -> bool:
-    """True iff every atom of c holds in the relation."""
-    match c:
-        case Omega():
-            return True
-        case Atomic(lhs, rhs):
-            return rel.decide(lhs, rhs)
-        case And(c1, c2):
-            return solved(c1, rel) and solved(c2, rel)
-        case Exists(_, body):
-            return solved(body, rel)
-        case EGuard(_, _, _, body):
-            return solved(body, rel)
-    raise TypeError(c)
+    """True iff every atom of c holds in the relation. Atoms are decided left
+    to right, each distinct (lhs, rhs) pair once: rel.decide must be pure."""
+    decided: set[tuple[Type, Type]] = set()
+    todo = [c]
+    while todo:
+        match todo.pop():
+            case Omega():
+                pass
+            case Atomic(lhs, rhs):
+                if (lhs, rhs) not in decided:
+                    if not rel.decide(lhs, rhs):
+                        return False
+                    decided.add((lhs, rhs))
+            case And(c1, c2):
+                todo += (c2, c1)
+            case Exists(_, body) | EGuard(_, _, _, body):
+                todo.append(body)
+            case other:
+                raise TypeError(other)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -528,12 +528,12 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
     body = _canon(cur, counter, avoid)
 
     # Drop dummies and shadowed binders, outermost first.
+    free = ftv(body)
     kept: list[str] = []
     for i, a in enumerate(binders):
-        below = binders[i + 1:]
-        if a in below:
+        if a in binders[i + 1:]:
             continue  # shadowed: never free in the rest
-        if a in ftv(body):
+        if a in free:
             kept.append(a)
 
     if not kept:
@@ -589,7 +589,7 @@ def canonical_type(t: Type) -> Type:
 
 def type_eq(t1: Type, t2: Type) -> bool:
     """Equality of types modulo the equational theory."""
-    return canonical_type(t1) == canonical_type(t2)
+    return t1 == t2 or canonical_type(t1) == canonical_type(t2)
 
 
 # ---------------------------------------------------------------------------

@@ -144,3 +144,34 @@ def test_non_utf8_input(tmp_path, capsys):
     code, _, err = run(capsys, ["check", str(p)])
     assert code == EXIT_INVALID
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_deeply_nested_input(write, capsys):
+    code, out, err = run(capsys, ["check", write("\\x. " * 1200 + "x<x: a>")])
+    assert code == EXIT_INVALID
+    assert out == "" and err == "error: input nested too deeply\n"
+
+
+def _id_chain(n):
+    """(\\u. u) @ ((\\u. u) @ ... @ (\\z. z)) at type c -> c."""
+    text = "\\z. z<z: c>"
+    for _ in range(n):
+        text = f"(\\u. u<u: c -> c>) @ ({text})"
+    return text
+
+
+@pytest.mark.parametrize("rel", ["F", "EQ"])
+def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
+    from fskel import cli, reduction
+    calls = {"check_skeleton": 0, "solved": 0}
+    for module in (cli, reduction):
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(module, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(module, name, counted)
+    code, out, _ = run(capsys, ["reduce", write(_id_chain(8)), "--rel", rel])
+    assert code == EXIT_OK and out.endswith("normal form reached\n")
+    steps = out.count("\nstep ") + 1
+    assert steps == 9
+    assert calls == {"check_skeleton": steps, "solved": steps}

@@ -218,3 +218,67 @@ def test_preserve_judges_once_per_step(monkeypatch):
         counts.append(calls)
     assert counts[0] == counts[1]
     assert counts[0]["check_skeleton"] == counts[0]["solved"] == 1
+
+
+def _poly_chain(n):
+    """((\\f. \\x. (f |> τ) @ (... @ x)) @ (all b. \\y. y)) @ (\\w. w): the
+    identity f: all b. b -> b instantiated at τ = (c -> c) -> c -> c at each
+    of its n uses."""
+    env = "f: all b. b -> b, x: c -> c"
+    text = f"x<{env}>"
+    for _ in range(n):
+        text = f"(f<{env}> |> (c -> c) -> c -> c) @ ({text})"
+    return parse_skeleton(
+        f"((\\f. \\x. {text}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)")
+
+
+def test_preserve_searches_one_witness_per_distinct_step(monkeypatch):
+    # the n subtyping steps of the chain are all the same judgement
+    counts = []
+    for n in (8, 16):
+        calls = [0]
+
+        def counted(*args, _real=reduction.leq_f_witness):
+            calls[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(reduction, "leq_f_witness", counted)
+        q = _poly_chain(n)
+        j = check_skeleton(q)
+        q2 = preserve(q, cbv_step(j.term))
+        monkeypatch.undo()
+        j2 = check_skeleton(q2)
+        assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == 1
+
+
+def _const_chain(k):
+    """(\\x. \\y1. ... \\yk. x) @ (\\z. z)"""
+    env = ", ".join(["x: c -> c"] + [f"y{i}: c" for i in range(1, k + 1)])
+    text = f"x<{env}>"
+    for i in range(k, 0, -1):
+        text = f"\\y{i}. {text}"
+    return parse_skeleton(f"(\\x. {text}) @ (\\z. z<z: c>)")
+
+
+def test_subst_redex_reads_binder_types_without_typing(monkeypatch):
+    # every call is counted, including check_neq's calls to itself
+    counts = []
+    for k in (4, 8, 16):
+        calls = [0]
+
+        def counted(*args, _real=reduction.check_neq):
+            calls[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(reduction, "check_neq", counted)
+        q = _const_chain(k)
+        j = check_skeleton(q)
+        q2 = preserve(q, cbv_step(j.term))
+        monkeypatch.undo()
+        j2 = check_skeleton(q2)
+        assert j2.term == cbv_step(j.term)
+        assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == counts[2]
