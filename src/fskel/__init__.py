@@ -33,8 +33,8 @@ from .solve import (
     solved,
 )
 from .reduction import (
-    NotAStep, NotSolved, cbv_step, check_neq, check_subproof, from_neq,
-    preserve, subst_term, sz, to_neq, transform_T,
+    NestedWeakening, NotAStep, NotSolved, cbv_step, check_neq,
+    check_subproof, from_neq, preserve, subst_term, sz, to_neq, transform_T,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

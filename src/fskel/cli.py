@@ -7,7 +7,7 @@ import sys
 
 from .expansion import apply_exp_skel, apply_subst
 from .initial import initial_skeleton
-from .reduction import NotAStep, NotSolved, _preserve_judged, cbv_step
+from .reduction import NestedWeakening, NotAStep, NotSolved, _preserve_judged, cbv_step
 from .solve import RELATIONS, check_system_f, erase_evars, solved
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,
@@ -243,7 +243,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SkeletonError, NotAStep, OSError, UnicodeDecodeError) as e:
+    except (ParseError, SkeletonError, NotAStep, NestedWeakening, OSError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except NotSolved as e:

@@ -24,6 +24,11 @@ class NotAStep(Exception):
     """The given term is not the reduct of the skeleton's term."""
 
 
+class NestedWeakening(Exception):
+    """A weakening below the root of a skeleton, which has no proof-carrying
+    form: the engine steps weakening-free skeletons under root weakenings."""
+
+
 class BadSubProof(Exception):
     """An ill-formed subtyping proof skeleton."""
 
@@ -586,7 +591,7 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
                     return n, env, t
                 return NSub(n, proof), env, target
             case QWeak(_, _):
-                raise NotSolved("weakening cannot be elaborated into a proof")
+                raise NestedWeakening("cannot reduce under a weakening below the root")
         raise TypeError(q)
 
     return go(q)[0]
@@ -594,7 +599,8 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
 
 def to_neq(q: Skeleton) -> NeqSkeleton:
     """Elaborate a valid skeleton with a solved constraint into a
-    proof-carrying one (weakening-free skeletons only)."""
+    proof-carrying one (weakening-free skeletons only; a weakening raises
+    NestedWeakening)."""
     _solved_judgement(q)
     return _elaborate(q)
 
@@ -858,5 +864,13 @@ def _preserve_judged(q: Skeleton, j: Judgement, m_next: Term) -> Skeleton:
     stepped = cbv_step(j.term)
     if stepped is None or not term_alpha_eq(stepped, m_next):
         raise NotAStep("the given term is not the skeleton's one-step reduct")
-    # the elaborated skeleton judges the same term as q
-    return from_neq(_step_at(_elaborate(q), j.term))
+    extras: list[TypeEnv] = []
+    while isinstance(q, QWeak):
+        extras.append(q.extra)
+        q = q.body
+    # the elaborated skeleton judges the same term as q; stepping keeps its
+    # environment, so the same weakenings apply to the result
+    out = from_neq(_step_at(_elaborate(q), j.term))
+    for extra in reversed(extras):
+        out = QWeak(out, extra)
+    return out

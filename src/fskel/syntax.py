@@ -491,10 +491,11 @@ def rename_type(t: Type, mapping: dict[str, str]) -> Type:
             return Arrow(rename_type(d, mapping), rename_type(c, mapping))
         case Forall(a, body):
             inner = {k: v for k, v in mapping.items() if k != a}
-            # a fixed renaming target colliding with the binder would capture;
-            # canonicalization only ever renames into fresh names, so just guard.
             if a in inner.values():
-                raise ValueError("rename_type: capture")
+                # the binder would capture a renamed variable: rename it too
+                fresh = fresh_name(a, set(inner.values()) | ftv(body))
+                inner[a] = fresh
+                a = fresh
             return Forall(a, rename_type(body, inner))
         case EVarApp(s, forbidden, body):
             return EVarApp(s, frozenset(mapping.get(a, a) for a in forbidden), rename_type(body, mapping))
@@ -594,127 +595,124 @@ def type_eq(t1: Type, t2: Type) -> bool:
 
 # ---------------------------------------------------------------------------
 # Canonical constraints
-
-# A prefix element is ("ex", a) or ("guard", s, forbidden, witness).
-PrefixItem = tuple
-Item = tuple[tuple[PrefixItem, ...], "Atomic"]
-
-
-def _items(c: Constraint) -> list[tuple[tuple[PrefixItem, ...], Atomic | None]]:
-    match c:
-        case Omega():
-            return []
-        case Atomic(_, _):
-            return [((), c)]
-        case And(c1, c2):
-            return _items(c1) + _items(c2)
-        case Exists(a, body):
-            out = []
-            for prefix, atom in _items(body):
-                free = _item_ftv(prefix, atom)
-                if a in free:
-                    out.append(((("ex", a),) + prefix, atom))
-                else:
-                    out.append((prefix, atom))  # dummy binder dropped
-            return out
-        case EGuard(s, forbidden, witness, body):
-            return [((("guard", s, forbidden, witness),) + prefix, atom) for prefix, atom in _items(body)]
-    raise TypeError(c)
+#
+# An item is one atom with the ex binders and guards above it. A canonical item
+# drops each ex binder not free below it, renames the others e<j> left to right
+# (least j not free in the item) and holds canonical types. Its key is its repr
+# with each variable set listed sorted (repr lists a set in hash order).
 
 
-def _item_ftv(prefix: tuple[PrefixItem, ...], atom: Atomic | None) -> frozenset[str]:
-    free = ftv(atom) if atom is not None else frozenset()
-    for p in reversed(prefix):
-        if p[0] == "ex":
-            free = free - {p[1]}
+def _set_key(vs: frozenset[str]) -> str:
+    return f"frozenset({{{', '.join(map(repr, sorted(vs)))}}})" if vs else "frozenset()"
+
+
+def _type_key(t: Type) -> str:
+    match t:
+        case TVar(a):
+            return f"TVar(name={a!r})"
+        case Arrow(d, c):
+            return f"Arrow(dom={_type_key(d)}, cod={_type_key(c)})"
+        case Forall(a, body):
+            return f"Forall(binder={a!r}, body={_type_key(body)})"
+        case EVarApp(s, forbidden, body):
+            return f"EVarApp(evar={s!r}, forbidden={_set_key(forbidden)}, body={_type_key(body)})"
+    raise TypeError(t)
+
+
+def _guard_key(s: str, forbidden: frozenset[str], witness: Type) -> str:
+    return f"EGuard(evar={s!r}, forbidden={_set_key(forbidden)}, witness={_type_key(witness)}, body="
+
+
+def _atom(lhs: Type, rhs: Type) -> tuple[str, Atomic]:
+    atom = Atomic(canonical_type(lhs), canonical_type(rhs))
+    return f"Atomic(lhs={_type_key(atom.lhs)}, rhs={_type_key(atom.rhs)})", atom
+
+
+def _ex_item(path: list, atom: Atomic) -> tuple[str, tuple, Atomic]:
+    """Key, prefix and atom of the canonical item of a path holding ex binders:
+    rename binders first, then canonicalize the types they occur in."""
+    atom_free = ftv(atom)
+    free = set(atom_free)
+    kept = [False] * len(path)
+    for i, p in reversed(list(enumerate(path))):
+        if isinstance(p, str):
+            kept[i] = p in free
+            free.discard(p)
         else:
-            free = free | p[2] | ftv(p[3])
-    return free
-
-
-def _rename_item(prefix, atom, mapping: dict[str, str]):
-    new_prefix = []
-    mapping = dict(mapping)
-    for p in prefix:
-        if p[0] == "ex":
-            new_prefix.append(("ex", mapping.get(p[1], p[1])))
-        else:
-            _, s, forbidden, witness = p
-            new_prefix.append(("guard", s, frozenset(mapping.get(a, a) for a in forbidden), rename_type(witness, mapping)))
-    new_atom = Atomic(rename_type(atom.lhs, mapping), rename_type(atom.rhs, mapping)) if atom else None
-    return tuple(new_prefix), new_atom
-
-
-def _canon_item(prefix, atom):
-    # Canonicalize embedded types first (existential binders act as free names).
-    prefix = tuple(
-        p if p[0] == "ex" else ("guard", p[1], p[2], canonical_type(p[3]))
-        for p in prefix
-    )
-    if atom is not None:
-        atom = Atomic(canonical_type(atom.lhs), canonical_type(atom.rhs))
-    # Canonically rename existential binders, left to right.
+            free |= p[5]
     mapping: dict[str, str] = {}
-    used: set[str] = set(_item_ftv(prefix, atom))
-    for p in prefix:
-        if p[0] != "ex":
+    prefix: list = []
+    parts: list[str] = []
+    j = 0
+    for i, p in enumerate(path):
+        if isinstance(p, str):
+            if kept[i]:
+                while f"e{j}" in free:
+                    j += 1
+                mapping[p] = name = f"e{j}"
+                j += 1
+                prefix.append(name)
+                parts.append(f"Exists(binder={name!r}, body=")
             continue
-        j = 0
-        while f"e{j}" in used:
-            j += 1
-        name = f"e{j}"
-        used.add(name)
-        mapping[p[1]] = name
-    _, atom = _rename_item((), atom, mapping)
-    # Rebuild prefix with the final mapping applied consistently.
-    out_prefix = []
-    cur_map: dict[str, str] = {}
-    for p in prefix:
-        if p[0] == "ex":
-            out_prefix.append(("ex", mapping[p[1]]))
-            cur_map[p[1]] = mapping[p[1]]
-        else:
-            rp, _ = _rename_item((p,), None, cur_map)
-            out_prefix.append(rp[0])
-    return tuple(out_prefix), atom
-
-
-def _rebuild_item(prefix, atom) -> Constraint:
-    c: Constraint = atom if atom is not None else Omega()
-    for p in reversed(prefix):
-        if p[0] == "ex":
-            c = Exists(p[1], c)
-        else:
-            c = EGuard(p[1], p[2], p[3], c)
-    return c
-
-
-def canonical_items(c: Constraint) -> list:
-    """Deduplicated, canonically renamed (prefix, atom) items of c."""
-    items = [_canon_item(prefix, atom) for prefix, atom in _items(c)]
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+        s, forbidden, cw, key, witness, gfree = p
+        m = {a: b for a, b in mapping.items() if a in gfree}
+        if m:
+            forbidden = frozenset(m.get(a, a) for a in forbidden)
+            cw = canonical_type(rename_type(witness, m))
+            key = _guard_key(s, forbidden, cw)
+        prefix.append((s, forbidden, cw))
+        parts.append(key)
+    m = {a: b for a, b in mapping.items() if a in atom_free}
+    lhs, rhs = (rename_type(atom.lhs, m), rename_type(atom.rhs, m)) if m else (atom.lhs, atom.rhs)
+    atom_key, atom = _atom(lhs, rhs)
+    return "".join(parts) + atom_key + ")" * len(prefix), tuple(prefix), atom
 
 
 def canonical_constraint(c: Constraint) -> Constraint:
-    """Canonical representative of c's equality class."""
-    items = canonical_items(c)
-    if not items:
-        return Omega()
-    rebuilt = sorted((_rebuild_item(p, a) for p, a in items), key=_constraint_key)
-    out = rebuilt[-1]
-    for item in reversed(rebuilt[:-1]):
-        out = And(item, out)
-    return out
-
-
-def _constraint_key(c: Constraint) -> str:
-    return repr(c)
+    """Canonical representative of c's equality class: its canonical items,
+    deduplicated, sorted by key and joined by right-nested And (Omega if
+    there are none). One walk with the prefix on an explicit stack; each
+    guard's witness is canonicalized and keyed once for every item below."""
+    items: dict[str, tuple[tuple, Atomic]] = {}
+    path: list = []  # ex binders; guards (s, forbidden, canon witness, key, witness, ftv)
+    keys: list[str | None] = [""]  # keys[i]: key of path[:i]; None past an ex
+    stack: list[tuple[Constraint, int]] = [(c, 0)]
+    while stack:
+        node, d = stack.pop()
+        del path[d:], keys[d + 1:]
+        match node:
+            case Atomic(lhs, rhs):
+                if keys[d] is None:
+                    key, prefix, atom = _ex_item(path, node)
+                    items.setdefault(key, (prefix, atom))
+                    continue
+                atom_key, atom = _atom(lhs, rhs)
+                key = keys[d] + atom_key + ")" * d
+                if key not in items:
+                    items[key] = (tuple(path), atom)
+            case And(c1, c2):
+                stack += ((c2, d), (c1, d))
+            case Exists(a, body):
+                path.append(a)
+                keys.append(None)
+                stack.append((body, d + 1))
+            case EGuard(s, forbidden, witness, body):
+                cw = canonical_type(witness)
+                key = _guard_key(s, forbidden, cw)
+                path.append((s, forbidden, cw, key, witness, forbidden | ftv(witness)))
+                keys.append(None if keys[d] is None else keys[d] + key)
+                stack.append((body, d + 1))
+            case Omega():
+                pass
+            case _:
+                raise TypeError(node)
+    out: Constraint | None = None
+    for key in sorted(items, reverse=True):
+        prefix, item = items[key]
+        for p in reversed(prefix):
+            item = Exists(p, item) if isinstance(p, str) else EGuard(p[0], p[1], p[2], item)
+        out = item if out is None else And(item, out)
+    return Omega() if out is None else out
 
 
 def constraint_eq(c1: Constraint, c2: Constraint) -> bool:

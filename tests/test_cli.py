@@ -1,5 +1,13 @@
 """Command-line interface: commands, formats, and exit codes."""
 
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
@@ -113,6 +121,21 @@ def test_reduce_unsolved(write, capsys):
     assert code == EXIT_UNSOLVED
 
 
+def test_reduce_under_root_weakening(write, capsys):
+    q = "((\\x. x<x: a -> a>) @ (\\z. z<z: a>)) + {w: b}"
+    code, out, _ = run(capsys, ["reduce", write(q)])
+    assert code == EXIT_OK
+    assert "step 1: \\z. z\nterm: \\z. z\nenv: {w: b}\n" in out
+    assert out.endswith("normal form reached\n")
+
+
+def test_reduce_under_nested_weakening(write, capsys):
+    q = "((\\x. x<x: a -> a>) + {w: b}) @ (\\z. z<z: a, w: b>)"
+    code, out, err = run(capsys, ["reduce", write(q)])
+    assert code == EXIT_INVALID and "solved (F): yes" in out
+    assert err == "error: cannot reduce under a weakening below the root\n"
+
+
 def test_reduce_step_limit(write, capsys):
     q = "(\\x. y<x: a -> a, y: b>) @ (\\z. z<y: b, z: a>)"
     code, out, _ = run(capsys, ["reduce", write(q), "--steps", "0"])
@@ -175,3 +198,55 @@ def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
     steps = out.count("\nstep ") + 1
     assert steps == 9
     assert calls == {"check_skeleton": steps, "solved": steps}
+
+
+def test_canonical_output_independent_of_hash_seed(write):
+    env = "f: c -> c -> c -> c, x: c"
+    g = [f"(s^{{{a}}} (x<{env}> |> c) |> c)" for a in ("a,z,c", "a,b,c", "y,b,c")]
+    path = write(f"((f<{env}> @ {g[0]}) @ {g[1]}) @ {g[2]}")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = set()
+    for seed in "0123":
+        env_vars = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "fskel.cli", "check", path],
+                              env=env_vars, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.add(done.stdout)
+    assert len(outs) == 1
+    assert "s^{a,b,c; c} c <= c" in outs.pop()
+
+
+BENCH_CLI = Path(__file__).resolve().parents[1] / "bench" / "cli"
+
+
+def _mutate(rng, text):
+    """text with one to three token insertions, deletions or span copies."""
+    tokens = re.findall(r"\s+|\w+|\S", text)
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(tokens) + 1)
+        match rng.randrange(3):
+            case 0:
+                tokens.insert(i, rng.choice(tokens))
+            case 1 if tokens:
+                del tokens[min(i, len(tokens) - 1)]
+            case _:
+                j = rng.randrange(len(tokens) + 1)
+                tokens[i:i] = tokens[j:j + rng.randrange(1, 9)]
+    return "".join(tokens)
+
+
+def test_cli_total_on_mutated_inputs(tmp_path, capsys):
+    """Every subcommand, on token-mutated versions of the benchmark's CLI
+    inputs, exits 0, 2 or 3 with at most one line on stderr."""
+    rng = random.Random(20121101)
+    cases = json.loads((BENCH_CLI / "cases.json").read_text())
+    path = tmp_path / "mutated"
+    for case in cases * 10:
+        text = (BENCH_CLI.parent.parent / case["input"]).read_text()
+        path.write_text(_mutate(rng, text))
+        argv = [str(path) if a == case["input"] else a for a in case["argv"]]
+        if argv[0] == "reduce":
+            argv += ["--steps", "4"]
+        code, _, err = run(capsys, argv)
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_UNSOLVED), argv
+        assert err.count("\n") <= 1, err

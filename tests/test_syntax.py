@@ -108,3 +108,109 @@ def test_fresh_supply_avoids():
     assert name == "a2"
     assert fresh_name("x", {"x", "x_0"}) == "x_1"
     assert fresh_name("x", set()) == "x"
+
+
+def test_constraint_eq_existential_renamed_before_canonical():
+    # the existential binder is named like the quantifier canonical_type picks
+    assert constraint_eq(parse_constraint("ex b0. (all p. p -> b0) <= c"),
+                         parse_constraint("ex q. (all p. p -> q) <= c"))
+    # renaming it to e0 must not capture a quantifier of that name
+    assert constraint_eq(parse_constraint("ex a. (all e0. e0 -> a) <= c"),
+                         parse_constraint("ex q. (all p. p -> q) <= c"))
+
+
+def test_constraint_eq_forbidden_set_order():
+    assert constraint_eq(parse_constraint("s^{a,m; c} c <= c & s^{a; c} c <= c"),
+                         parse_constraint("s^{a; c} c <= c & s^{m,a; c} c <= c"))
+
+
+def test_shadowed_existentials_get_their_own_names():
+    c = parse_constraint("ex b. s^{; b} (ex b. b <= a)")
+    assert canonical_constraint(c) == parse_constraint("ex e0. s^{; e0} (ex e1. e1 <= a)")
+
+
+def _conjuncts(c):
+    out = []
+    while isinstance(c, And):
+        out.append(c.c1)
+        c = c.c2
+    return out + [c]
+
+
+def test_canonical_constraint_deep_inputs():
+    # built without the parser, whose recursion is bounded separately
+    conj = Atomic(TVar("a0"), TVar("c"))
+    for i in range(1, 2000):
+        conj = And(Atomic(TVar(f"a{i}"), TVar("c")), conj)
+    assert len(_conjuncts(canonical_constraint(conj))) == 2000
+    nested = Atomic(TVar("c"), TVar("c"))
+    for i in range(500):
+        nested = EGuard(f"s{i}", frozenset({"a"}), TVar("c"), Exists(f"x{i}", nested))
+    out, depth = canonical_constraint(nested), 0
+    while isinstance(out, EGuard):  # the dummy binders are dropped
+        out, depth = out.body, depth + 1
+    assert depth == 500 and out == Atomic(TVar("c"), TVar("c"))
+
+
+def _rename_ex(c, rng, counter):
+    """c with every existential binder renamed to a fresh z<n> (no quantifier
+    binds a z<n>, so nothing is captured) and its conjuncts shuffled."""
+    def ren(t, a, z):
+        match t:
+            case TVar(b):
+                return TVar(z) if b == a else t
+            case Arrow(d, r):
+                return Arrow(ren(d, a, z), ren(r, a, z))
+            case Forall(b, body):
+                return t if b == a else Forall(b, ren(body, a, z))
+            case EVarApp(s, forbidden, body):
+                return EVarApp(s, frozenset(z if v == a else v for v in forbidden),
+                               ren(body, a, z))
+
+    def sub(c, a, z):
+        match c:
+            case Atomic(l, r):
+                return Atomic(ren(l, a, z), ren(r, a, z))
+            case And(c1, c2):
+                return And(sub(c1, a, z), sub(c2, a, z))
+            case Exists(b, body):
+                return c if b == a else Exists(b, sub(body, a, z))
+            case EGuard(s, forbidden, w, body):
+                return EGuard(s, frozenset(z if v == a else v for v in forbidden),
+                              ren(w, a, z), sub(body, a, z))
+        return c
+
+    match c:
+        case And(c1, c2):
+            parts = [_rename_ex(c1, rng, counter), _rename_ex(c2, rng, counter)]
+            rng.shuffle(parts)
+            return And(*parts)
+        case Exists(a, body):
+            counter[0] += 1
+            z = f"z{counter[0]}"
+            return Exists(z, sub(_rename_ex(body, rng, counter), a, z))
+        case EGuard(s, forbidden, w, body):
+            return EGuard(s, forbidden, w, _rename_ex(body, rng, counter))
+    return c
+
+
+def _random_constraint(rng, depth):
+    names = ["a", "b", "e0", "e1", "b0", "b1"]
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        return Atomic(random_type(rng, names, 3), random_type(rng, names, 3))
+    if r < 0.55:
+        return And(_random_constraint(rng, depth - 1), _random_constraint(rng, depth - 1))
+    if r < 0.8:
+        return Exists(rng.choice(names), _random_constraint(rng, depth - 1))
+    return EGuard(f"s{rng.randrange(2)}", frozenset(rng.sample(names, rng.randrange(3))),
+                  random_type(rng, names, 2), _random_constraint(rng, depth - 1))
+
+
+def test_canonical_constraint_invariant_under_renaming_and_reordering():
+    rng = random.Random(11)
+    for _ in range(400):
+        c = _random_constraint(rng, 5)
+        cc = canonical_constraint(c)
+        assert canonical_constraint(cc) == cc
+        assert canonical_constraint(_rename_ex(c, rng, [0])) == cc
