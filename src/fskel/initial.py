@@ -10,7 +10,7 @@ from .syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro,
     Exists, Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs,
     QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar,
-    Term, Type, TypeEnv, Var, evars_of, fresh_name, ftv, fv, term_alpha_eq,
+    Term, Type, TypeEnv, Var, fresh_name, ftv, fv, term_alpha_eq,
     type_eq,
 )
 from .expansion import apply_subst, apply_subst_set
@@ -23,7 +23,37 @@ class TermMismatch(Exception):
 
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton."""
-    return ftv(q) | evars_of(q)
+    # ftv(q) | evars_of(q) in one walk; `bound` holds the enclosing binders
+    out: set[str] = set()
+    todo: list[tuple[Skeleton | Type, frozenset[str]]] = [(q, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        match node:
+            case TVar(a):
+                if a not in bound:
+                    out.add(a)
+            case Arrow(d, c):
+                todo += ((d, bound), (c, bound))
+            case EVarApp(s, forbidden, body) | QEVar(s, forbidden, body):
+                out.add(s)
+                out.update(forbidden - bound)
+                todo.append((body, bound))
+            case QVar(_, env):
+                todo += ((t, bound) for _, t in env.entries)
+            case QApp(f, a):
+                todo += ((f, bound), (a, bound))
+            case QAbs(_, body):
+                todo.append((body, bound))
+            case Forall(a, body) | QForall(a, body):
+                todo.append((body, bound | {a}))
+            case QSub(body, target):
+                todo += ((body, bound), (target, bound))
+            case QWeak(body, extra):
+                todo.append((body, bound))
+                todo += ((t, bound) for _, t in extra.entries)
+            case _:
+                raise TypeError(node)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,29 @@ Grammar (ASCII):
     TypeEnv:    {x: T, y: T}
     Skeleton:   x<x: T> | \\x. Q | Q @ Q | all a. Q | s^{A} Q
                 | Q |> T | Q + {x: T}                   (+ = weakening)
+
+Lexical rules: an identifier starts with a character for which
+`str.isalpha()` holds, or `_`, and goes on with characters for which
+`str.isalnum()` holds, `_` or `'` (so `é` may start one, while `²`, `Ⅻ`
+and digits may only follow).  `all`, `ex`, `id` and `omega` are keywords,
+never identifiers.  The symbols are `-> |> := <=` and `\\ . @ ( ) ^ { } ,
+< > & [ ] ; : +`.  Space, tab, CR and LF separate tokens; any other
+character is an error.  Positions are `line:col`, both from 1, with every
+character, a tab too, one column wide.
+
+Cost: one regex scan turns the text into a list of token strings and a
+parallel list of kinds, and the parser reads them by index.  A token's
+line and column are found only when a `ParseError` is raised, by scanning
+the text again up to the failing token.  Parsing is linear in the text,
+except where the parser backtracks (by resetting the index): a constraint
+atom or a substitution value that opens with k parentheses is read up to
+k times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from itertools import islice, repeat
 
 from .syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro,
@@ -34,108 +52,100 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident", "keyword", or the symbol itself
-    value: str
-    line: int
-    col: int
+KEYWORDS = ("all", "ex", "id", "omega")
+SYMBOLS = ("->", "|>", ":=", "<=", *"\\.@()^{},<>&[];:+")
+# A token's kind is the token itself for keywords and symbols, else "ident".
+_KIND = {s: s for s in KEYWORDS + SYMBOLS}
+# Group 1 is a symbol or a word; a character that starts neither matches
+# outside the group and so reads as "".  `[^\W\d]` is a word character
+# that is not a decimal digit: for ASCII text exactly a letter or `_`.
+_TOKEN = re.compile(r"(->|\|>|:=|<=|[\\.@()^{},<>&\[\];:+]|[^\W\d][\w']*)|[^ \t\r\n]")
 
 
-KEYWORDS = {"all", "ex", "id", "omega"}
-SYMBOLS2 = {"->", "|>", ":=", "<="}
-SYMBOLS1 = set("\\.@()^{},<>&[];:+")
+def _offset(text: str, index: int) -> int:
+    """Offset in text of its index-th token, or its length at the end."""
+    m = next(islice(_TOKEN.finditer(text), index, None), None)
+    return len(text) if m is None else m.start()
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        two = text[i:i + 2]
-        if two in SYMBOLS2:
-            toks.append(Token(two, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in SYMBOLS1:
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _error(message: str, text: str, offset: int) -> ParseError:
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
+def tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The kinds and the values of text's tokens, ending with ("eof", "")."""
+    values = _TOKEN.findall(text)
+    bad = values.index("") if "" in values else len(values)
+    if not text.isascii():
+        # outside ASCII, `[^\W\d]` also admits numerals such as ² and Ⅻ
+        bad = next((i for i, v in enumerate(islice(values, bad))
+                    if v not in _KIND and not (v[0].isalpha() or v[0] == "_")), bad)
+    if bad < len(values):
+        offset = _offset(text, bad)
+        raise _error(f"unexpected character {text[offset]!r}", text, offset)
+    kinds = list(map(_KIND.get, values, repeat("ident")))
+    kinds.append("eof")
+    values.append("")
+    return kinds, values
+
+
+class _Stuck(Exception):
+    """A parse failure at a token index; the parser backtracks on it, and
+    the entry point turns it into a ParseError with a line and a column."""
 
 
 class Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        self.kinds, self.values = tokenize(text)
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def at(self, kind: str) -> bool:
+        return self.kinds[self.pos] == kind
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
+    def eat(self, kind: str) -> bool:
+        """Step over the current token if it has this kind."""
+        if self.kinds[self.pos] != kind:
+            return False
         self.pos += 1
-        return t
+        return True
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.peek()
-        return t.kind == kind and (value is None or t.value == value)
-
-    def expect(self, kind: str, value: str | None = None) -> Token:
-        t = self.peek()
-        if not self.at(kind, value):
-            want = value or kind
-            raise ParseError(f"expected {want!r}, found {t.value or 'end of input'!r}", t.line, t.col)
-        return self.next()
+    def expect(self, kind: str) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            self.fail(f"expected {kind!r}, found {self.values[pos] or 'end of input'!r}")
+        self.pos = pos + 1
+        return self.values[pos]
 
     def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
+        raise _Stuck(message, self.pos)
 
     def done(self):
         if not self.at("eof"):
-            self.fail(f"trailing input starting at {self.peek().value!r}")
+            self.fail(f"trailing input starting at {self.values[self.pos]!r}")
 
     # -- shared pieces -----------------------------------------------------
 
     def ident(self) -> str:
-        return self.expect("ident").value
+        return self.expect("ident")
 
-    def var_set(self) -> frozenset[str]:
-        """Comma-separated identifiers (possibly empty) after '{'."""
+    def binder(self) -> str:
+        """The identifier and the '.' after 'all', 'ex' or '\\'."""
+        a = self.expect("ident")
+        self.expect(".")
+        return a
+
+    def var_set(self, close: str) -> frozenset[str]:
+        """'{', comma-separated identifiers (possibly none), then close."""
+        self.expect("{")
         names: list[str] = []
         if self.at("ident"):
             names.append(self.ident())
-            while self.at(","):
-                self.next()
+            while self.eat(","):
                 names.append(self.ident())
+        self.expect(close)
         return frozenset(names)
 
     def env_entries(self, close: str) -> TypeEnv:
@@ -145,30 +155,23 @@ class Parser:
                 x = self.ident()
                 self.expect(":")
                 entries.append((x, self.type_()))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                if not self.eat(","):
+                    break
         self.expect(close)
         return TypeEnv(tuple(entries))
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        if self.at("\\"):
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return Abs(x, self.term())
+        if self.eat("\\"):
+            return Abs(self.binder(), self.term())
         m = self.term_atom()
-        while self.at("@"):
-            self.next()
+        while self.eat("@"):
             m = App(m, self.term_atom())
         return m
 
     def term_atom(self) -> Term:
-        if self.at("("):
-            self.next()
+        if self.eat("("):
             m = self.term()
             self.expect(")")
             return m
@@ -179,63 +182,45 @@ class Parser:
     # -- types -------------------------------------------------------------
 
     def type_(self) -> Type:
-        if self.at("keyword", "all"):
-            self.next()
-            a = self.ident()
-            self.expect(".")
-            return Forall(a, self.type_())
+        if self.eat("all"):
+            return Forall(self.binder(), self.type_())
         left = self.type_atom()
-        if self.at("->"):
-            self.next()
+        if self.eat("->"):
             return Arrow(left, self.type_())
         return left
 
     def type_atom(self) -> Type:
-        if self.at("("):
-            self.next()
+        if self.eat("("):
             t = self.type_()
             self.expect(")")
             return t
         name = self.ident()
-        if self.at("^"):
-            self.next()
-            self.expect("{")
-            forbidden = self.var_set()
-            self.expect("}")
-            return EVarApp(name, forbidden, self.type_atom())
+        if self.eat("^"):
+            return EVarApp(name, self.var_set("}"), self.type_atom())
         return TVar(name)
 
     # -- expansions ----------------------------------------------------------
 
     def expansion(self) -> Expansion:
-        if self.at("keyword", "all"):
-            self.next()
-            a = self.ident()
-            self.expect(".")
-            return ForallIntro(a, self.expansion())
+        if self.eat("all"):
+            return ForallIntro(self.binder(), self.expansion())
         i = self.expansion_atom()
-        while self.at("|>"):
-            self.next()
+        while self.eat("|>"):
             i = SubStep(i, self.type_())
         return i
 
     def expansion_atom(self) -> Expansion:
-        if self.at("keyword", "id"):
-            self.next()
+        if self.eat("id"):
             return Id()
-        if self.at("("):
-            self.next()
+        if self.eat("("):
             i = self.expansion()
             self.expect(")")
             return i
-        if self.at("keyword", "all"):
+        if self.at("all"):
             return self.expansion()
         name = self.ident()
         self.expect("^")
-        self.expect("{")
-        forbidden = self.var_set()
-        self.expect("}")
-        return EVarIntro(name, forbidden, self.expansion_atom())
+        return EVarIntro(name, self.var_set("}"), self.expansion_atom())
 
     # -- substitutions -------------------------------------------------------
 
@@ -251,14 +236,12 @@ class Parser:
                     val: Type | Expansion = self.expansion()
                     if not (self.at(",") or self.at("]")):
                         self.fail("incomplete expansion")
-                except ParseError:
+                except _Stuck:
                     self.pos = mark
                     val = self.type_()
                 bindings.append((name, val))
-                if self.at(","):
-                    self.next()
-                    continue
-                break
+                if not self.eat(","):
+                    break
         self.expect("]")
         return Subst(tuple(bindings))
 
@@ -266,40 +249,31 @@ class Parser:
 
     def constraint(self) -> Constraint:
         c = self.constraint_atom()
-        while self.at("&"):
-            self.next()
+        while self.eat("&"):
             c = And(c, self.constraint_atom())
         return c
 
     def constraint_atom(self) -> Constraint:
-        if self.at("keyword", "omega"):
-            self.next()
+        if self.eat("omega"):
             return Omega()
-        if self.at("keyword", "ex"):
-            self.next()
-            a = self.ident()
-            self.expect(".")
-            return Exists(a, self.constraint())
+        if self.eat("ex"):
+            return Exists(self.binder(), self.constraint())
         # Try an atomic constraint "T <= T"; backtrack to guard / parens.
         mark = self.pos
         try:
             lhs = self.type_()
-            if self.at("<="):
-                self.next()
+            if self.eat("<="):
                 return Atomic(lhs, self.type_())
             self.fail("expected '<='")
-        except ParseError:
+        except _Stuck:
             self.pos = mark
-        if self.at("("):
-            self.next()
+        if self.eat("("):
             c = self.constraint()
             self.expect(")")
             return c
         name = self.ident()
         self.expect("^")
-        self.expect("{")
-        forbidden = self.var_set()
-        self.expect(";")
+        forbidden = self.var_set(";")
         witness = self.type_()
         self.expect("}")
         return EGuard(name, forbidden, witness, self.constraint_atom())
@@ -314,43 +288,32 @@ class Parser:
 
     def skeleton(self) -> Skeleton:
         q = self.skel_app()
-        while self.at("|>") or self.at("+"):
-            if self.next().kind == "|>":
+        while True:
+            if self.eat("|>"):
                 q = QSub(q, self.type_())
-            else:
+            elif self.eat("+"):
                 q = QWeak(q, self.type_env())
-        return q
+            else:
+                return q
 
     def skel_app(self) -> Skeleton:
         q = self.skel_atom()
-        while self.at("@"):
-            self.next()
+        while self.eat("@"):
             q = QApp(q, self.skel_atom())
         return q
 
     def skel_atom(self) -> Skeleton:
-        if self.at("("):
-            self.next()
+        if self.eat("("):
             q = self.skeleton()
             self.expect(")")
             return q
-        if self.at("\\"):
-            self.next()
-            x = self.ident()
-            self.expect(".")
-            return QAbs(x, self.skeleton())
-        if self.at("keyword", "all"):
-            self.next()
-            a = self.ident()
-            self.expect(".")
-            return QForall(a, self.skeleton())
+        if self.eat("\\"):
+            return QAbs(self.binder(), self.skeleton())
+        if self.eat("all"):
+            return QForall(self.binder(), self.skeleton())
         name = self.ident()
-        if self.at("^"):
-            self.next()
-            self.expect("{")
-            forbidden = self.var_set()
-            self.expect("}")
-            return QEVar(name, forbidden, self.skel_atom())
+        if self.eat("^"):
+            return QEVar(name, self.var_set("}"), self.skel_atom())
         self.expect("<")
         return QVar(name, self.env_entries(">"))
 
@@ -358,8 +321,12 @@ class Parser:
 def _entry(parse_method):
     def run(text: str):
         p = Parser(text)
-        value = parse_method(p)
-        p.done()
+        try:
+            value = parse_method(p)
+            p.done()
+        except _Stuck as e:
+            message, pos = e.args
+            raise _error(message, text, _offset(text, pos)) from None
         return value
     return run
 
@@ -445,24 +412,30 @@ def print_subst(phi: Subst) -> str:
 
 
 def print_constraint(c: Constraint) -> str:
-    match c:
-        case Omega():
-            return "omega"
-        case Atomic(lhs, rhs):
-            return f"{print_type(lhs)} <= {print_type(rhs)}"
-        case And(c1, c2):
-            s1 = print_constraint(c1)
-            if isinstance(c1, (Exists, EGuard)):
-                s1 = f"({s1})"
-            return f"{s1} & {print_constraint(c2)}"
-        case Exists(a, body):
-            return f"ex {a}. {print_constraint(body)}"
-        case EGuard(s, forbidden, witness, body):
-            bs = print_constraint(body)
-            if isinstance(body, (And, Exists)):
-                bs = f"({bs})"
-            return f"{s}^{{{print_var_set(forbidden)}; {print_type(witness)}}} {bs}"
-    raise TypeError(c)
+    # an explicit stack of nodes and literal pieces: no recursion on depth
+    out: list[str] = []
+    todo: list[Constraint | str] = [c]
+    while todo:
+        c = todo.pop()
+        match c:
+            case str():
+                out.append(c)
+            case Omega():
+                out.append("omega")
+            case Atomic(lhs, rhs):
+                out.append(f"{print_type(lhs)} <= {print_type(rhs)}")
+            case And(c1, c2):
+                todo += (c2, " & ")
+                todo += (")", c1, "(") if isinstance(c1, (Exists, EGuard)) else (c1,)
+            case Exists(a, body):
+                out.append(f"ex {a}. ")
+                todo.append(body)
+            case EGuard(s, forbidden, witness, body):
+                out.append(f"{s}^{{{print_var_set(forbidden)}; {print_type(witness)}}} ")
+                todo += (")", body, "(") if isinstance(body, (And, Exists)) else (body,)
+            case _:
+                raise TypeError(c)
+    return "".join(out)
 
 
 def _print_entries(env: TypeEnv) -> str:

@@ -717,4 +717,25 @@ def canonical_constraint(c: Constraint) -> Constraint:
 
 def constraint_eq(c1: Constraint, c2: Constraint) -> bool:
     """Equality of constraints modulo the equational theory."""
-    return canonical_constraint(c1) == canonical_constraint(c2)
+    # node by node on an explicit stack: the generated `==` recurses once
+    # per level, and a canonical form is a right-nested `&` of all its items
+    todo = [(canonical_constraint(c1), canonical_constraint(c2))]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        match a:
+            case And(a1, a2):
+                todo += ((a1, b.c1), (a2, b.c2))
+            case Exists(x, body):
+                if x != b.binder:
+                    return False
+                todo.append((body, b.body))
+            case EGuard(s, forbidden, witness, body):
+                if (s, forbidden, witness) != (b.evar, b.forbidden, b.witness):
+                    return False
+                todo.append((body, b.body))
+            case _:
+                if a != b:
+                    return False
+    return True

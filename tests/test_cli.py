@@ -1,5 +1,6 @@
 """Command-line interface: commands, formats, and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -250,3 +251,26 @@ def test_cli_total_on_mutated_inputs(tmp_path, capsys):
         code, _, err = run(capsys, argv)
         assert code in (EXIT_OK, EXIT_INVALID, EXIT_UNSOLVED), argv
         assert err.count("\n") <= 1, err
+
+
+def test_cli_outputs_match_recorded_cases(capsys, monkeypatch):
+    """Each benchmark CLI invocation keeps the exit code and the SHA-256 of
+    standard output recorded in bench/cli/cases.json."""
+    monkeypatch.chdir(BENCH_CLI.parent.parent)
+    cases = json.loads((BENCH_CLI / "cases.json").read_text())
+    assert len(cases) == 39
+    for case in cases:
+        code, out, _ = run(capsys, case["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (code, digest) == (case["exit"], case["sha256"]), case["argv"]
+
+
+def test_initial_of_balanced_term(write, capsys):
+    # 1,024 leaves: the canonical constraint is a right-nested & 1,023 deep
+    text = "x"
+    for _ in range(10):
+        text = f"({text}) @ ({text})"
+    code, out, err = run(capsys, ["initial", write(text)])
+    assert code == EXIT_OK and err == ""
+    last = out.splitlines()[-1]
+    assert last.startswith("constraint: ") and last.count(" & ") == 1022

@@ -1,5 +1,6 @@
 """Surface syntax: parsing, printing, precedence, and error reporting."""
 
+import functools
 import random
 
 import pytest
@@ -11,7 +12,8 @@ from fskel.surface import (
     print_type_env,
 )
 from fskel.syntax import (
-    Abs, App, Arrow, EVarApp, Forall, Id, QSub, SubStep, TVar, Var,
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Id, QSub,
+    SubStep, TVar, Var, canonical_constraint, constraint_eq,
 )
 from fskel.generators import random_expansion, random_type, random_valid_skeleton
 
@@ -102,3 +104,152 @@ def test_round_trip_terms_and_substs():
         assert print_term(parse_term(s)) == s
     for s in ["[a := b -> b, s := all b. id]", "[]", "[s := id |> a -> a]"]:
         assert print_subst(parse_subst(s)) == s
+
+
+PARSE = {"term": parse_term, "type": parse_type, "expansion": parse_expansion,
+         "subst": parse_subst, "constraint": parse_constraint,
+         "type_env": parse_type_env, "skeleton": parse_skeleton}
+PRINT = {"term": print_term, "type": print_type, "expansion": print_expansion,
+         "subst": print_subst, "constraint": print_constraint,
+         "type_env": print_type_env, "skeleton": print_skeleton}
+
+# (entry point, text, the exact ParseError message, or None if it parses)
+ERRORS = [
+    ('type', 'a -> ->', "1:6: expected 'ident', found '->'"),
+    ('type', 'a -> b extra', "1:8: trailing input starting at 'extra'"),
+    ('type', '', "1:1: expected 'ident', found 'end of input'"),
+    ('type', '   \n\t ', "2:3: expected 'ident', found 'end of input'"),
+    ('type', 'all . a', "1:5: expected 'ident', found '.'"),
+    ('type', 'all all. a', "1:5: expected 'ident', found 'all'"),
+    ('type', 'a ->', "1:5: expected 'ident', found 'end of input'"),
+    ('type', '(a -> b', "1:8: expected ')', found 'end of input'"),
+    ('type', 's^{a b', "1:6: expected '}', found 'b'"),
+    ('type', 's^{a,} b', "1:6: expected 'ident', found '}'"),
+    ('type', 's^{a} ', "1:7: expected 'ident', found 'end of input'"),
+    ('type', 'a\n  -> b\n\t-> )', "3:5: expected 'ident', found ')'"),
+    ('type', 'a\r\n-> b\r\n-> 1', "3:4: unexpected character '1'"),
+    ('type', 'a ->\tb²', None),
+    ('type', '²', "1:1: unexpected character '²'"),
+    ('type', 'Ⅻ -> a', "1:1: unexpected character 'Ⅻ'"),
+    ('type', 'é -> b²\n-> Ⅻ', "2:4: unexpected character 'Ⅻ'"),
+    ('type', 'a - b', "1:3: unexpected character '-'"),
+    ('type', 'a | b', "1:3: unexpected character '|'"),
+    ('type', 'a\x0bb', "1:2: unexpected character '\\x0b'"),
+    ('type', 'a\xa0-> b', "1:2: unexpected character '\\xa0'"),
+    ('type', "'a", '1:1: unexpected character "\'"'),
+    ('term', '\\x x', "1:4: expected '.', found 'x'"),
+    ('term', '\\omega. x', "1:2: expected 'ident', found 'omega'"),
+    ('term', '\\x. x @', "1:8: expected 'ident', found 'end of input'"),
+    ('term', '(x @ y', "1:7: expected ')', found 'end of input'"),
+    ('term', 'x y', "1:3: trailing input starting at 'y'"),
+    ('term', '\\x.\r\n\tx @ @ y', "2:6: expected 'ident', found '@'"),
+    ('term', 'x @ id', "1:5: expected 'ident', found 'id'"),
+    ('term', '\\é. é @ 1', "1:9: unexpected character '1'"),
+    ('expansion', 'id |>', "1:6: expected 'ident', found 'end of input'"),
+    ('expansion', 's^{a} id id', "1:10: trailing input starting at 'id'"),
+    ('expansion', 's id', "1:3: expected '^', found 'id'"),
+    ('expansion', 'all ex. id', "1:5: expected 'ident', found 'ex'"),
+    ('subst', '[a := b', "1:8: expected ']', found 'end of input'"),
+    ('subst', '[a = b]', "1:4: unexpected character '='"),
+    ('subst', '[a := , b := c]', "1:7: expected 'ident', found ','"),
+    ('subst', 'a := b', "1:1: expected '[', found 'a'"),
+    ('subst', '[ex := b]', "1:2: expected 'ident', found 'ex'"),
+    ('constraint', 'a <=', "1:3: expected '^', found '<='"),
+    ('constraint', 'a <= b &', "1:9: expected 'ident', found 'end of input'"),
+    ('constraint', 'a & b', "1:3: expected '^', found '&'"),
+    ('constraint', 'ex all. a <= b', "1:4: expected 'ident', found 'all'"),
+    ('constraint', 's^{a; } omega', "1:7: expected 'ident', found '}'"),
+    ('constraint', 's^{a; b omega', "1:9: expected '}', found 'omega'"),
+    ('constraint', 'omega omega', "1:7: trailing input starting at 'omega'"),
+    ('constraint', '(a <= b', "1:8: expected ')', found 'end of input'"),
+    ('constraint', 'a <= b\n& \tc <= d\n& e', "3:4: expected '^', found 'end of input'"),
+    ('type_env', '{x: a', "1:6: expected '}', found 'end of input'"),
+    ('type_env', '{x a}', "1:4: expected ':', found 'a'"),
+    ('type_env', '{id: a}', "1:2: expected 'ident', found 'id'"),
+    ('type_env', 'x: a', "1:1: expected '{', found 'x'"),
+    ('skeleton', 'x<x: a', "1:7: expected '>', found 'end of input'"),
+    ('skeleton', 'x<x: a> @', "1:10: expected 'ident', found 'end of input'"),
+    ('skeleton', 'x', "1:2: expected '<', found 'end of input'"),
+    ('skeleton', '\\x. x<x: a> |>', "1:15: expected 'ident', found 'end of input'"),
+    ('skeleton', 'x<x: a> + {y: }', "1:15: expected 'ident', found '}'"),
+    ('skeleton', 'x<x: a> extra<>', "1:9: trailing input starting at 'extra'"),
+    ('skeleton', 'all omega. x<x: a>', "1:5: expected 'ident', found 'omega'"),
+    ('skeleton', '\\x.\r\n  x<x: a ->\r\n\t> @ y<>', "3:2: expected 'ident', found '>'"),
+    ('skeleton', '\\x. x<x: a -> > @\n', "1:15: expected 'ident', found '>'"),
+    ('skeleton', 's^{a} (x<x: a>', "1:15: expected ')', found 'end of input'"),
+    ('skeleton', 'x<x: ²>', "1:6: unexpected character '²'"),
+    ('skeleton', 'x<é: a> @ y<y: Ⅻ>', "1:16: unexpected character 'Ⅻ'"),
+    ("skeleton", "\\é. é<é: a>", None),
+]
+
+
+@pytest.mark.parametrize("entry, text, message", ERRORS)
+def test_parse_error_messages(entry, text, message):
+    if message is None:
+        value = PARSE[entry](text)
+        assert PARSE[entry](PRINT[entry](value)) == value
+        return
+    with pytest.raises(ParseError) as e:
+        PARSE[entry](text)
+    assert str(e.value) == message
+    assert str(e.value) == f"{e.value.line}:{e.value.col}: {e.value.message}"
+
+
+def _mutate(rng, text):
+    pieces = ["\t", "\r\n", "\n", " ", "é", "²", "Ⅻ", "1", "'", "_", "a", "all",
+              "ex", "id", "omega", "->", "|>", ":=", "<=", "(", ")", "{", "}", "^",
+              ",", ";", ":", "<", ">", "&", "@", "+", "\\", ".", "[", "]"]
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        match rng.randrange(3):
+            case 0:
+                text = text[:i] + rng.choice(pieces) + text[i:]
+            case 1:
+                text = text[:i] + text[i + rng.randrange(1, 4):]
+            case _:
+                j = rng.randrange(len(text) + 1)
+                text = text[:i] + text[j:j + rng.randrange(1, 9)] + text[i:]
+    return text
+
+
+def test_mutated_inputs_parse_or_raise_parse_error():
+    """Every entry point, on seeded mutations of valid texts of every
+    category, returns a value that survives a print and a re-parse, or
+    raises ParseError."""
+    rng = random.Random(20121101)
+    texts = ["\\x. \\y. x @ y", "(\\x. x) @ (\\y. y) @ z",
+             "[a := b -> b, s := all b. id, t := id |> c]",
+             "ex a. (a <= b & s^{a; b} omega) & s^{a,b; all c. c} t^{} c <= d",
+             "{x: a -> b, y: all a. s^{a} a}"]
+    for _ in range(60):
+        texts.append(print_type(random_type(rng, ["a", "b"], 4)))
+        texts.append(print_expansion(random_expansion(rng, ["a", "b"], 3)))
+        texts.append(print_skeleton(random_valid_skeleton(rng)))
+    parsed = 0
+    for _ in range(3000):
+        text = _mutate(rng, rng.choice(texts))
+        for entry, parse in PARSE.items():
+            try:
+                value = parse(text)
+            except ParseError:
+                continue
+            assert parse(PRINT[entry](value)) == value, (entry, text)
+            parsed += 1
+    assert parsed > 600
+
+
+def test_print_constraint_deep_conjunctions():
+    atoms = [Atomic(TVar(f"a{i}"), TVar("c")) for i in range(2000)]
+    text = " & ".join(f"a{i} <= c" for i in range(2000))
+    left = functools.reduce(And, atoms)
+    right = functools.reduce(lambda c, a: And(a, c), reversed(atoms))
+    assert print_constraint(left) == text
+    assert print_constraint(right) == text
+    canonical = print_constraint(canonical_constraint(left))
+    assert constraint_eq(parse_constraint(canonical), right)
+    guarded = atoms[0]
+    for i in range(500):
+        guarded = EGuard(f"s{i}", frozenset({"a"}), TVar("c"), Exists(f"x{i}", guarded))
+    printed = print_constraint(guarded)
+    assert printed.startswith("s499^{a; c} (ex x499. s498^{a; c} (ex x498. ")
+    assert printed.endswith("a0 <= c" + ")" * 500)

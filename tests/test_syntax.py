@@ -214,3 +214,13 @@ def test_canonical_constraint_invariant_under_renaming_and_reordering():
         cc = canonical_constraint(c)
         assert canonical_constraint(cc) == cc
         assert canonical_constraint(_rename_ex(c, rng, [0])) == cc
+
+
+def test_constraint_eq_deep_conjunctions():
+    atoms = [Atomic(TVar(f"a{i}"), TVar("c")) for i in range(2000)]
+    right = left = atoms[0]
+    for a in atoms[1:]:
+        right, left = And(a, right), And(left, a)
+    assert constraint_eq(right, left)
+    changed = And(left.c1, Atomic(TVar("a1999"), TVar("d")))  # was a1999 <= c
+    assert not constraint_eq(right, changed)
