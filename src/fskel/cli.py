@@ -98,10 +98,11 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     q = parse_skeleton(_read(args.file))
-    j = check_skeleton(q)
+    table = judgements(q)
     rel = RELATIONS[args.rel]
     step = 0
     while True:
+        j = table[id(q)]
         print(f"step {step}: {print_term(j.term)}")
         _print_judgement(j, args.format)
         ok = solved(j.constraint, rel)
@@ -114,9 +115,10 @@ def cmd_reduce(args) -> int:
         if nxt is None:
             print("normal form reached")
             return EXIT_OK
-        # j is valid and solved under rel, hence under F: do not judge it again
-        q = _preserve_judged(q, j, nxt)
-        j = check_skeleton(q)
+        # one typing pass per step: preserve the step from the table that
+        # judged it, then judge the result
+        q = _preserve_judged(q, table, nxt)
+        table = judgements(q)
         step += 1
 
 

@@ -23,7 +23,8 @@ class TermMismatch(Exception):
 
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton."""
-    # ftv(q) | evars_of(q) in one walk; `bound` holds the enclosing binders
+    # free type variables and expansion variables in one walk; `bound`
+    # holds the enclosing binders
     out: set[str] = set()
     todo: list[tuple[Skeleton | Type, frozenset[str]]] = [(q, frozenset())]
     while todo:

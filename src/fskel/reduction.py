@@ -5,6 +5,7 @@ subject-reduction engine."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
@@ -12,8 +13,8 @@ from .syntax import (
     env_eq, fv, term_alpha_eq, type_eq, canonical_type,
 )
 from .expansion import apply_subst
-from .solve import REL_F, leq_f_witness, solved
-from .typecheck import Judgement, check_skeleton
+from .solve import _witness
+from .typecheck import Judgement, judgements
 
 
 class NotSolved(Exception):
@@ -539,70 +540,63 @@ def _transform_sub(body: NeqSkeleton, proof: SubtypeSkeleton) -> NeqSkeleton:
 # Between the two skeleton languages
 
 
-def _solved_judgement(q: Skeleton) -> Judgement:
-    """q's judgement, provided its constraint holds under REL_F."""
-    j = check_skeleton(q)
-    if not solved(j.constraint, REL_F):
-        raise NotSolved("constraint does not hold under quantifier elimination")
-    return j
-
-
 def _sub_proof(t: Type, target: Type) -> Inst | None:
-    """The elimination proof of t <= target, or None when the two are equal."""
-    if type_eq(t, target):
+    """The Inst proof of t <= target, None when the two are equal, NotSolved
+    when leq_f rejects the pair; canonicalizes each side once."""
+    if t == target:
         return None
-    w = leq_f_witness(t, target)
+    c, c_target = canonical_type(t), canonical_type(target)
+    if c == c_target:
+        return None
+    w = _witness(t, target, c, c_target)
     if w is None:
-        raise NotSolved("subtyping step not derivable by one elimination")
+        raise NotSolved("constraint does not hold under quantifier elimination")
     a, rest, x = w
     return Inst(Forall(a, rest), x)
 
 
-def _elaborate(q: Skeleton) -> NeqSkeleton:
-    """to_neq for a q already known to be valid and solved. Each distinct
-    subtyping step (t, target) is settled once."""
-    proofs: dict[tuple[Type, Type], Inst | None] = {}
+def _elaborate(q: Skeleton, table: dict[int, Judgement]) -> NeqSkeleton:
+    """The proof-carrying form of a valid q whose judgements by node id() are
+    in table. Each distinct subtyping step (t, target) is settled once; a
+    weakening, which has no such form, raises NestedWeakening after all are."""
+    settle = cache(_sub_proof)  # per call: nothing outlives it
+    weakened = False
 
-    def go(q: Skeleton) -> tuple[NeqSkeleton, TypeEnv, Type]:
+    def go(q: Skeleton) -> NeqSkeleton:
+        nonlocal weakened
         match q:
             case QVar(x, env):
-                t = env.lookup(x)
-                assert t is not None
-                return NVar(x, env), env, t
+                return NVar(x, env)
             case QAbs(x, body):
-                n, env, t = go(body)
-                return NAbs(x, n), env.remove(x), Arrow(env.lookup(x), t)
+                return NAbs(x, go(body))
             case QApp(f, a):
-                nf, env, tf = go(f)
-                na, _, _ = go(a)
-                return NApp(nf, na), env, _as_arrow(tf).cod
+                return NApp(go(f), go(a))
             case QForall(a, body):
-                n, env, t = go(body)
-                return NForall(a, n), env, Forall(a, t)
+                return NForall(a, go(body))
             case QEVar(s, forbidden, body):
-                n, env, t = go(body)
-                return NEVar(s, forbidden, n), env, EVarApp(s, forbidden, t)
+                return NEVar(s, forbidden, go(body))
             case QSub(body, target):
-                n, env, t = go(body)
-                if (t, target) not in proofs:
-                    proofs[t, target] = _sub_proof(t, target)
-                proof = proofs[t, target]
-                if proof is None:
-                    return n, env, t
-                return NSub(n, proof), env, target
-            case QWeak(_, _):
-                raise NestedWeakening("cannot reduce under a weakening below the root")
+                n = go(body)
+                proof = settle(table[id(body)].rtype, target)
+                return n if proof is None else NSub(n, proof)
+            case QWeak(body, _):
+                weakened = True
+                return go(body)
         raise TypeError(q)
 
-    return go(q)[0]
+    n = go(q)
+    if weakened:
+        raise NestedWeakening("cannot reduce under a weakening below the root")
+    return n
 
 
 def to_neq(q: Skeleton) -> NeqSkeleton:
     """Elaborate a valid skeleton with a solved constraint into a
     proof-carrying one (weakening-free skeletons only; a weakening raises
-    NestedWeakening)."""
-    _solved_judgement(q)
-    return _elaborate(q)
+    NestedWeakening). Costs one typing pass and one elaboration pass, which
+    decides each distinct subtyping atom once under REL_F, canonicalizing
+    each side once, and raises NotSolved on the first that fails."""
+    return _elaborate(q, judgements(q))
 
 
 def _rewrite_env_var(q: Skeleton, y: str, t: Type) -> Skeleton:
@@ -853,24 +847,28 @@ def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     """A valid skeleton for m_next with the same environment and result type
-    and a solved constraint, given that q's term steps to m_next."""
-    return _preserve_judged(q, _solved_judgement(q), m_next)
+    and a solved constraint, given that q's term steps to m_next. Costs one
+    typing pass of q plus the elaboration pass of _preserve_judged."""
+    return _preserve_judged(q, judgements(q), m_next)
 
 
-def _preserve_judged(q: Skeleton, j: Judgement, m_next: Term) -> Skeleton:
-    """preserve for a q whose judgement j is already computed, with a
-    constraint known to hold under REL_F (or under REL_EQ, which is
-    stronger: an atom that holds under EQ holds under F)."""
-    stepped = cbv_step(j.term)
-    if stepped is None or not term_alpha_eq(stepped, m_next):
-        raise NotAStep("the given term is not the skeleton's one-step reduct")
+def _preserve_judged(q: Skeleton, table: dict[int, Judgement], m_next: Term) -> Skeleton:
+    """preserve for a valid q whose judgements by node id() are in table.
+    One elaboration pass decides each distinct subtyping atom under REL_F
+    once, canonicalizing each side once, and raises NotSolved on the first
+    that fails, before NestedWeakening and NotAStep."""
+    term = table[id(q)].term
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
         extras.append(q.extra)
         q = q.body
+    n = _elaborate(q, table)
+    stepped = cbv_step(term)
+    if stepped is None or not term_alpha_eq(stepped, m_next):
+        raise NotAStep("the given term is not the skeleton's one-step reduct")
     # the elaborated skeleton judges the same term as q; stepping keeps its
     # environment, so the same weakenings apply to the result
-    out = from_neq(_step_at(_elaborate(q), j.term))
+    out = from_neq(_step_at(n, term))
     for extra in reversed(extras):
         out = QWeak(out, extra)
     return out

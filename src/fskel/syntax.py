@@ -255,6 +255,8 @@ class TypeEnv:
 
 def env_eq(g1: TypeEnv, g2: TypeEnv) -> bool:
     """Environment equality: same support, pointwise type_eq (order-insensitive)."""
+    if g1.entries == g2.entries:
+        return True
     if g1.supp() != g2.supp():
         return False
     return all(type_eq(t, g2.lookup(x)) for x, t in g1.entries)
@@ -391,52 +393,6 @@ def ftv(subject) -> frozenset[str]:
                 out |= ftv(item) if not isinstance(item, str) else frozenset({item})
             return out
     raise TypeError(f"ftv: unsupported subject {subject!r}")
-
-
-def evars_of(subject) -> frozenset[str]:
-    """All expansion variables occurring in a value (they are never bound)."""
-    match subject:
-        case EVarApp(s, _, body):
-            return {s} | evars_of(body)
-        case EVarIntro(s, _, rest):
-            return {s} | evars_of(rest)
-        case EGuard(s, _, witness, body):
-            return {s} | evars_of(witness) | evars_of(body)
-        case QEVar(s, _, body):
-            return {s} | evars_of(body)
-        case TVar(_) | Omega() | Id() | Var(_):
-            return frozenset()
-        case Arrow(d, c):
-            return evars_of(d) | evars_of(c)
-        case Forall(_, body) | Exists(_, body) | QForall(_, body) | QAbs(_, body):
-            return evars_of(body)
-        case ForallIntro(_, rest):
-            return evars_of(rest)
-        case SubStep(rest, target):
-            return evars_of(rest) | evars_of(target)
-        case Atomic(lhs, rhs):
-            return evars_of(lhs) | evars_of(rhs)
-        case And(c1, c2):
-            return evars_of(c1) | evars_of(c2)
-        case TypeEnv(entries):
-            out: frozenset[str] = frozenset()
-            for _, t in entries:
-                out |= evars_of(t)
-            return out
-        case QVar(_, env):
-            return evars_of(env)
-        case QApp(f, a):
-            return evars_of(f) | evars_of(a)
-        case QSub(body, target):
-            return evars_of(body) | evars_of(target)
-        case QWeak(body, extra):
-            return evars_of(body) | evars_of(extra)
-        case Subst(bindings):
-            out = frozenset()
-            for _, val in bindings:
-                out |= evars_of(val)
-            return out
-    raise TypeError(f"evars_of: unsupported subject {subject!r}")
 
 
 # ---------------------------------------------------------------------------

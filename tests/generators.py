@@ -8,17 +8,18 @@ from __future__ import annotations
 
 import random
 
-from .initial import initial_skeleton
-from .reduction import (
+from fskel.initial import initial_skeleton
+from fskel.reduction import (
     DummyElim, DummyIn, EVarCong, FunCong, Inst, NEVar, NEnvSub, NForall,
     NSub, NeqSkeleton, QuantComm, QuantCong, check_neq,
 )
-from .syntax import (
-    Abs, App, Arrow, EVarApp, EVarIntro, Expansion, Forall, ForallIntro,
-    FreshSupply, Id, QEVar, QForall, QSub, Skeleton, SubStep, Subst, TVar,
-    Term, Type, Var, evars_of, fresh_name, ftv,
+from fskel.syntax import (
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists,
+    Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs, QApp, QEVar,
+    QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar, Term, Type,
+    TypeEnv, Var, fresh_name, ftv,
 )
-from .typecheck import check_skeleton
+from fskel.typecheck import check_skeleton
 
 
 def random_term(rng: random.Random, size: int, free: list[str]) -> Term:
@@ -71,6 +72,52 @@ def random_expansion(rng: random.Random, tvars: list[str], depth: int) -> Expans
         case _:
             return SubStep(random_expansion(rng, tvars, depth - 1),
                            random_type(rng, tvars, depth - 1))
+
+
+def evars_of(subject) -> frozenset[str]:
+    """All expansion variables occurring in a value (they are never bound)."""
+    match subject:
+        case EVarApp(s, _, body):
+            return {s} | evars_of(body)
+        case EVarIntro(s, _, rest):
+            return {s} | evars_of(rest)
+        case EGuard(s, _, witness, body):
+            return {s} | evars_of(witness) | evars_of(body)
+        case QEVar(s, _, body):
+            return {s} | evars_of(body)
+        case TVar(_) | Omega() | Id() | Var(_):
+            return frozenset()
+        case Arrow(d, c):
+            return evars_of(d) | evars_of(c)
+        case Forall(_, body) | Exists(_, body) | QForall(_, body) | QAbs(_, body):
+            return evars_of(body)
+        case ForallIntro(_, rest):
+            return evars_of(rest)
+        case SubStep(rest, target):
+            return evars_of(rest) | evars_of(target)
+        case Atomic(lhs, rhs):
+            return evars_of(lhs) | evars_of(rhs)
+        case And(c1, c2):
+            return evars_of(c1) | evars_of(c2)
+        case TypeEnv(entries):
+            out: frozenset[str] = frozenset()
+            for _, t in entries:
+                out |= evars_of(t)
+            return out
+        case QVar(_, env):
+            return evars_of(env)
+        case QApp(f, a):
+            return evars_of(f) | evars_of(a)
+        case QSub(body, target):
+            return evars_of(body) | evars_of(target)
+        case QWeak(body, extra):
+            return evars_of(body) | evars_of(extra)
+        case Subst(bindings):
+            out = frozenset()
+            for _, val in bindings:
+                out |= evars_of(val)
+            return out
+    raise TypeError(f"evars_of: unsupported subject {subject!r}")
 
 
 def random_subst_for(rng: random.Random, q: Skeleton) -> Subst:

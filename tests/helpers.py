@@ -1,10 +1,12 @@
 """Shared test helpers: a unification-based simple-type inferencer used as
-an independent oracle, and a corpus of closed terms with solved decorated
-skeletons."""
+an independent oracle, a corpus of closed terms with solved decorated
+skeletons, and a call counter for fskel functions."""
 
 from __future__ import annotations
 
+import importlib
 import random
+import sys
 
 from fskel.syntax import (
     Abs, App, Arrow, FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar,
@@ -181,3 +183,27 @@ def closed_corpus() -> list[Term]:
         out.append(t)
     assert len(out) >= 50
     return out
+
+
+# ---------------------------------------------------------------------------
+# Call counting
+
+
+def count_calls(monkeypatch, names: list[str]) -> dict[str, int]:
+    """Count the calls to each fskel function named "module.function" in
+    names, under every name a loaded fskel module binds it to, so calls
+    through any import (and a function's calls to itself) are counted."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if k == "fskel" or k.startswith("fskel.")]
+    for qualified in names:
+        module_name, name = qualified.split(".")
+        real = getattr(importlib.import_module(f"fskel.{module_name}"), name)
+
+        def counted(*args, _key=qualified, _real=real):
+            calls[_key] += 1
+            return _real(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -14,18 +14,22 @@ from fskel import (
     preserve, solved, type_eq,
 )
 from fskel.expansion import judgements_agree, property_expansion_sound, property_subst_sound
-from fskel.generators import (
+from generators import (
     random_expansion, random_neq_decoration, random_subst_for, random_term,
-    random_valid_skeleton,
+    random_type, random_valid_skeleton,
 )
 from fskel.initial import derive_substitution, reflexive, rename_equiv
-from fskel.reduction import NAbs, check_neq, sz, to_neq, transform_T
+from fskel.reduction import (
+    NAbs, NestedWeakening, NotAStep, NotSolved, check_neq, sz, to_neq,
+    transform_T,
+)
 from fskel.solve import RELATIONS, leq_f
 from fskel.surface import (
     parse_constraint, parse_skeleton, parse_subst, parse_term, parse_type,
     print_constraint, print_skeleton, print_type, print_type_env,
 )
 from fskel.syntax import Abs, App, Subst, Var, env_eq
+from fskel.typecheck import SkeletonError
 
 from helpers import closed_corpus, decorate, skeleton_for
 
@@ -467,3 +471,73 @@ def test_judgements_pass_agrees_with_check_skeleton():
         js = judgements(q)
         for node in _subskeletons(q):
             assert js[id(node)] == check_skeleton(node)
+
+
+# ---------------------------------------------------------------------------
+# The reduction engine decides solvedness while it elaborates: to_neq and
+# preserve raise NotSolved exactly when the constraint fails under F
+
+
+def _solvedness_corpus():
+    """Test 11's corpus and random valid skeletons, about two in three of
+    them under a random subtyping target (most of those are unsolved)."""
+    rng = random.Random(1012)
+    cases = _reduction_cases()
+    out = cases + [QSub(q, random_type(rng, sorted(ftv(q)) or ["c"], 2)) for q in cases]
+    while len(out) < 3000:
+        q = random_valid_skeleton(rng)
+        if rng.random() < 0.7:
+            q = QSub(q, random_type(rng, sorted(ftv(q)) or ["t0"], 2))
+        out.append(q)
+    return out
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (NotSolved, NotAStep, NestedWeakening) as e:
+        return type(e)
+    return None
+
+
+def test_elaboration_decides_solvedness():
+    unsolved = 0
+    for q in _solvedness_corpus():
+        j = check_skeleton(q)
+        ok = solved(j.constraint, REL_F)
+        unsolved += not ok
+        m_next = cbv_step(j.term) or j.term  # an irreducible term: NotAStep
+        assert (_raised(to_neq, q) is NotSolved) == (not ok)
+        assert (_raised(preserve, q, m_next) is NotSolved) == (not ok)
+    assert unsolved >= 1000
+
+
+def test_reduction_error_precedence():
+    # SkeletonError, then NotSolved, then NestedWeakening, then NotAStep
+    weak_fun = "((\\u. u<u: d -> d>) + {y: b})"
+    unsolved_arg = "((\\z. z<z: c, y: b>) |> d -> d)"  # c -> c <= d -> d fails
+    reduct, wrong = parse_term("\\z. z"), parse_term("\\w. w @ w")
+    invalid = parse_skeleton(f"{weak_fun} @ ((\\z. z<z: c, y: e>) |> d -> d)")
+    for fn, args in ((to_neq, ()), (preserve, (reduct,)), (preserve, (wrong,))):
+        with pytest.raises(SkeletonError):
+            fn(invalid, *args)
+    unsolved = [
+        # the weakening is walked before the failing step, or below it
+        parse_skeleton(f"{weak_fun} @ {unsolved_arg}"),
+        parse_skeleton("(\\u. u<u: d -> d, y: b>) @ "
+                       "(((\\z. z<z: c>) + {y: b}) |> d -> d)"),
+        # a weakening at the root
+        parse_skeleton("((\\u. u<u: d -> d>) @ ((\\z. z<z: c>) |> d -> d)) + {y: b}"),
+    ]
+    for q in unsolved:
+        assert not solved(check_skeleton(q).constraint, REL_F)
+        assert _raised(to_neq, q) is NotSolved
+        assert _raised(preserve, q, reduct) is NotSolved
+        assert _raised(preserve, q, wrong) is NotSolved
+    q = parse_skeleton(f"{weak_fun} @ (\\z. z<z: d, y: b>)")
+    assert solved(check_skeleton(q).constraint, REL_F)
+    assert _raised(to_neq, q) is NestedWeakening
+    assert _raised(preserve, q, reduct) is NestedWeakening
+    assert _raised(preserve, q, wrong) is NestedWeakening
+    q = parse_skeleton("((\\u. u<u: d -> d>) @ (\\z. z<z: d>)) + {y: b}")
+    assert _raised(preserve, q, wrong) is NotAStep

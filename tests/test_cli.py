@@ -13,6 +13,8 @@ import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
 
+from helpers import count_calls
+
 GOLDEN = "\\x. (x<x: all a. a> |> (all a. a) -> b) @ x<x: all a. a>"
 
 
@@ -186,19 +188,14 @@ def _id_chain(n):
 
 @pytest.mark.parametrize("rel", ["F", "EQ"])
 def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
-    from fskel import cli, reduction
-    calls = {"check_skeleton": 0, "solved": 0}
-    for module in (cli, reduction):
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(module, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(module, name, counted)
-    code, out, _ = run(capsys, ["reduce", write(_id_chain(8)), "--rel", rel])
+    # one typing pass and one solvedness walk (the printed verdict) per step
+    path = write(_id_chain(8))
+    calls = count_calls(monkeypatch, ["typecheck.judgements", "solve.solved"])
+    code, out, _ = run(capsys, ["reduce", path, "--rel", rel])
     assert code == EXIT_OK and out.endswith("normal form reached\n")
     steps = out.count("\nstep ") + 1
     assert steps == 9
-    assert calls == {"check_skeleton": steps, "solved": steps}
+    assert calls == {"typecheck.judgements": steps, "solve.solved": steps}
 
 
 def test_canonical_output_independent_of_hash_seed(write):

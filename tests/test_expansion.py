@@ -8,7 +8,7 @@ from fskel.expansion import (
     apply_exp_cons, apply_exp_skel, apply_exp_type, apply_subst,
     judgements_agree, property_expansion_sound, property_subst_sound,
 )
-from fskel.generators import random_expansion, random_subst_for, random_valid_skeleton
+from generators import random_expansion, random_subst_for, random_valid_skeleton
 from fskel.surface import (
     parse_constraint, parse_expansion, parse_skeleton, parse_subst,
     parse_type, parse_type_env,

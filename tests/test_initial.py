@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fskel.expansion import apply_subst, judgements_agree
-from fskel.generators import random_subst_for, random_term, random_valid_skeleton
+from generators import random_subst_for, random_term, random_valid_skeleton
 from fskel.initial import (
     TermMismatch, allvar, derive_substitution, initial_skeleton, reflexive,
     rename_equiv, uniquify,

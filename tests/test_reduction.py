@@ -7,7 +7,8 @@ import pytest
 
 from fskel import reduction
 from fskel.expansion import judgements_agree
-from fskel.generators import random_neq_decoration
+from generators import random_neq_decoration
+from helpers import count_calls
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NotAStep,
     NotSolved, NSub, QuantComm, QuantCong, cbv_step, check_neq,
@@ -206,18 +207,16 @@ def test_preserve_judges_once_per_step(monkeypatch):
     # re-check of a subtree would make the counts grow with the chain
     counts = []
     for n in (8, 16):
-        calls = {"check_skeleton": 0, "solved": 0, "check_neq": 0}
-        for name in calls:
-            def counted(*args, _name=name, _real=getattr(reduction, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(reduction, name, counted)
         q = _id_chain(n)
-        preserve(q, cbv_step(check_skeleton(q).term))
+        m_next = cbv_step(check_skeleton(q).term)
+        calls = count_calls(monkeypatch, [
+            "typecheck.judgements", "solve.solved", "reduction.check_neq"])
+        preserve(q, m_next)
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1]
-    assert counts[0]["check_skeleton"] == counts[0]["solved"] == 1
+    assert counts[0]["typecheck.judgements"] == 1
+    assert counts[0]["solve.solved"] == 0
 
 
 def _poly_chain(n):
@@ -236,20 +235,14 @@ def test_preserve_searches_one_witness_per_distinct_step(monkeypatch):
     # the n subtyping steps of the chain are all the same judgement
     counts = []
     for n in (8, 16):
-        calls = [0]
-
-        def counted(*args, _real=reduction.leq_f_witness):
-            calls[0] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(reduction, "leq_f_witness", counted)
         q = _poly_chain(n)
         j = check_skeleton(q)
+        calls = count_calls(monkeypatch, ["solve._witness"])
         q2 = preserve(q, cbv_step(j.term))
         monkeypatch.undo()
         j2 = check_skeleton(q2)
         assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
-        counts.append(calls[0])
+        counts.append(calls["solve._witness"])
     assert counts[0] == counts[1] == 1
 
 

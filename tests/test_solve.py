@@ -4,7 +4,7 @@ import copy
 import random
 from collections import Counter
 
-from fskel.generators import random_type
+from generators import random_type
 from fskel.solve import (
     RELATIONS, SubtypingRelation, check_system_f, erase_evars, leq_eq, leq_f,
     leq_f_witness, solved,

@@ -15,7 +15,7 @@ from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Id, QSub,
     SubStep, TVar, Var, canonical_constraint, constraint_eq,
 )
-from fskel.generators import random_expansion, random_type, random_valid_skeleton
+from generators import random_expansion, random_type, random_valid_skeleton
 
 
 def test_term_application_left_assoc():

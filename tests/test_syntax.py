@@ -5,10 +5,10 @@ import random
 from fskel.syntax import (
     And, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, FreshSupply, Omega,
     Subst, TVar, TypeEnv, canonical_constraint, canonical_type, constraint_eq,
-    evars_of, fresh_name, ftv, type_eq,
+    fresh_name, ftv, type_eq,
 )
 from fskel.surface import parse_constraint, parse_type
-from fskel.generators import random_type
+from generators import evars_of, random_type
 
 
 def T(s):
