@@ -85,13 +85,9 @@ def _rename_binder(phi: Subst, binder: str, body, avoid: frozenset[str]):
 
 
 def apply_subst(phi: Subst, subject):
-    """Apply a substitution to a type, expansion, constraint, environment,
-    skeleton, or type-variable set."""
+    """Apply a substitution to a type, expansion, constraint, environment or
+    skeleton (apply_subst_set maps a type-variable set)."""
     match subject:
-        case str():
-            return phi.lookup_tvar(subject)
-        case frozenset() | set():
-            return apply_subst_set(phi, frozenset(subject))
         case TVar(a):
             return phi.lookup_tvar(a)
         case Arrow(d, c):

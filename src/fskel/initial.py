@@ -1,20 +1,22 @@
 """Initial skeletons of terms, rename-equivalence, the reflexive predicate,
 and the constructive derivation of a substitution mapping an initial skeleton
-onto any valid skeleton of the same term."""
+onto any valid skeleton of the same term. The derivation types each of its two
+skeletons once and walks the target once; the substitution holds one binding
+per E-variable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .syntax import (
-    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro,
-    Exists, Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs,
-    QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar,
-    Term, Type, TypeEnv, Var, fresh_name, ftv, fv, term_alpha_eq,
-    type_eq,
+    IOTA, Abs, App, Arrow, Constraint, EVarApp, EVarIntro, Expansion, Forall,
+    ForallIntro, FreshSupply, Id, QAbs, QApp, QEVar, QForall, QSub, QVar,
+    QWeak, Skeleton, SubStep, Subst, TVar, Term, Type, TypeEnv, Var,
+    fresh_name, ftv, fv, term_alpha_eq,
 )
 from .expansion import apply_subst, apply_subst_set
-from .typecheck import check_skeleton
+from .solve import REL_EQ, solved
+from .typecheck import check_skeleton, judgements
 
 
 class TermMismatch(Exception):
@@ -172,23 +174,23 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
 def rename_equiv(q1: Skeleton, q2: Skeleton) -> Subst | None:
     """A substitution phi with q1 = apply_subst(phi, q2), when the skeletons
     are renamings of one another; None otherwise."""
+    # a renaming is injective, so each map is kept with its inverse
     tmap: dict[str, str] = {}  # q2 type variable -> q1 type variable
+    tinv: dict[str, str] = {}
     emap: dict[str, str] = {}  # q2 expansion variable -> q1 expansion variable
+    einv: dict[str, str] = {}
 
-    def bind(mapping: dict[str, str], old: str, new: str) -> bool:
-        if old in mapping:
-            return mapping[old] == new
-        mapping[old] = new
-        return True
+    def bind(mapping: dict[str, str], inverse: dict[str, str], old: str, new: str) -> bool:
+        return mapping.setdefault(old, new) == new and inverse.setdefault(new, old) == old
 
     def types(t1: Type, t2: Type) -> bool:
         match t1, t2:
             case TVar(a1), TVar(a2):
-                return bind(tmap, a2, a1)
+                return bind(tmap, tinv, a2, a1)
             case Arrow(d1, c1), Arrow(d2, c2):
                 return types(d1, d2) and types(c1, c2)
             case EVarApp(s1, _, b1), EVarApp(s2, _, b2):
-                return bind(emap, s2, s1) and types(b1, b2)
+                return bind(emap, einv, s2, s1) and types(b1, b2)
         return False
 
     def envs(e1: TypeEnv, e2: TypeEnv) -> bool:
@@ -206,7 +208,7 @@ def rename_equiv(q1: Skeleton, q2: Skeleton) -> Subst | None:
             case QApp(f1, a1), QApp(f2, a2):
                 return walk(f1, f2) and walk(a1, a2)
             case QEVar(s1, _, b1), QEVar(s2, _, b2):
-                return bind(emap, s2, s1) and walk(b1, b2)
+                return bind(emap, einv, s2, s1) and walk(b1, b2)
             case QSub(b1, t1), QSub(b2, t2):
                 return walk(b1, b2) and types(t1, t2)
         return False
@@ -228,150 +230,23 @@ def rename_equiv(q1: Skeleton, q2: Skeleton) -> Subst | None:
 
 def reflexive(c: Constraint) -> bool:
     """True iff every atom relates two equal types."""
-    match c:
-        case Omega():
-            return True
-        case Atomic(lhs, rhs):
-            return type_eq(lhs, rhs)
-        case And(c1, c2):
-            return reflexive(c1) and reflexive(c2)
-        case Exists(_, body):
-            return reflexive(body)
-        case EGuard(_, _, _, body):
-            return reflexive(body)
-    raise TypeError(c)
+    return solved(c, REL_EQ)
 
 
 # ---------------------------------------------------------------------------
 # Deriving a substitution from an initial skeleton to a target skeleton
 
 
-def _align_term_vars(q: Skeleton, m: Term) -> Skeleton:
-    """Rename the target's term variables to match m's binder names."""
-
-    def rn_env(env: TypeEnv, mapping: dict[str, str]) -> TypeEnv:
-        entries = tuple((mapping.get(x, x), t) for x, t in env.entries)
-        names = [x for x, _ in entries]
-        if len(names) != len(set(names)):
-            raise TermMismatch("binder renaming collides with an environment entry")
-        return TypeEnv(entries)
-
-    def go(q: Skeleton, m: Term, mapping: dict[str, str]) -> Skeleton:
-        match q:
-            case QVar(x, env):
-                if not isinstance(m, Var) or mapping.get(x, x) != m.name:
-                    raise TermMismatch("skeletons type different terms")
-                return QVar(m.name, rn_env(env, mapping))
-            case QAbs(x, body):
-                if not isinstance(m, Abs):
-                    raise TermMismatch("skeletons type different terms")
-                inner = {**mapping, x: m.binder}
-                return QAbs(m.binder, go(body, m.body, inner))
-            case QApp(f, a):
-                if not isinstance(m, App):
-                    raise TermMismatch("skeletons type different terms")
-                return QApp(go(f, m.fun, mapping), go(a, m.arg, mapping))
-            case QForall(a, body):
-                return QForall(a, go(body, m, mapping))
-            case QEVar(s, forbidden, body):
-                return QEVar(s, forbidden, go(body, m, mapping))
-            case QSub(body, target):
-                return QSub(go(body, m, mapping), target)
-            case QWeak(body, extra):
-                return QWeak(go(body, m, mapping), rn_env(extra, mapping))
-        raise TypeError(q)
-
-    return go(q, m, {})
-
-
-def _freshen_foralls(q: Skeleton, avoid: set[str]) -> Skeleton:
-    """Rename every QForall binder to a name outside avoid."""
-    match q:
-        case QForall(a, body):
-            a2 = fresh_name(a, frozenset(avoid))
-            avoid.add(a2)
-            if a2 != a:
-                body = apply_subst(Subst(((a, TVar(a2)),)), body)
-            return QForall(a2, _freshen_foralls(body, avoid))
-        case QAbs(x, body):
-            return QAbs(x, _freshen_foralls(body, avoid))
-        case QApp(f, a):
-            return QApp(_freshen_foralls(f, avoid), _freshen_foralls(a, avoid))
-        case QEVar(s, forbidden, body):
-            return QEVar(s, forbidden, _freshen_foralls(body, avoid))
-        case QSub(body, target):
-            return QSub(_freshen_foralls(body, avoid), target)
-        case QWeak(body, extra):
-            return QWeak(_freshen_foralls(body, avoid), extra)
-        case QVar(_, _):
-            return q
-    raise TypeError(q)
-
-
-_Bindings = list
-
-
-def _root_expansion(bindings: _Bindings, s: str) -> Expansion:
-    for name, val in bindings:
-        if name == s and isinstance(val, Expansion):
-            return val
-    raise AssertionError(f"no binding produced for {s}")
-
-
-def _derive(q_i: Skeleton, q_t: Skeleton) -> _Bindings:
-    """Bindings mapping the initial sub-skeleton q_i onto the target q_t."""
-    if not isinstance(q_i, QEVar):
-        raise AssertionError("initial sub-skeleton must be rooted at an E-variable")
-    s, delta, core = q_i.evar, q_i.forbidden, q_i.body
-
-    match q_t:
-        case QForall(a, body):
-            bs = _derive(q_i, body)
-            return [(s, ForallIntro(a, _root_expansion(bs, s)))] + bs
-        case QSub(body, target):
-            bs = _derive(q_i, body)
-            return [(s, SubStep(_root_expansion(bs, s), target))] + bs
-        case QEVar(s_t, delta_t, body):
-            bs = _derive(q_i, body)
-            covered = apply_subst_set(Subst(tuple(bs)), delta)
-            return [(s, EVarIntro(s_t, delta_t - covered, _root_expansion(bs, s)))] + bs
-        case QWeak(_, _):
-            raise TermMismatch("weakening below the root is not supported")
-
-    match core, q_t:
-        case QVar(x, theta), QVar(x2, gamma):
-            if x2 != x:
-                raise TermMismatch("skeletons type different terms")
-            bs: _Bindings = []
-            for xi, ti in theta.entries:
-                g = gamma.lookup(xi)
-                if g is not None and isinstance(ti, TVar):
-                    bs.append((ti.name, g))
-            return bs + [(s, Id())]
-        case QAbs(x, body_i), QAbs(x2, body_t):
-            if x2 != x:
-                raise TermMismatch("skeletons type different terms")
-            return _derive(body_i, body_t) + [(s, Id())]
-        case QApp(QSub(fun_i, Arrow(_, TVar(a_new))), arg_i), QApp(fun_t, arg_t):
-            if isinstance(fun_t, QSub):
-                arr = fun_t.target
-                bs1 = _derive(fun_i, fun_t.body)
-            else:
-                arr = check_skeleton(fun_t).rtype
-                bs1 = _derive(fun_i, fun_t)
-            if not isinstance(arr, Arrow):
-                raise TermMismatch("target application function is not of arrow type")
-            bs2 = _derive(arg_i, arg_t)
-            return bs1 + bs2 + [(s, Id()), (a_new, arr.cod)]
-    raise TermMismatch("skeletons type different terms")
-
-
 def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, TypeEnv]:
     """A substitution phi and extra environment G' such that
     QWeak(apply_subst(phi, q_init), G') reproduces q_target's judgement up to
-    a reflexive constraint remainder."""
+    a reflexive constraint remainder; phi holds one binding per E-variable
+    of q_init. Cost: one typing pass of each skeleton and one walk of the
+    target, which renames the target's binders as it goes instead of
+    rebuilding it and reads each function part's type from the typing table."""
     j_i = check_skeleton(q_init)
-    j_t = check_skeleton(q_target)
+    table = judgements(q_target)
+    j_t = table[id(q_target)]
     if not term_alpha_eq(j_i.term, j_t.term):
         raise TermMismatch("skeletons type different terms")
 
@@ -380,11 +255,68 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     while isinstance(body, QWeak):
         body = body.body
 
-    body = _align_term_vars(body, j_i.term)
     avoid = set(allvar(q_init) | allvar(body) | ftv(j_t.env))
-    body = _freshen_foralls(body, avoid)
+    bindings: list[tuple[str, Type | Expansion]] = []
+    first: dict[str, Type] = {}  # each term variable's type variable -> its first binding
 
+    def walk(q_i: Skeleton, q_t: Skeleton, names: dict[str, str], phi: Subst) -> Expansion:
+        """The expansion of q_i's E-variable that maps q_i onto q_t; the
+        bindings below it go to `bindings`. names maps the target's term
+        binders to q_i's, and phi renames the target's enclosing QForall
+        binders to fresh names."""
+        if not isinstance(q_i, QEVar):
+            raise AssertionError("initial sub-skeleton must be rooted at an E-variable")
+
+        def rn(t):
+            return apply_subst(phi, t) if phi.bindings else t
+
+        match q_t:
+            case QForall(a, body):
+                a2 = fresh_name(a, avoid)
+                avoid.add(a2)
+                kept = tuple(b for b in phi.bindings if b[0] != a)
+                phi = Subst(kept if a2 == a else kept + ((a, TVar(a2)),))
+                return ForallIntro(a2, walk(q_i, body, names, phi))
+            case QSub(body, target):
+                return SubStep(walk(q_i, body, names, phi), rn(target))
+            case QEVar(s_t, delta_t, body):
+                rest = walk(q_i, body, names, phi)
+                covered = frozenset().union(
+                    *(ftv(first.get(a, TVar(a))) for a in q_i.forbidden))
+                return EVarIntro(s_t, apply_subst_set(phi, delta_t) - covered, rest)
+            case QWeak(_, _):
+                raise TermMismatch("weakening below the root is not supported")
+
+        match q_i.body, q_t:
+            case QVar(_, theta), QVar(_, gamma):
+                env = {names.get(y, y): t for y, t in gamma.entries}
+                if len(env) != len(gamma.entries):
+                    raise TermMismatch("binder renaming collides with an environment entry")
+                for xi, ti in theta.entries:
+                    g = env.get(xi)
+                    if g is not None and isinstance(ti, TVar):
+                        g = rn(g)
+                        bindings.append((ti.name, g))
+                        first.setdefault(ti.name, g)
+            case QAbs(x, body_i), QAbs(x2, body_t):
+                exp = walk(body_i, body_t, {**names, x2: x}, phi)
+                bindings.append((body_i.evar, exp))
+            case QApp(QSub(fun_i, Arrow(_, TVar(a_new))), arg_i), QApp(fun_t, arg_t):
+                if isinstance(fun_t, QSub):
+                    arr, fun_t = rn(fun_t.target), fun_t.body
+                else:
+                    arr = rn(table[id(fun_t)].rtype)
+                exp = walk(fun_i, fun_t, names, phi)
+                bindings.append((fun_i.evar, exp))
+                if not isinstance(arr, Arrow):
+                    raise TermMismatch("target application function is not of arrow type")
+                exp = walk(arg_i, arg_t, names, phi)
+                bindings.extend(((arg_i.evar, exp), (a_new, arr.cod)))
+            case _:
+                raise TermMismatch("skeletons type different terms")
+        return Id()
+
+    bindings.append((q_init.evar, walk(q_init, body, {}, IOTA)))
     free = fv(j_i.term)
     gamma_extra = TypeEnv(tuple((x, t) for x, t in j_t.env.entries if x not in free))
-    phi = Subst(tuple(_derive(q_init, body)))
-    return phi, gamma_extra
+    return Subst(tuple(bindings)), gamma_extra

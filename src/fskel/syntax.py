@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Union
+from dataclasses import dataclass
+from typing import Union
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +332,8 @@ class QWeak(Skeleton):
 
 
 def ftv(subject) -> frozenset[str]:
-    """Free type variables of any syntactic category (or a set/list of them)."""
+    """Free type variables of a type, expansion, substitution, constraint,
+    environment or skeleton."""
     match subject:
         case TVar(a):
             return frozenset({a})
@@ -387,11 +388,6 @@ def ftv(subject) -> frozenset[str]:
             return ftv(body) | ftv(target)
         case QWeak(body, extra):
             return ftv(body) | ftv(extra)
-        case frozenset() | set() | list() | tuple():
-            out = frozenset()
-            for item in subject:
-                out |= ftv(item) if not isinstance(item, str) else frozenset({item})
-            return out
     raise TypeError(f"ftv: unsupported subject {subject!r}")
 
 
@@ -624,11 +620,10 @@ def _ex_item(path: list, atom: Atomic) -> tuple[str, tuple, Atomic]:
     return "".join(parts) + atom_key + ")" * len(prefix), tuple(prefix), atom
 
 
-def canonical_constraint(c: Constraint) -> Constraint:
-    """Canonical representative of c's equality class: its canonical items,
-    deduplicated, sorted by key and joined by right-nested And (Omega if
-    there are none). One walk with the prefix on an explicit stack; each
-    guard's witness is canonicalized and keyed once for every item below."""
+def _items(c: Constraint) -> dict[str, tuple[tuple, Atomic]]:
+    """The canonical items of c, deduplicated: key -> (prefix, atom). One
+    walk with the prefix on an explicit stack; each guard's witness is
+    canonicalized and keyed once for every item below."""
     items: dict[str, tuple[tuple, Atomic]] = {}
     path: list = []  # ex binders; guards (s, forbidden, canon witness, key, witness, ftv)
     keys: list[str | None] = [""]  # keys[i]: key of path[:i]; None past an ex
@@ -662,6 +657,14 @@ def canonical_constraint(c: Constraint) -> Constraint:
                 pass
             case _:
                 raise TypeError(node)
+    return items
+
+
+def canonical_constraint(c: Constraint) -> Constraint:
+    """Canonical representative of c's equality class: its canonical items,
+    deduplicated, sorted by key and joined by right-nested And (Omega if
+    there are none)."""
+    items = _items(c)
     out: Constraint | None = None
     for key in sorted(items, reverse=True):
         prefix, item = items[key]
@@ -672,26 +675,6 @@ def canonical_constraint(c: Constraint) -> Constraint:
 
 
 def constraint_eq(c1: Constraint, c2: Constraint) -> bool:
-    """Equality of constraints modulo the equational theory."""
-    # node by node on an explicit stack: the generated `==` recurses once
-    # per level, and a canonical form is a right-nested `&` of all its items
-    todo = [(canonical_constraint(c1), canonical_constraint(c2))]
-    while todo:
-        a, b = todo.pop()
-        if type(a) is not type(b):
-            return False
-        match a:
-            case And(a1, a2):
-                todo += ((a1, b.c1), (a2, b.c2))
-            case Exists(x, body):
-                if x != b.binder:
-                    return False
-                todo.append((body, b.body))
-            case EGuard(s, forbidden, witness, body):
-                if (s, forbidden, witness) != (b.evar, b.forbidden, b.witness):
-                    return False
-                todo.append((body, b.body))
-            case _:
-                if a != b:
-                    return False
-    return True
+    """Equality of constraints modulo the equational theory: the same set of
+    canonical items, compared by key (a key determines its item)."""
+    return _items(c1).keys() == _items(c2).keys()

@@ -1,5 +1,6 @@
 """Initial skeleton generation, rename equivalence, derived substitutions."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,12 @@ from fskel.surface import (
     parse_constraint, parse_skeleton, parse_term, print_skeleton,
     print_type_env,
 )
-from fskel.syntax import FreshSupply, QWeak, TVar, TypeEnv
+from fskel.syntax import (
+    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QVar, QWeak, TVar,
+    TypeEnv, Var, env_eq, term_alpha_eq, type_eq,
+)
 from fskel.typecheck import check_skeleton, relevant
+from helpers import count_calls
 
 
 def test_free_variables_get_distinct_type_variables():
@@ -80,12 +85,27 @@ def test_rename_equiv_rejects_different_terms():
     assert rename_equiv(q1, q2) is None
 
 
+@pytest.mark.parametrize("text1, text2", [
+    ("s0^{} x<x: c -> c>", "s0^{} x<x: a -> b>"),  # two type variables onto one
+    ("u^{}(u^{} x<x: a>)", "s0^{}(t0^{} x<x: a>)"),  # two E-variables onto one
+])
+def test_rename_equiv_requires_an_injective_renaming(text1, text2):
+    q1, q2 = parse_skeleton(text1), parse_skeleton(text2)
+    assert rename_equiv(q1, q2) is None
+    assert rename_equiv(q2, q1) is None
+
+
 def test_reflexive_predicate():
     assert reflexive(parse_constraint("omega"))
     assert reflexive(parse_constraint("a <= a & omega"))
     assert reflexive(parse_constraint("ex a. (all b. b -> a) <= all c. c -> a"))
     assert not reflexive(parse_constraint("a <= b"))
     assert not reflexive(parse_constraint("(all a. a) <= b"))
+    deep = Atomic(TVar("a"), TVar("a"))
+    for i in range(3000):
+        deep = And(deep, Atomic(TVar(f"a{i}"), TVar(f"a{i}")))
+    assert reflexive(deep)
+    assert not reflexive(And(deep, Atomic(TVar("a"), TVar("b"))))
 
 
 def test_derive_substitution_identity_target():
@@ -128,3 +148,78 @@ def test_derive_substitution_rejects_other_terms():
 def test_allvar():
     q = parse_skeleton("s^{a} x<x: a>")
     assert allvar(q) == {"s", "a"}
+
+
+# ---------------------------------------------------------------------------
+# derive_substitution: output pinned over a seeded corpus, and its cost
+
+
+# sha256 of the lines test_derived_output_matches_recorded_digest hashes;
+# a different value means derive_substitution's output changed
+DERIVED_DIGEST = "931eb2c984fbc831214d03c92ff470243044bf41e80dc354af81e85b12f9005c"
+
+
+def _derived(seeds):
+    """Test 8's generator, one seed per target: the initial skeleton of each
+    target's term, the substitution derived onto the target, and the extra
+    environment."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        q = random_valid_skeleton(rng)
+        qt = apply_subst(random_subst_for(rng, q), q)
+        if seed % 3 == 0:
+            qt = QWeak(qt, TypeEnv(((f"zz{seed}", TVar(f"zz{seed}")),)))
+        q0, _, _ = initial_skeleton(check_skeleton(qt).term, FreshSupply())
+        yield q0, *derive_substitution(q0, qt)
+
+
+def test_derived_output_matches_recorded_digest():
+    """The printed skeleton each derived substitution reaches, and the extra
+    environment, are unchanged over seeds 0-3999."""
+    digest = hashlib.sha256()
+    with_forall = 0
+    for q0, sigma, gamma in _derived(range(4000)):
+        line = print_skeleton(apply_subst(sigma, q0)) + " + " + print_type_env(gamma)
+        with_forall += "all " in line
+        digest.update(line.encode() + b"\n")
+    assert with_forall == 2427
+    assert digest.hexdigest() == DERIVED_DIGEST
+
+
+def test_derived_substitution_binds_each_evar_once():
+    for _, sigma, _ in _derived(range(400)):
+        evars = [name for name, val in sigma.bindings if isinstance(val, Expansion)]
+        assert len(evars) == len(set(evars))
+
+
+def _left_nested(n: int):
+    """x @ y @ ... @ y (n arguments, left-nested) typed without any |>."""
+    t = TVar("c")
+    for _ in range(n):
+        t = Arrow(TVar("c"), t)
+    env = TypeEnv((("x", t), ("y", TVar("c"))))
+    q, m = QVar("x", env), Var("x")
+    for _ in range(n):
+        q, m = QApp(q, QVar("y", env)), App(m, Var("y"))
+    return q, m
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_derive_substitution_types_each_input_once(monkeypatch, n):
+    qt, m = _left_nested(n)
+    q0, _, _ = initial_skeleton(m, FreshSupply())
+    calls = count_calls(monkeypatch, ["typecheck.judgements"])
+    derive_substitution(q0, qt)
+    assert calls["typecheck.judgements"] == 2
+
+
+def test_derive_substitution_left_nested_target():
+    qt, m = _left_nested(16)
+    q0, _, _ = initial_skeleton(m, FreshSupply())
+    sigma, gamma = derive_substitution(q0, qt)
+    assert not gamma.entries
+    j, jt = check_skeleton(apply_subst(sigma, q0)), check_skeleton(qt)
+    assert reflexive(j.constraint)
+    assert term_alpha_eq(j.term, jt.term)
+    assert env_eq(j.env, jt.env)
+    assert type_eq(j.rtype, jt.rtype)

@@ -7,7 +7,7 @@ from fskel.syntax import (
     Subst, TVar, TypeEnv, canonical_constraint, canonical_type, constraint_eq,
     fresh_name, ftv, type_eq,
 )
-from fskel.surface import parse_constraint, parse_type
+from fskel.surface import parse_constraint, parse_type, print_constraint
 from generators import evars_of, random_type
 
 
@@ -214,6 +214,24 @@ def test_canonical_constraint_invariant_under_renaming_and_reordering():
         cc = canonical_constraint(c)
         assert canonical_constraint(cc) == cc
         assert canonical_constraint(_rename_ex(c, rng, [0])) == cc
+
+
+def test_constraint_eq_agrees_with_printed_canonical_forms():
+    rng = random.Random(12)
+    verdicts = []
+    for _ in range(2400):
+        c1 = _random_constraint(rng, 3)
+        match rng.randrange(3):
+            case 0:  # equal: ex binders renamed, conjuncts shuffled
+                c2 = _rename_ex(c1, rng, [0])
+            case 1:  # one more conjunct, equal only if it repeats an item
+                c2 = And(_random_constraint(rng, 1), c1)
+            case _:
+                c2 = _random_constraint(rng, 3)
+        printed = [print_constraint(canonical_constraint(c)) for c in (c1, c2)]
+        verdicts.append(constraint_eq(c1, c2))
+        assert verdicts[-1] == (printed[0] == printed[1])
+    assert verdicts.count(True) >= 600 and verdicts.count(False) >= 600
 
 
 def test_constraint_eq_deep_conjunctions():
