@@ -7,7 +7,7 @@ import sys
 
 from .expansion import apply_exp_skel, apply_subst
 from .initial import initial_skeleton
-from .reduction import NestedWeakening, NotAStep, NotSolved, _preserve_judged, cbv_step
+from .reduction import NestedWeakening, NotAStep, NotSolved, cbv_step, preserve
 from .solve import RELATIONS, check_system_f, erase_evars, solved
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,
@@ -18,7 +18,7 @@ from .syntax import (
     FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton,
     canonical_constraint, canonical_type,
 )
-from .typecheck import Judgement, SkeletonError, check_skeleton, judgements
+from .typecheck import Judgement, SkeletonError, check_skeleton
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -98,11 +98,10 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     q = parse_skeleton(_read(args.file))
-    table = judgements(q)
     rel = RELATIONS[args.rel]
     step = 0
     while True:
-        j = table[id(q)]
+        j = check_skeleton(q)
         print(f"step {step}: {print_term(j.term)}")
         _print_judgement(j, args.format)
         ok = solved(j.constraint, rel)
@@ -115,10 +114,9 @@ def cmd_reduce(args) -> int:
         if nxt is None:
             print("normal form reached")
             return EXIT_OK
-        # one typing pass per step: preserve the step from the table that
-        # judged it, then judge the result
-        q = _preserve_judged(q, table, nxt)
-        table = judgements(q)
+        # preserve reuses the judgements just made; checking its result
+        # types only the nodes the step rebuilt
+        q = preserve(q, nxt)
         step += 1
 
 
@@ -144,11 +142,11 @@ def _children(q: Skeleton) -> list[Skeleton]:
 
 
 def _tree_lines(q: Skeleton) -> list[str]:
-    js = judgements(q)
+    check_skeleton(q)  # judges every node, or raises
     out: list[str] = []
 
     def go(q: Skeleton, prefix: str) -> None:
-        j = js[id(q)]
+        j = check_skeleton(q)
         label = type(q).__name__[1:].lower()  # QEVar -> evar
         out.append(f"{prefix}{label}: {print_term(j.term)} : "
                    f"{print_type_env(j.env)} |- {print_type(j.rtype)}")
@@ -160,14 +158,14 @@ def _tree_lines(q: Skeleton) -> list[str]:
 
 
 def _tree_dot(q: Skeleton) -> str:
-    js = judgements(q)
+    check_skeleton(q)  # judges every node, or raises
     lines = ["digraph skeleton {"]
     counter = [0]
 
     def go(q: Skeleton) -> int:
         me = counter[0]
         counter[0] += 1
-        label = print_type(js[id(q)].rtype).replace('"', '\\"')
+        label = print_type(check_skeleton(q).rtype).replace('"', '\\"')
         lines.append(f'  n{me} [label="{type(q).__name__}\\n{label}"];')
         for kid in _children(q):
             lines.append(f"  n{me} -> n{go(kid)};")

@@ -16,7 +16,7 @@ from .syntax import (
 )
 from .expansion import apply_subst, apply_subst_set
 from .solve import REL_EQ, solved
-from .typecheck import check_skeleton, judgements
+from .typecheck import check_skeleton
 
 
 class TermMismatch(Exception):
@@ -241,12 +241,12 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     """A substitution phi and extra environment G' such that
     QWeak(apply_subst(phi, q_init), G') reproduces q_target's judgement up to
     a reflexive constraint remainder; phi holds one binding per E-variable
-    of q_init. Cost: one typing pass of each skeleton and one walk of the
+    of q_init. Cost: typing the nodes of either skeleton not judged before
+    (none, for a skeleton its caller has checked) and one walk of the
     target, which renames the target's binders as it goes instead of
-    rebuilding it and reads each function part's type from the typing table."""
+    rebuilding it and reads each function part's type from its judgement."""
     j_i = check_skeleton(q_init)
-    table = judgements(q_target)
-    j_t = table[id(q_target)]
+    j_t = check_skeleton(q_target)
     if not term_alpha_eq(j_i.term, j_t.term):
         raise TermMismatch("skeletons type different terms")
 
@@ -305,7 +305,7 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
                 if isinstance(fun_t, QSub):
                     arr, fun_t = rn(fun_t.target), fun_t.body
                 else:
-                    arr = rn(table[id(fun_t)].rtype)
+                    arr = rn(check_skeleton(fun_t).rtype)
                 exp = walk(fun_i, fun_t, names, phi)
                 bindings.append((fun_i.evar, exp))
                 if not isinstance(arr, Arrow):

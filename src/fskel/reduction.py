@@ -4,6 +4,7 @@ subject-reduction engine."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cache
 
@@ -14,7 +15,7 @@ from .syntax import (
 )
 from .expansion import apply_subst
 from .solve import _witness
-from .typecheck import Judgement, judgements
+from .typecheck import check_skeleton
 
 
 class NotSolved(Exception):
@@ -85,8 +86,10 @@ def cbv_step(m: Term) -> Term | None:
 class SubtypeSkeleton:
     """Proof term for one subtyping judgement."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Inst(SubtypeSkeleton):
     """Quantifier elimination: all a. t <= t[a := arg]"""
 
@@ -94,14 +97,14 @@ class Inst(SubtypeSkeleton):
     arg: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantComm(SubtypeSkeleton):
     """Swap of two adjacent quantifiers."""
 
     source: Type  # structurally Forall(a1, Forall(a2, _))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DummyIn(SubtypeSkeleton):
     """Introduction of a dummy quantifier: t <= all a. t"""
 
@@ -109,7 +112,7 @@ class DummyIn(SubtypeSkeleton):
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DummyElim(SubtypeSkeleton):
     """Elimination of a dummy quantifier: all a. t <= t"""
 
@@ -117,7 +120,7 @@ class DummyElim(SubtypeSkeleton):
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunCong(SubtypeSkeleton):
     """Congruence under an arrow (contravariant domain)."""
 
@@ -125,7 +128,7 @@ class FunCong(SubtypeSkeleton):
     cod_proof: SubtypeSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVarCong(SubtypeSkeleton):
     """Congruence under an E-variable application."""
 
@@ -134,7 +137,7 @@ class EVarCong(SubtypeSkeleton):
     proof: SubtypeSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantCong(SubtypeSkeleton):
     """Congruence under a quantifier."""
 
@@ -201,47 +204,51 @@ def invert_subproof(p: SubtypeSkeleton) -> SubtypeSkeleton:
 
 
 class NeqSkeleton:
-    """Skeleton whose subtyping steps carry explicit proofs."""
+    """Skeleton whose subtyping steps carry explicit proofs. Its memo slot
+    holds a weak reference to the skeleton that from_neq would rebuild
+    exactly from this node, when elaboration made the node from it."""
+
+    __slots__ = ("_source",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NVar(NeqSkeleton):
     var: str
     env: TypeEnv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NAbs(NeqSkeleton):
     binder: str
     body: NeqSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NApp(NeqSkeleton):
     fun: NeqSkeleton
     arg: NeqSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NForall(NeqSkeleton):
     binder: str
     body: NeqSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NEVar(NeqSkeleton):
     evar: str
     forbidden: frozenset[str]
     body: NeqSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NSub(NeqSkeleton):
     body: NeqSkeleton
     proof: SubtypeSkeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NEnvSub(NeqSkeleton):
     body: NeqSkeleton
     var: str
@@ -555,37 +562,72 @@ def _sub_proof(t: Type, target: Type) -> Inst | None:
     return Inst(Forall(a, rest), x)
 
 
-def _elaborate(q: Skeleton, table: dict[int, Judgement]) -> NeqSkeleton:
-    """The proof-carrying form of a valid q whose judgements by node id() are
-    in table. Each distinct subtyping step (t, target) is settled once; a
-    weakening, which has no such form, raises NestedWeakening after all are."""
-    settle = cache(_sub_proof)  # per call: nothing outlives it
-    weakened = False
+def _sub_step(t: Type, target: Type) -> tuple[Inst | None, bool]:
+    """_sub_proof of t <= target, and whether the type that proof ends at
+    is literally target (so from_neq gives the step back unchanged)."""
+    proof = _sub_proof(t, target)
+    return proof, proof is not None and check_subproof(proof)[1] == target
 
-    def go(q: Skeleton) -> NeqSkeleton:
-        nonlocal weakened
+
+_UNSET = object()  # the value of a memo slot never filled
+
+
+def _source(n: NeqSkeleton) -> Skeleton | None:
+    """The skeleton from_neq(n) rebuilds exactly, if n records a live one."""
+    ref = getattr(n, "_source", None)
+    return None if ref is None else ref()
+
+
+def _elaborate(q: Skeleton) -> NeqSkeleton:
+    """The proof-carrying form of a checked q. Each node keeps its form (None
+    below a weakening, which has none), so a subtree elaborated before costs
+    one lookup; each distinct subtyping step (t, target) met in this call is
+    settled once. A node whose form from_neq rebuilds exactly (no redundant
+    |> dropped below it, every proof ending at its literal target) points
+    back to it. A weakening raises NestedWeakening after every atom is
+    decided."""
+    settle = cache(_sub_step)  # per call: nothing outlives it
+
+    def go(q: Skeleton) -> NeqSkeleton | None:
+        n = getattr(q, "_neq", _UNSET)
+        if n is not _UNSET:
+            return n
         match q:
             case QVar(x, env):
-                return NVar(x, env)
+                n, kids = NVar(x, env), ()
             case QAbs(x, body):
-                return NAbs(x, go(body))
+                nb = go(body)
+                n, kids = None if nb is None else NAbs(x, nb), ((body, nb),)
             case QApp(f, a):
-                return NApp(go(f), go(a))
+                nf, na = go(f), go(a)
+                n = None if nf is None or na is None else NApp(nf, na)
+                kids = (f, nf), (a, na)
             case QForall(a, body):
-                return NForall(a, go(body))
+                nb = go(body)
+                n, kids = None if nb is None else NForall(a, nb), ((body, nb),)
             case QEVar(s, forbidden, body):
-                return NEVar(s, forbidden, go(body))
+                nb = go(body)
+                n, kids = None if nb is None else NEVar(s, forbidden, nb), ((body, nb),)
             case QSub(body, target):
-                n = go(body)
-                proof = settle(table[id(body)].rtype, target)
-                return n if proof is None else NSub(n, proof)
+                nb = go(body)
+                proof, exact = settle(body._judgement.rtype, target)
+                if proof is None:
+                    n, kids = nb, None  # the redundant step is dropped
+                else:
+                    n = None if nb is None else NSub(nb, proof)
+                    kids = ((body, nb),) if exact else None
             case QWeak(body, _):
-                weakened = True
-                return go(body)
-        raise TypeError(q)
+                go(body)
+                n, kids = None, None
+            case _:
+                raise TypeError(q)
+        if n is not None and kids is not None and all(_source(kn) is k for k, kn in kids):
+            object.__setattr__(n, "_source", weakref.ref(q))
+        object.__setattr__(q, "_neq", n)
+        return n
 
     n = go(q)
-    if weakened:
+    if n is None:
         raise NestedWeakening("cannot reduce under a weakening below the root")
     return n
 
@@ -593,10 +635,12 @@ def _elaborate(q: Skeleton, table: dict[int, Judgement]) -> NeqSkeleton:
 def to_neq(q: Skeleton) -> NeqSkeleton:
     """Elaborate a valid skeleton with a solved constraint into a
     proof-carrying one (weakening-free skeletons only; a weakening raises
-    NestedWeakening). Costs one typing pass and one elaboration pass, which
-    decides each distinct subtyping atom once under REL_F, canonicalizing
-    each side once, and raises NotSolved on the first that fails."""
-    return _elaborate(q, judgements(q))
+    NestedWeakening). Types and elaborates only the nodes that hold no
+    judgement or form yet; elaboration decides each distinct subtyping atom
+    of those once under REL_F, canonicalizing each side once, and raises
+    NotSolved on the first that fails."""
+    check_skeleton(q)
+    return _elaborate(q)
 
 
 def _rewrite_env_var(q: Skeleton, y: str, t: Type) -> Skeleton:
@@ -626,7 +670,11 @@ def _rewrite_env_var(q: Skeleton, y: str, t: Type) -> Skeleton:
 
 def from_neq(q: NeqSkeleton) -> Skeleton:
     """Flatten a proof-carrying skeleton back to a constraint-generating one;
-    its constraint is solved by construction."""
+    its constraint is solved by construction. A node that elaboration made
+    from a skeleton it rebuilds exactly gives back that skeleton itself."""
+    src = _source(q)
+    if src is not None:
+        return src
     match q:
         case NVar(x, env):
             return QVar(x, env)
@@ -847,22 +895,20 @@ def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     """A valid skeleton for m_next with the same environment and result type
-    and a solved constraint, given that q's term steps to m_next. Costs one
-    typing pass of q plus the elaboration pass of _preserve_judged."""
-    return _preserve_judged(q, judgements(q), m_next)
-
-
-def _preserve_judged(q: Skeleton, table: dict[int, Judgement], m_next: Term) -> Skeleton:
-    """preserve for a valid q whose judgements by node id() are in table.
-    One elaboration pass decides each distinct subtyping atom under REL_F
-    once, canonicalizing each side once, and raises NotSolved on the first
-    that fails, before NestedWeakening and NotAStep."""
-    term = table[id(q)].term
+    and a solved constraint, given that q's term steps to m_next. Types and
+    elaborates only the nodes of q that hold no judgement or form yet (for a
+    skeleton returned by preserve and then checked, none): elaboration
+    decides each distinct subtyping atom of those once under REL_F,
+    canonicalizing each side once, and raises NotSolved on the first that
+    fails, before NestedWeakening and NotAStep. The result shares every
+    subtree off the path to the redex with q, so checking it types only the
+    rebuilt path and the contractum."""
+    term = check_skeleton(q).term
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
         extras.append(q.extra)
         q = q.body
-    n = _elaborate(q, table)
+    n = _elaborate(q)
     stepped = cbv_step(term)
     if stepped is None or not term_alpha_eq(stepped, m_next):
         raise NotAStep("the given term is not the skeleton's one-step reduct")

@@ -104,11 +104,18 @@ RELATIONS = {"F": REL_F, "EQ": REL_EQ}
 
 def solved(c: Constraint, rel: SubtypingRelation) -> bool:
     """True iff every atom of c holds in the relation. Atoms are decided left
-    to right, each distinct (lhs, rhs) pair once: rel.decide must be pure."""
+    to right, each distinct (lhs, rhs) pair once, and a True verdict is kept
+    in every node walked, for this relation: a node kept so is not entered
+    again. rel.decide must be pure."""
     decided: set[tuple[Type, Type]] = set()
+    walked: list[Constraint] = []
     todo = [c]
     while todo:
-        match todo.pop():
+        node = todo.pop()
+        if rel in getattr(node, "_solved", ()):
+            continue
+        walked.append(node)
+        match node:
             case Omega():
                 pass
             case Atomic(lhs, rhs):
@@ -122,6 +129,10 @@ def solved(c: Constraint, rel: SubtypingRelation) -> bool:
                 todo.append(body)
             case other:
                 raise TypeError(other)
+    for node in walked:
+        rels = getattr(node, "_solved", ())
+        if rel not in rels:
+            object.__setattr__(node, "_solved", rels + (rel,))
     return True
 
 

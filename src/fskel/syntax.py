@@ -13,15 +13,17 @@ from typing import Union
 class Term:
     """Untyped lambda-term."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     """Term variable: x"""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs(Term):
     """Abstraction: \\x. M"""
 
@@ -29,7 +31,7 @@ class Abs(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
     """Application: M @ N"""
 
@@ -50,21 +52,28 @@ def fv(m: Term) -> frozenset[str]:
 
 
 def term_alpha_eq(m1: Term, m2: Term) -> bool:
-    """Alpha-equivalence of terms."""
+    """Alpha-equivalence of terms. A subterm shared by both sides is equal
+    to itself at once while every binder above it has the same name on both
+    sides (same is then True: the two binder maps are equal)."""
 
-    def go(m1: Term, m2: Term, env1: dict[str, int], env2: dict[str, int], depth: int) -> bool:
+    def go(m1: Term, m2: Term, env1: dict[str, int], env2: dict[str, int], depth: int,
+           same: bool) -> bool:
+        if same and m1 is m2:
+            return True
         match m1, m2:
             case Var(x), Var(y):
                 if x in env1 or y in env2:
                     return env1.get(x) == env2.get(y)
                 return x == y
             case Abs(x, b1), Abs(y, b2):
-                return go(b1, b2, {**env1, x: depth}, {**env2, y: depth}, depth + 1)
+                return go(b1, b2, {**env1, x: depth}, {**env2, y: depth}, depth + 1,
+                          same and x == y)
             case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env1, env2, depth) and go(a1, a2, env1, env2, depth)
+                return (go(f1, f2, env1, env2, depth, same)
+                        and go(a1, a2, env1, env2, depth, same))
         return False
 
-    return go(m1, m2, {}, {}, 0)
+    return go(m1, m2, {}, {}, 0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +83,17 @@ def term_alpha_eq(m1: Term, m2: Term) -> bool:
 class Type:
     """System Fs type."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class TVar(Type):
     """Type variable: a"""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow(Type):
     """Function type: T1 -> T2"""
 
@@ -90,7 +101,7 @@ class Arrow(Type):
     cod: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall(Type):
     """Universal quantifier: all a. T"""
 
@@ -98,7 +109,7 @@ class Forall(Type):
     body: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVarApp(Type):
     """E-variable application: s^{A} T"""
 
@@ -114,13 +125,15 @@ class EVarApp(Type):
 class Expansion:
     """Asymmetric expansion term."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Id(Expansion):
     """Null expansion: id"""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForallIntro(Expansion):
     """Quantifier introduction: all a. I (a is not a binder here)"""
 
@@ -128,7 +141,7 @@ class ForallIntro(Expansion):
     rest: Expansion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EVarIntro(Expansion):
     """E-variable introduction: s^{A} I"""
 
@@ -137,7 +150,7 @@ class EVarIntro(Expansion):
     rest: Expansion
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubStep(Expansion):
     """Subtyping step: I |> T"""
 
@@ -151,23 +164,40 @@ class SubStep(Expansion):
 Binding = tuple[str, Union[Type, Expansion]]
 
 
-@dataclass(frozen=True)
-class Subst:
+class _SubstMemo:
+    """Memo slot of a substitution: its index by name, built on first lookup."""
+
+    __slots__ = ("_by_name",)
+
+
+@dataclass(frozen=True, slots=True)
+class Subst(_SubstMemo):
     """Ordered list of bindings ended by the identity; first match wins."""
 
     bindings: tuple[Binding, ...] = ()
 
+    def _index(self) -> tuple[dict[str, Type], dict[str, Expansion]]:
+        """The first type and the first expansion bound to each name."""
+        index = getattr(self, "_by_name", None)
+        if index is None:
+            types: dict[str, Type] = {}
+            exps: dict[str, Expansion] = {}
+            for name, val in self.bindings:
+                if isinstance(val, Type):
+                    types.setdefault(name, val)
+                elif isinstance(val, Expansion):
+                    exps.setdefault(name, val)
+            index = types, exps
+            object.__setattr__(self, "_by_name", index)
+        return index
+
     def lookup_tvar(self, a: str) -> Type:
-        for name, val in self.bindings:
-            if name == a and isinstance(val, Type):
-                return val
-        return TVar(a)
+        t = self._index()[0].get(a)
+        return TVar(a) if t is None else t
 
     def lookup_evar(self, s: str) -> Expansion:
-        for name, val in self.bindings:
-            if name == s and isinstance(val, Expansion):
-                return val
-        return EVarIntro(s, frozenset(), Id())
+        i = self._index()[1].get(s)
+        return EVarIntro(s, frozenset(), Id()) if i is None else i
 
 
 IOTA = Subst()
@@ -178,15 +208,18 @@ IOTA = Subst()
 
 
 class Constraint:
-    """Subtyping constraint."""
+    """Subtyping constraint. Its memo slot holds the relations under which
+    every atom below the node holds (see solve.solved)."""
+
+    __slots__ = ("_solved",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Omega(Constraint):
     """Trivial constraint: omega"""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atomic(Constraint):
     """Atomic constraint: T1 <= T2"""
 
@@ -194,7 +227,7 @@ class Atomic(Constraint):
     rhs: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Constraint):
     """Conjunction: C1 & C2"""
 
@@ -202,7 +235,7 @@ class And(Constraint):
     c2: Constraint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists(Constraint):
     """Existential binder: ex a. C"""
 
@@ -210,7 +243,7 @@ class Exists(Constraint):
     body: Constraint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EGuard(Constraint):
     """E-variable guard: s^{A;T} C"""
 
@@ -224,7 +257,7 @@ class EGuard(Constraint):
 # Type environments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeEnv:
     """Ordered list of (term variable, type) pairs."""
 
@@ -267,10 +300,17 @@ def env_eq(g1: TypeEnv, g2: TypeEnv) -> bool:
 
 
 class Skeleton:
-    """Proof term encoding a typing derivation."""
+    """Proof term encoding a typing derivation. Its memo slots hold facts
+    that are pure functions of the node's subtree, each computed at most
+    once and dropped with the node: the node's judgement
+    (typecheck.check_skeleton) and its proof-carrying form
+    (reduction.to_neq). A proof-carrying node refers back to the skeleton
+    it came from by a weak reference, so the two never form a cycle."""
+
+    __slots__ = ("_judgement", "_neq", "__weakref__")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QVar(Skeleton):
     """Variable skeleton: x<ENV>"""
 
@@ -278,7 +318,7 @@ class QVar(Skeleton):
     env: TypeEnv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QAbs(Skeleton):
     """Abstraction skeleton: \\x. Q"""
 
@@ -286,7 +326,7 @@ class QAbs(Skeleton):
     body: Skeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QApp(Skeleton):
     """Application skeleton: Q1 @ Q2"""
 
@@ -294,7 +334,7 @@ class QApp(Skeleton):
     arg: Skeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QForall(Skeleton):
     """Quantifier skeleton: all a. Q"""
 
@@ -302,7 +342,7 @@ class QForall(Skeleton):
     body: Skeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QEVar(Skeleton):
     """E-variable skeleton: s^{A} Q"""
 
@@ -311,7 +351,7 @@ class QEVar(Skeleton):
     body: Skeleton
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QSub(Skeleton):
     """Subtyping skeleton: Q |> T"""
 
@@ -319,7 +359,7 @@ class QSub(Skeleton):
     target: Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QWeak(Skeleton):
     """Weakening skeleton: Q + ENV"""
 
@@ -395,7 +435,7 @@ def ftv(subject) -> frozenset[str]:
 # Fresh names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreshSupply:
     """Per-family counters for fresh names; emitted names avoid a fixed set."""
 

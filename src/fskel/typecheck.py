@@ -47,7 +47,7 @@ class SupportOverlap(SkeletonError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Judgement:
     """The term, environment, result type and constraint a skeleton encodes."""
 
@@ -57,12 +57,22 @@ class Judgement:
     constraint: Constraint
 
 
-def judgements(q: Skeleton) -> dict[int, Judgement]:
-    """Validate q against the typing rules in one bottom-up pass and return
-    the judgement of every node, keyed by the node's id()."""
-    out: dict[int, Judgement] = {}
+def check_skeleton(q: Skeleton) -> Judgement:
+    """Validate q against the typing rules and return its judgement. A
+    node's judgement is kept in the node, so a node that was judged before
+    (a subtree shared with a checked skeleton) costs one lookup."""
+    j = getattr(q, "_judgement", None)
+    return _judge(q) if j is None else j
+
+
+def _judge(q: Skeleton) -> Judgement:
+    """The typing pass: judge q bottom-up, and store each judgement in its
+    node; a node that holds one already is not entered again."""
 
     def go(q: Skeleton) -> Judgement:
+        j = getattr(q, "_judgement", None)
+        if j is not None:
+            return j
         match q:
             case QVar(x, env):
                 if not env.well_formed():
@@ -116,16 +126,29 @@ def judgements(q: Skeleton) -> dict[int, Judgement]:
                 j = Judgement(jb.term, jb.env.concat(extra), jb.rtype, jb.constraint)
             case _:
                 raise TypeError(q)
-        out[id(q)] = j
+        object.__setattr__(q, "_judgement", j)
         return j
 
-    go(q)
+    return go(q)
+
+
+def judgements(q: Skeleton) -> dict[int, Judgement]:
+    """Validate q and return the judgement of every node, keyed by the
+    node's id()."""
+    check_skeleton(q)
+    out: dict[int, Judgement] = {}
+    todo = [q]
+    while todo:
+        node = todo.pop()
+        out[id(node)] = node._judgement
+        match node:
+            case QApp(f, a):
+                todo += (a, f)
+            case QVar(_, _):
+                pass
+            case _:
+                todo.append(node.body)
     return out
-
-
-def check_skeleton(q: Skeleton) -> Judgement:
-    """Validate q against the typing rules and return its judgement."""
-    return judgements(q)[id(q)]
 
 
 def relevant(q: Skeleton) -> bool:

@@ -1,6 +1,8 @@
 """Shared test helpers: a unification-based simple-type inferencer used as
 an independent oracle, a corpus of closed terms with solved decorated
-skeletons, and a call counter for fskel functions."""
+skeletons, two reduction chains, linear-scan and de Bruijn oracles for
+substitution lookup and alpha-equivalence, and counters of fskel calls and
+of instances built."""
 
 from __future__ import annotations
 
@@ -8,9 +10,11 @@ import importlib
 import random
 import sys
 
+from fskel.surface import parse_skeleton
 from fskel.syntax import (
-    Abs, App, Arrow, FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar,
-    Skeleton, TVar, Term, Type, TypeEnv, Var, fresh_name, ftv,
+    Abs, App, Arrow, Expansion, FreshSupply, QAbs, QApp, QEVar, QForall,
+    QSub, QVar, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, fresh_name,
+    ftv,
 )
 from fskel.typecheck import check_skeleton
 
@@ -186,6 +190,74 @@ def closed_corpus() -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
+# Reduction chains
+
+
+def id_chain(n: int) -> Skeleton:
+    """(\\u. u) @ ((\\u. u) @ ... @ (\\z. z)) at type c -> c."""
+    text = "\\z. z<z: c>"
+    for _ in range(n):
+        text = f"(\\u. u<u: c -> c>) @ ({text})"
+    return parse_skeleton(text)
+
+
+def poly_chain(n: int) -> Skeleton:
+    """((\\f. \\x. (f |> τ) @ (... @ x)) @ (all b. \\y. y)) @ (\\w. w): the
+    identity f: all b. b -> b instantiated at τ = (c -> c) -> c -> c at each
+    of its n uses."""
+    env = "f: all b. b -> b, x: c -> c"
+    text = f"x<{env}>"
+    for _ in range(n):
+        text = f"(f<{env}> |> (c -> c) -> c -> c) @ ({text})"
+    return parse_skeleton(
+        f"((\\f. \\x. {text}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)")
+
+
+def skeleton_nodes(q: Skeleton) -> dict[int, Skeleton]:
+    """Every distinct node object of q, by id()."""
+    out: dict[int, Skeleton] = {}
+    todo = [q]
+    while todo:
+        node = todo.pop()
+        if id(node) in out:
+            continue
+        out[id(node)] = node
+        if isinstance(node, QApp):
+            todo += (node.fun, node.arg)
+        elif not isinstance(node, QVar):
+            todo.append(node.body)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Oracles for substitution lookup and alpha-equivalence
+
+
+def lookup_linear(phi: Subst, name: str, kind: type) -> Type | Expansion | None:
+    """The first value of the given kind (Type or Expansion) that phi binds
+    to name, by a scan of the bindings in order; None if there is none."""
+    for bound, val in phi.bindings:
+        if bound == name and isinstance(val, kind):
+            return val
+    return None
+
+
+def de_bruijn(m: Term, bound: tuple[str, ...] = ()):
+    """m with each bound variable replaced by its binder's distance and
+    binder names dropped: two terms are alpha-equivalent iff these agree."""
+    match m:
+        case Var(x):
+            if x in bound:
+                return ("bound", bound[::-1].index(x))
+            return ("free", x)
+        case Abs(x, body):
+            return ("abs", de_bruijn(body, bound + (x,)))
+        case App(f, a):
+            return ("app", de_bruijn(f, bound), de_bruijn(a, bound))
+    raise TypeError(m)
+
+
+# ---------------------------------------------------------------------------
 # Call counting
 
 
@@ -207,3 +279,17 @@ def count_calls(monkeypatch, names: list[str]) -> dict[str, int]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_instances(monkeypatch, cls: type) -> list[int]:
+    """Count the instances of cls built until monkeypatch is undone; the
+    count is the list's one item."""
+    built = [0]
+    real = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return built

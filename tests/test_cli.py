@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
+from fskel.typecheck import Judgement
 
-from helpers import count_calls
+from helpers import count_calls, count_instances
 
 GOLDEN = "\\x. (x<x: all a. a> |> (all a. a) -> b) @ x<x: all a. a>"
 
@@ -188,14 +189,19 @@ def _id_chain(n):
 
 @pytest.mark.parametrize("rel", ["F", "EQ"])
 def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
-    # one typing pass and one solvedness walk (the printed verdict) per step
+    # at most one typing pass and one solvedness walk (the printed verdict)
+    # per step; a pass judges only the nodes the step rebuilt. The chain
+    # has 26 nodes, and step k rebuilds the 7 - k applications above its
+    # redex, whose contractum is the argument's skeleton, judged before.
     path = write(_id_chain(8))
-    calls = count_calls(monkeypatch, ["typecheck.judgements", "solve.solved"])
+    calls = count_calls(monkeypatch, ["typecheck._judge", "solve.solved"])
+    built = count_instances(monkeypatch, Judgement)
     code, out, _ = run(capsys, ["reduce", path, "--rel", rel])
     assert code == EXIT_OK and out.endswith("normal form reached\n")
     steps = out.count("\nstep ") + 1
     assert steps == 9
-    assert calls == {"typecheck.judgements": steps, "solve.solved": steps}
+    assert calls["typecheck._judge"] <= steps and calls["solve.solved"] == steps
+    assert built[0] == 26 + sum(7 - k for k in range(8))
 
 
 def test_canonical_output_independent_of_hash_seed(write):

@@ -208,9 +208,9 @@ def _left_nested(n: int):
 def test_derive_substitution_types_each_input_once(monkeypatch, n):
     qt, m = _left_nested(n)
     q0, _, _ = initial_skeleton(m, FreshSupply())
-    calls = count_calls(monkeypatch, ["typecheck.judgements"])
+    calls = count_calls(monkeypatch, ["typecheck._judge"])
     derive_substitution(q0, qt)
-    assert calls["typecheck.judgements"] == 2
+    assert calls["typecheck._judge"] == 2
 
 
 def test_derive_substitution_left_nested_target():

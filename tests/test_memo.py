@@ -1,0 +1,158 @@
+"""Facts kept in the memo slots of immutable nodes: judgements, proof-carrying
+forms, solvedness verdicts and substitution indexes. Each is a pure
+function of its node, so a memoized node must behave like a fresh one."""
+
+import copy
+import pickle
+
+import pytest
+
+from fskel.initial import derive_substitution, initial_skeleton
+from fskel.reduction import (
+    NestedWeakening, NotSolved, cbv_step, from_neq, preserve, to_neq,
+)
+from fskel.solve import REL_EQ, REL_F, SubtypingRelation, solved
+from fskel.surface import parse_constraint, parse_skeleton, parse_subst, parse_type
+from fskel.syntax import And, FreshSupply, Subst, TypeEnv
+from fskel.typecheck import Judgement, SkeletonError, check_skeleton, judgements
+from helpers import count_instances, id_chain, poly_chain, skeleton_nodes
+
+
+@pytest.mark.parametrize("chain", [id_chain, poly_chain])
+@pytest.mark.parametrize("n", [8, 16])
+def test_check_after_preserve_judges_only_unshared_nodes(monkeypatch, chain, n):
+    q = chain(n)
+    j = check_skeleton(q)
+    shared = 0
+    while (m := cbv_step(j.term)) is not None:
+        q2 = preserve(q, m)
+        old = skeleton_nodes(q)
+        new = [node for i, node in skeleton_nodes(q2).items() if i not in old]
+        shared += len(skeleton_nodes(q2)) - len(new)
+        built = count_instances(monkeypatch, Judgement)
+        j = check_skeleton(q2)
+        monkeypatch.undo()
+        assert built[0] == len(new)
+        q = q2
+    # every function part off the path to a redex is shared, not rebuilt
+    assert shared >= 2 * n
+
+
+def test_faithful_skeleton_comes_back_from_its_form():
+    q = parse_skeleton("(\\x. x<x: c -> c>) @ (\\z. z<z: c>)")
+    assert from_neq(to_neq(q)) is q
+    # a redundant |> is dropped, and a proof ending at a type that is equal
+    # to the target but not the target itself keeps the type it ends at
+    for text, expected in [
+        ("(\\z. z<z: c>) |> c -> c", "\\z. z<z: c>"),
+        ("x<x: all b. b -> b> |> all z. c -> c", "x<x: all b. b -> b> |> c -> c"),
+    ]:
+        q = parse_skeleton(text)
+        assert from_neq(to_neq(q)) == parse_skeleton(expected)
+
+
+def _every_memo(q):
+    """Fill every memo slot of q and of the facts about it."""
+    j = check_skeleton(q)
+    to_neq(q)
+    assert solved(j.constraint, REL_F)
+    return j
+
+
+@pytest.mark.parametrize("text", [
+    "(\\f. \\x. (f<f: all b. b -> b, x: c> |> c -> c) @ x<f: all b. b -> b, x: c>)"
+    " @ (all b. \\y. y<y: b>)",
+    "all a. s^{} \\x. x<x: a>",
+])
+def test_memoized_node_equals_a_fresh_parse(text):
+    q = parse_skeleton(text)
+    j = _every_memo(q)
+    fresh = parse_skeleton(text)
+    assert q == fresh and hash(q) == hash(fresh) and repr(q) == repr(fresh)
+    assert j == check_skeleton(fresh) and hash(j) == hash(check_skeleton(fresh))
+    for copied in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        assert copied == q and repr(copied) == repr(q)
+        assert not hasattr(copied, "_judgement")  # a copy starts with empty slots
+        assert check_skeleton(copied) == j
+    for node in (j.constraint, j.rtype, j.term, j.env):
+        assert pickle.loads(pickle.dumps(node)) == node == copy.deepcopy(node)
+
+
+def test_memoized_subst_equals_a_fresh_one():
+    text = "[a := b -> b, s := all c. id, a := c]"
+    phi = parse_subst(text)
+    assert phi.lookup_tvar("a") == parse_type("b -> b")
+    fresh = parse_subst(text)
+    assert phi == fresh and hash(phi) == hash(fresh) and repr(phi) == repr(fresh)
+    for copied in (copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+        assert copied == phi and copied.lookup_tvar("a") == parse_type("b -> b")
+    assert Subst() == Subst(()) and Subst().lookup_tvar("a") == parse_type("a")
+
+
+def test_solved_verdict_is_kept_per_relation():
+    c = parse_constraint("all a. a -> a <= c -> c")
+    assert solved(c, REL_F) is True
+    assert solved(c, REL_EQ) is False
+    rejects = SubtypingRelation("F", lambda t1, t2: False)
+    assert solved(c, rejects) is False
+    assert solved(c, REL_F) is True and solved(c, REL_EQ) is False
+    # a chain 2,000 deep is walked on an explicit stack, and again once the
+    # verdicts are kept
+    deep = c
+    for _ in range(2000):
+        deep = And(c, deep)
+    assert solved(deep, REL_F) is True and solved(deep, REL_F) is True
+    assert solved(deep, REL_EQ) is False and solved(deep, rejects) is False
+
+
+def test_solved_decides_only_atoms_not_kept(monkeypatch):
+    c = parse_constraint("all a. a -> a <= c -> c & all b. b <= c -> c")
+    decide = []
+    counting = SubtypingRelation("F", lambda t1, t2: decide.append(t1) is None)
+    assert solved(c, counting) and len(decide) == 2
+    assert solved(And(c, c), counting) and len(decide) == 2
+
+
+def test_errors_are_raised_again_on_a_second_call():
+    invalid = parse_skeleton("(\\x. x<x: c>) @ y<y: c -> c>")
+    unsolved = parse_skeleton("(\\x. x<x: c -> c> |> b) @ (\\y. y<y: c>)")
+    weakened = parse_skeleton("(\\x. x<x: c -> c> + {w: b}) @ (\\z. z<z: c, w: b>)")
+    for _ in range(2):
+        with pytest.raises(SkeletonError):
+            check_skeleton(invalid)
+        with pytest.raises(SkeletonError):
+            judgements(invalid)
+    for q in (unsolved, weakened):
+        m = cbv_step(check_skeleton(q).term)
+        error = NotSolved if q is unsolved else NestedWeakening
+        for _ in range(2):
+            with pytest.raises(error):
+                to_neq(q)
+            with pytest.raises(error):
+                preserve(q, m)
+
+
+def test_derive_substitution_reuses_the_callers_judgements(monkeypatch):
+    target = parse_skeleton(
+        "(\\f. \\x. f<f: c -> c, x: c> @ x<f: c -> c, x: c>) @ (\\y. y<y: c>)")
+    q0, _, _ = initial_skeleton(check_skeleton(target).term, FreshSupply())
+    check_skeleton(q0)
+    built = count_instances(monkeypatch, Judgement)
+    sigma, gamma = derive_substitution(q0, target)
+    assert built[0] == 0
+    monkeypatch.undo()
+    assert gamma == TypeEnv()
+    # a target not checked before is typed, the initial skeleton is not
+    target2 = parse_skeleton(
+        "(\\f. \\x. f<f: c -> c, x: c> @ x<f: c -> c, x: c>) @ (\\y. y<y: c>)")
+    built = count_instances(monkeypatch, Judgement)
+    assert derive_substitution(q0, target2) == (sigma, gamma)
+    assert built[0] == len(skeleton_nodes(target2))
+
+
+def test_weakened_root_is_stepped_and_shares_the_rest():
+    q = parse_skeleton("((\\x. x<x: c -> c>) @ (\\z. z<z: c>)) + {w: b}")
+    j = check_skeleton(q)
+    q2 = preserve(q, cbv_step(j.term))
+    assert q2.extra == q.extra and q2.body is q.body.arg
+    assert check_skeleton(q2).env == j.env

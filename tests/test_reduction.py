@@ -8,7 +8,7 @@ import pytest
 from fskel import reduction
 from fskel.expansion import judgements_agree
 from generators import random_neq_decoration
-from helpers import count_calls
+from helpers import count_calls, id_chain, poly_chain
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NotAStep,
     NotSolved, NSub, QuantComm, QuantCong, cbv_step, check_neq,
@@ -194,48 +194,29 @@ def test_binder_collision_renamed_during_substitution():
     assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
 
 
-def _id_chain(n):
-    """(\\u. u) @ ((\\u. u) @ ... @ (\\z. z)) at type c -> c."""
-    text = "\\z. z<z: c>"
-    for _ in range(n):
-        text = f"(\\u. u<u: c -> c>) @ ({text})"
-    return parse_skeleton(text)
-
-
 def test_preserve_judges_once_per_step(monkeypatch):
     # every call is counted, including check_neq's calls to itself, so any
-    # re-check of a subtree would make the counts grow with the chain
+    # re-check of a subtree would make the counts grow with the chain; the
+    # caller has checked q, so preserve makes no typing pass of its own
     counts = []
     for n in (8, 16):
-        q = _id_chain(n)
+        q = id_chain(n)
         m_next = cbv_step(check_skeleton(q).term)
         calls = count_calls(monkeypatch, [
-            "typecheck.judgements", "solve.solved", "reduction.check_neq"])
+            "typecheck._judge", "solve.solved", "reduction.check_neq"])
         preserve(q, m_next)
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1]
-    assert counts[0]["typecheck.judgements"] == 1
+    assert counts[0]["typecheck._judge"] == 0
     assert counts[0]["solve.solved"] == 0
-
-
-def _poly_chain(n):
-    """((\\f. \\x. (f |> τ) @ (... @ x)) @ (all b. \\y. y)) @ (\\w. w): the
-    identity f: all b. b -> b instantiated at τ = (c -> c) -> c -> c at each
-    of its n uses."""
-    env = "f: all b. b -> b, x: c -> c"
-    text = f"x<{env}>"
-    for _ in range(n):
-        text = f"(f<{env}> |> (c -> c) -> c -> c) @ ({text})"
-    return parse_skeleton(
-        f"((\\f. \\x. {text}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)")
 
 
 def test_preserve_searches_one_witness_per_distinct_step(monkeypatch):
     # the n subtyping steps of the chain are all the same judgement
     counts = []
     for n in (8, 16):
-        q = _poly_chain(n)
+        q = poly_chain(n)
         j = check_skeleton(q)
         calls = count_calls(monkeypatch, ["solve._witness"])
         q2 = preserve(q, cbv_step(j.term))

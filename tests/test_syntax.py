@@ -3,12 +3,14 @@
 import random
 
 from fskel.syntax import (
-    And, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, FreshSupply, Omega,
-    Subst, TVar, TypeEnv, canonical_constraint, canonical_type, constraint_eq,
-    fresh_name, ftv, type_eq,
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists,
+    Expansion, Forall, FreshSupply, Id, Omega, Subst, TVar, Type, TypeEnv,
+    Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
+    term_alpha_eq, type_eq,
 )
 from fskel.surface import parse_constraint, parse_type, print_constraint
-from generators import evars_of, random_type
+from generators import evars_of, random_expansion, random_term, random_type
+from helpers import de_bruijn, lookup_linear
 
 
 def T(s):
@@ -100,6 +102,84 @@ def test_subst_lookup_defaults():
     assert phi.lookup_tvar("c") == TVar("c")
     from fskel.syntax import EVarIntro, Id
     assert phi.lookup_evar("s") == EVarIntro("s", frozenset(), Id())
+
+
+def test_subst_index_agrees_with_linear_scan():
+    rng = random.Random(1201)
+    names = ["a", "b", "s", "t"]
+    repeated = 0
+    for _ in range(400):
+        bindings = []
+        for _ in range(rng.randrange(12)):
+            tvars = rng.sample(["a", "b", "c"], rng.randrange(3))
+            val = (random_type(rng, tvars, 2) if rng.random() < 0.5
+                   else random_expansion(rng, tvars, 2))
+            bindings.append((rng.choice(names), val))
+        bound = [name for name, _ in bindings]
+        repeated += len(bound) != len(set(bound))
+        phi = Subst(tuple(bindings))
+        for _ in range(2):  # the second round reads the kept index
+            for name in names + ["z"]:
+                t = lookup_linear(phi, name, Type)
+                i = lookup_linear(phi, name, Expansion)
+                # the first binding of each kind, that very object, or the default
+                assert (phi.lookup_tvar(name) is t if t is not None
+                        else phi.lookup_tvar(name) == TVar(name))
+                assert (phi.lookup_evar(name) is i if i is not None
+                        else phi.lookup_evar(name) == EVarIntro(name, frozenset(), Id()))
+    assert repeated >= 200
+
+
+def _variant(rng, m):
+    """A term made from m that shares some of m's subterms by identity, with
+    binders sometimes renamed and leaves sometimes changed."""
+    if rng.random() < 0.3:
+        return m
+    names = ["x0", "x1", "y"]
+    match m:
+        case Var(x):
+            return Var(x if rng.random() < 0.7 else rng.choice(names))
+        case Abs(x, body):
+            return Abs(x if rng.random() < 0.5 else rng.choice(names), _variant(rng, body))
+        case App(f, a):
+            return App(_variant(rng, f), _variant(rng, a))
+    raise TypeError(m)
+
+
+def _renamed(m, names, counter):
+    """m with every binder renamed to a name not used before."""
+    match m:
+        case Var(x):
+            return Var(names.get(x, x))
+        case Abs(x, body):
+            counter[0] += 1
+            fresh = f"r{counter[0]}"
+            return Abs(fresh, _renamed(body, {**names, x: fresh}, counter))
+        case App(f, a):
+            return App(_renamed(f, names, counter), _renamed(a, names, counter))
+    raise TypeError(m)
+
+
+def test_term_alpha_eq_agrees_with_de_bruijn():
+    s = App(Var("x0"), Var("y"))
+    for m1, m2, expected in [
+        (Abs("x0", s), Abs("x1", s), False),
+        (Abs("x0", Abs("x0", s)), Abs("y", Abs("x0", s)), False),
+        (Abs("x1", s), Abs("z", s), True),
+        (App(Abs("x0", s), s), App(Abs("x0", s), s), True),
+    ]:
+        assert term_alpha_eq(m1, m2) is expected is (de_bruijn(m1) == de_bruijn(m2))
+    rng = random.Random(20121101)
+    verdicts = {True: 0, False: 0}
+    for _ in range(3000):
+        m1 = random_term(rng, rng.randrange(1, 14), ["y"])
+        m2 = _variant(rng, m1) if rng.random() < 0.7 else _renamed(m1, {}, [0])
+        if rng.random() < 0.5:
+            m1, m2 = m2, m1
+        expected = de_bruijn(m1) == de_bruijn(m2)
+        assert term_alpha_eq(m1, m2) is expected
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 400
 
 
 def test_fresh_supply_avoids():
