@@ -99,6 +99,25 @@ def apply_subst(phi: Subst, subject):
         case EVarApp(s, forbidden, body):
             return apply_exp_type(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
                                   apply_subst(phi, body))
+        case TypeEnv(entries):
+            return TypeEnv(tuple((x, apply_subst(phi, t)) for x, t in entries))
+        case QVar(x, env):
+            return QVar(x, apply_subst(phi, env))
+        case QAbs(x, body):
+            return QAbs(x, apply_subst(phi, body))
+        case QApp(f, a):
+            return QApp(apply_subst(phi, f), apply_subst(phi, a))
+        case QForall(a, body):
+            if a in ftv(phi):
+                a, body = _rename_binder(phi, a, body, frozenset())
+            return QForall(a, apply_subst(phi, body))
+        case QEVar(s, forbidden, body):
+            return apply_exp_skel(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
+                                  apply_subst(phi, body))
+        case QSub(body, target):
+            return QSub(apply_subst(phi, body), apply_subst(phi, target))
+        case QWeak(body, extra):
+            return QWeak(apply_subst(phi, body), apply_subst(phi, extra))
         case Id():
             return subject
         case ForallIntro(a, rest):
@@ -120,25 +139,6 @@ def apply_subst(phi: Subst, subject):
         case EGuard(s, forbidden, witness, body):
             return apply_exp_cons(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
                                   apply_subst(phi, witness), apply_subst(phi, body))
-        case TypeEnv(entries):
-            return TypeEnv(tuple((x, apply_subst(phi, t)) for x, t in entries))
-        case QVar(x, env):
-            return QVar(x, apply_subst(phi, env))
-        case QAbs(x, body):
-            return QAbs(x, apply_subst(phi, body))
-        case QApp(f, a):
-            return QApp(apply_subst(phi, f), apply_subst(phi, a))
-        case QForall(a, body):
-            if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body, frozenset())
-            return QForall(a, apply_subst(phi, body))
-        case QEVar(s, forbidden, body):
-            return apply_exp_skel(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
-                                  apply_subst(phi, body))
-        case QSub(body, target):
-            return QSub(apply_subst(phi, body), apply_subst(phi, target))
-        case QWeak(body, extra):
-            return QWeak(apply_subst(phi, body), apply_subst(phi, extra))
     raise TypeError(subject)
 
 

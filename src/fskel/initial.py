@@ -26,11 +26,17 @@ class TermMismatch(Exception):
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton."""
     # free type variables and expansion variables in one walk; `bound`
-    # holds the enclosing binders
+    # holds the enclosing binders. A node met again under the same binders
+    # (a shared subtree, an interned type) adds nothing and is skipped.
     out: set[str] = set()
+    seen: set[tuple[int, frozenset[str]]] = set()
     todo: list[tuple[Skeleton | Type, frozenset[str]]] = [(q, frozenset())]
     while todo:
         node, bound = todo.pop()
+        visit = (id(node), bound)
+        if visit in seen:
+            continue
+        seen.add(visit)
         match node:
             case TVar(a):
                 if a not in bound:
@@ -138,26 +144,32 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
 
     annotated = alloc(m)
 
-    def env_at(scope: frozenset[str]) -> TypeEnv:
-        return TypeEnv(tuple(
-            (x, TVar(a)) for x, a in tvar_of.items() if x in free or x in scope))
+    envs: dict[frozenset[str], tuple[TypeEnv, frozenset[str]]] = {}
+
+    def env_at(scope: frozenset[str]) -> tuple[TypeEnv, frozenset[str]]:
+        """The environment of a scope and its type variables, built once."""
+        got = envs.get(scope)
+        if got is None:
+            env = TypeEnv(tuple(
+                (x, TVar(a)) for x, a in tvar_of.items() if x in free or x in scope))
+            got = envs[scope] = env, ftv(env)
+        return got
 
     def build(node, scope: frozenset[str]) -> tuple[Skeleton, Type]:
         match node:
             case _AVar(x, s):
-                env = env_at(scope)
-                delta = ftv(env)
+                env, delta = env_at(scope)
                 return (QEVar(s, delta, QVar(x, env)),
                         EVarApp(s, delta, TVar(tvar_of[x])))
             case _AAbs(x, body, s):
                 qb, tb = build(body, scope | {x})
-                delta = ftv(env_at(scope))
+                delta = env_at(scope)[1]
                 return (QEVar(s, delta, QAbs(x, qb)),
                         EVarApp(s, delta, Arrow(TVar(tvar_of[x]), tb)))
             case _AApp(f, arg, a, s):
                 qf, _ = build(f, scope)
                 qa, ta = build(arg, scope)
-                delta = ftv(env_at(scope))
+                delta = env_at(scope)[1]
                 q = QEVar(s, delta, QApp(QSub(qf, Arrow(ta, TVar(a))), qa))
                 return q, EVarApp(s, delta, TVar(a))
         raise TypeError(node)

@@ -23,10 +23,13 @@ character, a tab too, one column wide.
 Cost: one regex scan turns the text into a list of token strings and a
 parallel list of kinds, and the parser reads them by index.  A token's
 line and column are found only when a `ParseError` is raised, by scanning
-the text again up to the failing token.  Parsing is linear in the text,
-except where the parser backtracks (by resetting the index): a constraint
-atom or a substitution value that opens with k parentheses is read up to
-k times.
+the text again up to the failing token.  Parsing is linear in the text.  The
+parser backtracks (by resetting the index) in two places, each a bounded
+number of times: a substitution value is read as an expansion and, if
+that fails, once more as a type; a constraint atom not opening with '('
+is read as "T <= T" and, if that fails, as a guard.  The choice between a
+parenthesised type and a parenthesised constraint is left-factored, so a
+constraint atom that opens with k parentheses is read once.
 """
 
 from __future__ import annotations
@@ -248,29 +251,57 @@ class Parser:
     # -- constraints ---------------------------------------------------------
 
     def constraint(self) -> Constraint:
-        c = self.constraint_atom()
+        return self.conjunction(self.constraint_atom())
+
+    def conjunction(self, c: Constraint) -> Constraint:
         while self.eat("&"):
             c = And(c, self.constraint_atom())
         return c
 
-    def constraint_atom(self) -> Constraint:
+    def constraint_atom(self, in_group: bool = False) -> Constraint | Type:
+        """A constraint atom; in a group, a type followed by ')' as well.
+
+        An atom is "T <= T" when that parses and a parenthesised constraint
+        or a guard otherwise, and an error is reported as the latter would
+        report it. A '(' opens a group holding a type or a constraint, read
+        once: a type there goes on as the left side of "T <= T"."""
         if self.eat("omega"):
             return Omega()
         if self.eat("ex"):
             return Exists(self.binder(), self.constraint())
-        # Try an atomic constraint "T <= T"; backtrack to guard / parens.
         mark = self.pos
+        if self.eat("("):
+            # a group: a type followed by ')', or a constraint
+            inner = self.constraint_atom(in_group=True)
+            if isinstance(inner, Constraint):
+                inner = self.conjunction(inner)
+                self.expect(")")
+                return inner
+            self.pos += 1  # the ')' after the type
+            try:
+                lhs = Arrow(inner, self.type_()) if self.eat("->") else inner
+                return self.atomic_rest(lhs, in_group)
+            except _Stuck:
+                # the group read as a constraint fails where its innermost
+                # type, not followed by '<=', reads as a guard
+                self.pos = mark + 1
+                while self.eat("("):
+                    pass
+                return self.guard()
         try:
-            lhs = self.type_()
-            if self.eat("<="):
-                return Atomic(lhs, self.type_())
-            self.fail("expected '<='")
+            return self.atomic_rest(self.type_(), in_group)
         except _Stuck:
             self.pos = mark
-        if self.eat("("):
-            c = self.constraint()
-            self.expect(")")
-            return c
+        return self.guard()
+
+    def atomic_rest(self, lhs: Type, in_group: bool) -> Atomic | Type:
+        if in_group and self.at(")"):
+            return lhs
+        if self.eat("<="):
+            return Atomic(lhs, self.type_())
+        self.fail("expected '<='")
+
+    def guard(self) -> EGuard:
         name = self.ident()
         self.expect("^")
         forbidden = self.var_set(";")

@@ -1,7 +1,21 @@
-"""Core syntactic categories, free variables, and canonical forms."""
+"""Core syntactic categories, free variables, and canonical forms.
+
+Types are interned: `TVar`, `Arrow`, `Forall` and `EVarApp` nodes are built
+through one weak table keyed by the class and the fields, so there is one
+live node per distinct type and `==` and `hash` on types are identity.
+`copy`, `deepcopy` and `pickle` return the interned node. A type node has
+three memo slots: its free variables (`ftv`), its canonical form
+(`canonical_type`) and its key (`_type_key`), each computed at most once.
+Constraints, environments and skeletons are not interned; they compare by
+structure. The canonical form of a chain of n applications has n items,
+each under its whole guard prefix, O(n^2) nodes in all that are almost all
+new, so interning constraints would add a table entry per node and share
+little.
+"""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Union
 
@@ -80,20 +94,52 @@ def term_alpha_eq(m1: Term, m2: Term) -> bool:
 # Types
 
 
+# Every type node is interned: the table maps (class, *fields) to the one
+# live node with those fields, and holds it weakly, so a node is freed with
+# its last outside reference (the key holds only the node's children).
+_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+# The `_canonical` slot of a node that is its own canonical form (the node
+# itself there would be a reference cycle).
+_IS_CANONICAL = object()
+
+
 class Type:
-    """System Fs type."""
+    """System Fs type. Nodes are interned, so `==` and `hash` are identity.
+    The memo slots hold pure functions of the node, each computed at most
+    once: its free variables (`ftv`), its canonical form (`canonical_type`)
+    and its key (`_type_key`)."""
 
-    __slots__ = ()
+    __slots__ = ("_ftv", "_canonical", "_key", "__weakref__")
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _TYPES.get(key)
+        if node is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}, got {fields!r}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_ftv", None)
+            object.__setattr__(node, "_canonical", None)
+            object.__setattr__(node, "_key", None)
+            _TYPES[key] = node
+        return node
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the table
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TVar(Type):
     """Type variable: a"""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Arrow(Type):
     """Function type: T1 -> T2"""
 
@@ -101,7 +147,7 @@ class Arrow(Type):
     cod: Type
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Forall(Type):
     """Universal quantifier: all a. T"""
 
@@ -109,7 +155,7 @@ class Forall(Type):
     body: Type
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, init=False)
 class EVarApp(Type):
     """E-variable application: s^{A} T"""
 
@@ -209,17 +255,53 @@ IOTA = Subst()
 
 class Constraint:
     """Subtyping constraint. Its memo slot holds the relations under which
-    every atom below the node holds (see solve.solved)."""
+    every atom below the node holds (see solve.solved). Constraints are not
+    interned: `==` and `hash` compare the structure, on an explicit stack,
+    so a constraint of any depth can be compared and hashed."""
 
     __slots__ = ("_solved",)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            c1, c2 = todo.pop()
+            if c1 is c2:
+                continue
+            if type(c1) is not type(c2):
+                return False
+            for name in c1.__match_args__:
+                v1, v2 = getattr(c1, name), getattr(c2, name)
+                if isinstance(v1, Constraint):
+                    todo.append((v1, v2))
+                elif v1 != v2:
+                    return False
+        return True
 
-@dataclass(frozen=True, slots=True)
+    def __hash__(self):
+        # the fields of every node in a fixed pre-order, children last
+        h = 0
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            fields = [type(node)]
+            for name in node.__match_args__:
+                v = getattr(node, name)
+                if isinstance(v, Constraint):
+                    todo.append(v)
+                else:
+                    fields.append(v)
+            h = hash((h, *fields))
+        return h
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Omega(Constraint):
     """Trivial constraint: omega"""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atomic(Constraint):
     """Atomic constraint: T1 <= T2"""
 
@@ -227,7 +309,7 @@ class Atomic(Constraint):
     rhs: Type
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Constraint):
     """Conjunction: C1 & C2"""
 
@@ -235,7 +317,7 @@ class And(Constraint):
     c2: Constraint
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Constraint):
     """Existential binder: ex a. C"""
 
@@ -243,7 +325,7 @@ class Exists(Constraint):
     body: Constraint
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class EGuard(Constraint):
     """E-variable guard: s^{A;T} C"""
 
@@ -375,14 +457,13 @@ def ftv(subject) -> frozenset[str]:
     """Free type variables of a type, expansion, substitution, constraint,
     environment or skeleton."""
     match subject:
-        case TVar(a):
-            return frozenset({a})
-        case Arrow(d, c):
-            return ftv(d) | ftv(c)
-        case Forall(a, body):
-            return ftv(body) - {a}
-        case EVarApp(_, forbidden, body):
-            return ftv(body) | forbidden
+        case Type():
+            return _type_ftv(subject)
+        case TypeEnv(entries):
+            out = frozenset()
+            for _, t in entries:
+                out |= _type_ftv(t)
+            return out
         case Id():
             return frozenset()
         case ForallIntro(a, rest):
@@ -409,11 +490,6 @@ def ftv(subject) -> frozenset[str]:
             return ftv(body) - {a}
         case EGuard(_, forbidden, witness, body):
             return forbidden | ftv(witness) | ftv(body)
-        case TypeEnv(entries):
-            out = frozenset()
-            for _, t in entries:
-                out |= ftv(t)
-            return out
         case QVar(_, env):
             return ftv(env)
         case QAbs(_, body):
@@ -429,6 +505,24 @@ def ftv(subject) -> frozenset[str]:
         case QWeak(body, extra):
             return ftv(body) | ftv(extra)
     raise TypeError(f"ftv: unsupported subject {subject!r}")
+
+
+def _type_ftv(t: Type) -> frozenset[str]:
+    free = t._ftv
+    if free is None:
+        match t:
+            case TVar(a):
+                free = frozenset((a,))
+            case Arrow(d, c):
+                free = _type_ftv(d) | _type_ftv(c)
+            case Forall(a, body):
+                free = _type_ftv(body) - {a}
+            case EVarApp(_, forbidden, body):
+                free = _type_ftv(body) | forbidden
+            case _:
+                raise TypeError(t)
+        object.__setattr__(t, "_ftv", free)
+    return free
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +615,7 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
     body = _canon(cur, counter, avoid)
 
     # Drop dummies and shadowed binders, outermost first.
-    free = ftv(body)
+    free = _type_ftv(body)
     kept: list[str] = []
     for i, a in enumerate(binders):
         if a in binders[i + 1:]:
@@ -576,13 +670,21 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
 
 def canonical_type(t: Type) -> Type:
     """Canonical representative of t's equality class (alpha, adjacent-quantifier
-    reordering, dummy-quantifier suppression)."""
-    return _canon(t, [0], ftv(t))
+    reordering, dummy-quantifier suppression). It is kept in t's memo slot,
+    and the canonical form, its own canonical form, is marked as such."""
+    c = t._canonical
+    if c is None:
+        c = _canon(t, [0], _type_ftv(t))
+        object.__setattr__(c, "_canonical", _IS_CANONICAL)
+        if c is not t:
+            object.__setattr__(t, "_canonical", c)
+        return c
+    return t if c is _IS_CANONICAL else c
 
 
 def type_eq(t1: Type, t2: Type) -> bool:
     """Equality of types modulo the equational theory."""
-    return t1 == t2 or canonical_type(t1) == canonical_type(t2)
+    return t1 is t2 or canonical_type(t1) is canonical_type(t2)
 
 
 # ---------------------------------------------------------------------------
@@ -599,16 +701,21 @@ def _set_key(vs: frozenset[str]) -> str:
 
 
 def _type_key(t: Type) -> str:
-    match t:
-        case TVar(a):
-            return f"TVar(name={a!r})"
-        case Arrow(d, c):
-            return f"Arrow(dom={_type_key(d)}, cod={_type_key(c)})"
-        case Forall(a, body):
-            return f"Forall(binder={a!r}, body={_type_key(body)})"
-        case EVarApp(s, forbidden, body):
-            return f"EVarApp(evar={s!r}, forbidden={_set_key(forbidden)}, body={_type_key(body)})"
-    raise TypeError(t)
+    key = t._key
+    if key is None:
+        match t:
+            case TVar(a):
+                key = f"TVar(name={a!r})"
+            case Arrow(d, c):
+                key = f"Arrow(dom={_type_key(d)}, cod={_type_key(c)})"
+            case Forall(a, body):
+                key = f"Forall(binder={a!r}, body={_type_key(body)})"
+            case EVarApp(s, forbidden, body):
+                key = f"EVarApp(evar={s!r}, forbidden={_set_key(forbidden)}, body={_type_key(body)})"
+            case _:
+                raise TypeError(t)
+        object.__setattr__(t, "_key", key)
+    return key
 
 
 def _guard_key(s: str, forbidden: frozenset[str], witness: Type) -> str:

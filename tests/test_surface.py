@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fskel.surface import (
-    ParseError, parse_constraint, parse_expansion, parse_skeleton,
+    ParseError, Parser, parse_constraint, parse_expansion, parse_skeleton,
     parse_subst, parse_term, parse_type, parse_type_env, print_constraint,
     print_expansion, print_skeleton, print_subst, print_term, print_type,
     print_type_env,
@@ -253,3 +253,38 @@ def test_print_constraint_deep_conjunctions():
     printed = print_constraint(guarded)
     assert printed.startswith("s499^{a; c} (ex x499. s498^{a; c} (ex x498. ")
     assert printed.endswith("a0 <= c" + ")" * 500)
+
+
+def test_parenthesised_constraint_atoms_are_read_once(monkeypatch):
+    """A '(' in a constraint opens a type or a constraint; the parser reads
+    what follows once, so its type_ calls do not grow with the nesting."""
+    calls = [0]
+    real = Parser.type_
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Parser, "type_", counted)
+    forms = [("a <= b", "", "a <= b"),
+             ("a", " <= b", "a <= b"),
+             ("(a) -> b", " <= b & c <= c", "(a -> b) <= b & c <= c"),
+             ("s^{a; b} ((a) <= b) & ex c. c <= c", "", "s^{a; b} a <= b & ex c. c <= c")]
+    for inner, rest, plain in forms:
+        counts = []
+        for k in (50, 100, 200):
+            calls[0] = 0
+            text = "(" * k + inner + ")" * k + rest
+            assert parse_constraint(text) == parse_constraint(plain)
+            counts.append(calls[0])
+        assert counts[2] <= 2 * counts[1] + 2 and counts[1] <= 2 * counts[0] + 2
+    # a failure is reported as the reading as a parenthesised constraint
+    # reports it, as before the choice was left-factored
+    for text, message in [("((a)) <=", "1:4: expected '^', found ')'"),
+                          ("((s^{a} a) -> ) <= b", "1:7: expected ';', found '}'"),
+                          ("((all a. a)) & b", "1:3: expected 'ident', found 'all'"),
+                          ("((a -> b) <= c", "1:15: expected ')', found 'end of input'"),
+                          ("(((a <= b) & (c)) <= d)", "1:16: expected '^', found ')'")]:
+        with pytest.raises(ParseError) as e:
+            parse_constraint(text)
+        assert str(e.value) == message

@@ -3,7 +3,7 @@
 import random
 
 from fskel.syntax import (
-    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists,
+    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro, Exists,
     Expansion, Forall, FreshSupply, Id, Omega, Subst, TVar, Type, TypeEnv,
     Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
     term_alpha_eq, type_eq,
@@ -230,6 +230,65 @@ def test_canonical_constraint_deep_inputs():
     while isinstance(out, EGuard):  # the dummy binders are dropped
         out, depth = out.body, depth + 1
     assert depth == 500 and out == Atomic(TVar("c"), TVar("c"))
+
+
+def test_deep_constraints_compare_and_hash():
+    # the canonical form of 2,000 conjuncts is a right-nested And 2,000 deep
+    conj = Atomic(TVar("a0"), TVar("c"))
+    for i in range(1, 2000):
+        conj = And(Atomic(TVar(f"a{i}"), TVar("c")), conj)
+    c1, c2 = canonical_constraint(conj), canonical_constraint(conj)
+    assert c1 is not c2 and c1 == c2 and hash(c1) == hash(c2)
+    assert {c1: "kept"}[c2] == "kept"
+    changed = canonical_constraint(And(Atomic(TVar("a0"), TVar("d")), conj))
+    assert c1 != changed
+    nested = [Atomic(TVar("c"), TVar("c"))] * 2
+    for i in range(2000):
+        nested = [EGuard(f"s{i}", frozenset({"a"}), TVar("c"), Exists(f"x{i}", c))
+                  for c in nested]
+    assert nested[0] == nested[1] and hash(nested[0]) == hash(nested[1])
+
+
+def _tree(c):
+    """A constraint as nested tuples, each variable set sorted (an oracle
+    for the structural == and hash of constraints)."""
+    fields = (getattr(c, name) for name in c.__match_args__)
+    return (type(c).__name__, *(_tree(v) if isinstance(v, Constraint)
+                                else tuple(sorted(v)) if isinstance(v, frozenset)
+                                else v for v in fields))
+
+
+def test_constraint_eq_and_hash_agree_with_structure():
+    rng = random.Random(13)
+    pairs = []
+    for _ in range(1500):
+        c1 = _random_constraint(rng, 3)
+        c2 = c1 if rng.random() < 0.1 else _rebuilt(c1) if rng.random() < 0.5 \
+            else _random_constraint(rng, 3)
+        pairs.append((c1, c2))
+    pairs += [(Omega(), Omega()), (Omega(), Atomic(TVar("a"), TVar("a")))]
+    equal = 0
+    for c1, c2 in pairs:
+        assert (c1 == c2) == (_tree(c1) == _tree(c2)) == (not c1 != c2)
+        if c1 == c2:
+            equal += 1
+            assert hash(c1) == hash(c2)
+    assert 400 <= equal <= len(pairs) - 400
+    assert Omega() != "omega" and Atomic(TVar("a"), TVar("b")) != TVar("a")
+
+
+def _rebuilt(c):
+    """A fresh copy of c, node by node (no constraint node shared)."""
+    match c:
+        case And(c1, c2):
+            return And(_rebuilt(c1), _rebuilt(c2))
+        case Exists(a, body):
+            return Exists(a, _rebuilt(body))
+        case EGuard(s, forbidden, witness, body):
+            return EGuard(s, frozenset(sorted(forbidden, reverse=True)), witness, _rebuilt(body))
+        case Atomic(lhs, rhs):
+            return Atomic(lhs, rhs)
+    return Omega()
 
 
 def _rename_ex(c, rng, counter):
