@@ -12,7 +12,7 @@ from .syntax import (
     IOTA, Abs, App, Arrow, Constraint, EVarApp, EVarIntro, Expansion, Forall,
     ForallIntro, FreshSupply, Id, QAbs, QApp, QEVar, QForall, QSub, QVar,
     QWeak, Skeleton, SubStep, Subst, TVar, Term, Type, TypeEnv, Var,
-    fresh_name, ftv, fv, term_alpha_eq,
+    as_arrow, fresh_name, ftv, fv, term_alpha_eq,
 )
 from .expansion import apply_subst, apply_subst_set
 from .solve import REL_EQ, solved
@@ -320,7 +320,8 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
                     arr = rn(check_skeleton(fun_t).rtype)
                 exp = walk(fun_i, fun_t, names, phi)
                 bindings.append((fun_i.evar, exp))
-                if not isinstance(arr, Arrow):
+                arr = as_arrow(arr)
+                if arr is None:
                     raise TermMismatch("target application function is not of arrow type")
                 exp = walk(arg_i, arg_t, names, phi)
                 bindings.extend(((arg_i.evar, exp), (a_new, arr.cod)))

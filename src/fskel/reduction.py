@@ -1,6 +1,11 @@
 """Call-by-value reduction, explicit subtyping-proof skeletons, the
 head-exposing transformation T with its size measure, and the constructive
-subject-reduction engine."""
+subject-reduction engine.
+
+The engine reads types modulo the equational theory (alpha, reordering of
+adjacent quantifiers, dummy quantifiers), as check_neq does: it keeps a
+judgement's environment and type up to that theory, not literally. An
+application's function part may have any type equal to an arrow."""
 
 from __future__ import annotations
 
@@ -10,8 +15,8 @@ from functools import cache
 
 from .syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
-    QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, fresh_name, ftv,
-    env_eq, fv, term_alpha_eq, type_eq, canonical_type,
+    QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow,
+    canonical_type, env_eq, fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
 from .expansion import apply_subst
 from .solve import _witness
@@ -181,24 +186,6 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
     raise BadSubProof(f"malformed proof node {p!r}")
 
 
-def invert_subproof(p: SubtypeSkeleton) -> SubtypeSkeleton:
-    """Symmetric proof of an equality judgement."""
-    match p:
-        case QuantComm(Forall(a1, Forall(a2, t))):
-            return QuantComm(Forall(a2, Forall(a1, t)))
-        case DummyIn(a, t):
-            return DummyElim(a, t)
-        case DummyElim(a, t):
-            return DummyIn(a, t)
-        case FunCong(p1, p2):
-            return FunCong(invert_subproof(p1), invert_subproof(p2))
-        case EVarCong(s, forbidden, inner):
-            return EVarCong(s, forbidden, invert_subproof(inner))
-        case QuantCong(a, inner):
-            return QuantCong(a, invert_subproof(inner))
-    raise BadSubProof("only equality proofs can be inverted")
-
-
 # ---------------------------------------------------------------------------
 # Skeletons with explicit subtyping proofs
 
@@ -259,13 +246,6 @@ class NeqError(Exception):
     """A proof-carrying skeleton violates its typing rules."""
 
 
-def _as_arrow(t: Type) -> Arrow | None:
-    if isinstance(t, Arrow):
-        return t
-    c = canonical_type(t)
-    return c if isinstance(c, Arrow) else None
-
-
 def check_neq(q: NeqSkeleton) -> tuple[Term, TypeEnv, Type]:
     """Validate a proof-carrying skeleton and return its judgement."""
     match q:
@@ -287,7 +267,7 @@ def check_neq(q: NeqSkeleton) -> tuple[Term, TypeEnv, Type]:
             m2, env2, t2 = check_neq(a)
             if not env_eq(env1, env2):
                 raise NeqError("application premises carry different environments")
-            arr = _as_arrow(t1)
+            arr = as_arrow(t1)
             if arr is None:
                 raise NeqError("function part does not have an arrow type")
             if not type_eq(arr.dom, t2):
@@ -367,10 +347,9 @@ def _subst_type(a: str, x: Type, t: Type) -> Type:
 def subst_proof(a: str, x: Type, p: SubtypeSkeleton) -> SubtypeSkeleton:
     match p:
         case Inst(src, arg):
-            return Inst(_keep_foralls(_subst_type(a, x, src), src, 1),
-                        _subst_type(a, x, arg))
+            return Inst(_subst_type(a, x, src), _subst_type(a, x, arg))
         case QuantComm(src):
-            return QuantComm(_keep_foralls(_subst_type(a, x, src), src, 2))
+            return QuantComm(_subst_type(a, x, src))
         case DummyIn(b, t):
             if b == a:
                 return DummyIn(b, t)  # a cannot occur in t
@@ -396,17 +375,6 @@ def subst_proof(a: str, x: Type, p: SubtypeSkeleton) -> SubtypeSkeleton:
                 b = b2
             return QuantCong(b, subst_proof(a, x, inner))
     raise TypeError(p)
-
-
-def _keep_foralls(t: Type, orig: Type, depth: int) -> Type:
-    """Check that substitution kept the depth leading quantifiers of a proof's
-    source (it never removes them: the source is structurally quantified)."""
-    inner = t
-    for _ in range(depth):
-        if not isinstance(inner, Forall):
-            raise BadSubProof(f"substitution destroyed a quantified source {orig!r}")
-        inner = inner.body
-    return t
 
 
 def subst_neq(a: str, x: Type, q: NeqSkeleton) -> NeqSkeleton:
@@ -479,68 +447,70 @@ def _neq_ftv(q: NeqSkeleton) -> frozenset[str]:
 
 def transform_T(q: NeqSkeleton) -> NeqSkeleton:
     """Expose the head constructor matching the result type of an
-    abstraction's skeleton, preserving its judgement; never increases sz."""
+    abstraction's skeleton, preserving its judgement modulo the equational
+    theory; never increases sz. A step whose two ends are equal (an equality
+    proof, an Inst of a dummy binder, any NEnvSub) is dropped. An Inst or a
+    QuantCong is pushed into the NForall block of its body, at the binder
+    whose instantiation gives the proof's end modulo the theory."""
     match q:
         case NVar(_, _) | NAbs(_, _) | NApp(_, _) | NEVar(_, _, _):
             return q
         case NForall(a, body):
             return NForall(a, transform_T(body))
-        case NEnvSub(body, y, proof):
-            t = transform_T(body)
-            match t:
-                case NAbs(x, inner):
-                    return NAbs(x, NEnvSub(inner, y, proof))
-                case NEVar(s, forbidden, inner):
-                    return NEVar(s, forbidden, NEnvSub(inner, y, proof))
-                case NForall(a, inner):
-                    return NForall(a, NEnvSub(inner, y, proof))
-                case _:
-                    return NEnvSub(t, y, proof)
+        case NEnvSub(body, _, _):
+            return transform_T(body)
         case NSub(body, proof):
-            return _transform_sub(body, proof)
+            t = transform_T(body)
+            if not _regular(proof):
+                return t
+            match proof:
+                case Inst(Forall(a, t1), x):
+                    end = _subst_type(a, x, t1)
+                    for b, rest, t_rest in _splits(t):
+                        if type_eq(_subst_type(b, x, t_rest), end):
+                            return transform_T(subst_neq(b, x, rest))
+                case QuantCong(a, inner):
+                    s1, s2, _ = check_subproof(inner)
+                    for b, rest, t_rest in _splits(t):
+                        # b takes a's place; it must not capture a variable of s2
+                        if ((b == a or b not in ftv(s2))
+                                and type_eq(t_rest, _subst_type(a, TVar(b), s1))):
+                            inner_b = subst_proof(a, TVar(b), inner)
+                            return NForall(b, transform_T(NSub(rest, inner_b)))
+            return NSub(t, proof)
     raise TypeError(q)
 
 
-def _transform_sub(body: NeqSkeleton, proof: SubtypeSkeleton) -> NeqSkeleton:
-    t = transform_T(body)
-    match proof:
-        case Inst(Forall(a, _), arg):
-            if isinstance(t, NForall):
-                inner = t.body
-                if t.binder != a:
-                    a = t.binder  # the proof names the same binder up to alpha
-                return transform_T(subst_neq(a, arg, inner))
-            return NSub(t, proof)
-        case EVarCong(_, _, inner_proof):
-            if isinstance(t, NEVar):
-                return NEVar(t.evar, t.forbidden, NSub(t.body, inner_proof))
-            return NSub(t, proof)
-        case QuantComm(_):
-            if isinstance(t, NForall):
-                t1 = transform_T(t.body)
-                if isinstance(t1, NForall):
-                    return NForall(t1.binder, NForall(t.binder, t1.body))
-            return NSub(t, proof)
-        case FunCong(p1, p2):
-            if isinstance(t, NAbs):
-                return NAbs(t.binder, NEnvSub(NSub(t.body, p2), t.binder, p1))
-            return NSub(t, proof)
-        case QuantCong(a, inner_proof):
-            if isinstance(t, NForall):
-                inner = t.body
-                if t.binder != a:
-                    inner = subst_neq(t.binder, TVar(a), inner)
-                return NForall(a, transform_T(NSub(inner, inner_proof)))
-            return NSub(t, proof)
-        case DummyIn(a, _):
-            avoid = _neq_ftv(body)
-            a2 = a if a not in avoid else fresh_name(a, avoid)
-            return NForall(a2, body)
-        case DummyElim(_, _):
-            if isinstance(t, NForall):
-                return transform_T(t.body)
-            return NSub(t, proof)
-    raise TypeError(proof)
+def _regular(p: SubtypeSkeleton) -> bool:
+    """Whether p may relate two types that are not equal: only an Inst of a
+    binder free in its body, under QuantCongs, may."""
+    while isinstance(p, QuantCong):
+        p = p.proof
+    return isinstance(p, Inst) and p.source.binder in ftv(p.source.body)
+
+
+def _splits(t: NeqSkeleton):
+    """For each binder b of t's leading NForall block, outermost first: b,
+    the block without b (so b is free in it) and that block's type."""
+    block = []
+    while isinstance(t, NForall):
+        block.append(t.binder)
+        t = t.body
+    if not block:
+        return
+    t_core = _neq_type(t)
+    for i, b in enumerate(block):
+        rest, t_rest = t, t_core
+        for c in reversed(block[:i] + block[i + 1:]):
+            rest, t_rest = NForall(c, rest), Forall(c, t_rest)
+        yield b, rest, t_rest
+
+
+def _neq_type(n: NeqSkeleton) -> Type:
+    """n's type, read from the judgement of the skeleton n was elaborated
+    from when there is one."""
+    src = _source(n)
+    return check_neq(n)[2] if src is None else src._judgement.rtype
 
 
 # ---------------------------------------------------------------------------
@@ -643,35 +613,12 @@ def to_neq(q: Skeleton) -> NeqSkeleton:
     return _elaborate(q)
 
 
-def _rewrite_env_var(q: Skeleton, y: str, t: Type) -> Skeleton:
-    """Replace y's stored type by t in every environment of q (stopping where
-    y is rebound)."""
-    match q:
-        case QVar(x, env):
-            return QVar(x, TypeEnv(tuple(
-                (z, t if z == y else tz) for z, tz in env.entries)))
-        case QAbs(x, body):
-            if x == y:
-                return q
-            return QAbs(x, _rewrite_env_var(body, y, t))
-        case QApp(f, a):
-            return QApp(_rewrite_env_var(f, y, t), _rewrite_env_var(a, y, t))
-        case QForall(a, body):
-            return QForall(a, _rewrite_env_var(body, y, t))
-        case QEVar(s, forbidden, body):
-            return QEVar(s, forbidden, _rewrite_env_var(body, y, t))
-        case QSub(body, target):
-            return QSub(_rewrite_env_var(body, y, t), target)
-        case QWeak(body, extra):
-            return QWeak(_rewrite_env_var(body, y, t),
-                         TypeEnv(tuple((z, t if z == y else tz) for z, tz in extra.entries)))
-    raise TypeError(q)
-
-
 def from_neq(q: NeqSkeleton) -> Skeleton:
     """Flatten a proof-carrying skeleton back to a constraint-generating one;
-    its constraint is solved by construction. A node that elaboration made
-    from a skeleton it rebuilds exactly gives back that skeleton itself."""
+    its constraint is solved by construction. An NEnvSub is dropped: its
+    proof is an equality, so the environment stays the same modulo the
+    equational theory. A node that elaboration made from a skeleton it
+    rebuilds exactly gives back that skeleton itself."""
     src = _source(q)
     if src is not None:
         return src
@@ -689,9 +636,8 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
         case NSub(body, proof):
             _, t2, _ = check_subproof(proof)
             return QSub(from_neq(body), t2)
-        case NEnvSub(body, y, proof):
-            new, _, _ = check_subproof(proof)
-            return _rewrite_env_var(from_neq(body), y, new)
+        case NEnvSub(body, _, _):
+            return from_neq(body)
     raise TypeError(q)
 
 
@@ -709,10 +655,8 @@ def _term_names(q: NeqSkeleton) -> frozenset[str]:
             return frozenset({x}) | _term_names(body)
         case NApp(f, a):
             return _term_names(f) | _term_names(a)
-        case NForall(_, body) | NEVar(_, _, body) | NSub(body, _):
+        case NForall(_, body) | NEVar(_, _, body) | NSub(body, _) | NEnvSub(body, _, _):
             return _term_names(body)
-        case NEnvSub(body, y, _):
-            return frozenset({y}) | _term_names(body)
     raise TypeError(q)
 
 
@@ -727,8 +671,6 @@ def _rename_term_var(q: NeqSkeleton, old: str, new: str) -> NeqSkeleton:
         case NVar(x, env):
             return NVar(new if x == old else x, ren_env(env))
         case NAbs(x, body):
-            if x == old:
-                return q
             return NAbs(x, _rename_term_var(body, old, new))
         case NApp(f, a):
             return NApp(_rename_term_var(f, old, new), _rename_term_var(a, old, new))
@@ -745,24 +687,21 @@ def _rename_term_var(q: NeqSkeleton, old: str, new: str) -> NeqSkeleton:
 
 
 def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
-    """Pointwise-extend every environment in q by the given entries."""
+    """Pointwise-extend every environment in q by the given entries, whose
+    names subst_redex has renamed away from every name of q."""
     if not extras:
         return q
     match q:
         case NVar(x, env):
-            if any(y in env.supp() for y, _ in extras):
-                raise NotAStep("binder collision while substituting the argument skeleton")
             return NVar(x, TypeEnv(env.entries + tuple(extras)))
         case NAbs(x, body):
-            if any(y == x for y, _ in extras):
-                raise NotAStep("binder collision while substituting the argument skeleton")
             return NAbs(x, _extend_envs(body, extras))
         case NApp(f, a):
             return NApp(_extend_envs(f, extras), _extend_envs(a, extras))
         case NForall(a, body):
             return NForall(a, _extend_envs(body, extras))
         case NEVar(s, forbidden, body):
-            grown = frozenset().union(*[ftv(t) for _, t in extras]) if extras else frozenset()
+            grown = frozenset().union(*[ftv(t) for _, t in extras])
             if not grown <= forbidden:
                 raise NotAStep(
                     f"{s}: forbidden set too small for the substituted environment")
@@ -776,20 +715,14 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
 
 def _env_lookup(q: NeqSkeleton, y: str) -> Type | None:
     """y's type in the environment of a valid q, read down q's leftmost
-    path without typing it."""
+    path without typing it (modulo the equational theory: an NEnvSub on the
+    way is passed)."""
     while True:
         match q:
             case NVar(_, env):
                 return env.lookup(y)
-            case NAbs(x, body):
-                if x == y:
-                    return None
-                q = body
-            case NApp(body, _) | NForall(_, body) | NEVar(_, _, body) | NSub(body, _):
-                q = body
-            case NEnvSub(body, z, proof):
-                if z == y:
-                    return check_subproof(proof)[0]
+            case (NAbs(_, body) | NApp(body, _) | NForall(_, body) | NEVar(_, _, body)
+                  | NSub(body, _) | NEnvSub(body, _, _)):
                 q = body
             case _:
                 raise TypeError(q)
@@ -797,7 +730,8 @@ def _env_lookup(q: NeqSkeleton, y: str) -> Type | None:
 
 def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     """Substitute the argument skeleton for the bound variable x in the
-    abstraction body's skeleton."""
+    abstraction body's skeleton. An NEnvSub is dropped, as from_neq drops
+    it."""
 
     arg_names = _term_names(arg)
 
@@ -808,13 +742,11 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
                     return _extend_envs(arg, extras)
                 return NVar(y, env.remove(x))
             case NAbs(y, body):
-                if y == x:
-                    raise NotAStep("redex variable rebound inside the abstraction body")
-                if y in arg_names or any(z == y for z, _ in extras):
-                    # the crossed binder clashes with the argument skeleton
-                    # (or an outer crossed binder): rename it
-                    y2 = fresh_name(y, arg_names | _term_names(body)
-                                    | {x} | {z for z, _ in extras})
+                if y in arg_names:
+                    # the crossed binder clashes with a name of the argument:
+                    # rename it (x and every binder crossed before are in
+                    # body's environments, so in its names)
+                    y2 = fresh_name(y, arg_names | _term_names(body))
                     body = _rename_term_var(body, y, y2)
                     y = y2
                 ty = _env_lookup(body, y)
@@ -827,39 +759,23 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
                 return NEVar(s, forbidden, go(body, arg, extras))
             case NSub(body, proof):
                 return NSub(go(body, arg, extras), proof)
-            case NEnvSub(body, y, proof):
-                if y == x:
-                    # The redex variable's type is rewritten below: feed the
-                    # argument through the same proof instead.
-                    return go(body, NSub(arg, proof), extras)
-                hit = [i for i, (z, _) in enumerate(extras) if z == y]
-                if hit:
-                    _, old, _ = check_subproof(proof)
-                    extras2 = [(z, old if z == y else t) for z, t in extras]
-                    return NEnvSub(go(body, arg, extras2), y, proof)
-                # y comes from the shared outer environment: align the
-                # argument's stored type for y with the premise's.
-                arg2 = NEnvSub(arg, y, invert_subproof(proof))
-                return NEnvSub(go(body, arg2, extras), y, proof)
+            case NEnvSub(body, _, _):
+                return go(body, arg, extras)
         raise TypeError(q)
 
     return go(body, arg, [])
 
 
 def _expose_abs(n: NeqSkeleton) -> NeqSkeleton:
-    """Transform until the head constructor is an abstraction (the judged
-    term is an abstraction of arrow type)."""
-    for _ in range(10000):
-        n = transform_T(n)
-        if isinstance(n, NAbs):
-            return n
-        _, _, t = check_neq(n)
-        if not isinstance(t, Forall):
-            raise NotAStep("cannot expose the abstraction head")
-        # The literal leading quantifier must be a dummy: the type is equal
-        # to an arrow type, so the binder cannot be free in the body.
-        n = NSub(n, DummyElim(t.binder, t.body))
-    raise NotAStep("abstraction head exposure did not terminate")
+    """The abstraction a function part judging an abstraction transforms
+    to. Its type equals an arrow, so the NForalls T leaves above it are
+    dummies."""
+    n = transform_T(n)
+    while isinstance(n, NForall):
+        n = n.body
+    if not isinstance(n, NAbs):
+        raise TypeError(n)
+    return n
 
 
 def step_neq(n: NeqSkeleton) -> NeqSkeleton:
@@ -879,8 +795,8 @@ def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
             return NEVar(s, forbidden, _step_at(body, m))
         case NSub(body, proof):
             return NSub(_step_at(body, m), proof)
-        case NEnvSub(body, y, proof):
-            return NEnvSub(_step_at(body, m), y, proof)
+        case NEnvSub(body, _, _):
+            return _step_at(body, m)
         case NApp(f, a):
             if isinstance(m.fun, Abs) and is_value(m.arg):
                 exposed = _expose_abs(f)

@@ -207,6 +207,7 @@ def check_system_f(q: Skeleton) -> bool:
                     return None
                 if not all(type_eq(t, enva.lookup(x)) for x, t in envf.entries):
                     return None
+                tf = canonical_type(tf)  # an arrow modulo the equational theory
                 if not isinstance(tf, Arrow) or not type_eq(tf.dom, ta):
                     return None
                 return envf, tf.cod

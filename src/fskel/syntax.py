@@ -687,6 +687,15 @@ def type_eq(t1: Type, t2: Type) -> bool:
     return t1 is t2 or canonical_type(t1) is canonical_type(t2)
 
 
+def as_arrow(t: Type) -> Arrow | None:
+    """The arrow t equals modulo the equational theory (t itself when it is
+    one), or None: how an application rule reads its function part's type."""
+    if isinstance(t, Arrow):
+        return t
+    c = canonical_type(t)
+    return c if isinstance(c, Arrow) else None
+
+
 # ---------------------------------------------------------------------------
 # Canonical constraints
 #

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists, Forall,
     Omega, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, Term,
-    TVar, Type, TypeEnv, Var, env_eq, ftv, fv, type_eq,
+    TVar, Type, TypeEnv, Var, as_arrow, env_eq, ftv, fv, type_eq,
 )
 
 
@@ -60,7 +60,9 @@ class Judgement:
 def check_skeleton(q: Skeleton) -> Judgement:
     """Validate q against the typing rules and return its judgement. A
     node's judgement is kept in the node, so a node that was judged before
-    (a subtree shared with a checked skeleton) costs one lookup."""
+    (a subtree shared with a checked skeleton) costs one lookup. The
+    application rule reads the function part's type modulo the equational
+    theory: any type equal to an arrow will do (syntax.as_arrow)."""
     j = getattr(q, "_judgement", None)
     return _judge(q) if j is None else j
 
@@ -93,11 +95,12 @@ def _judge(q: Skeleton) -> Judgement:
                 j2 = go(a)
                 if not env_eq(j1.env, j2.env):
                     raise EnvMismatch("application premises carry different environments")
-                if not isinstance(j1.rtype, Arrow):
+                arr = as_arrow(j1.rtype)
+                if arr is None:
                     raise NotAnArrow("function part does not have an arrow type")
-                if not type_eq(j1.rtype.dom, j2.rtype):
+                if not type_eq(arr.dom, j2.rtype):
                     raise DomainMismatch("argument type does not match the function domain")
-                j = Judgement(App(j1.term, j2.term), j1.env, j1.rtype.cod,
+                j = Judgement(App(j1.term, j2.term), j1.env, arr.cod,
                               And(j1.constraint, j2.constraint))
             case QForall(a, body):
                 jb = go(body)

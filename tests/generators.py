@@ -10,14 +10,14 @@ import random
 
 from fskel.initial import initial_skeleton
 from fskel.reduction import (
-    DummyElim, DummyIn, EVarCong, FunCong, Inst, NEVar, NEnvSub, NForall,
-    NSub, NeqSkeleton, QuantComm, QuantCong, check_neq,
+    DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp, NEVar, NEnvSub,
+    NForall, NSub, NVar, NeqSkeleton, QuantComm, QuantCong, check_neq,
 )
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists,
     Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs, QApp, QEVar,
     QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar, Term, Type,
-    TypeEnv, Var, fresh_name, ftv,
+    TypeEnv, Var, canonical_type, fresh_name, ftv,
 )
 from fskel.typecheck import check_skeleton
 
@@ -216,3 +216,60 @@ def _all_type_names(env, t) -> frozenset[str]:
             case _:
                 return set()
     return out | frozenset(walk(t))
+
+
+def decorate_neq_inside(rng: random.Random, n: NeqSkeleton, p: float) -> NeqSkeleton:
+    """Walk n bottom-up and wrap each node, with probability p, in one
+    random_neq_decoration. The result may be invalid (an Inst changes the
+    type of the node it wraps); check_neq raises NeqError on a node it
+    cannot decorate."""
+    match n:
+        case NVar(_, _):
+            pass
+        case NAbs(x, body):
+            n = NAbs(x, decorate_neq_inside(rng, body, p))
+        case NApp(f, a):
+            n = NApp(decorate_neq_inside(rng, f, p), decorate_neq_inside(rng, a, p))
+        case NForall(a, body):
+            n = NForall(a, decorate_neq_inside(rng, body, p))
+        case NEVar(s, forbidden, body):
+            n = NEVar(s, forbidden, decorate_neq_inside(rng, body, p))
+        case NSub(body, proof):
+            n = NSub(decorate_neq_inside(rng, body, p), proof)
+        case NEnvSub(body, y, proof):
+            n = NEnvSub(decorate_neq_inside(rng, body, p), y, proof)
+        case _:
+            raise TypeError(n)
+    return random_neq_decoration(rng, n) if rng.random() < p else n
+
+
+def decorate_dummies_inside(rng: random.Random, q: Skeleton, p: float) -> Skeleton:
+    """Walk q bottom-up and wrap each node, with probability p, in a
+    quantifier over a fresh dummy, and then, with probability p, in a step
+    to a type equal to its own: all fresh. t or canonical_type(t). Raises
+    SkeletonError where a node cannot be typed."""
+    match q:
+        case QVar(_, _):
+            pass
+        case QAbs(x, body):
+            q = QAbs(x, decorate_dummies_inside(rng, body, p))
+        case QApp(f, a):
+            q = QApp(decorate_dummies_inside(rng, f, p), decorate_dummies_inside(rng, a, p))
+        case QForall(a, body):
+            q = QForall(a, decorate_dummies_inside(rng, body, p))
+        case QEVar(s, forbidden, body):
+            q = QEVar(s, forbidden, decorate_dummies_inside(rng, body, p))
+        case QSub(body, target):
+            q = QSub(decorate_dummies_inside(rng, body, p), target)
+        case QWeak(body, extra):
+            q = QWeak(decorate_dummies_inside(rng, body, p), extra)
+        case _:
+            raise TypeError(q)
+    if rng.random() < p:
+        j = check_skeleton(q)
+        q = QForall(fresh_name("d", ftv(j.env) | ftv(j.rtype)), q)
+    if rng.random() < p:
+        t = check_skeleton(q).rtype
+        q = QSub(q, Forall(fresh_name("d", ftv(t)), t) if rng.random() < 0.5
+                 else canonical_type(t))
+    return q

@@ -15,13 +15,14 @@ from fskel import (
 )
 from fskel.expansion import judgements_agree, property_expansion_sound, property_subst_sound
 from generators import (
-    random_expansion, random_neq_decoration, random_subst_for, random_term,
-    random_type, random_valid_skeleton,
+    decorate_dummies_inside, decorate_neq_inside, random_expansion,
+    random_neq_decoration, random_subst_for, random_term, random_type,
+    random_valid_skeleton,
 )
 from fskel.initial import derive_substitution, reflexive, rename_equiv
 from fskel.reduction import (
-    NAbs, NestedWeakening, NotAStep, NotSolved, check_neq, sz, to_neq,
-    transform_T,
+    NAbs, NeqError, NestedWeakening, NotAStep, NotSolved, check_neq, from_neq,
+    step_neq, subst_neq, sz, to_neq, transform_T,
 )
 from fskel.solve import RELATIONS, leq_f
 from fskel.surface import (
@@ -374,6 +375,16 @@ def _reduction_cases():
         chain = f"({f}) @ ({chain})"
     cases.append(parse_skeleton(
         f"((\\f. \\x. {chain}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)"))
+    # a step that eliminates the inner binder b of all a. all b. ..., and a
+    # step to a type with no quantifier
+    env = "f: a -> b, x: a, k: c"
+    cases.append(parse_skeleton(
+        f"((((all a. all b. (\\f. \\x. (f<{env}> @ x<{env}>))) "
+        "|> all a. (a -> c) -> a -> c) |> (d -> c) -> d -> c) @ (\\h. k<h: d, k: c>))"))
+    # an argument at a type only equal to the domain, which becomes a
+    # function part of type all d. c -> c
+    cases.append(parse_skeleton(
+        "(\\x. (x<x: c -> c, y: c> @ y<x: c -> c, y: c>)) @ (all d. (\\z. z<z: c, y: c>))"))
     return cases
 
 
@@ -398,6 +409,90 @@ def test_subject_reduction():
         else:
             pytest.fail("reduction did not terminate")
     assert total_steps >= 50
+
+
+def _decorated_neq_starts(rng, count):
+    """count valid proof-carrying skeletons: the forms of test 10's cases,
+    each node wrapped with probability 0.3 in one random decoration."""
+    cases = [to_neq(q) for q in _reduction_cases()]
+    made = 0
+    while made < count:
+        try:
+            n = decorate_neq_inside(rng, rng.choice(cases), 0.3)
+            check_neq(n)
+        except NeqError:
+            continue
+        made += 1
+        yield n
+
+
+def test_subject_reduction_on_decorated_proof_skeletons():
+    # every kind of decoration, at every depth: each step keeps the
+    # environment and the type modulo the equational theory
+    steps = 0
+    for n in _decorated_neq_starts(random.Random(1013), 10_000):
+        _, env, t = check_neq(n)
+        for _ in range(30):
+            if cbv_step(check_neq(n)[0]) is None:
+                break
+            n = step_neq(n)
+            _, env2, t2 = check_neq(n)
+            assert env_eq(env2, env) and type_eq(t2, t)
+            steps += 1
+        else:
+            pytest.fail("reduction did not terminate")
+    assert steps >= 10_000
+
+
+def test_flattened_proof_skeletons_agree_with_check_neq():
+    for n in _decorated_neq_starts(random.Random(1013), 2_000):
+        m, env, t = check_neq(n)
+        j = check_skeleton(from_neq(n))
+        assert j.term == m and env_eq(j.env, env) and type_eq(j.rtype, t)
+        assert solved(j.constraint, REL_F)
+
+
+def test_type_substitution_into_proof_skeletons():
+    # subst_neq(a, x, n) judges n's environment and type under [a := x]; x
+    # names the binders the decorations make, so some of them are renamed
+    rng = random.Random(1015)
+    for n in _decorated_neq_starts(rng, 2_000):
+        _, env, t = check_neq(n)
+        a = rng.choice(sorted(ftv(env) | ftv(t)) or ["c0"])
+        x = random_type(rng, ["g", "d", "d_0", "c0", a], 2)
+        _, env2, t2 = check_neq(subst_neq(a, x, n))
+        phi = Subst(((a, x),))
+        assert env_eq(env2, apply_subst(phi, env)) and type_eq(t2, apply_subst(phi, t))
+
+
+def test_subject_reduction_through_dummy_quantifiers_and_equal_steps():
+    # dummy quantifiers and steps between equal types at every depth, so
+    # function parts have types only equal to arrows
+    rng = random.Random(1014)
+    cases = _reduction_cases()
+    starts = 0
+    while starts < 2_000:
+        try:
+            q = decorate_dummies_inside(rng, rng.choice(cases), 0.15)
+            j0 = check_skeleton(q)
+        except SkeletonError:
+            continue
+        if not solved(j0.constraint, REL_F):
+            continue
+        starts += 1
+        assert check_system_f(erase_evars(q))
+        j = j0
+        for _ in range(60):
+            m2 = cbv_step(j.term)
+            if m2 is None:
+                break
+            q = preserve(q, m2)
+            j = check_skeleton(q)
+            assert env_eq(j.env, j0.env) and type_eq(j.rtype, j0.rtype)
+            assert solved(j.constraint, REL_F)
+            assert check_system_f(erase_evars(q))
+        else:
+            pytest.fail("reduction did not terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,27 @@ def test_reduce_under_nested_weakening(write, capsys):
     assert err == "error: cannot reduce under a weakening below the root\n"
 
 
+@pytest.mark.parametrize("q", [
+    # a step that eliminates the inner binder of a two-binder block
+    "((((all a. all b. (\\f. \\x. (f<f: a -> b, x: a, k: c> @ x<f: a -> b, x: a, k: c>))) "
+    "|> all a. (a -> c) -> a -> c) |> (d -> c) -> d -> c) @ (\\h. k<h: d, k: c>))",
+    # the first step makes a function part of type all d. c -> c
+    "(\\x. (x<x: c -> c, y: c> @ y<x: c -> c, y: c>)) @ (all d. (\\z. z<z: c, y: c>))",
+], ids=["inner-binder", "dummy-function-part"])
+def test_reduce_reads_types_modulo_equality(write, capsys, q):
+    code, out, err = run(capsys, ["reduce", write(q)])
+    assert code == EXIT_OK and err == ""
+    assert out.endswith("normal form reached\n") and "step 1: " in out
+    lines = out.splitlines()
+    for key in ("env: ", "rtype: "):
+        assert len({line for line in lines if line.startswith(key)}) == 1
+
+
+def test_check_function_part_equal_to_an_arrow(write, capsys):
+    code, out, _ = run(capsys, ["check", write("(all d. \\z. z<z: c, y: c>) @ y<y: c>")])
+    assert code == EXIT_OK and "rtype: c\n" in out
+
+
 def test_reduce_step_limit(write, capsys):
     q = "(\\x. y<x: a -> a, y: b>) @ (\\z. z<y: b, z: a>)"
     code, out, _ = run(capsys, ["reduce", write(q), "--steps", "0"])

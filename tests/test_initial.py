@@ -7,6 +7,7 @@ import pytest
 
 from fskel.expansion import apply_subst, judgements_agree
 from generators import random_subst_for, random_term, random_valid_skeleton
+from fskel.solve import RELATIONS, solved
 from fskel.initial import (
     TermMismatch, allvar, derive_substitution, initial_skeleton, reflexive,
     rename_equiv, uniquify,
@@ -136,6 +137,18 @@ def test_derive_substitution_weakened_target():
     if gamma.entries:
         q1 = QWeak(q1, gamma)
     assert judgements_agree(check_skeleton(q1), check_skeleton(qt))
+
+
+def test_derive_substitution_target_function_part_equal_to_an_arrow():
+    qt = parse_skeleton("(all d. \\z. z<z: c, y: c>) @ y<y: c>")
+    q, _, _ = initial_skeleton(check_skeleton(qt).term, FreshSupply())
+    sigma, gamma = derive_substitution(q, qt)
+    assert not gamma.entries
+    # the initial skeleton's step to an arrow stays, as the atom
+    # all d. c -> c <= c -> c
+    j, jt = check_skeleton(apply_subst(sigma, q)), check_skeleton(qt)
+    assert term_alpha_eq(j.term, jt.term) and env_eq(j.env, jt.env)
+    assert type_eq(j.rtype, jt.rtype) and solved(j.constraint, RELATIONS["EQ"])
 
 
 def test_derive_substitution_rejects_other_terms():

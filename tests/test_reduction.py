@@ -10,13 +10,13 @@ from fskel.expansion import judgements_agree
 from generators import random_neq_decoration
 from helpers import count_calls, id_chain, poly_chain
 from fskel.reduction import (
-    BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NotAStep,
-    NotSolved, NSub, QuantComm, QuantCong, cbv_step, check_neq,
-    check_subproof, from_neq, invert_subproof, is_value, preserve, step_neq,
-    subst_term, sz, to_neq, transform_T,
+    BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
+    NEnvSub, NEVar, NForall, NeqError, NotAStep, NotSolved, NSub, NVar,
+    QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
+    is_value, preserve, step_neq, subst_term, sz, to_neq, transform_T,
 )
 from fskel.surface import parse_skeleton, parse_term, parse_type, print_term
-from fskel.syntax import Abs, App, Var, env_eq, type_eq
+from fskel.syntax import Abs, App, Arrow, Forall, TypeEnv, Var, env_eq, type_eq
 from fskel.typecheck import check_skeleton
 
 
@@ -34,6 +34,8 @@ def test_subst_term_capture_avoiding():
     # the binder must be renamed away from the free y being substituted
     assert isinstance(got, Abs) and got.binder != "y"
     assert got.body == App(Var("y"), Var(got.binder))
+    rebound = parse_term("\\x. x")
+    assert subst_term("x", parse_term("y"), rebound) is rebound
 
 
 def test_cbv_leftmost_then_argument():
@@ -104,13 +106,16 @@ def test_fun_cong_requires_equality_premises():
         check_subproof(FunCong(Inst(T("all a. a"), T("b")), DummyIn("c", T("b"))))
 
 
-def test_invert_equality_proofs():
-    p = DummyIn("c", T("a"))
-    lhs, rhs, _ = check_subproof(p)
-    lhs2, rhs2, _ = check_subproof(invert_subproof(p))
-    assert type_eq(lhs, rhs2) and type_eq(rhs, lhs2)
+@pytest.mark.parametrize("p", [
+    DummyIn("a", T("a")),
+    DummyElim("a", T("a")),
+    EVarCong("s", frozenset(), Inst(T("all a. a"), T("b"))),
+    Inst(T("a"), T("b")),
+    QuantComm(T("all a. a")),
+])
+def test_malformed_proofs_are_rejected(p):
     with pytest.raises(BadSubProof):
-        invert_subproof(Inst(T("all a. a"), T("b")))
+        check_subproof(p)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,100 @@ def test_step_neq_beta():
     m, env, t = check_neq(n2)
     assert m == Var("y")
     assert type_eq(t, T("b"))
+    with pytest.raises(NotAStep):
+        step_neq(n2)
+
+
+def _env(**types):
+    return TypeEnv(tuple((x, T(t)) for x, t in types.items()))
+
+
+def test_step_exposes_an_abstraction_under_a_dummy_elimination():
+    # the function part's proof starts at all d. (c0 -> c0) -> c0 -> c0,
+    # which equals the abstraction's type
+    c = T("c0 -> c0")
+    n = NApp(NSub(NAbs("z", NVar("z", _env(z="c0 -> c0"))), DummyElim("d", Arrow(c, c))),
+             NAbs("z0", NVar("z0", _env(z0="c0"))))
+    _, env, t = check_neq(n)
+    assert type_eq(t, c)
+    m2, env2, t2 = check_neq(step_neq(n))
+    assert print_term(m2) == "\\z0. z0" and env_eq(env2, env) and type_eq(t2, t)
+
+
+def test_transform_instantiates_the_binder_under_a_dummy():
+    # the Inst's binder is the real all a, not the dummy all d above it
+    tau = T("all a. a -> a")
+    n = NSub(NSub(NForall("a", NAbs("y", NVar("y", _env(y="a")))), DummyElim("d", tau)),
+             Inst(T("all b0. b0 -> b0"), tau))
+    _, env, t = check_neq(n)
+    n2 = transform_T(n)
+    _, env2, t2 = check_neq(n2)
+    assert isinstance(n2, NAbs) and env_eq(env2, env) and type_eq(t2, t)
+
+
+def test_transform_instantiates_the_binder_the_proof_names():
+    # all a. all b. (a -> b) -> a -> b, with b eliminated: the Inst names the
+    # binders of the canonical block, with b0 standing for b
+    env = "f: a -> b, x: a"
+    q = parse_skeleton(f"all a. all b. \\f. \\x. f<{env}> @ x<{env}>")
+    n = NSub(to_neq(q), Inst(T("all b1. all b0. (b0 -> b1) -> b0 -> b1"), T("c")))
+    _, env0, t = check_neq(n)
+    n2 = transform_T(n)
+    _, env2, t2 = check_neq(n2)
+    assert isinstance(n2, NForall) and n2.binder == "a" and isinstance(n2.body, NAbs)
+    assert env_eq(env2, env0) and type_eq(t2, T("all a. (a -> c) -> a -> c"))
+
+
+def test_transform_pushes_a_quantifier_congruence_into_the_block():
+    # all a. all b. ... <= all b. ((all a. a -> a) -> b) -> ..., by
+    # instantiating a under the quantifier b
+    env = "f: a -> b, x: a"
+    q = parse_skeleton(f"all a. all b. \\f. \\x. f<{env}> @ x<{env}>")
+    proof = QuantCong("b", Inst(T("all a. (a -> b) -> a -> b"), T("all a. a -> a")))
+    n = NSub(NSub(to_neq(q), QuantComm(T("all a. all b. (a -> b) -> a -> b"))), proof)
+    _, env0, t = check_neq(n)
+    n2 = transform_T(n)
+    _, env2, t2 = check_neq(n2)
+    assert isinstance(n2, NForall) and isinstance(n2.body, NAbs)
+    assert env_eq(env2, env0) and type_eq(t2, t)
+
+
+def test_transform_drops_every_equality_step():
+    n = to_neq(_example()).fun
+    _, env, t = check_neq(n)
+    steps = [DummyIn("d", t), FunCong(DummyElim("d", t.dom), DummyIn("d", t.cod))]
+    for p in steps:
+        assert transform_T(NSub(n, p)) is n
+    assert transform_T(NEnvSub(n.body, "x", DummyElim("d", T("a -> a")))) is n.body
+    assert transform_T(NSub(n, Inst(Forall("e", t), T("c")))) is n  # dummy binder
+
+
+def test_transform_keeps_a_step_with_no_quantifier_to_take():
+    # the variable's own type is quantified: there is no NForall to push into
+    tau = T("all a. a -> a")
+    n = NSub(NVar("f", TypeEnv((("f", tau),))), Inst(tau, T("c")))
+    assert transform_T(n) == n
+
+
+@pytest.mark.parametrize("n, message", [
+    (NVar("x", TypeEnv((("x", T("a")), ("x", T("b"))))), "mentions a variable twice"),
+    (NVar("x", _env(y="a")), "x not in its environment"),
+    (NAbs("z", NVar("x", _env(x="a"))), "binder z not in the body environment"),
+    (NApp(NVar("f", _env(f="a -> a")), NVar("x", _env(x="a"))), "different environments"),
+    (NApp(NVar("x", _env(x="a")), NVar("x", _env(x="a"))), "not have an arrow type"),
+    (NApp(NVar("f", _env(f="a -> a", x="b")), NVar("x", _env(f="a -> a", x="b"))),
+     "does not match the function domain"),
+    (NForall("a", NVar("x", _env(x="a"))), "a is free in the environment"),
+    (NEVar("s", frozenset(), NVar("x", _env(x="a"))), "forbidden set too small"),
+    (NSub(NVar("x", _env(x="a")), Inst(T("all b. b"), T("a"))), "does not start at"),
+    (NEnvSub(NVar("x", _env(x="a")), "y", DummyIn("d", T("a"))), "absent variable y"),
+    (NEnvSub(NVar("x", _env(x="all b. b")), "x", Inst(T("all b. b"), T("a"))),
+     "must be an equality"),
+    (NEnvSub(NVar("x", _env(x="a")), "x", DummyIn("d", T("b"))), "does not end at"),
+])
+def test_check_neq_rejects(n, message):
+    with pytest.raises(NeqError, match=message):
+        check_neq(n)
 
 
 def test_preserve_rejects_wrong_reduct():
@@ -191,6 +290,16 @@ def test_binder_collision_renamed_during_substitution():
     m2 = cbv_step(j.term)
     q2 = preserve(q, m2)
     j2 = check_skeleton(q2)
+    assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+
+
+def test_argument_under_an_evar_is_moved_below_a_binder():
+    # the argument's E-variable forbids b, the type of the crossed binder y
+    q = parse_skeleton(
+        "(\\x. \\y. x<x: s^{b} (a -> a), y: b>) @ (s^{b} (\\z. z<z: a>))")
+    j = check_skeleton(q)
+    j2 = check_skeleton(preserve(q, cbv_step(j.term)))
+    assert print_term(j2.term) == "\\y. \\z. z"
     assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
 
 

@@ -4,6 +4,8 @@ import copy
 import random
 from collections import Counter
 
+import pytest
+
 from generators import random_type
 from fskel.solve import (
     RELATIONS, SubtypingRelation, check_system_f, erase_evars, leq_eq, leq_f,
@@ -167,6 +169,33 @@ def test_check_system_f_accepts_valid():
     assert check_system_f(parse_skeleton("x<x: all a. a> |> b -> b"))
     assert check_system_f(parse_skeleton(
         "(\\x. x<x: a, y: a>) @ y<y: a>"))
+
+
+def test_check_system_f_reads_the_function_type_modulo_equality():
+    assert check_system_f(parse_skeleton("(all d. \\z. z<z: c, y: c>) @ y<y: c>"))
+    assert check_system_f(parse_skeleton("(x<x: c -> c, y: c> |> all d. c -> c) @ y<x: c -> c, y: c>"))
+
+
+@pytest.mark.parametrize("text", [
+    "x<x: a, x: b>",                                # malformed environment
+    "x<y: a>",                                      # unbound variable
+    "\\z. x<y: a>",                               # below an abstraction
+    "\\z. x<x: a>",                               # binder not in the environment
+    "x<y: a> @ x<x: a>",                            # below an application
+    "(\\z. z<z: a>) @ y<y: a>",                    # environments of other supports
+    "f<f: a -> a, x: b> @ x<f: a -> a, x: c>",      # environments of other types
+    "x<x: a> @ x<x: a>",                            # function part not an arrow
+    "f<f: a -> a, x: b> @ x<f: a -> a, x: b>",      # domain mismatch
+    "all b. x<y: a>",                               # below a quantifier
+    "all a. x<x: a>",                               # quantified variable escapes
+    "x<y: a> |> a",                                 # below a subtyping step
+    "x<x: a> |> b",                                 # not one elimination
+    "x<y: a> + {z: b}",                             # below a weakening
+    "x<x: a> + {x: b}",                             # weakening re-binds
+    "s^{a} x<x: a>",                                # an E-variable node
+])
+def test_check_system_f_rejects(text):
+    assert not check_system_f(parse_skeleton(text))
 
 
 def test_check_system_f_rejects_invalid():
