@@ -19,7 +19,7 @@ from .surface import (
     print_expansion, print_skeleton, print_subst, print_term, print_type,
     print_type_env,
 )
-from .typecheck import Judgement, SkeletonError, check_skeleton, judgements, relevant
+from .typecheck import Judgement, SkeletonError, check_skeleton, relevant
 from .expansion import (
     apply_exp_cons, apply_exp_skel, apply_exp_type, apply_subst,
     property_expansion_sound, property_subst_sound,

@@ -11,8 +11,8 @@ from .reduction import NestedWeakening, NotAStep, NotSolved, cbv_step, preserve
 from .solve import RELATIONS, check_system_f, erase_evars, solved
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,
-    parse_subst, parse_term, print_constraint, print_skeleton, print_term,
-    print_type, print_type_env,
+    parse_subst, parse_term, parse_var_list, print_constraint, print_skeleton,
+    print_term, print_type, print_type_env,
 )
 from .syntax import (
     FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton,
@@ -80,7 +80,7 @@ def cmd_subst(args) -> int:
 def cmd_expand(args) -> int:
     q = parse_skeleton(_read(args.file))
     i = parse_expansion(args.expansion)
-    forbidden = frozenset(v for v in args.forbidden.split(",") if v)
+    forbidden = parse_var_list(args.forbidden)
     check_skeleton(q)
     q2 = apply_exp_skel(i, forbidden, q)
     print(f"skeleton: {print_skeleton(q2)}")
@@ -114,8 +114,8 @@ def cmd_reduce(args) -> int:
         if nxt is None:
             print("normal form reached")
             return EXIT_OK
-        # preserve reuses the judgements just made; checking its result
-        # types only the nodes the step rebuilt
+        # preserve reuses the judgements just made and judges only the
+        # nodes the step rebuilt, so checking its result reads them
         q = preserve(q, nxt)
         step += 1
 
@@ -190,51 +190,44 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="System Fs skeleton toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, fn, help, fmt=False, rel=False):
+        """A subcommand reading FILE, with --format and --rel where it
+        reads them."""
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("file", help="input file, or - for stdin")
-        sp.add_argument("--format", choices=["canonical", "raw"],
-                        default="canonical")
-        sp.add_argument("--rel", choices=sorted(RELATIONS), default="F")
+        if fmt:
+            sp.add_argument("--format", choices=["canonical", "raw"],
+                            default="canonical")
+        if rel:
+            sp.add_argument("--rel", choices=sorted(RELATIONS), default="F")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("check", help="validate a skeleton and print its judgement")
-    common(sp)
+    sp = command("check", cmd_check, "validate a skeleton and print its judgement",
+                 fmt=True, rel=True)
     sp.add_argument("--solved", action="store_true",
                     help="also decide solvedness of the constraint")
-    sp.set_defaults(fn=cmd_check)
 
-    sp = sub.add_parser("initial", help="build the initial skeleton of a term")
-    common(sp)
-    sp.set_defaults(fn=cmd_initial)
+    command("initial", cmd_initial, "build the initial skeleton of a term", fmt=True)
 
-    sp = sub.add_parser("subst", help="apply a substitution to a skeleton")
-    common(sp)
+    sp = command("subst", cmd_subst, "apply a substitution to a skeleton", fmt=True)
     sp.add_argument("subst", help="substitution text, e.g. '[a := b -> b]'")
-    sp.set_defaults(fn=cmd_subst)
 
-    sp = sub.add_parser("expand", help="apply an expansion to a skeleton")
-    common(sp)
+    sp = command("expand", cmd_expand, "apply an expansion to a skeleton", fmt=True)
     sp.add_argument("expansion", help="expansion text, e.g. 'all b. id'")
     sp.add_argument("--forbidden", default="",
                     help="comma-separated forbidden type variables")
-    sp.set_defaults(fn=cmd_expand)
 
-    sp = sub.add_parser("solve", help="decide solvedness of a constraint")
-    common(sp)
-    sp.set_defaults(fn=cmd_solve)
+    command("solve", cmd_solve, "decide solvedness of a constraint", rel=True)
 
-    sp = sub.add_parser("reduce", help="reduce a skeleton's term, preserving typing")
-    common(sp)
+    sp = command("reduce", cmd_reduce, "reduce a skeleton's term, preserving typing",
+                 fmt=True, rel=True)
     sp.add_argument("--steps", type=int, default=None)
-    sp.set_defaults(fn=cmd_reduce)
 
-    sp = sub.add_parser("erase-f", help="erase E-variables and check plain System F")
-    common(sp)
-    sp.set_defaults(fn=cmd_erase_f)
+    command("erase-f", cmd_erase_f, "erase E-variables and check plain System F")
 
-    sp = sub.add_parser("tree", help="print the derivation tree")
-    common(sp)
+    sp = command("tree", cmd_tree, "print the derivation tree")
     sp.add_argument("--dot", action="store_true", help="emit DOT instead of text")
-    sp.set_defaults(fn=cmd_tree)
 
     return p
 

@@ -78,9 +78,9 @@ def apply_subst_set(phi: Subst, vs: frozenset[str]) -> frozenset[str]:
     return out
 
 
-def _rename_binder(phi: Subst, binder: str, body, avoid: frozenset[str]):
+def _rename_binder(phi: Subst, binder: str, body):
     """Fresh binder for a Forall/Exists/QForall under phi, renamed body."""
-    fresh = fresh_name(binder, ftv(phi) | ftv(body) | avoid | {binder})
+    fresh = fresh_name(binder, ftv(phi) | ftv(body) | {binder})
     return fresh, apply_subst(Subst(((binder, TVar(fresh)),)), body)
 
 
@@ -94,7 +94,7 @@ def apply_subst(phi: Subst, subject):
             return Arrow(apply_subst(phi, d), apply_subst(phi, c))
         case Forall(a, body):
             if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body, frozenset())
+                a, body = _rename_binder(phi, a, body)
             return Forall(a, apply_subst(phi, body))
         case EVarApp(s, forbidden, body):
             return apply_exp_type(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
@@ -109,7 +109,7 @@ def apply_subst(phi: Subst, subject):
             return QApp(apply_subst(phi, f), apply_subst(phi, a))
         case QForall(a, body):
             if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body, frozenset())
+                a, body = _rename_binder(phi, a, body)
             return QForall(a, apply_subst(phi, body))
         case QEVar(s, forbidden, body):
             return apply_exp_skel(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
@@ -134,7 +134,7 @@ def apply_subst(phi: Subst, subject):
             return And(apply_subst(phi, c1), apply_subst(phi, c2))
         case Exists(a, body):
             if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body, frozenset())
+                a, body = _rename_binder(phi, a, body)
             return Exists(a, apply_subst(phi, body))
         case EGuard(s, forbidden, witness, body):
             return apply_exp_cons(phi.lookup_evar(s), apply_subst_set(phi, forbidden),

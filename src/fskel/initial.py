@@ -320,9 +320,9 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
                     arr = rn(check_skeleton(fun_t).rtype)
                 exp = walk(fun_i, fun_t, names, phi)
                 bindings.append((fun_i.evar, exp))
+                # check_skeleton(q_target) read this type as an arrow modulo
+                # the theory, and renaming type variables keeps it one
                 arr = as_arrow(arr)
-                if arr is None:
-                    raise TermMismatch("target application function is not of arrow type")
                 exp = walk(arg_i, arg_t, names, phi)
                 bindings.extend(((arg_i.evar, exp), (a_new, arr.cod)))
             case _:

@@ -15,11 +15,11 @@ from functools import cache
 
 from .syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
-    QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow,
-    canonical_type, env_eq, fresh_name, ftv, fv, term_alpha_eq, type_eq,
+    QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow, env_eq,
+    fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
 from .expansion import apply_subst
-from .solve import _witness
+from .solve import leq_f_witness
 from .typecheck import check_skeleton
 
 
@@ -519,13 +519,10 @@ def _neq_type(n: NeqSkeleton) -> Type:
 
 def _sub_proof(t: Type, target: Type) -> Inst | None:
     """The Inst proof of t <= target, None when the two are equal, NotSolved
-    when leq_f rejects the pair; canonicalizes each side once."""
-    if t == target:
+    when leq_f rejects the pair."""
+    if type_eq(t, target):
         return None
-    c, c_target = canonical_type(t), canonical_type(target)
-    if c == c_target:
-        return None
-    w = _witness(t, target, c, c_target)
+    w = leq_f_witness(t, target)
     if w is None:
         raise NotSolved("constraint does not hold under quantifier elimination")
     a, rest, x = w
@@ -660,32 +657,6 @@ def _term_names(q: NeqSkeleton) -> frozenset[str]:
     raise TypeError(q)
 
 
-def _rename_term_var(q: NeqSkeleton, old: str, new: str) -> NeqSkeleton:
-    """Rename free occurrences of the term variable old to new, in leaf
-    names, environments, and environment-rewrite nodes."""
-
-    def ren_env(env: TypeEnv) -> TypeEnv:
-        return TypeEnv(tuple((new if x == old else x, t) for x, t in env.entries))
-
-    match q:
-        case NVar(x, env):
-            return NVar(new if x == old else x, ren_env(env))
-        case NAbs(x, body):
-            return NAbs(x, _rename_term_var(body, old, new))
-        case NApp(f, a):
-            return NApp(_rename_term_var(f, old, new), _rename_term_var(a, old, new))
-        case NForall(a, body):
-            return NForall(a, _rename_term_var(body, old, new))
-        case NEVar(s, forbidden, body):
-            return NEVar(s, forbidden, _rename_term_var(body, old, new))
-        case NSub(body, proof):
-            return NSub(_rename_term_var(body, old, new), proof)
-        case NEnvSub(body, y, proof):
-            return NEnvSub(_rename_term_var(body, old, new),
-                           new if y == old else y, proof)
-    raise TypeError(q)
-
-
 def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
     """Pointwise-extend every environment in q by the given entries, whose
     names subst_redex has renamed away from every name of q."""
@@ -713,57 +684,44 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
     raise TypeError(q)
 
 
-def _env_lookup(q: NeqSkeleton, y: str) -> Type | None:
-    """y's type in the environment of a valid q, read down q's leftmost
-    path without typing it (modulo the equational theory: an NEnvSub on the
-    way is passed)."""
-    while True:
-        match q:
-            case NVar(_, env):
-                return env.lookup(y)
-            case (NAbs(_, body) | NApp(body, _) | NForall(_, body) | NEVar(_, _, body)
-                  | NSub(body, _) | NEnvSub(body, _, _)):
-                q = body
-            case _:
-                raise TypeError(q)
-
-
 def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     """Substitute the argument skeleton for the bound variable x in the
-    abstraction body's skeleton. An NEnvSub is dropped, as from_neq drops
-    it."""
+    abstraction body's skeleton. At each occurrence of x, the argument's
+    environments are extended with the binders crossed above it, typed as in
+    that occurrence's own environment. A crossed binder that clashes with a
+    name of the argument is renamed on the way down, away from every name
+    below it and every name given before. An NEnvSub is dropped, as from_neq
+    drops it."""
 
     arg_names = _term_names(arg)
 
-    def go(q: NeqSkeleton, arg: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
+    def go(q: NeqSkeleton, crossed: tuple[str, ...], ren: dict[str, str]) -> NeqSkeleton:
         match q:
             case NVar(y, env):
                 if y == x:
-                    return _extend_envs(arg, extras)
-                return NVar(y, env.remove(x))
+                    return _extend_envs(arg, [(ren.get(c, c), env.lookup(c)) for c in crossed])
+                return NVar(ren.get(y, y), TypeEnv(tuple(
+                    (ren.get(z, z), t) for z, t in env.entries if z != x)))
             case NAbs(y, body):
                 if y in arg_names:
-                    # the crossed binder clashes with a name of the argument:
-                    # rename it (x and every binder crossed before are in
-                    # body's environments, so in its names)
-                    y2 = fresh_name(y, arg_names | _term_names(body))
-                    body = _rename_term_var(body, y, y2)
-                    y = y2
-                ty = _env_lookup(body, y)
-                return NAbs(y, go(body, arg, extras + [(y, ty)]))
+                    # body's environments hold x and every binder crossed
+                    # before, under its old name; the new names are added
+                    ren = {**ren, y: fresh_name(
+                        y, arg_names | _term_names(body) | set(ren.values()))}
+                return NAbs(ren.get(y, y), go(body, crossed + (y,), ren))
             case NApp(f, a):
-                return NApp(go(f, arg, extras), go(a, arg, extras))
+                return NApp(go(f, crossed, ren), go(a, crossed, ren))
             case NForall(a, body):
-                return NForall(a, go(body, arg, extras))
+                return NForall(a, go(body, crossed, ren))
             case NEVar(s, forbidden, body):
-                return NEVar(s, forbidden, go(body, arg, extras))
+                return NEVar(s, forbidden, go(body, crossed, ren))
             case NSub(body, proof):
-                return NSub(go(body, arg, extras), proof)
+                return NSub(go(body, crossed, ren), proof)
             case NEnvSub(body, _, _):
-                return go(body, arg, extras)
+                return go(body, crossed, ren)
         raise TypeError(q)
 
-    return go(body, arg, [])
+    return go(body, (), {})
 
 
 def _expose_abs(n: NeqSkeleton) -> NeqSkeleton:
@@ -780,33 +738,40 @@ def _expose_abs(n: NeqSkeleton) -> NeqSkeleton:
 
 def step_neq(n: NeqSkeleton) -> NeqSkeleton:
     """One call-by-value step on the proof-carrying skeleton's term."""
-    m, _, _ = check_neq(n)
-    if cbv_step(m) is None:
-        raise NotAStep("the skeleton's term is not reducible")
-    return _step_at(n, m)
+    check_neq(n)
+    return _step_at(n)
 
 
-def _step_at(n: NeqSkeleton, m: Term) -> NeqSkeleton:
-    """Step n, whose judged term m is reducible, at m's call-by-value redex."""
+def _core(n: NeqSkeleton) -> NeqSkeleton:
+    """n below the nodes that keep its term: an NVar, NAbs or NApp, so n's
+    term is a value unless its core is an NApp."""
+    while isinstance(n, (NForall, NEVar, NSub, NEnvSub)):
+        n = n.body
+    return n
+
+
+def _step_at(n: NeqSkeleton) -> NeqSkeleton:
+    """Step a valid n at the call-by-value redex of its term, found on n
+    itself; NotAStep when the term is a normal form."""
     match n:
         case NForall(a, body):
-            return NForall(a, _step_at(body, m))
+            return NForall(a, _step_at(body))
         case NEVar(s, forbidden, body):
-            return NEVar(s, forbidden, _step_at(body, m))
+            return NEVar(s, forbidden, _step_at(body))
         case NSub(body, proof):
-            return NSub(_step_at(body, m), proof)
+            return NSub(_step_at(body), proof)
         case NEnvSub(body, _, _):
-            return _step_at(body, m)
+            return _step_at(body)
         case NApp(f, a):
-            if isinstance(m.fun, Abs) and is_value(m.arg):
+            core = _core(f)
+            if isinstance(core, NApp):
+                return NApp(_step_at(f), a)
+            if isinstance(_core(a), NApp):
+                return NApp(f, _step_at(a))
+            if isinstance(core, NAbs):
                 exposed = _expose_abs(f)
                 return subst_redex(exposed.body, exposed.binder, a)
-            # m is reducible, so either its function part is reducible or
-            # that part is a value and the argument is reducible
-            if not is_value(m.fun):
-                return NApp(_step_at(f, m.fun), a)
-            return NApp(f, _step_at(a, m.arg))
-    raise TypeError(n)
+    raise NotAStep("the skeleton's term is not reducible")
 
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
@@ -816,21 +781,21 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     skeleton returned by preserve and then checked, none): elaboration
     decides each distinct subtyping atom of those once under REL_F,
     canonicalizing each side once, and raises NotSolved on the first that
-    fails, before NestedWeakening and NotAStep. The result shares every
-    subtree off the path to the redex with q, so checking it types only the
-    rebuilt path and the contractum."""
-    term = check_skeleton(q).term
+    fails, before NestedWeakening and NotAStep. The step finds the redex on
+    the elaborated skeleton, and the reduct is judged once and its term
+    compared with m_next. The result shares every subtree off the path to
+    the redex with q, so that judgement types only the rebuilt path and the
+    contractum."""
+    check_skeleton(q)
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
         extras.append(q.extra)
         q = q.body
-    n = _elaborate(q)
-    stepped = cbv_step(term)
-    if stepped is None or not term_alpha_eq(stepped, m_next):
-        raise NotAStep("the given term is not the skeleton's one-step reduct")
-    # the elaborated skeleton judges the same term as q; stepping keeps its
-    # environment, so the same weakenings apply to the result
-    out = from_neq(_step_at(n, term))
+    # stepping keeps the elaborated skeleton's environment, so the same
+    # weakenings apply to the result
+    out = from_neq(_step_at(_elaborate(q)))
     for extra in reversed(extras):
         out = QWeak(out, extra)
+    if not term_alpha_eq(check_skeleton(out).term, m_next):
+        raise NotAStep("the given term is not the skeleton's one-step reduct")
     return out

@@ -10,6 +10,7 @@ Grammar (ASCII):
     TypeEnv:    {x: T, y: T}
     Skeleton:   x<x: T> | \\x. Q | Q @ Q | all a. Q | s^{A} Q
                 | Q |> T | Q + {x: T}                   (+ = weakening)
+    Names:      a, b, ...                               (possibly none)
 
 Lexical rules: an identifier starts with a character for which
 `str.isalpha()` holds, or `_`, and goes on with characters for which
@@ -141,14 +142,19 @@ class Parser:
         return a
 
     def var_set(self, close: str) -> frozenset[str]:
-        """'{', comma-separated identifiers (possibly none), then close."""
+        """'{', comma-separated identifiers, then close."""
         self.expect("{")
+        names = self.var_list()
+        self.expect(close)
+        return names
+
+    def var_list(self) -> frozenset[str]:
+        """Comma-separated identifiers, possibly none."""
         names: list[str] = []
         if self.at("ident"):
             names.append(self.ident())
             while self.eat(","):
                 names.append(self.ident())
-        self.expect(close)
         return frozenset(names)
 
     def env_entries(self, close: str) -> TypeEnv:
@@ -369,6 +375,7 @@ parse_subst = _entry(Parser.subst)
 parse_constraint = _entry(Parser.constraint)
 parse_type_env = _entry(Parser.type_env)
 parse_skeleton = _entry(Parser.skeleton)
+parse_var_list = _entry(Parser.var_list)
 
 
 # ---------------------------------------------------------------------------

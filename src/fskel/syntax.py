@@ -361,9 +361,6 @@ class TypeEnv:
     def remove(self, x: str) -> "TypeEnv":
         return TypeEnv(tuple(e for e in self.entries if e[0] != x))
 
-    def extend(self, x: str, t: Type) -> "TypeEnv":
-        return TypeEnv(self.entries + ((x, t),))
-
     def concat(self, other: "TypeEnv") -> "TypeEnv":
         return TypeEnv(self.entries + other.entries)
 

@@ -135,25 +135,6 @@ def _judge(q: Skeleton) -> Judgement:
     return go(q)
 
 
-def judgements(q: Skeleton) -> dict[int, Judgement]:
-    """Validate q and return the judgement of every node, keyed by the
-    node's id()."""
-    check_skeleton(q)
-    out: dict[int, Judgement] = {}
-    todo = [q]
-    while todo:
-        node = todo.pop()
-        out[id(node)] = node._judgement
-        match node:
-            case QApp(f, a):
-                todo += (a, f)
-            case QVar(_, _):
-                pass
-            case _:
-                todo.append(node.body)
-    return out
-
-
 def relevant(q: Skeleton) -> bool:
     """True iff the free term variables equal the environment support."""
     j = check_skeleton(q)

@@ -8,10 +8,10 @@ import random
 import pytest
 
 from fskel import (
-    Arrow, EVarApp, Forall, FreshSupply, Omega, QApp, QSub, QVar, QWeak, TVar,
+    Arrow, EVarApp, Forall, FreshSupply, Omega, QApp, QSub, QWeak, TVar,
     TypeEnv, apply_subst, canonical_constraint, check_skeleton, check_system_f,
-    cbv_step, constraint_eq, erase_evars, ftv, initial_skeleton, judgements,
-    preserve, solved, type_eq,
+    cbv_step, constraint_eq, erase_evars, ftv, initial_skeleton, preserve,
+    solved, type_eq,
 )
 from fskel.expansion import judgements_agree, property_expansion_sound, property_subst_sound
 from generators import (
@@ -546,26 +546,6 @@ def test_erased_solved_skeletons_are_system_f():
         j = check_skeleton(q)
         assert solved(j.constraint, REL_F)
         assert check_system_f(erase_evars(q))
-
-
-# ---------------------------------------------------------------------------
-# The one-pass judgement table agrees with checking each node on its own
-
-
-def _subskeletons(q):
-    match q:
-        case QVar(_, _):
-            return [q]
-        case QApp(f, a):
-            return [q] + _subskeletons(f) + _subskeletons(a)
-    return [q] + _subskeletons(q.body)
-
-
-def test_judgements_pass_agrees_with_check_skeleton():
-    for q in _reduction_cases():
-        js = judgements(q)
-        for node in _subskeletons(q):
-            assert js[id(node)] == check_skeleton(node)
 
 
 # ---------------------------------------------------------------------------

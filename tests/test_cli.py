@@ -103,6 +103,34 @@ def test_expand_invalid_result(write, capsys):
     assert code == EXIT_INVALID and "error" in err
 
 
+@pytest.mark.parametrize("forbidden, printed", [
+    ("", "s^{}"), ("a,b,c", "s^{a,b,c}"), (" c , a ", "s^{a,c}")])
+def test_expand_reads_forbidden_identifiers(write, capsys, forbidden, printed):
+    code, out, _ = run(capsys, ["expand", write("\\x. x<x: a>"), "s^{} id",
+                                "--forbidden", forbidden])
+    assert code == EXIT_OK and f"skeleton: {printed} (\\x. x<x: a>)" in out
+
+
+@pytest.mark.parametrize("forbidden", ["a, b c", "q,->", "a,", ",a", "a,,b", "all", "1a"])
+def test_expand_rejects_a_malformed_forbidden_set(write, capsys, forbidden):
+    code, out, err = run(capsys, ["expand", write("\\x. x<x: a>"), "s^{} id",
+                                  "--forbidden", forbidden])
+    assert code == EXIT_INVALID and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["initial", "--rel", "F"], ["subst", "[a := b]", "--rel", "F"],
+    ["expand", "id", "--rel", "F"], ["erase-f", "--rel", "F"], ["tree", "--rel", "F"],
+    ["solve", "--format", "raw"], ["erase-f", "--format", "raw"],
+    ["tree", "--format", "raw"]])
+def test_options_a_subcommand_does_not_read_are_rejected(write, capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main([argv[0], write("x<x: a>"), *argv[1:]])
+    assert e.value.code == EXIT_INVALID
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_solve(write, capsys):
     code, out, _ = run(capsys, ["solve", write("(all a. a) <= b -> b")])
     assert code == EXIT_OK and "solved (F): yes" in out

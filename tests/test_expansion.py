@@ -80,6 +80,19 @@ def test_substitution_avoids_capture_in_quantifier():
     assert type_eq(got, T("all c. c -> b"))
 
 
+def test_substitution_into_expansions():
+    phi = parse_subst("[a := b, s := all c. id]")
+    got = apply_subst(phi, parse_expansion("all c. s0^{a} (id |> a -> c)"))
+    assert got == parse_expansion("all c. s0^{b} (id |> b -> c)")
+    assert apply_subst(phi, parse_expansion("id")) == parse_expansion("id")
+
+
+def test_substitution_renames_an_existential_binder_it_would_capture():
+    got = apply_subst(parse_subst("[a := b]"), parse_constraint("ex b. a <= b"))
+    assert got.binder != "b"
+    assert constraint_eq(got, parse_constraint("ex c. b <= c"))
+
+
 def test_first_binding_wins():
     phi = parse_subst("[a := b, a := c]")
     assert type_eq(apply_subst(phi, T("a")), T("b"))

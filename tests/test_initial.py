@@ -96,6 +96,15 @@ def test_rename_equiv_requires_an_injective_renaming(text1, text2):
     assert rename_equiv(q2, q1) is None
 
 
+@pytest.mark.parametrize("text1, text2", [
+    ("x<x: a -> b>", "x<x: c>"),              # a type of another shape
+    ("x<x: a>", "x<x: a, y: b>"),              # environments of other lengths
+    ("s^{a} x<x: a>", "t^{a,b} x<x: a>"),      # forbidden sets the walk skips
+])
+def test_rename_equiv_rejects_skeletons_that_are_no_renaming(text1, text2):
+    assert rename_equiv(parse_skeleton(text1), parse_skeleton(text2)) is None
+
+
 def test_reflexive_predicate():
     assert reflexive(parse_constraint("omega"))
     assert reflexive(parse_constraint("a <= a & omega"))
@@ -156,6 +165,25 @@ def test_derive_substitution_rejects_other_terms():
     q2, _, _ = initial_skeleton(parse_term("\\x. x @ x"), FreshSupply())
     with pytest.raises(TermMismatch):
         derive_substitution(q1, q2)
+
+
+@pytest.mark.parametrize("term, target, message", [
+    ("\\x. y", "\\x. (y<y: b> + {x: a})", "weakening below the root is not supported"),
+    ("\\x. x", "\\z. z<z: a, x: b>", "binder renaming collides with an environment entry"),
+])
+def test_derive_substitution_rejects_targets_it_cannot_reach(term, target, message):
+    q, _, _ = initial_skeleton(parse_term(term), FreshSupply())
+    with pytest.raises(TermMismatch, match=message):
+        derive_substitution(q, parse_skeleton(target))
+
+
+def test_derive_substitution_rejects_skeletons_that_are_not_initial():
+    app = "f<f: c -> c, x: c> @ x<f: c -> c, x: c>"
+    # an application with no step to an arrow above its function part
+    with pytest.raises(TermMismatch, match="skeletons type different terms"):
+        derive_substitution(parse_skeleton(f"s^{{c}} ({app})"), parse_skeleton(app))
+    with pytest.raises(AssertionError, match="rooted at an E-variable"):
+        derive_substitution(parse_skeleton("s^{} \\x. x<x: c>"), parse_skeleton("\\x. x<x: c>"))
 
 
 def test_allvar():

@@ -8,7 +8,7 @@ import pytest
 from fskel import reduction
 from fskel.expansion import judgements_agree
 from generators import random_neq_decoration
-from helpers import count_calls, id_chain, poly_chain
+from helpers import count_calls, count_instances, id_chain, poly_chain, skeleton_nodes
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
     NEnvSub, NEVar, NForall, NeqError, NotAStep, NotSolved, NSub, NVar,
@@ -17,7 +17,7 @@ from fskel.reduction import (
 )
 from fskel.surface import parse_skeleton, parse_term, parse_type, print_term
 from fskel.syntax import Abs, App, Arrow, Forall, TypeEnv, Var, env_eq, type_eq
-from fskel.typecheck import check_skeleton
+from fskel.typecheck import Judgement, check_skeleton
 
 
 def T(s):
@@ -282,15 +282,20 @@ def test_preserve_alpha_equivalent_reduct():
 
 
 def test_binder_collision_renamed_during_substitution():
-    # K-style combinator whose argument reuses the crossed binder's name
-    q = parse_skeleton(
-        "((\\x. \\y. x<x: a -> a, y: b>) @ (\\y. y<y: a>)) + {}")
-    q = q.body  # drop the no-op weakening wrapper
-    j = check_skeleton(q)
-    m2 = cbv_step(j.term)
-    q2 = preserve(q, m2)
-    j2 = check_skeleton(q2)
-    assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+    for text, reduct in [
+        # K-style combinator whose argument reuses the crossed binder's name
+        ("(\\x. \\y. x<x: a -> a, y: b>) @ (\\y. y<y: a>)", "\\y_0. \\y. y"),
+        # two crossed binders clash, each renamed on the way down
+        ("(\\x. \\y. \\z. x<x: a -> d -> a, y: b, z: c>) @ (\\y. \\z. y<y: a, z: d>)",
+         "\\y_0. \\z_0. \\y. \\z. y"),
+    ]:
+        q = parse_skeleton(text)
+        j = check_skeleton(q)
+        m2 = cbv_step(j.term)
+        q2 = preserve(q, m2)
+        j2 = check_skeleton(q2)
+        assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
+        assert print_term(j2.term) == reduct
 
 
 def test_argument_under_an_evar_is_moved_below_a_binder():
@@ -306,19 +311,53 @@ def test_argument_under_an_evar_is_moved_below_a_binder():
 def test_preserve_judges_once_per_step(monkeypatch):
     # every call is counted, including check_neq's calls to itself, so any
     # re-check of a subtree would make the counts grow with the chain; the
-    # caller has checked q, so preserve makes no typing pass of its own
+    # caller has checked q, so preserve's one typing pass is of its reduct,
+    # and the caller's check of the result only reads it
     counts = []
     for n in (8, 16):
         q = id_chain(n)
         m_next = cbv_step(check_skeleton(q).term)
         calls = count_calls(monkeypatch, [
-            "typecheck._judge", "solve.solved", "reduction.check_neq"])
-        preserve(q, m_next)
+            "typecheck._judge", "solve.solved", "reduction.check_neq",
+            "reduction.cbv_step"])
+        check_skeleton(preserve(q, m_next))
         monkeypatch.undo()
         counts.append(calls)
     assert counts[0] == counts[1]
-    assert counts[0]["typecheck._judge"] == 0
+    assert counts[0]["typecheck._judge"] == 1
     assert counts[0]["solve.solved"] == 0
+    assert counts[0]["reduction.cbv_step"] == 0
+
+
+def test_one_redex_search_per_step(monkeypatch):
+    # the step finds the redex on the proof-carrying skeleton: the term is
+    # stepped by neither preserve nor step_neq, and preserve compares the
+    # caller's reduct once with the term of its own reduct's judgement
+    counts = []
+    for n in (8, 16):
+        q = id_chain(n)
+        j = check_skeleton(q)
+        m_next = cbv_step(j.term)
+        old = skeleton_nodes(q)
+        calls = count_calls(monkeypatch, [
+            "reduction.cbv_step", "syntax.term_alpha_eq", "reduction.check_neq",
+            "typecheck._judge"])
+        built = count_instances(monkeypatch, Judgement)
+        q2 = preserve(q, m_next)
+        check_skeleton(q2)
+        monkeypatch.undo()
+        new = [i for i in skeleton_nodes(q2) if i not in old]
+        assert built[0] == len(new)
+        n_neq = to_neq(q)
+        stepping = count_calls(monkeypatch, ["reduction.cbv_step"])
+        step_neq(n_neq)
+        monkeypatch.undo()
+        counts.append((calls, stepping))
+    assert counts[0] == counts[1]
+    calls, stepping = counts[0]
+    assert calls == {"reduction.cbv_step": 0, "syntax.term_alpha_eq": 1,
+                     "reduction.check_neq": 0, "typecheck._judge": 1}
+    assert stepping == {"reduction.cbv_step": 0}
 
 
 def test_preserve_searches_one_witness_per_distinct_step(monkeypatch):

@@ -163,12 +163,18 @@ def test_erase_evars():
     assert isinstance(q2, QAbs)
 
 
+def test_erase_evars_under_a_weakening():
+    q2 = erase_evars(parse_skeleton("(s^{a} x<x: a>) + {y: t^{} b}"))
+    assert q2 == parse_skeleton("x<x: a> + {y: b}")
+
+
 def test_check_system_f_accepts_valid():
     assert check_system_f(parse_skeleton("\\x. x<x: a>"))
     assert check_system_f(parse_skeleton("all a. \\x. x<x: a>"))
     assert check_system_f(parse_skeleton("x<x: all a. a> |> b -> b"))
     assert check_system_f(parse_skeleton(
         "(\\x. x<x: a, y: a>) @ y<y: a>"))
+    assert check_system_f(parse_skeleton("x<x: a> + {y: b}"))
 
 
 def test_check_system_f_reads_the_function_type_modulo_equality():

@@ -4,7 +4,10 @@ import pytest
 
 from fskel.surface import parse_constraint, parse_skeleton, parse_type, parse_type_env
 from fskel.syntax import constraint_eq, env_eq, type_eq
-from fskel.typecheck import SkeletonError, check_skeleton, relevant
+from fskel.typecheck import (
+    DomainMismatch, EnvMismatch, EscapingVariable, ForbiddenSetTooSmall, MalformedEnv,
+    NotAnArrow, SkeletonError, SupportOverlap, UnboundVariable, check_skeleton, relevant,
+)
 
 
 def J(text):
@@ -100,3 +103,24 @@ def test_rtype_tenv_relevant():
     assert env_eq(check_skeleton(q).env, parse_type_env("{x: a, y: b}"))
     assert not relevant(q)
     assert relevant(parse_skeleton("x<x: a>"))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x<x: a, x: b>", MalformedEnv, "environment of x mentions a variable twice"),
+    ("x<y: b>", UnboundVariable, "x not in its environment"),
+    ("\\x. y<y: b>", UnboundVariable, "abstraction binder x not in the body environment"),
+    ("x<x: a -> b> @ y<y: a>", EnvMismatch,
+     "application premises carry different environments"),
+    ("x<x: b, y: b> @ y<x: b, y: b>", NotAnArrow, "function part does not have an arrow type"),
+    ("x<x: a -> b, y: c> @ y<x: a -> b, y: c>", DomainMismatch,
+     "argument type does not match the function domain"),
+    ("all a. x<x: a>", EscapingVariable, "a is free in the environment"),
+    ("s^{b} x<x: a>", ForbiddenSetTooSmall,
+     "s: environment variables ['a'] missing from the forbidden set"),
+    ("x<x: a> + {y: b, y: c}", MalformedEnv, "weakening environment mentions a variable twice"),
+    ("x<x: a> + {x: b}", SupportOverlap, "weakening re-binds ['x']"),
+])
+def test_each_rule_raises_its_own_error(text, error, message):
+    with pytest.raises(SkeletonError) as e:
+        J(text)
+    assert type(e.value) is error and str(e.value) == message
