@@ -25,6 +25,19 @@ EXIT_INVALID = 2
 EXIT_UNSOLVED = 3
 
 
+class BadArgument(Exception):
+    """A command-line argument that does not parse."""
+
+
+def _parse_arg(parse, text: str, name: str):
+    """parse(text) for the argument called name; a syntax error in it is
+    reported with that name before its position."""
+    try:
+        return parse(text)
+    except ParseError as e:
+        raise BadArgument(f"{name}: {e}") from None
+
+
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -69,7 +82,7 @@ def cmd_initial(args) -> int:
 
 def cmd_subst(args) -> int:
     q = parse_skeleton(_read(args.file))
-    phi = parse_subst(args.subst)
+    phi = _parse_arg(parse_subst, args.subst, "SUBST")
     check_skeleton(q)
     q2 = apply_subst(phi, q)
     print(f"skeleton: {print_skeleton(q2)}")
@@ -79,8 +92,8 @@ def cmd_subst(args) -> int:
 
 def cmd_expand(args) -> int:
     q = parse_skeleton(_read(args.file))
-    i = parse_expansion(args.expansion)
-    forbidden = parse_var_list(args.forbidden)
+    i = _parse_arg(parse_expansion, args.expansion, "EXPANSION")
+    forbidden = _parse_arg(parse_var_list, args.forbidden, "--forbidden")
     check_skeleton(q)
     q2 = apply_exp_skel(i, forbidden, q)
     print(f"skeleton: {print_skeleton(q2)}")
@@ -236,8 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, SkeletonError, NotAStep, NestedWeakening, OSError,
-            UnicodeDecodeError) as e:
+    except (ParseError, BadArgument, SkeletonError, NotAStep, NestedWeakening,
+            OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except NotSolved as e:

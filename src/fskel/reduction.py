@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cache
 
 from .syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
@@ -191,11 +190,13 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
 
 
 class NeqSkeleton:
-    """Skeleton whose subtyping steps carry explicit proofs. Its memo slot
-    holds a weak reference to the skeleton that from_neq would rebuild
-    exactly from this node, when elaboration made the node from it."""
+    """Skeleton whose subtyping steps carry explicit proofs. Its memo slots
+    hold a weak reference to the skeleton that from_neq would rebuild
+    exactly from this node, when the node was made from it or with it, and,
+    on an NSub whose proof elaboration settled to end at its literal
+    target, the type the proof was settled from."""
 
-    __slots__ = ("_source",)
+    __slots__ = ("_source", "_settled")
 
 
 @dataclass(frozen=True, slots=True)
@@ -507,10 +508,10 @@ def _splits(t: NeqSkeleton):
 
 
 def _neq_type(n: NeqSkeleton) -> Type:
-    """n's type, read from the judgement of the skeleton n was elaborated
-    from when there is one."""
+    """n's type, read from the judgement of the skeleton n comes from when
+    there is one."""
     src = _source(n)
-    return check_neq(n)[2] if src is None else src._judgement.rtype
+    return check_neq(n)[2] if src is None else check_skeleton(src).rtype
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +546,47 @@ def _source(n: NeqSkeleton) -> Skeleton | None:
     return None if ref is None else ref()
 
 
+def _link(q: Skeleton, n: NeqSkeleton, faithful: bool = True) -> Skeleton:
+    """q, a new node built from its form n. When faithful (elaborating q
+    would make n again: for a node other than a |>, each child of q is
+    linked to the same child of n), q keeps n as its form and n points
+    back to q."""
+    if faithful:
+        object.__setattr__(q, "_neq", n)
+        object.__setattr__(n, "_source", weakref.ref(q))
+    return q
+
+
+def _sub(body: NeqSkeleton, old: NSub) -> NSub:
+    """NSub(body, old.proof), for a body at a type equal to old's body's,
+    keeping the type old's proof was settled from."""
+    n = NSub(body, old.proof)
+    t = getattr(old, "_settled", None)
+    if t is not None:
+        object.__setattr__(n, "_settled", t)
+    return n
+
+
+def _sub_skeleton(qb: Skeleton, n: NSub) -> Skeleton:
+    """QSub(qb, the type n's proof ends at), for the skeleton qb that from_neq
+    makes of n's body. It is linked to n when qb is linked to n's body and
+    judged at the very type n's proof was settled from: elaborating it then
+    settles that same step, which ends at its literal target, again."""
+    q = QSub(qb, check_subproof(n.proof)[1])
+    t = getattr(n, "_settled", None)
+    return _link(q, n, t is not None and _source(n.body) is qb
+                 and check_skeleton(qb).rtype is t)
+
+
 def _elaborate(q: Skeleton) -> NeqSkeleton:
     """The proof-carrying form of a checked q. Each node keeps its form (None
-    below a weakening, which has none), so a subtree elaborated before costs
-    one lookup; each distinct subtyping step (t, target) met in this call is
-    settled once. A node whose form from_neq rebuilds exactly (no redundant
-    |> dropped below it, every proof ending at its literal target) points
-    back to it. A weakening raises NestedWeakening after every atom is
-    decided."""
-    settle = cache(_sub_step)  # per call: nothing outlives it
+    below a weakening, which has none), so a subtree elaborated before, or
+    built by a step with its form, costs one lookup; each distinct
+    subtyping step (t, target) met in this call is settled once. A node
+    whose form from_neq rebuilds exactly (no redundant |> dropped below it,
+    every proof ending at its literal target) points back to it. A
+    weakening raises NestedWeakening after every atom is decided."""
+    settled: dict[tuple[Type, Type], tuple[Inst | None, bool]] = {}  # for this call only
 
     def go(q: Skeleton) -> NeqSkeleton | None:
         n = getattr(q, "_neq", _UNSET)
@@ -561,34 +594,43 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
             return n
         match q:
             case QVar(x, env):
-                n, kids = NVar(x, env), ()
+                n, linked = NVar(x, env), True
             case QAbs(x, body):
                 nb = go(body)
-                n, kids = None if nb is None else NAbs(x, nb), ((body, nb),)
+                n, linked = None if nb is None else NAbs(x, nb), _source(nb) is body
             case QApp(f, a):
                 nf, na = go(f), go(a)
                 n = None if nf is None or na is None else NApp(nf, na)
-                kids = (f, nf), (a, na)
+                linked = _source(nf) is f and _source(na) is a
             case QForall(a, body):
                 nb = go(body)
-                n, kids = None if nb is None else NForall(a, nb), ((body, nb),)
+                n, linked = None if nb is None else NForall(a, nb), _source(nb) is body
             case QEVar(s, forbidden, body):
                 nb = go(body)
-                n, kids = None if nb is None else NEVar(s, forbidden, nb), ((body, nb),)
+                n = None if nb is None else NEVar(s, forbidden, nb)
+                linked = _source(nb) is body
             case QSub(body, target):
                 nb = go(body)
-                proof, exact = settle(body._judgement.rtype, target)
+                key = body._judgement.rtype, target
+                step = settled.get(key)
+                if step is None:
+                    step = settled[key] = _sub_step(*key)
+                proof, exact = step
                 if proof is None:
-                    n, kids = nb, None  # the redundant step is dropped
+                    n, linked = nb, False  # the redundant step is dropped
+                elif nb is None:
+                    n, linked = None, False
                 else:
-                    n = None if nb is None else NSub(nb, proof)
-                    kids = ((body, nb),) if exact else None
+                    n = NSub(nb, proof)
+                    if exact:
+                        object.__setattr__(n, "_settled", key[0])
+                    linked = exact and _source(nb) is body
             case QWeak(body, _):
                 go(body)
-                n, kids = None, None
+                n, linked = None, False
             case _:
                 raise TypeError(q)
-        if n is not None and kids is not None and all(_source(kn) is k for k, kn in kids):
+        if linked:
             object.__setattr__(n, "_source", weakref.ref(q))
         object.__setattr__(q, "_neq", n)
         return n
@@ -614,25 +656,32 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
     """Flatten a proof-carrying skeleton back to a constraint-generating one;
     its constraint is solved by construction. An NEnvSub is dropped: its
     proof is an equality, so the environment stays the same modulo the
-    equational theory. A node that elaboration made from a skeleton it
-    rebuilds exactly gives back that skeleton itself."""
+    equational theory. A node that records the skeleton it rebuilds
+    exactly gives back that skeleton itself. Every node built is linked to
+    its form when its children are (_link), a |> only when its body is
+    judged at the type its proof was settled from (_sub_skeleton), so
+    elaborating the result enters only the other rebuilt |> nodes and the
+    nodes above them."""
     src = _source(q)
     if src is not None:
         return src
     match q:
         case NVar(x, env):
-            return QVar(x, env)
+            return _link(QVar(x, env), q)
         case NAbs(x, body):
-            return QAbs(x, from_neq(body))
+            qb = from_neq(body)
+            return _link(QAbs(x, qb), q, _source(body) is qb)
         case NApp(f, a):
-            return QApp(from_neq(f), from_neq(a))
+            qf, qa = from_neq(f), from_neq(a)
+            return _link(QApp(qf, qa), q, _source(f) is qf and _source(a) is qa)
         case NForall(a, body):
-            return QForall(a, from_neq(body))
+            qb = from_neq(body)
+            return _link(QForall(a, qb), q, _source(body) is qb)
         case NEVar(s, forbidden, body):
-            return QEVar(s, forbidden, from_neq(body))
-        case NSub(body, proof):
-            _, t2, _ = check_subproof(proof)
-            return QSub(from_neq(body), t2)
+            qb = from_neq(body)
+            return _link(QEVar(s, forbidden, qb), q, _source(body) is qb)
+        case NSub(body, _):
+            return _sub_skeleton(from_neq(body), q)
         case NEnvSub(body, _, _):
             return from_neq(body)
     raise TypeError(q)
@@ -642,19 +691,26 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
 # Subject reduction
 
 
-def _term_names(q: NeqSkeleton) -> frozenset[str]:
+def _term_names(q: NeqSkeleton, known: dict[int, frozenset[str]]) -> frozenset[str]:
     """Every term-variable name occurring in q: leaf names, binders, and
-    environment entries."""
+    environment entries. known holds the sets found so far, by node id, so
+    each node's set is computed once, from its children's."""
+    names = known.get(id(q))
+    if names is not None:
+        return names
     match q:
         case NVar(x, env):
-            return frozenset({x}) | env.supp()
+            names = frozenset({x}) | env.supp()
         case NAbs(x, body):
-            return frozenset({x}) | _term_names(body)
+            names = frozenset({x}) | _term_names(body, known)
         case NApp(f, a):
-            return _term_names(f) | _term_names(a)
+            names = _term_names(f, known) | _term_names(a, known)
         case NForall(_, body) | NEVar(_, _, body) | NSub(body, _) | NEnvSub(body, _, _):
-            return _term_names(body)
-    raise TypeError(q)
+            names = _term_names(body, known)
+        case _:
+            raise TypeError(q)
+    known[id(q)] = names
+    return names
 
 
 def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
@@ -677,8 +733,8 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
                 raise NotAStep(
                     f"{s}: forbidden set too small for the substituted environment")
             return NEVar(s, forbidden, _extend_envs(body, extras))
-        case NSub(body, proof):
-            return NSub(_extend_envs(body, extras), proof)
+        case NSub(body, _):
+            return _sub(_extend_envs(body, extras), q)
         case NEnvSub(body, y, proof):
             return NEnvSub(_extend_envs(body, extras), y, proof)
     raise TypeError(q)
@@ -693,7 +749,8 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     below it and every name given before. An NEnvSub is dropped, as from_neq
     drops it."""
 
-    arg_names = _term_names(arg)
+    known: dict[int, frozenset[str]] = {}  # the nodes below live as long as this call
+    arg_names = _term_names(arg, known)
 
     def go(q: NeqSkeleton, crossed: tuple[str, ...], ren: dict[str, str]) -> NeqSkeleton:
         match q:
@@ -707,7 +764,7 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
                     # body's environments hold x and every binder crossed
                     # before, under its old name; the new names are added
                     ren = {**ren, y: fresh_name(
-                        y, arg_names | _term_names(body) | set(ren.values()))}
+                        y, arg_names | _term_names(body, known) | set(ren.values()))}
                 return NAbs(ren.get(y, y), go(body, crossed + (y,), ren))
             case NApp(f, a):
                 return NApp(go(f, crossed, ren), go(a, crossed, ren))
@@ -715,8 +772,8 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
                 return NForall(a, go(body, crossed, ren))
             case NEVar(s, forbidden, body):
                 return NEVar(s, forbidden, go(body, crossed, ren))
-            case NSub(body, proof):
-                return NSub(go(body, crossed, ren), proof)
+            case NSub(body, _):
+                return _sub(go(body, crossed, ren), q)
             case NEnvSub(body, _, _):
                 return go(body, crossed, ren)
         raise TypeError(q)
@@ -739,7 +796,7 @@ def _expose_abs(n: NeqSkeleton) -> NeqSkeleton:
 def step_neq(n: NeqSkeleton) -> NeqSkeleton:
     """One call-by-value step on the proof-carrying skeleton's term."""
     check_neq(n)
-    return _step_at(n)
+    return _step_at(n)[0]
 
 
 def _core(n: NeqSkeleton) -> NeqSkeleton:
@@ -750,28 +807,40 @@ def _core(n: NeqSkeleton) -> NeqSkeleton:
     return n
 
 
-def _step_at(n: NeqSkeleton) -> NeqSkeleton:
+def _step_at(n: NeqSkeleton) -> tuple[NeqSkeleton, Skeleton]:
     """Step a valid n at the call-by-value redex of its term, found on n
-    itself; NotAStep when the term is a normal form."""
+    itself; NotAStep when the term is a normal form. Gives the stepped form
+    and its skeleton, which is what from_neq makes of it: each node of the
+    path to the redex is built once in each language, linked to its form
+    as from_neq links it, and the rest comes from from_neq, which gives a
+    subtree off the path back as the skeleton it was elaborated from."""
     match n:
         case NForall(a, body):
-            return NForall(a, _step_at(body))
+            nb, qb = _step_at(body)
+            n2 = NForall(a, nb)
+            return n2, _link(QForall(a, qb), n2, _source(nb) is qb)
         case NEVar(s, forbidden, body):
-            return NEVar(s, forbidden, _step_at(body))
-        case NSub(body, proof):
-            return NSub(_step_at(body), proof)
+            nb, qb = _step_at(body)
+            n2 = NEVar(s, forbidden, nb)
+            return n2, _link(QEVar(s, forbidden, qb), n2, _source(nb) is qb)
+        case NSub(body, _):
+            nb, qb = _step_at(body)
+            n2 = _sub(nb, n)
+            return n2, _sub_skeleton(qb, n2)
         case NEnvSub(body, _, _):
             return _step_at(body)
-        case NApp(f, a):
-            core = _core(f)
-            if isinstance(core, NApp):
-                return NApp(_step_at(f), a)
-            if isinstance(_core(a), NApp):
-                return NApp(f, _step_at(a))
-            if isinstance(core, NAbs):
-                exposed = _expose_abs(f)
-                return subst_redex(exposed.body, exposed.binder, a)
-    raise NotAStep("the skeleton's term is not reducible")
+        case NApp(f, a) if isinstance(_core(f), NApp):
+            (nf, qf), na, qa = _step_at(f), a, from_neq(a)
+        case NApp(f, a) if isinstance(_core(a), NApp):
+            nf, qf, (na, qa) = f, from_neq(f), _step_at(a)
+        case NApp(f, a) if isinstance(_core(f), NAbs):
+            exposed = _expose_abs(f)
+            contractum = subst_redex(exposed.body, exposed.binder, a)
+            return contractum, from_neq(contractum)
+        case _:
+            raise NotAStep("the skeleton's term is not reducible")
+    n2 = NApp(nf, na)
+    return n2, _link(QApp(qf, qa), n2, _source(nf) is qf and _source(na) is qa)
 
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
@@ -782,10 +851,12 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     decides each distinct subtyping atom of those once under REL_F,
     canonicalizing each side once, and raises NotSolved on the first that
     fails, before NestedWeakening and NotAStep. The step finds the redex on
-    the elaborated skeleton, and the reduct is judged once and its term
-    compared with m_next. The result shares every subtree off the path to
-    the redex with q, so that judgement types only the rebuilt path and the
-    contractum."""
+    the elaborated skeleton and builds the path to it once, as skeleton
+    nodes that keep their proof-carrying forms wherever elaborating them
+    would make those forms again, so the next step elaborates none of
+    those; the reduct is judged once and its term compared with m_next.
+    The result shares every subtree off the path to the redex with q, so
+    that judgement types only the rebuilt path and the contractum."""
     check_skeleton(q)
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
@@ -793,7 +864,7 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
         q = q.body
     # stepping keeps the elaborated skeleton's environment, so the same
     # weakenings apply to the result
-    out = from_neq(_step_at(_elaborate(q)))
+    _, out = _step_at(_elaborate(q))
     for extra in reversed(extras):
         out = QWeak(out, extra)
     if not term_alpha_eq(check_skeleton(out).term, m_next):

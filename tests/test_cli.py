@@ -1,6 +1,7 @@
 """Command-line interface: commands, formats, and exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -12,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
-from fskel.typecheck import Judgement
+from fskel.surface import print_skeleton
+from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 
+from generators import decorate_dummies_inside
 from helpers import count_calls, count_instances
+from test_acceptance import _reduction_cases
 
 GOLDEN = "\\x. (x<x: all a. a> |> (all a. a) -> b) @ x<x: all a. a>"
 
@@ -117,6 +121,18 @@ def test_expand_rejects_a_malformed_forbidden_set(write, capsys, forbidden):
                                   "--forbidden", forbidden])
     assert code == EXIT_INVALID and out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["subst", "[a := b c]"], "SUBST: 1:9: expected ']', found 'c'"),
+    (["expand", "all b. id id"], "EXPANSION: 1:11: trailing input starting at 'id'"),
+    (["expand", "all b. id", "--forbidden", "a b"],
+     "--forbidden: 1:3: trailing input starting at 'b'"),
+], ids=["SUBST", "EXPANSION", "--forbidden"])
+def test_parse_error_in_an_argument_names_it(write, capsys, argv, message):
+    code, out, err = run(capsys, [argv[0], write("x<x: a>"), *argv[1:]])
+    assert code == EXIT_INVALID and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,6 +286,9 @@ def test_canonical_output_independent_of_hash_seed(write):
 
 
 BENCH_CLI = Path(__file__).resolve().parents[1] / "bench" / "cli"
+# recorded from an engine that flattened every step's whole output with
+# from_neq, so a change to how a step builds its output must keep it
+REDUCE_DIGEST = "c6a0ec6dd6cf39d6cfd3505ad761ab4e9d8010612e2a6276cd9abe7c0a97abbe"
 
 
 def _mutate(rng, text):
@@ -326,3 +345,43 @@ def test_initial_of_balanced_term(write, capsys):
     assert code == EXIT_OK and err == ""
     last = out.splitlines()[-1]
     assert last.startswith("constraint: ") and last.count(" & ") == 1022
+
+
+def _reduce_corpus():
+    """The skeleton texts whose fskel reduce output is pinned: every .skel
+    file of the benchmark's CLI inputs, the distinct reduce_nf inputs of
+    seed 1, and 100 skeletons with dummy quantifiers and steps between equal
+    types inside, on seed 20121101."""
+    texts = [p.read_text() for p in sorted((BENCH_CLI / "inputs").glob("*.skel"))]
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", BENCH_CLI.parent / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for op in inputs.reduce_nf(1, 1)[0]:
+        if op["skeleton"] not in texts:
+            texts.append(op["skeleton"])
+    rng = random.Random(20121101)
+    cases = _reduction_cases()
+    decorated = []
+    while len(decorated) < 100:
+        try:
+            q = decorate_dummies_inside(rng, rng.choice(cases), 0.15)
+            check_skeleton(q)
+        except SkeletonError:
+            continue
+        decorated.append(print_skeleton(q))
+    return texts + decorated
+
+
+def test_reduce_output_is_pinned(capsys, monkeypatch):
+    """One SHA-256 over the exit code, standard output and standard error of
+    fskel reduce under --rel F and EQ and --format canonical and raw on a
+    seeded corpus."""
+    digest = hashlib.sha256()
+    for text in _reduce_corpus():
+        for rel in ("F", "EQ"):
+            for fmt in ("canonical", "raw"):
+                code, out, err = run(capsys, ["reduce", "-", "--rel", rel, "--format", fmt],
+                                     stdin=text, monkeypatch=monkeypatch)
+                digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == REDUCE_DIGEST

@@ -7,17 +7,26 @@ import pytest
 
 from fskel import reduction
 from fskel.expansion import judgements_agree
-from generators import random_neq_decoration
+from generators import decorate_dummies_inside, random_neq_decoration
 from helpers import count_calls, count_instances, id_chain, poly_chain, skeleton_nodes
+from test_acceptance import _decorated_neq_starts, _reduction_cases
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
     NEnvSub, NEVar, NForall, NeqError, NotAStep, NotSolved, NSub, NVar,
     QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
     is_value, preserve, step_neq, subst_term, sz, to_neq, transform_T,
 )
-from fskel.surface import parse_skeleton, parse_term, parse_type, print_term
-from fskel.syntax import Abs, App, Arrow, Forall, TypeEnv, Var, env_eq, type_eq
-from fskel.typecheck import Judgement, check_skeleton
+from fskel.solve import RELATIONS, solved
+from fskel.surface import (
+    parse_skeleton, parse_term, parse_type, print_skeleton, print_term,
+)
+from fskel.syntax import (
+    Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak,
+    TypeEnv, Var, env_eq, type_eq,
+)
+from fskel.typecheck import Judgement, SkeletonError, check_skeleton
+
+REL_F = RELATIONS["F"]
 
 
 def T(s):
@@ -360,6 +369,117 @@ def test_one_redex_search_per_step(monkeypatch):
     assert stepping == {"reduction.cbv_step": 0}
 
 
+def _built_inside(monkeypatch, name, classes):
+    """Count the instances of classes built inside calls to the reduction
+    function name, its calls to itself included once, until monkeypatch is
+    undone; the count is the list's one item."""
+    counters = [count_instances(monkeypatch, c) for c in classes]
+    real = getattr(reduction, name)
+    inside, depth = [0], [0]
+
+    def wrapped(*args):
+        before = sum(c[0] for c in counters)
+        depth[0] += 1
+        try:
+            return real(*args)
+        finally:
+            depth[0] -= 1
+            if depth[0] == 0:
+                inside[0] += sum(c[0] for c in counters) - before
+
+    monkeypatch.setattr(reduction, name, wrapped)
+    return inside
+
+
+FORMS = (NVar, NAbs, NApp, NForall, NEVar, NSub, NEnvSub)
+SKELETONS = (QVar, QAbs, QApp, QForall, QEVar, QSub, QWeak)
+
+
+def test_a_step_builds_its_path_once(monkeypatch):
+    # the first step builds the path to its redex as skeleton nodes that
+    # keep their forms, so the second step's elaboration makes no form, and
+    # from_neq builds no node: the path is built by the step, and the
+    # contractum is the argument's own skeleton
+    counts = []
+    for n in (8, 16):
+        q = id_chain(n)
+        q = preserve(q, cbv_step(check_skeleton(q).term))
+        m_next = cbv_step(check_skeleton(q).term)
+        assert all(hasattr(node, "_neq") for node in skeleton_nodes(q).values())
+        old = skeleton_nodes(q)
+        elaborated = _built_inside(monkeypatch, "_elaborate", FORMS)
+        flattened = _built_inside(monkeypatch, "from_neq", SKELETONS)
+        built = [count_instances(monkeypatch, c) for c in SKELETONS]
+        q2 = preserve(q, m_next)
+        monkeypatch.undo()
+        new = [i for i in skeleton_nodes(q2) if i not in old]
+        assert sum(c[0] for c in built) == len(new) == n - 2
+        counts.append((elaborated[0], flattened[0]))
+    assert counts == [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("chain", [id_chain, poly_chain])
+def test_only_the_input_is_elaborated(monkeypatch, chain):
+    # every node a step builds keeps its form, the |> nodes of the
+    # substituted polymorphic function included, since each body is judged
+    # at the very type its proof was settled from
+    for n in (8, 16):
+        q = chain(n)
+        made = _built_inside(monkeypatch, "_elaborate", FORMS)
+        j = check_skeleton(q)
+        q = preserve(q, cbv_step(j.term))
+        first = made[0]
+        j = check_skeleton(q)
+        while (m := cbv_step(j.term)) is not None:
+            q = preserve(q, m)
+            j = check_skeleton(q)
+        monkeypatch.undo()
+        assert first == len(skeleton_nodes(chain(n))) and made[0] == first
+
+
+def _forms_are_elaborated(q, old=()):
+    """Every node of q, but those whose ids are in old, that keeps a form
+    keeps the one elaborating a fresh parse of it makes, and the form points
+    back to it; the number of such nodes."""
+    kept = 0
+    for i, node in skeleton_nodes(q).items():
+        n = getattr(node, "_neq", None)
+        if i in old or n is None:
+            continue
+        assert n == to_neq(parse_skeleton(print_skeleton(node)))
+        assert n._source() is node
+        kept += 1
+    return kept
+
+
+def test_forms_kept_by_a_step_are_the_elaborated_ones():
+    # the starts of the seeded properties on decorated skeletons: forms
+    # decorated at every depth, flattened by from_neq, and skeletons with
+    # dummy quantifiers and steps between equal types inside, each reduced
+    # by preserve to normal form
+    starts = [from_neq(n) for n in _decorated_neq_starts(random.Random(1013), 150)]
+    rng = random.Random(1014)
+    cases = _reduction_cases()
+    while len(starts) < 300:
+        try:
+            q = decorate_dummies_inside(rng, rng.choice(cases), 0.15)
+            if solved(check_skeleton(q).constraint, REL_F):
+                starts.append(q)
+        except SkeletonError:
+            pass
+    kept = [0, 0]
+    for i, q in enumerate(starts):
+        if i < 150:
+            kept[0] += _forms_are_elaborated(q)
+        j = check_skeleton(q)
+        while (m := cbv_step(j.term)) is not None:
+            q2 = preserve(q, m)
+            j = check_skeleton(q2)
+            kept[1] += _forms_are_elaborated(q2, skeleton_nodes(q))
+            q = q2
+    assert kept[0] >= 1_000 and kept[1] >= 1_000
+
+
 def test_preserve_searches_one_witness_per_distinct_step(monkeypatch):
     # the n subtyping steps of the chain are all the same judgement
     counts = []
@@ -404,3 +524,33 @@ def test_subst_redex_reads_binder_types_without_typing(monkeypatch):
         assert env_eq(j2.env, j.env) and type_eq(j2.rtype, j.rtype)
         counts.append(calls[0])
     assert counts[0] == counts[1] == counts[2]
+
+
+def _clash_chain(k):
+    """(\\x. \\y1. ... \\yk. x) @ (\\y1. ... \\yk. y1): every binder that
+    the substitution crosses clashes with a name of the argument."""
+    ys = [f"y{i}" for i in range(1, k + 1)]
+    entries = ", ".join(f"{y}: c" for y in ys)
+    body = f"x<x: {' -> '.join(['c'] * (k + 1))}, {entries}>"
+    arg = f"y1<{entries}>"
+    for y in reversed(ys):
+        body, arg = f"\\{y}. {body}", f"\\{y}. {arg}"
+    return parse_skeleton(f"(\\x. {body}) @ ({arg})")
+
+
+def test_subst_redex_reads_each_name_set_once(monkeypatch):
+    # every call is counted, including _term_names' calls to itself; the
+    # names below each body node are read once per redex, so the calls grow
+    # linearly with the k binders renamed
+    counts = []
+    for k in (4, 8, 16, 32):
+        q = _clash_chain(k)
+        j = check_skeleton(q)
+        calls = count_calls(monkeypatch, ["reduction._term_names"])
+        q2 = preserve(q, cbv_step(j.term))
+        monkeypatch.undo()
+        renamed = "".join(f"\\y{i}_0. " for i in range(1, k + 1))
+        inner = "".join(f"\\y{i}. " for i in range(1, k + 1))
+        assert print_term(check_skeleton(q2).term) == f"{renamed}{inner}y1"
+        counts.append(calls["reduction._term_names"])
+    assert counts[3] - counts[2] == 2 * (counts[2] - counts[1]) == 4 * (counts[1] - counts[0])
