@@ -6,11 +6,9 @@ per E-variable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
     IOTA, Abs, App, Arrow, Constraint, EVarApp, EVarIntro, Expansion, Forall,
-    ForallIntro, FreshSupply, Id, QAbs, QApp, QEVar, QForall, QSub, QVar,
+    ForallIntro, FreshSupply, Id, Node, QAbs, QApp, QEVar, QForall, QSub, QVar,
     QWeak, Skeleton, SubStep, Subst, TVar, Term, Type, TypeEnv, Var,
     as_arrow, fresh_name, ftv, fv, term_alpha_eq,
 )
@@ -88,25 +86,16 @@ def uniquify(m: Term) -> Term:
     return go(m, {})
 
 
-@dataclass(frozen=True)
-class _AVar:
-    var: str
-    evar: str
+class _AVar(Node):
+    __slots__ = ("var", "evar")
 
 
-@dataclass(frozen=True)
-class _AAbs:
-    binder: str
-    body: object
-    evar: str
+class _AAbs(Node):
+    __slots__ = ("binder", "body", "evar")
 
 
-@dataclass(frozen=True)
-class _AApp:
-    fun: object
-    arg: object
-    tvar: str
-    evar: str
+class _AApp(Node):
+    __slots__ = ("fun", "arg", "tvar", "evar")
 
 
 def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, FreshSupply]:

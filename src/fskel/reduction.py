@@ -10,11 +10,10 @@ application's function part may have any type equal to an arrow."""
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 
 from .syntax import (
-    Abs, App, Arrow, EVarApp, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar,
-    QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow, env_eq,
+    Abs, App, Arrow, EVarApp, Forall, Node, QAbs, QApp, QEVar, QForall, QSub,
+    QVar, QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow, env_eq,
     fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
 from .expansion import apply_subst
@@ -87,66 +86,52 @@ def cbv_step(m: Term) -> Term | None:
 # Subtyping proof skeletons
 
 
-class SubtypeSkeleton:
+class SubtypeSkeleton(Node):
     """Proof term for one subtyping judgement."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Inst(SubtypeSkeleton):
     """Quantifier elimination: all a. t <= t[a := arg]"""
 
-    source: Type  # structurally a Forall
-    arg: Type
+    __slots__ = ("source", "arg")  # source is structurally a Forall
 
 
-@dataclass(frozen=True, slots=True)
 class QuantComm(SubtypeSkeleton):
     """Swap of two adjacent quantifiers."""
 
-    source: Type  # structurally Forall(a1, Forall(a2, _))
+    __slots__ = ("source",)  # structurally Forall(a1, Forall(a2, _))
 
 
-@dataclass(frozen=True, slots=True)
 class DummyIn(SubtypeSkeleton):
     """Introduction of a dummy quantifier: t <= all a. t"""
 
-    var: str
-    body: Type
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class DummyElim(SubtypeSkeleton):
     """Elimination of a dummy quantifier: all a. t <= t"""
 
-    var: str
-    body: Type
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class FunCong(SubtypeSkeleton):
     """Congruence under an arrow (contravariant domain)."""
 
-    dom_proof: SubtypeSkeleton
-    cod_proof: SubtypeSkeleton
+    __slots__ = ("dom_proof", "cod_proof")
 
 
-@dataclass(frozen=True, slots=True)
 class EVarCong(SubtypeSkeleton):
     """Congruence under an E-variable application."""
 
-    evar: str
-    forbidden: frozenset[str]
-    proof: SubtypeSkeleton
+    __slots__ = ("evar", "forbidden", "proof")
 
 
-@dataclass(frozen=True, slots=True)
 class QuantCong(SubtypeSkeleton):
     """Congruence under a quantifier."""
 
-    var: str
-    proof: SubtypeSkeleton
+    __slots__ = ("var", "proof")
 
 
 REG = "regular"
@@ -189,7 +174,7 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
 # Skeletons with explicit subtyping proofs
 
 
-class NeqSkeleton:
+class NeqSkeleton(Node):
     """Skeleton whose subtyping steps carry explicit proofs. Its memo slots
     hold a weak reference to the skeleton that from_neq would rebuild
     exactly from this node, when the node was made from it or with it, and,
@@ -199,48 +184,32 @@ class NeqSkeleton:
     __slots__ = ("_source", "_settled")
 
 
-@dataclass(frozen=True, slots=True)
 class NVar(NeqSkeleton):
-    var: str
-    env: TypeEnv
+    __slots__ = ("var", "env")
 
 
-@dataclass(frozen=True, slots=True)
 class NAbs(NeqSkeleton):
-    binder: str
-    body: NeqSkeleton
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class NApp(NeqSkeleton):
-    fun: NeqSkeleton
-    arg: NeqSkeleton
+    __slots__ = ("fun", "arg")
 
 
-@dataclass(frozen=True, slots=True)
 class NForall(NeqSkeleton):
-    binder: str
-    body: NeqSkeleton
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class NEVar(NeqSkeleton):
-    evar: str
-    forbidden: frozenset[str]
-    body: NeqSkeleton
+    __slots__ = ("evar", "forbidden", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class NSub(NeqSkeleton):
-    body: NeqSkeleton
-    proof: SubtypeSkeleton
+    __slots__ = ("body", "proof")
 
 
-@dataclass(frozen=True, slots=True)
 class NEnvSub(NeqSkeleton):
-    body: NeqSkeleton
-    var: str
-    proof: SubtypeSkeleton  # new type <= old type (an equality)
+    __slots__ = ("body", "var", "proof")  # proof: new type <= old type (an equality)
 
 
 class NeqError(Exception):

@@ -4,12 +4,9 @@ System F checker."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 from .syntax import (
-    And, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists, Forall, Omega,
-    QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, Subst, TVar,
+    And, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists, Forall, Node,
+    Omega, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, Subst, TVar,
     Type, TypeEnv, canonical_type, fresh_name, ftv, type_eq,
 )
 from .expansion import apply_subst
@@ -89,12 +86,11 @@ def leq_eq(t1: Type, t2: Type) -> bool:
 # Solvedness
 
 
-@dataclass(frozen=True)
-class SubtypingRelation:
-    """A named, pure decision procedure for atomic constraints."""
+class SubtypingRelation(Node):
+    """A named, pure decision procedure for atomic constraints: decide(t1, t2)
+    is whether t1 <= t2 holds."""
 
-    name: str
-    decide: Callable[[Type, Type], bool]
+    __slots__ = ("name", "decide")
 
 
 REL_F = SubtypingRelation("F", leq_f)

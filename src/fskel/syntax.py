@@ -1,56 +1,127 @@
 """Core syntactic categories, free variables, and canonical forms.
 
+Every node class derives from `Node`: a frozen, slotted record whose
+fields are its public slots and whose memo slots (slots named with a
+leading `_`) hold facts computed from it at most once.
+
 Types are interned: `TVar`, `Arrow`, `Forall` and `EVarApp` nodes are built
 through one weak table keyed by the class and the fields, so there is one
 live node per distinct type and `==` and `hash` on types are identity.
 `copy`, `deepcopy` and `pickle` return the interned node. A type node has
 three memo slots: its free variables (`ftv`), its canonical form
-(`canonical_type`) and its key (`_type_key`), each computed at most once.
-Constraints, environments and skeletons are not interned; they compare by
-structure. The canonical form of a chain of n applications has n items,
-each under its whole guard prefix, O(n^2) nodes in all that are almost all
-new, so interning constraints would add a table entry per node and share
-little.
+(`canonical_type`) and its key (`_type_key`), each computed at most once; a
+type with no `Forall` in it is marked its own canonical form when it is
+built. Constraints, environments and skeletons are not interned; they
+compare by structure. The canonical form of a chain of n applications has
+n items, each under its whole guard prefix, O(n^2) nodes in all that are
+almost all new, so interning constraints would add a table entry per node
+and share little.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
-from dataclasses import dataclass
-from typing import Union
+from _weakref import _remove_dead_weakref
+
+
+@functools.cache
+def _maker(fields: tuple[str, ...], eq: bool):
+    """Compile a function that takes the fields' slot setters and returns a
+    node class's generated methods by name; classes with the same fields
+    share it."""
+    mine = "".join(f"self.{n}, " for n in fields)
+    stores = "".join(f"\n        _set_{n}(self, {n})" for n in fields)
+    src = [f"def make({', '.join(f'_set_{n}' for n in fields)}):",
+           f"    def __init__({', '.join(('self', *fields))}):{stores or ' pass'}"]
+    if eq:
+        theirs = mine.replace("self.", "other.")
+        src.append(f"    def __eq__(self, other):\n"
+                   f"        if other.__class__ is self.__class__:\n"
+                   f"            return ({mine}) == ({theirs})\n"
+                   f"        return NotImplemented\n"
+                   f"    def __hash__(self):\n"
+                   f"        return hash(({mine}))")
+    names = ("__init__",) + ("__eq__", "__hash__") * eq
+    src.append(f"    return {{{', '.join(f'{n!r}: {n}' for n in names)}}}")
+    ns: dict = {}
+    exec("\n".join(src), ns)
+    return ns["make"]
+
+
+class Node:
+    """A frozen, slotted record: the base of every node class.
+
+    A subclass lists its fields in its own `__slots__`; a slot whose name
+    starts with `_` is a memo slot, not a field. When a subclass is defined
+    it gets, once: `__match_args__` (its fields); an `__init__` that stores
+    each field through its slot's member descriptor (named `_fill` instead
+    when the class builds its nodes in `__new__`, as the interned types do);
+    and, unless the class or a base is declared with `eq=False`, `__eq__`
+    and `__hash__` on the tuple of its fields, as a dataclass has them.
+    `_defaults` holds values for the last fields, as a function's defaults
+    do. A node has the dataclass repr, refuses assignment, and is copied and
+    pickled by rebuilding it from its fields, so a copy starts with empty
+    memo slots."""
+
+    __slots__ = ()
+    _eq = True
+    _defaults = None
+
+    def __init_subclass__(cls, eq=None):
+        super().__init_subclass__()
+        if eq is not None:
+            cls._eq = eq
+        fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        cls.__match_args__ = fields
+        methods = _maker(fields, cls._eq)(*(cls.__dict__[n].__set__ for n in fields))
+        methods["__init__"].__defaults__ = cls._defaults
+        if cls.__new__ is not object.__new__:
+            methods["_fill"] = methods.pop("__init__")
+        for name, method in methods.items():
+            method.__qualname__ = f"{cls.__qualname__}.{name}"
+            setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-class Term:
+class Term(Node):
     """Untyped lambda-term."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
     """Term variable: x"""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True)
 class Abs(Term):
     """Abstraction: \\x. M"""
 
-    binder: str
-    body: Term
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class App(Term):
     """Application: M @ N"""
 
-    fun: Term
-    arg: Term
+    __slots__ = ("fun", "arg")
 
 
 def fv(m: Term) -> frozenset[str]:
@@ -94,133 +165,131 @@ def term_alpha_eq(m1: Term, m2: Term) -> bool:
 # Types
 
 
-# Every type node is interned: the table maps (class, *fields) to the one
-# live node with those fields, and holds it weakly, so a node is freed with
-# its last outside reference (the key holds only the node's children).
-_TYPES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every type node is interned: the table maps (class, *fields) to a weak
+# reference to the one live node with those fields, so a node is freed with
+# its last outside reference (the key holds only the node's children), and
+# the reference's callback then deletes the entry if it is still the dead one.
+_TYPES: dict[tuple, _TypeRef] = {}
+
+
+class _TypeRef(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(ref: _TypeRef) -> None:
+    _remove_dead_weakref(_TYPES, ref.key)
+
 
 # The `_canonical` slot of a node that is its own canonical form (the node
-# itself there would be a reference cycle).
+# itself there would be a reference cycle), and of one with no Forall in it,
+# which is so by construction and lets its parents be marked in turn.
 _IS_CANONICAL = object()
+_NO_FORALL = object()
 
 
-class Type:
-    """System Fs type. Nodes are interned, so `==` and `hash` are identity.
-    The memo slots hold pure functions of the node, each computed at most
-    once: its free variables (`ftv`), its canonical form (`canonical_type`)
-    and its key (`_type_key`)."""
+class Type(Node, eq=False):
+    """System Fs type. Nodes are interned, so `==` and `hash` are identity,
+    and copies rebuild through the table. The memo slots hold pure
+    functions of the node, each computed at most once: its free variables
+    (`ftv`), its canonical form (`canonical_type`) and its key
+    (`_type_key`)."""
 
     __slots__ = ("_ftv", "_canonical", "_key", "__weakref__")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _TYPES.get(key)
-        if node is None:
-            if len(fields) != len(cls.__match_args__):
-                raise TypeError(f"{cls.__name__} takes fields {cls.__match_args__}, got {fields!r}")
-            node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                object.__setattr__(node, name, value)
-            object.__setattr__(node, "_ftv", None)
-            object.__setattr__(node, "_canonical", None)
-            object.__setattr__(node, "_key", None)
-            _TYPES[key] = node
+        ref = _TYPES.get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        node._fill(*fields)
+        canonical = None if cls is Forall else _NO_FORALL
+        for f in fields:
+            if isinstance(f, Type) and f._canonical is not _NO_FORALL:
+                canonical = None
+        _store_ftv(node, None)
+        _store_canonical(node, canonical)
+        _store_key(node, None)
+        ref = _TYPES[key] = _TypeRef(node, _drop)
+        ref.key = key
         return node
 
-    def __reduce__(self):
-        # copy, deepcopy and pickle rebuild through the table
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+_store_ftv, _store_canonical, _store_key = (Type.__dict__[n].__set__ for n in Type.__slots__[:3])
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class TVar(Type):
     """Type variable: a"""
 
-    name: str
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Arrow(Type):
     """Function type: T1 -> T2"""
 
-    dom: Type
-    cod: Type
+    __slots__ = ("dom", "cod")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class Forall(Type):
     """Universal quantifier: all a. T"""
 
-    binder: str
-    body: Type
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class EVarApp(Type):
     """E-variable application: s^{A} T"""
 
-    evar: str
-    forbidden: frozenset[str]
-    body: Type
+    __slots__ = ("evar", "forbidden", "body")
 
 
 # ---------------------------------------------------------------------------
 # Expansions
 
 
-class Expansion:
+class Expansion(Node):
     """Asymmetric expansion term."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Id(Expansion):
     """Null expansion: id"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
+
 class ForallIntro(Expansion):
     """Quantifier introduction: all a. I (a is not a binder here)"""
 
-    var: str
-    rest: Expansion
+    __slots__ = ("var", "rest")
 
 
-@dataclass(frozen=True, slots=True)
 class EVarIntro(Expansion):
     """E-variable introduction: s^{A} I"""
 
-    evar: str
-    forbidden: frozenset[str]
-    rest: Expansion
+    __slots__ = ("evar", "forbidden", "rest")
 
 
-@dataclass(frozen=True, slots=True)
 class SubStep(Expansion):
     """Subtyping step: I |> T"""
 
-    rest: Expansion
-    target: Type
+    __slots__ = ("rest", "target")
 
 
 # ---------------------------------------------------------------------------
 # Substitutions
 
-Binding = tuple[str, Union[Type, Expansion]]
+Binding = tuple[str, Type | Expansion]
 
 
-class _SubstMemo:
-    """Memo slot of a substitution: its index by name, built on first lookup."""
+class Subst(Node):
+    """Ordered list of bindings ended by the identity; first match wins. Its
+    memo slot holds its index by name, built on first lookup."""
 
-    __slots__ = ("_by_name",)
-
-
-@dataclass(frozen=True, slots=True)
-class Subst(_SubstMemo):
-    """Ordered list of bindings ended by the identity; first match wins."""
-
-    bindings: tuple[Binding, ...] = ()
+    __slots__ = ("bindings", "_by_name")
+    _defaults = ((),)
 
     def _index(self) -> tuple[dict[str, Type], dict[str, Expansion]]:
         """The first type and the first expansion bound to each name."""
@@ -253,7 +322,7 @@ IOTA = Subst()
 # Constraints
 
 
-class Constraint:
+class Constraint(Node, eq=False):
     """Subtyping constraint. Its memo slot holds the relations under which
     every atom below the node holds (see solve.solved). Constraints are not
     interned: `==` and `hash` compare the structure, on an explicit stack,
@@ -296,54 +365,45 @@ class Constraint:
         return h
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Omega(Constraint):
     """Trivial constraint: omega"""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True, eq=False)
+
 class Atomic(Constraint):
     """Atomic constraint: T1 <= T2"""
 
-    lhs: Type
-    rhs: Type
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class And(Constraint):
     """Conjunction: C1 & C2"""
 
-    c1: Constraint
-    c2: Constraint
+    __slots__ = ("c1", "c2")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Exists(Constraint):
     """Existential binder: ex a. C"""
 
-    binder: str
-    body: Constraint
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class EGuard(Constraint):
     """E-variable guard: s^{A;T} C"""
 
-    evar: str
-    forbidden: frozenset[str]
-    witness: Type
-    body: Constraint
+    __slots__ = ("evar", "forbidden", "witness", "body")
 
 
 # ---------------------------------------------------------------------------
 # Type environments
 
 
-@dataclass(frozen=True, slots=True)
-class TypeEnv:
+class TypeEnv(Node):
     """Ordered list of (term variable, type) pairs."""
 
-    entries: tuple[tuple[str, Type], ...] = ()
+    __slots__ = ("entries",)
+    _defaults = ((),)
 
     def well_formed(self) -> bool:
         names = [x for x, _ in self.entries]
@@ -378,7 +438,7 @@ def env_eq(g1: TypeEnv, g2: TypeEnv) -> bool:
 # Skeletons
 
 
-class Skeleton:
+class Skeleton(Node):
     """Proof term encoding a typing derivation. Its memo slots hold facts
     that are pure functions of the node's subtree, each computed at most
     once and dropped with the node: the node's judgement
@@ -389,61 +449,46 @@ class Skeleton:
     __slots__ = ("_judgement", "_neq", "__weakref__")
 
 
-@dataclass(frozen=True, slots=True)
 class QVar(Skeleton):
     """Variable skeleton: x<ENV>"""
 
-    var: str
-    env: TypeEnv
+    __slots__ = ("var", "env")
 
 
-@dataclass(frozen=True, slots=True)
 class QAbs(Skeleton):
     """Abstraction skeleton: \\x. Q"""
 
-    binder: str
-    body: Skeleton
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class QApp(Skeleton):
     """Application skeleton: Q1 @ Q2"""
 
-    fun: Skeleton
-    arg: Skeleton
+    __slots__ = ("fun", "arg")
 
 
-@dataclass(frozen=True, slots=True)
 class QForall(Skeleton):
     """Quantifier skeleton: all a. Q"""
 
-    binder: str
-    body: Skeleton
+    __slots__ = ("binder", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class QEVar(Skeleton):
     """E-variable skeleton: s^{A} Q"""
 
-    evar: str
-    forbidden: frozenset[str]
-    body: Skeleton
+    __slots__ = ("evar", "forbidden", "body")
 
 
-@dataclass(frozen=True, slots=True)
 class QSub(Skeleton):
     """Subtyping skeleton: Q |> T"""
 
-    body: Skeleton
-    target: Type
+    __slots__ = ("body", "target")
 
 
-@dataclass(frozen=True, slots=True)
 class QWeak(Skeleton):
     """Weakening skeleton: Q + ENV"""
 
-    body: Skeleton
-    extra: TypeEnv
+    __slots__ = ("body", "extra")
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +571,11 @@ def _type_ftv(t: Type) -> frozenset[str]:
 # Fresh names
 
 
-@dataclass(frozen=True, slots=True)
-class FreshSupply:
+class FreshSupply(Node):
     """Per-family counters for fresh names; emitted names avoid a fixed set."""
 
-    tvar_next: int = 0
-    evar_next: int = 0
-    avoid: frozenset[str] = frozenset()
-    tvar_prefix: str = "a"
-    evar_prefix: str = "s"
+    __slots__ = ("tvar_next", "evar_next", "avoid", "tvar_prefix", "evar_prefix")
+    _defaults = (0, 0, frozenset(), "a", "s")
 
     def fresh_tvar(self) -> tuple[str, "FreshSupply"]:
         i = self.tvar_next
@@ -591,6 +632,8 @@ def rename_type(t: Type, mapping: dict[str, str]) -> Type:
 
 def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
     """Bottom-up normalization: dummy removal, block ordering, binder renaming."""
+    if t._canonical is _NO_FORALL:
+        return t
     match t:
         case TVar(_):
             return t
@@ -668,15 +711,17 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
 def canonical_type(t: Type) -> Type:
     """Canonical representative of t's equality class (alpha, adjacent-quantifier
     reordering, dummy-quantifier suppression). It is kept in t's memo slot,
-    and the canonical form, its own canonical form, is marked as such."""
+    and the canonical form, its own canonical form, is marked as such; a
+    type with no Forall in it was marked so when it was built."""
     c = t._canonical
     if c is None:
         c = _canon(t, [0], _type_ftv(t))
-        object.__setattr__(c, "_canonical", _IS_CANONICAL)
+        if c._canonical is None:
+            object.__setattr__(c, "_canonical", _IS_CANONICAL)
         if c is not t:
             object.__setattr__(t, "_canonical", c)
         return c
-    return t if c is _IS_CANONICAL else c
+    return t if c is _IS_CANONICAL or c is _NO_FORALL else c
 
 
 def type_eq(t1: Type, t2: Type) -> bool:

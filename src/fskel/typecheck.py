@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .syntax import (
-    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists, Forall,
-    Omega, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, Term,
-    TVar, Type, TypeEnv, Var, as_arrow, env_eq, ftv, fv, type_eq,
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Node, Omega,
+    QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, Var, as_arrow,
+    env_eq, ftv, fv, type_eq,
 )
 
 
@@ -47,14 +45,10 @@ class SupportOverlap(SkeletonError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Judgement:
+class Judgement(Node):
     """The term, environment, result type and constraint a skeleton encodes."""
 
-    term: Term
-    env: TypeEnv
-    rtype: Type
-    constraint: Constraint
+    __slots__ = ("term", "env", "rtype", "constraint")
 
 
 def check_skeleton(q: Skeleton) -> Judgement:

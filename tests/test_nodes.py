@@ -1,0 +1,237 @@
+"""The protocol every fskel node class keeps: its repr, its equality and
+hash, positional matching, copies that start with empty memo slots, and
+frozen fields. Also what `import fskel` costs: no dataclass machinery."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from fskel import initial, reduction, solve, syntax, typecheck
+from fskel.syntax import (
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists, Forall,
+    ForallIntro, FreshSupply, Id, Omega, QAbs, QApp, QEVar, QForall, QSub, QVar,
+    QWeak, SubStep, Subst, TVar, TypeEnv, Var,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+A, B = TVar("a"), TVar("b")
+AB = Arrow(A, B)
+ENV = TypeEnv((("x", A),))
+ATOM = Atomic(A, B)
+QX = QVar("x", ENV)
+NX = reduction.NVar("x", ENV)
+INST = reduction.Inst(Forall("a", A), B)
+
+# How each class compares: by its fields (as a dataclass with eq=True did),
+# by identity (interned types) or by structure on a stack (constraints).
+FIELDS, IDENTITY, STRUCTURE = "fields", "identity", "structure"
+
+# (factory, how it compares, its repr); a factory builds a fresh node.
+CASES = [
+    (lambda: Var("x"), FIELDS, "Var(name='x')"),
+    (lambda: Abs("x", Var("x")), FIELDS, "Abs(binder='x', body=Var(name='x'))"),
+    (lambda: App(Var("f"), Var("x")), FIELDS, "App(fun=Var(name='f'), arg=Var(name='x'))"),
+    (lambda: TVar("a"), IDENTITY, "TVar(name='a')"),
+    (lambda: Arrow(A, B), IDENTITY, "Arrow(dom=TVar(name='a'), cod=TVar(name='b'))"),
+    (lambda: Forall("a", A), IDENTITY, "Forall(binder='a', body=TVar(name='a'))"),
+    (lambda: EVarApp("s", frozenset({"b"}), A), IDENTITY,
+     "EVarApp(evar='s', forbidden=frozenset({'b'}), body=TVar(name='a'))"),
+    (lambda: Id(), FIELDS, "Id()"),
+    (lambda: ForallIntro("a", Id()), FIELDS, "ForallIntro(var='a', rest=Id())"),
+    (lambda: EVarIntro("s", frozenset({"a"}), Id()), FIELDS,
+     "EVarIntro(evar='s', forbidden=frozenset({'a'}), rest=Id())"),
+    (lambda: SubStep(Id(), A), FIELDS, "SubStep(rest=Id(), target=TVar(name='a'))"),
+    (lambda: Subst((("a", B), ("s", Id()))), FIELDS,
+     "Subst(bindings=(('a', TVar(name='b')), ('s', Id())))"),
+    (lambda: Omega(), STRUCTURE, "Omega()"),
+    (lambda: Atomic(A, B), STRUCTURE, "Atomic(lhs=TVar(name='a'), rhs=TVar(name='b'))"),
+    (lambda: And(ATOM, Omega()), STRUCTURE,
+     "And(c1=Atomic(lhs=TVar(name='a'), rhs=TVar(name='b')), c2=Omega())"),
+    (lambda: Exists("a", ATOM), STRUCTURE,
+     "Exists(binder='a', body=Atomic(lhs=TVar(name='a'), rhs=TVar(name='b')))"),
+    (lambda: EGuard("s", frozenset({"b"}), A, Omega()), STRUCTURE,
+     "EGuard(evar='s', forbidden=frozenset({'b'}), witness=TVar(name='a'), body=Omega())"),
+    (lambda: TypeEnv((("x", A),)), FIELDS, "TypeEnv(entries=(('x', TVar(name='a')),))"),
+    (lambda: QVar("x", ENV), FIELDS,
+     "QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),)))"),
+    (lambda: QAbs("y", QX), FIELDS,
+     "QAbs(binder='y', body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: QApp(QX, QX), FIELDS,
+     "QApp(fun=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "arg=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: QForall("b", QX), FIELDS,
+     "QForall(binder='b', body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: QEVar("s", frozenset({"a"}), QX), FIELDS,
+     "QEVar(evar='s', forbidden=frozenset({'a'}), "
+     "body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: QSub(QX, A), FIELDS,
+     "QSub(body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "target=TVar(name='a'))"),
+    (lambda: QWeak(QX, TypeEnv((("y", B),))), FIELDS,
+     "QWeak(body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "extra=TypeEnv(entries=(('y', TVar(name='b')),)))"),
+    (lambda: FreshSupply(1, 2, frozenset({"a0"})), FIELDS,
+     "FreshSupply(tvar_next=1, evar_next=2, avoid=frozenset({'a0'}), tvar_prefix='a', "
+     "evar_prefix='s')"),
+    (lambda: reduction.Inst(Forall("a", A), B), FIELDS,
+     "Inst(source=Forall(binder='a', body=TVar(name='a')), arg=TVar(name='b'))"),
+    (lambda: reduction.QuantComm(Forall("a", Forall("b", AB))), FIELDS,
+     "QuantComm(source=Forall(binder='a', body=Forall(binder='b', "
+     "body=Arrow(dom=TVar(name='a'), cod=TVar(name='b')))))"),
+    (lambda: reduction.DummyIn("c", A), FIELDS, "DummyIn(var='c', body=TVar(name='a'))"),
+    (lambda: reduction.DummyElim("c", A), FIELDS, "DummyElim(var='c', body=TVar(name='a'))"),
+    (lambda: reduction.FunCong(INST, INST), FIELDS,
+     "FunCong(dom_proof=Inst(source=Forall(binder='a', body=TVar(name='a')), "
+     "arg=TVar(name='b')), cod_proof=Inst(source=Forall(binder='a', "
+     "body=TVar(name='a')), arg=TVar(name='b')))"),
+    (lambda: reduction.EVarCong("s", frozenset(), INST), FIELDS,
+     "EVarCong(evar='s', forbidden=frozenset(), proof=Inst(source=Forall(binder='a', "
+     "body=TVar(name='a')), arg=TVar(name='b')))"),
+    (lambda: reduction.QuantCong("c", INST), FIELDS,
+     "QuantCong(var='c', proof=Inst(source=Forall(binder='a', body=TVar(name='a')), "
+     "arg=TVar(name='b')))"),
+    (lambda: reduction.NVar("x", ENV), FIELDS,
+     "NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),)))"),
+    (lambda: reduction.NAbs("y", NX), FIELDS,
+     "NAbs(binder='y', body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: reduction.NApp(NX, NX), FIELDS,
+     "NApp(fun=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "arg=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: reduction.NForall("b", NX), FIELDS,
+     "NForall(binder='b', body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: reduction.NEVar("s", frozenset({"b"}), NX), FIELDS,
+     "NEVar(evar='s', forbidden=frozenset({'b'}), "
+     "body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    (lambda: reduction.NSub(NX, INST), FIELDS,
+     "NSub(body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "proof=Inst(source=Forall(binder='a', body=TVar(name='a')), arg=TVar(name='b')))"),
+    (lambda: reduction.NEnvSub(NX, "x", INST), FIELDS,
+     "NEnvSub(body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), var='x', "
+     "proof=Inst(source=Forall(binder='a', body=TVar(name='a')), arg=TVar(name='b')))"),
+    (lambda: typecheck.Judgement(Var("x"), ENV, A, Omega()), FIELDS,
+     "Judgement(term=Var(name='x'), env=TypeEnv(entries=(('x', TVar(name='a')),)), "
+     "rtype=TVar(name='a'), constraint=Omega())"),
+    (lambda: solve.SubtypingRelation("EQ", solve.leq_eq), FIELDS,
+     f"SubtypingRelation(name='EQ', decide={solve.leq_eq!r})"),
+    (lambda: initial._AVar("x", "s0"), FIELDS, "_AVar(var='x', evar='s0')"),
+    (lambda: initial._AAbs("x", initial._AVar("x", "s0"), "s1"), FIELDS,
+     "_AAbs(binder='x', body=_AVar(var='x', evar='s0'), evar='s1')"),
+    (lambda: initial._AApp(initial._AVar("f", "s0"), initial._AVar("x", "s1"), "a0", "s2"),
+     FIELDS,
+     "_AApp(fun=_AVar(var='f', evar='s0'), arg=_AVar(var='x', evar='s1'), tvar='a0', "
+     "evar='s2')"),
+]
+
+IDS = [case[2].split("(")[0] for case in CASES]
+
+
+def _fields(node):
+    return tuple(getattr(node, name) for name in type(node).__match_args__)
+
+
+def _memo_slots(cls):
+    """The memo slots of cls: every slot that is not a field."""
+    names = {n for k in cls.__mro__ for n in getattr(k, "__slots__", ())}
+    return sorted(n for n in names - set(cls.__match_args__) if n != "__weakref__")
+
+
+def _destructure(node):
+    """The node's fields by a positional class pattern."""
+    C = type(node)
+    match len(C.__match_args__), node:
+        case 0, C():
+            return ()
+        case 1, C(a):
+            return (a,)
+        case 2, C(a, b):
+            return (a, b)
+        case 3, C(a, b, c):
+            return (a, b, c)
+        case 4, C(a, b, c, d):
+            return (a, b, c, d)
+        case 5, C(a, b, c, d, e):
+            return (a, b, c, d, e)
+    raise AssertionError(node)
+
+
+def test_every_node_class_is_covered():
+    classes = {type(make()) for make, _, _ in CASES}
+    assert len(classes) == len(CASES) == 45
+    modules = (syntax, reduction, typecheck, solve, initial)
+    with_fields = {v for m in modules for v in vars(m).values()
+                   if isinstance(v, type) and v.__module__ == m.__name__
+                   and getattr(v, "__match_args__", ())}
+    assert with_fields <= classes
+
+
+@pytest.mark.parametrize("make, eq, text", CASES, ids=IDS)
+def test_repr_eq_hash_and_match(make, eq, text):
+    node, fresh = make(), make()
+    assert repr(node) == text
+    assert _destructure(node) == _fields(node)
+    assert node == fresh and not node != fresh and hash(node) == hash(fresh)
+    assert (node is fresh) == (eq == IDENTITY)
+    assert node != object() and node != _fields(node)
+    if eq == FIELDS:
+        assert hash(node) == hash(_fields(node))
+
+
+@pytest.mark.parametrize("make, eq, text", CASES, ids=IDS)
+def test_copies_start_with_empty_memo_slots(make, eq, text):
+    node = make()
+    memo = _memo_slots(type(node))
+    if eq != IDENTITY:
+        for name in memo:
+            object.__setattr__(node, name, lambda: None)  # cannot be pickled
+    for copied in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert type(copied) is type(node) and copied == node and repr(copied) == text
+        if eq == IDENTITY:
+            assert copied is node
+        else:
+            assert copied is not node
+            assert [getattr(copied, name, None) for name in memo] == [None] * len(memo)
+
+
+@pytest.mark.parametrize("make, eq, text", CASES, ids=IDS)
+def test_fields_are_frozen(make, eq, text):
+    node = make()
+    for name in type(node).__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+    assert repr(node) == text
+
+
+@pytest.mark.parametrize("make, eq, text", CASES, ids=IDS)
+def test_other_names_are_frozen_too(make, eq, text):
+    # a slots=True dataclass raised TypeError here: its frozen __setattr__
+    # and __delattr__ name the class as it was before slots were added
+    node = make()
+    for name in ("other", *_memo_slots(type(node))):
+        with pytest.raises(AttributeError):
+            setattr(node, name, None)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+
+
+def test_import_needs_no_dataclass_machinery():
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fskel\n"
+        "from fskel import syntax\n"
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "nodes = [v for name, m in sys.modules.items() if name.startswith('fskel.')\n"
+        "         for v in vars(m).values() if isinstance(v, type)\n"
+        "         and v.__module__ == name and issubclass(v, syntax.Node)]\n"
+        "print(len(nodes), *sorted(v.__name__ for v in nodes if v.__dictoffset__))\n"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded, nodes = done.stdout.splitlines()
+    assert loaded == ""
+    assert int(nodes) >= 45  # the node classes and their bases, none with a __dict__
