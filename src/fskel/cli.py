@@ -45,11 +45,13 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _print_judgement(j: Judgement, fmt: str) -> None:
+def _print_judgement(j: Judgement, fmt: str, memo: dict | None = None) -> None:
+    """Print j; memo is the printers' table (see `surface`), which a caller
+    printing several judgements that share subterms passes to each."""
     rtype = canonical_type(j.rtype) if fmt == "canonical" else j.rtype
     cons = canonical_constraint(j.constraint) if fmt == "canonical" else j.constraint
-    print(f"term: {print_term(j.term)}")
-    print(f"env: {print_type_env(j.env)}")
+    print(f"term: {print_term(j.term, memo)}")
+    print(f"env: {print_type_env(j.env, memo)}")
     print(f"rtype: {print_type(rtype)}")
     print(f"constraint: {print_constraint(cons)}")
 
@@ -113,10 +115,13 @@ def cmd_reduce(args) -> int:
     q = parse_skeleton(_read(args.file))
     rel = RELATIONS[args.rel]
     step = 0
+    # a step returns the subterms off the redex path as the same objects,
+    # so one printers' table over all steps renders each of them once
+    memo: dict = {}
     while True:
         j = check_skeleton(q)
-        print(f"step {step}: {print_term(j.term)}")
-        _print_judgement(j, args.format)
+        print(f"step {step}: {print_term(j.term, memo)}")
+        _print_judgement(j, args.format, memo)
         ok = solved(j.constraint, rel)
         print(f"solved ({rel.name}): {'yes' if ok else 'no'}")
         if not ok:
@@ -155,14 +160,20 @@ def _children(q: Skeleton) -> list[Skeleton]:
 
 
 def _tree_lines(q: Skeleton) -> list[str]:
+    """One line per node, with its whole judgement. A node's term is built
+    from its premises' terms (`check_skeleton`), so with one printers'
+    table each term, environment and type node is rendered once: the
+    Python work is linear in the number of nodes, while the output of a
+    chain of n applications is Θ(n²) characters."""
     check_skeleton(q)  # judges every node, or raises
     out: list[str] = []
+    memo: dict = {}
 
     def go(q: Skeleton, prefix: str) -> None:
         j = check_skeleton(q)
         label = type(q).__name__[1:].lower()  # QEVar -> evar
-        out.append(f"{prefix}{label}: {print_term(j.term)} : "
-                   f"{print_type_env(j.env)} |- {print_type(j.rtype)}")
+        out.append(f"{prefix}{label}: {print_term(j.term, memo)} : "
+                   f"{print_type_env(j.env, memo)} |- {print_type(j.rtype)}")
         for kid in _children(q):
             go(kid, prefix + "  ")
 
@@ -178,6 +189,7 @@ def _tree_dot(q: Skeleton) -> str:
     def go(q: Skeleton) -> int:
         me = counter[0]
         counter[0] += 1
+        # each label is a type, which keeps its text once rendered
         label = print_type(check_skeleton(q).rtype).replace('"', '\\"')
         lines.append(f'  n{me} [label="{type(q).__name__}\\n{label}"];')
         for kid in _children(q):

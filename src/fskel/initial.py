@@ -22,7 +22,11 @@ class TermMismatch(Exception):
 
 
 def allvar(q: Skeleton) -> frozenset[str]:
-    """Free type variables plus all expansion variables of a skeleton."""
+    """Free type variables plus all expansion variables of a skeleton,
+    kept in q's memo slot."""
+    found = getattr(q, "_allvar", None)
+    if found is not None:
+        return found
     # free type variables and expansion variables in one walk; `bound`
     # holds the enclosing binders. A node met again under the same binders
     # (a shared subtree, an interned type) adds nothing and is skipped.
@@ -60,7 +64,9 @@ def allvar(q: Skeleton) -> frozenset[str]:
                 todo += ((t, bound) for _, t in extra.entries)
             case _:
                 raise TypeError(node)
-    return frozenset(out)
+    found = frozenset(out)
+    object.__setattr__(q, "_allvar", found)
+    return found
 
 
 # ---------------------------------------------------------------------------

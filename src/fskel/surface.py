@@ -30,7 +30,9 @@ number of times: a substitution value is read as an expansion and, if
 that fails, once more as a type; a constraint atom not opening with '('
 is read as "T <= T" and, if that fails, as a guard.  The choice between a
 parenthesised type and a parenthesised constraint is left-factored, so a
-constraint atom that opens with k parentheses is read once.
+constraint atom that opens with k parentheses is read once.  The printers
+render each node object once (see "Printers" below), so printing makes one
+call per edge of the printed object.
 """
 
 from __future__ import annotations
@@ -380,23 +382,38 @@ parse_var_list = _entry(Parser.var_list)
 
 # ---------------------------------------------------------------------------
 # Printers
+#
+# Each printer renders a node object once. A type keeps its text in its
+# `_text` memo slot. Terms, environments and skeletons are not interned, so
+# their printers take a table, `memo`, that maps id(node) to (node, text):
+# holding the node keeps its id from being reused while the table lives. A
+# caller that prints many nodes sharing subterms passes one table to every
+# call; without one, each call starts a table of its own.
 
 
-def print_term(m: Term) -> str:
+def print_term(m: Term, memo: dict | None = None) -> str:
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(m))
+    if hit is not None:
+        return hit[1]
     match m:
         case Var(x):
-            return x
+            text = x
         case Abs(x, body):
-            return f"\\{x}. {print_term(body)}"
+            text = f"\\{x}. {print_term(body, memo)}"
         case App(f, a):
-            fs = print_term(f)
+            fs = print_term(f, memo)
             if isinstance(f, Abs):
                 fs = f"({fs})"
-            as_ = print_term(a)
+            as_ = print_term(a, memo)
             if isinstance(a, (Abs, App)):
                 as_ = f"({as_})"
-            return f"{fs} @ {as_}"
-    raise TypeError(m)
+            text = f"{fs} @ {as_}"
+        case _:
+            raise TypeError(m)
+    memo[id(m)] = m, text
+    return text
 
 
 def print_var_set(vs: frozenset[str]) -> str:
@@ -404,22 +421,27 @@ def print_var_set(vs: frozenset[str]) -> str:
 
 
 def print_type(t: Type) -> str:
-    match t:
-        case TVar(a):
-            return a
-        case Arrow(d, c):
-            ds = print_type(d)
-            if isinstance(d, (Arrow, Forall)):
-                ds = f"({ds})"
-            return f"{ds} -> {print_type(c)}"
-        case Forall(a, body):
-            return f"all {a}. {print_type(body)}"
-        case EVarApp(s, forbidden, body):
-            bs = print_type(body)
-            if isinstance(body, (Arrow, Forall)):
-                bs = f"({bs})"
-            return f"{s}^{{{print_var_set(forbidden)}}} {bs}"
-    raise TypeError(t)
+    text = getattr(t, "_text", None)
+    if text is None:
+        match t:
+            case TVar(a):
+                text = a
+            case Arrow(d, c):
+                ds = print_type(d)
+                if isinstance(d, (Arrow, Forall)):
+                    ds = f"({ds})"
+                text = f"{ds} -> {print_type(c)}"
+            case Forall(a, body):
+                text = f"all {a}. {print_type(body)}"
+            case EVarApp(s, forbidden, body):
+                bs = print_type(body)
+                if isinstance(body, (Arrow, Forall)):
+                    bs = f"({bs})"
+                text = f"{s}^{{{print_var_set(forbidden)}}} {bs}"
+            case _:
+                raise TypeError(t)
+        object.__setattr__(t, "_text", text)
+    return text
 
 
 def print_expansion(i: Expansion) -> str:
@@ -450,9 +472,12 @@ def print_subst(phi: Subst) -> str:
 
 
 def print_constraint(c: Constraint) -> str:
-    # an explicit stack of nodes and literal pieces: no recursion on depth
+    # an explicit stack of nodes and literal pieces: no recursion on depth.
+    # A canonical constraint repeats each guard under every item below it,
+    # so each distinct guard's text is made once.
     out: list[str] = []
     todo: list[Constraint | str] = [c]
+    guards: dict[tuple, str] = {}
     while todo:
         c = todo.pop()
         match c:
@@ -469,50 +494,67 @@ def print_constraint(c: Constraint) -> str:
                 out.append(f"ex {a}. ")
                 todo.append(body)
             case EGuard(s, forbidden, witness, body):
-                out.append(f"{s}^{{{print_var_set(forbidden)}; {print_type(witness)}}} ")
+                key = s, forbidden, witness
+                text = guards.get(key)
+                if text is None:
+                    text = guards[key] = f"{s}^{{{print_var_set(forbidden)}; {print_type(witness)}}} "
+                out.append(text)
                 todo += (")", body, "(") if isinstance(body, (And, Exists)) else (body,)
             case _:
                 raise TypeError(c)
     return "".join(out)
 
 
-def _print_entries(env: TypeEnv) -> str:
-    return ", ".join(f"{x}: {print_type(t)}" for x, t in env.entries)
+def _print_entries(env: TypeEnv, memo: dict) -> str:
+    hit = memo.get(id(env))
+    if hit is not None:
+        return hit[1]
+    text = ", ".join(f"{x}: {print_type(t)}" for x, t in env.entries)
+    memo[id(env)] = env, text
+    return text
 
 
-def print_type_env(env: TypeEnv) -> str:
-    return "{" + _print_entries(env) + "}"
+def print_type_env(env: TypeEnv, memo: dict | None = None) -> str:
+    return "{" + _print_entries(env, {} if memo is None else memo) + "}"
 
 
-def print_skeleton(q: Skeleton) -> str:
+def print_skeleton(q: Skeleton, memo: dict | None = None) -> str:
+    if memo is None:
+        memo = {}
+    hit = memo.get(id(q))
+    if hit is not None:
+        return hit[1]
     match q:
         case QVar(x, env):
-            return f"{x}<{_print_entries(env)}>"
+            text = f"{x}<{_print_entries(env, memo)}>"
         case QAbs(x, body):
-            return f"\\{x}. {print_skeleton(body)}"
+            text = f"\\{x}. {print_skeleton(body, memo)}"
         case QApp(f, a):
-            fs = print_skeleton(f)
+            fs = print_skeleton(f, memo)
             if isinstance(f, (QAbs, QForall, QSub, QWeak)):
                 fs = f"({fs})"
-            as_ = print_skeleton(a)
+            as_ = print_skeleton(a, memo)
             if isinstance(a, (QAbs, QForall, QSub, QWeak, QApp)):
                 as_ = f"({as_})"
-            return f"{fs} @ {as_}"
+            text = f"{fs} @ {as_}"
         case QForall(a, body):
-            return f"all {a}. {print_skeleton(body)}"
+            text = f"all {a}. {print_skeleton(body, memo)}"
         case QEVar(s, forbidden, body):
-            bs = print_skeleton(body)
+            bs = print_skeleton(body, memo)
             if not isinstance(body, (QVar, QEVar)):
                 bs = f"({bs})"
-            return f"{s}^{{{print_var_set(forbidden)}}} {bs}"
+            text = f"{s}^{{{print_var_set(forbidden)}}} {bs}"
         case QSub(body, target):
-            bs = print_skeleton(body)
+            bs = print_skeleton(body, memo)
             if isinstance(body, (QAbs, QForall)):
                 bs = f"({bs})"
-            return f"{bs} |> {print_type(target)}"
+            text = f"{bs} |> {print_type(target)}"
         case QWeak(body, extra):
-            bs = print_skeleton(body)
+            bs = print_skeleton(body, memo)
             if isinstance(body, (QAbs, QForall)):
                 bs = f"({bs})"
-            return f"{bs} + {print_type_env(extra)}"
-    raise TypeError(q)
+            text = f"{bs} + {print_type_env(extra, memo)}"
+        case _:
+            raise TypeError(q)
+    memo[id(q)] = q, text
+    return text

@@ -8,11 +8,12 @@ Types are interned: `TVar`, `Arrow`, `Forall` and `EVarApp` nodes are built
 through one weak table keyed by the class and the fields, so there is one
 live node per distinct type and `==` and `hash` on types are identity.
 `copy`, `deepcopy` and `pickle` return the interned node. A type node has
-three memo slots: its free variables (`ftv`), its canonical form
-(`canonical_type`) and its key (`_type_key`), each computed at most once; a
-type with no `Forall` in it is marked its own canonical form when it is
-built. Constraints, environments and skeletons are not interned; they
-compare by structure. The canonical form of a chain of n applications has
+four memo slots: its free variables (`ftv`), its canonical form
+(`canonical_type`), its key (`_type_key`) and its text
+(`surface.print_type`), each computed at most once; a type with no
+`Forall` in it is marked its own canonical form when it is built.
+Constraints, environments and skeletons are not interned; they compare by
+structure. The canonical form of a chain of n applications has
 n items, each under its whole guard prefix, O(n^2) nodes in all that are
 almost all new, so interning constraints would add a table entry per node
 and share little.
@@ -191,10 +192,10 @@ class Type(Node, eq=False):
     """System Fs type. Nodes are interned, so `==` and `hash` are identity,
     and copies rebuild through the table. The memo slots hold pure
     functions of the node, each computed at most once: its free variables
-    (`ftv`), its canonical form (`canonical_type`) and its key
-    (`_type_key`)."""
+    (`ftv`), its canonical form (`canonical_type`), its key (`_type_key`)
+    and its text (`surface.print_type`)."""
 
-    __slots__ = ("_ftv", "_canonical", "_key", "__weakref__")
+    __slots__ = ("_ftv", "_canonical", "_key", "_text", "__weakref__")
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -212,12 +213,14 @@ class Type(Node, eq=False):
         _store_ftv(node, None)
         _store_canonical(node, canonical)
         _store_key(node, None)
+        _store_text(node, None)
         ref = _TYPES[key] = _TypeRef(node, _drop)
         ref.key = key
         return node
 
 
-_store_ftv, _store_canonical, _store_key = (Type.__dict__[n].__set__ for n in Type.__slots__[:3])
+_store_ftv, _store_canonical, _store_key, _store_text = (
+    Type.__dict__[n].__set__ for n in Type.__slots__[:4])
 
 
 class TVar(Type):
@@ -442,11 +445,12 @@ class Skeleton(Node):
     """Proof term encoding a typing derivation. Its memo slots hold facts
     that are pure functions of the node's subtree, each computed at most
     once and dropped with the node: the node's judgement
-    (typecheck.check_skeleton) and its proof-carrying form
-    (reduction.to_neq). A proof-carrying node refers back to the skeleton
-    it came from by a weak reference, so the two never form a cycle."""
+    (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq)
+    and its type and expansion variables (initial.allvar). A
+    proof-carrying node refers back to the skeleton it came from by a weak
+    reference, so the two never form a cycle."""
 
-    __slots__ = ("_judgement", "_neq", "__weakref__")
+    __slots__ = ("_judgement", "_neq", "_allvar", "__weakref__")
 
 
 class QVar(Skeleton):

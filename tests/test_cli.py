@@ -244,6 +244,35 @@ def test_deeply_nested_input(write, capsys):
     assert out == "" and err == "error: input nested too deeply\n"
 
 
+def _fskel(argv, text):
+    """The fskel command in a fresh interpreter, reading text from stdin,
+    so that it starts from a stack of its own, as from a shell."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "fskel.cli", *argv, "-"], input=text,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_printing_commands_accept_inputs_as_deep_as_the_parser():
+    # the printers recurse once per level, and their tables add no frame,
+    # so the parser's limit binds first: the initial skeleton of a chain of
+    # 200 applications, and the 327 levels of `\x.` the README states
+    text = "y"
+    for _ in range(200):
+        text = f"g @ ({text})"
+    code, out, _ = _fskel(["initial"], "\\g. \\y. " + text)
+    assert code == EXIT_OK
+    chain = out.splitlines()[0].removeprefix("skeleton: ")
+    xs = [f"x{i}" for i in range(327)]
+    lams = "".join(f"\\{x}. " for x in xs) + f"x0<{', '.join(f'{x}: a' for x in xs)}>"
+    for q, reduced in ((chain, EXIT_UNSOLVED), (lams, EXIT_OK)):
+        for argv, expected in ((["check"], EXIT_OK), (["tree"], EXIT_OK),
+                               (["tree", "--dot"], EXIT_OK), (["reduce"], reduced)):
+            code, out, err = _fskel(argv, q)
+            assert (code, err) == (expected, "") and out, argv
+
+
 def _id_chain(n):
     """(\\u. u) @ ((\\u. u) @ ... @ (\\z. z)) at type c -> c."""
     text = "\\z. z<z: c>"

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -264,3 +265,41 @@ def test_derive_substitution_left_nested_target():
     assert term_alpha_eq(j.term, jt.term)
     assert env_eq(j.env, jt.env)
     assert type_eq(j.rtype, jt.rtype)
+
+
+def _allvar_visits(call):
+    """call()'s result and the nodes that allvar's walks took off their
+    stacks while it ran."""
+    visits = [0]
+    code = allvar.__code__
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is code and arg.__name__ == "pop":
+            visits[0] += 1
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(before)
+    return result, visits[0]
+
+
+def test_allvar_is_kept_on_the_node():
+    q, _ = _left_nested(8)
+    found, visits = _allvar_visits(lambda: allvar(q))
+    assert visits >= 17  # the applications and the leaves, at least
+    again, visits = _allvar_visits(lambda: allvar(q))
+    assert again is found and visits == 0
+
+
+def test_derive_substitution_walks_a_target_once():
+    # a second derivation onto the same target walks only its new initial
+    # skeleton, the same number of nodes as the first one's
+    qt, m = _left_nested(8)
+    q0, q1 = (initial_skeleton(m, FreshSupply())[0] for _ in range(2))
+    _, first = _allvar_visits(lambda: derive_substitution(q0, qt))
+    _, second = _allvar_visits(lambda: derive_substitution(q1, qt))
+    _, target = _allvar_visits(lambda: allvar(_left_nested(8)[0]))
+    assert target > 0 and first - second == target
