@@ -177,9 +177,9 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
 class NeqSkeleton(Node):
     """Skeleton whose subtyping steps carry explicit proofs. Its memo slots
     hold a weak reference to the skeleton that from_neq would rebuild
-    exactly from this node, when the node was made from it or with it, and,
-    on an NSub whose proof elaboration settled to end at its literal
-    target, the type the proof was settled from."""
+    exactly from this node, when the node was elaborated from it or
+    flattened to it, and, on an NSub whose proof elaboration settled to
+    end at its literal target, the type the proof was settled from."""
 
     __slots__ = ("_source", "_settled")
 
@@ -487,23 +487,18 @@ def _neq_type(n: NeqSkeleton) -> Type:
 # Between the two skeleton languages
 
 
-def _sub_proof(t: Type, target: Type) -> Inst | None:
-    """The Inst proof of t <= target, None when the two are equal, NotSolved
-    when leq_f rejects the pair."""
+def _sub_step(t: Type, target: Type) -> tuple[Inst | None, bool]:
+    """The Inst proof of t <= target (None when the two are equal, NotSolved
+    when leq_f rejects the pair), and whether the type that proof ends at is
+    literally target (so from_neq gives the step back unchanged)."""
     if type_eq(t, target):
-        return None
+        return None, False
     w = leq_f_witness(t, target)
     if w is None:
         raise NotSolved("constraint does not hold under quantifier elimination")
     a, rest, x = w
-    return Inst(Forall(a, rest), x)
-
-
-def _sub_step(t: Type, target: Type) -> tuple[Inst | None, bool]:
-    """_sub_proof of t <= target, and whether the type that proof ends at
-    is literally target (so from_neq gives the step back unchanged)."""
-    proof = _sub_proof(t, target)
-    return proof, proof is not None and check_subproof(proof)[1] == target
+    proof = Inst(Forall(a, rest), x)
+    return proof, check_subproof(proof)[1] == target
 
 
 _UNSET = object()  # the value of a memo slot never filled
@@ -515,17 +510,6 @@ def _source(n: NeqSkeleton) -> Skeleton | None:
     return None if ref is None else ref()
 
 
-def _link(q: Skeleton, n: NeqSkeleton, faithful: bool = True) -> Skeleton:
-    """q, a new node built from its form n. When faithful (elaborating q
-    would make n again: for a node other than a |>, each child of q is
-    linked to the same child of n), q keeps n as its form and n points
-    back to q."""
-    if faithful:
-        object.__setattr__(q, "_neq", n)
-        object.__setattr__(n, "_source", weakref.ref(q))
-    return q
-
-
 def _sub(body: NeqSkeleton, old: NSub) -> NSub:
     """NSub(body, old.proof), for a body at a type equal to old's body's,
     keeping the type old's proof was settled from."""
@@ -534,17 +518,6 @@ def _sub(body: NeqSkeleton, old: NSub) -> NSub:
     if t is not None:
         object.__setattr__(n, "_settled", t)
     return n
-
-
-def _sub_skeleton(qb: Skeleton, n: NSub) -> Skeleton:
-    """QSub(qb, the type n's proof ends at), for the skeleton qb that from_neq
-    makes of n's body. It is linked to n when qb is linked to n's body and
-    judged at the very type n's proof was settled from: elaborating it then
-    settles that same step, which ends at its literal target, again."""
-    q = QSub(qb, check_subproof(n.proof)[1])
-    t = getattr(n, "_settled", None)
-    return _link(q, n, t is not None and _source(n.body) is qb
-                 and check_skeleton(qb).rtype is t)
 
 
 def _elaborate(q: Skeleton) -> NeqSkeleton:
@@ -626,34 +599,46 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
     its constraint is solved by construction. An NEnvSub is dropped: its
     proof is an equality, so the environment stays the same modulo the
     equational theory. A node that records the skeleton it rebuilds
-    exactly gives back that skeleton itself. Every node built is linked to
-    its form when its children are (_link), a |> only when its body is
-    judged at the type its proof was settled from (_sub_skeleton), so
-    elaborating the result enters only the other rebuilt |> nodes and the
-    nodes above them."""
+    exactly gives back that skeleton itself, so flattening a stepped form
+    builds only the path to the redex and the contractum. A node built
+    keeps its form, and the form points back to it, when elaborating the
+    node would make that form again: when each child is linked to the same
+    child of the form, and, for a |>, when its body is also judged at the
+    very type the proof was settled from, since that step then settles
+    again to end at its literal target. Elaborating the result so enters
+    only the other rebuilt |> nodes and the nodes above them."""
     src = _source(q)
     if src is not None:
         return src
     match q:
         case NVar(x, env):
-            return _link(QVar(x, env), q)
+            out, linked = QVar(x, env), True
         case NAbs(x, body):
             qb = from_neq(body)
-            return _link(QAbs(x, qb), q, _source(body) is qb)
+            out, linked = QAbs(x, qb), _source(body) is qb
         case NApp(f, a):
             qf, qa = from_neq(f), from_neq(a)
-            return _link(QApp(qf, qa), q, _source(f) is qf and _source(a) is qa)
+            out, linked = QApp(qf, qa), _source(f) is qf and _source(a) is qa
         case NForall(a, body):
             qb = from_neq(body)
-            return _link(QForall(a, qb), q, _source(body) is qb)
+            out, linked = QForall(a, qb), _source(body) is qb
         case NEVar(s, forbidden, body):
             qb = from_neq(body)
-            return _link(QEVar(s, forbidden, qb), q, _source(body) is qb)
-        case NSub(body, _):
-            return _sub_skeleton(from_neq(body), q)
+            out, linked = QEVar(s, forbidden, qb), _source(body) is qb
+        case NSub(body, proof):
+            qb = from_neq(body)
+            out = QSub(qb, check_subproof(proof)[1])
+            t = getattr(q, "_settled", None)
+            linked = (t is not None and _source(body) is qb
+                      and check_skeleton(qb).rtype is t)
         case NEnvSub(body, _, _):
             return from_neq(body)
-    raise TypeError(q)
+        case _:
+            raise TypeError(q)
+    if linked:
+        object.__setattr__(out, "_neq", q)
+        object.__setattr__(q, "_source", weakref.ref(out))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +748,10 @@ def _expose_abs(n: NeqSkeleton) -> NeqSkeleton:
 
 
 def step_neq(n: NeqSkeleton) -> NeqSkeleton:
-    """One call-by-value step on the proof-carrying skeleton's term."""
+    """One call-by-value step on the proof-carrying skeleton's term. It
+    builds proof-carrying nodes only: no skeleton is flattened."""
     check_neq(n)
-    return _step_at(n)[0]
+    return _step_at(n)
 
 
 def _core(n: NeqSkeleton) -> NeqSkeleton:
@@ -776,40 +762,30 @@ def _core(n: NeqSkeleton) -> NeqSkeleton:
     return n
 
 
-def _step_at(n: NeqSkeleton) -> tuple[NeqSkeleton, Skeleton]:
+def _step_at(n: NeqSkeleton) -> NeqSkeleton:
     """Step a valid n at the call-by-value redex of its term, found on n
-    itself; NotAStep when the term is a normal form. Gives the stepped form
-    and its skeleton, which is what from_neq makes of it: each node of the
-    path to the redex is built once in each language, linked to its form
-    as from_neq links it, and the rest comes from from_neq, which gives a
-    subtree off the path back as the skeleton it was elaborated from."""
+    itself; NotAStep when the term is a normal form. Rebuilds the path to
+    the redex once, each |> on it keeping the type its proof was settled
+    from, and shares every subtree off the path with n; from_neq turns the
+    result into a skeleton, giving each of those subtrees back as the
+    skeleton it was elaborated from."""
     match n:
         case NForall(a, body):
-            nb, qb = _step_at(body)
-            n2 = NForall(a, nb)
-            return n2, _link(QForall(a, qb), n2, _source(nb) is qb)
+            return NForall(a, _step_at(body))
         case NEVar(s, forbidden, body):
-            nb, qb = _step_at(body)
-            n2 = NEVar(s, forbidden, nb)
-            return n2, _link(QEVar(s, forbidden, qb), n2, _source(nb) is qb)
+            return NEVar(s, forbidden, _step_at(body))
         case NSub(body, _):
-            nb, qb = _step_at(body)
-            n2 = _sub(nb, n)
-            return n2, _sub_skeleton(qb, n2)
+            return _sub(_step_at(body), n)
         case NEnvSub(body, _, _):
             return _step_at(body)
         case NApp(f, a) if isinstance(_core(f), NApp):
-            (nf, qf), na, qa = _step_at(f), a, from_neq(a)
+            return NApp(_step_at(f), a)
         case NApp(f, a) if isinstance(_core(a), NApp):
-            nf, qf, (na, qa) = f, from_neq(f), _step_at(a)
+            return NApp(f, _step_at(a))
         case NApp(f, a) if isinstance(_core(f), NAbs):
             exposed = _expose_abs(f)
-            contractum = subst_redex(exposed.body, exposed.binder, a)
-            return contractum, from_neq(contractum)
-        case _:
-            raise NotAStep("the skeleton's term is not reducible")
-    n2 = NApp(nf, na)
-    return n2, _link(QApp(qf, qa), n2, _source(nf) is qf and _source(na) is qa)
+            return subst_redex(exposed.body, exposed.binder, a)
+    raise NotAStep("the skeleton's term is not reducible")
 
 
 def preserve(q: Skeleton, m_next: Term) -> Skeleton:
@@ -820,12 +796,14 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     decides each distinct subtyping atom of those once under REL_F,
     canonicalizing each side once, and raises NotSolved on the first that
     fails, before NestedWeakening and NotAStep. The step finds the redex on
-    the elaborated skeleton and builds the path to it once, as skeleton
-    nodes that keep their proof-carrying forms wherever elaborating them
-    would make those forms again, so the next step elaborates none of
-    those; the reduct is judged once and its term compared with m_next.
-    The result shares every subtree off the path to the redex with q, so
-    that judgement types only the rebuilt path and the contractum."""
+    the elaborated skeleton and rebuilds the path to it once as
+    proof-carrying nodes; from_neq flattens that, building skeleton nodes
+    only for the path and the contractum, each keeping its form wherever
+    elaborating it would make that form again, so the next step
+    elaborates none of those. The reduct is judged once and its term
+    compared with m_next. The result shares every subtree off the path to
+    the redex with q, so that judgement types only the rebuilt path and
+    the contractum."""
     check_skeleton(q)
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
@@ -833,7 +811,7 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
         q = q.body
     # stepping keeps the elaborated skeleton's environment, so the same
     # weakenings apply to the result
-    _, out = _step_at(_elaborate(q))
+    out = from_neq(_step_at(_elaborate(q)))
     for extra in reversed(extras):
         out = QWeak(out, extra)
     if not term_alpha_eq(check_skeleton(out).term, m_next):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
+from fskel.reduction import NotSolved
 from fskel.surface import print_skeleton
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 
@@ -167,6 +168,19 @@ def test_reduce_unsolved(write, capsys):
     q = "((\\x. x<x: all a. a>) |> (b -> b) -> b -> b) @ (\\z. z<z: b>)"
     code, out, _ = run(capsys, ["reduce", write(q)])
     assert code == EXIT_UNSOLVED
+
+
+def test_reduce_reports_not_solved_from_a_step(write, capsys, monkeypatch):
+    # preserve may raise NotSolved when elaboration finds an atom that does
+    # not hold; the CLI then exits 3 with one error line
+    def refuse(q, m_next):
+        raise NotSolved("constraint does not hold under quantifier elimination")
+
+    monkeypatch.setattr("fskel.cli.preserve", refuse)
+    q = "(\\x. y<x: a -> a, y: b>) @ (\\z. z<y: b, z: a>)"
+    code, out, err = run(capsys, ["reduce", write(q)])
+    assert code == EXIT_UNSOLVED and "solved (F): yes" in out
+    assert err == "error: constraint does not hold under quantifier elimination\n"
 
 
 def test_reduce_under_root_weakening(write, capsys):

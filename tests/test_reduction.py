@@ -396,11 +396,10 @@ SKELETONS = (QVar, QAbs, QApp, QForall, QEVar, QSub, QWeak)
 
 
 def test_a_step_builds_its_path_once(monkeypatch):
-    # the first step builds the path to its redex as skeleton nodes that
-    # keep their forms, so the second step's elaboration makes no form, and
-    # from_neq builds no node: the path is built by the step, and the
-    # contractum is the argument's own skeleton
-    counts = []
+    # the first step's flattening gives the path to its redex and the
+    # contractum their forms, so the second step's elaboration makes no
+    # form; from_neq builds the n - 2 new path nodes, the contractum being
+    # the argument's own skeleton, and nothing else builds a skeleton node
     for n in (8, 16):
         q = id_chain(n)
         q = preserve(q, cbv_step(check_skeleton(q).term))
@@ -413,9 +412,24 @@ def test_a_step_builds_its_path_once(monkeypatch):
         q2 = preserve(q, m_next)
         monkeypatch.undo()
         new = [i for i in skeleton_nodes(q2) if i not in old]
+        assert elaborated[0] == 0
+        assert flattened[0] == n - 2
         assert sum(c[0] for c in built) == len(new) == n - 2
-        counts.append((elaborated[0], flattened[0]))
-    assert counts == [(0, 0), (0, 0)]
+
+
+def test_step_neq_builds_no_skeleton(monkeypatch):
+    # a step on a proof-carrying skeleton stays in that language: over whole
+    # runs, and on decorated starts, step_neq builds no skeleton node
+    starts = [to_neq(chain(n)) for chain in (id_chain, poly_chain) for n in (8, 16)]
+    starts += list(_decorated_neq_starts(random.Random(29), 40))
+    inside = _built_inside(monkeypatch, "step_neq", SKELETONS)
+    steps = 0
+    for n in starts:
+        while cbv_step(check_neq(n)[0]) is not None:
+            n = reduction.step_neq(n)
+            steps += 1
+    monkeypatch.undo()
+    assert steps >= 40 and inside[0] == 0
 
 
 @pytest.mark.parametrize("chain", [id_chain, poly_chain])
