@@ -24,10 +24,21 @@ character, a tab too, one column wide.
 Cost: one regex scan turns the text into a list of token strings and a
 parallel list of kinds, and the parser reads them by index.  A token's
 line and column are found only when a `ParseError` is raised, by scanning
-the text again up to the failing token.  Parsing is linear in the text.  The
-parser backtracks (by resetting the index) in two places, each a bounded
-number of times: a substitution value is read as an expansion and, if
-that fails, once more as a type; a constraint atom not opening with '('
+the text again up to the failing token.  A `Parser` serves one parse call,
+and its table `memo` dies with it.  The table maps the tokens of a group to
+the value read from them.  A group is a parenthesised type, from its '(' to
+the first later token at which the paren depth falls back, or a variable
+leaf's environment, from its '<' to the next '>' (environments do not
+nest); the opening token tells the two kinds apart.  A copy of a group in
+the table is stepped over, not read again, so the environments and `|>`
+targets a printed skeleton repeats at every leaf are read once.  Only a
+reading that succeeds is stored, and it ends at the group's closing token;
+types are interned; so the table changes no value and no error.  A key
+costs its token count: k nested type parentheses cost O(k^2) token copies,
+and k is bounded by the nesting limit.  Otherwise parsing is linear in the
+text.  The parser backtracks (by resetting the index) in two places, each a
+bounded number of times: a substitution value is read as an expansion and,
+if that fails, once more as a type; a constraint atom not opening with '('
 is read as "T <= T" and, if that fails, as a guard.  The choice between a
 parenthesised type and a parenthesised constraint is left-factored, so a
 constraint atom that opens with k parentheses is read once.  The printers
@@ -38,7 +49,7 @@ call per edge of the printed object.
 from __future__ import annotations
 
 import re
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 
 from .syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro,
@@ -66,6 +77,8 @@ _KIND = {s: s for s in KEYWORDS + SYMBOLS}
 # outside the group and so reads as "".  `[^\W\d]` is a word character
 # that is not a decimal digit: for ASCII text exactly a letter or `_`.
 _TOKEN = re.compile(r"(->|\|>|:=|<=|[\\.@()^{},<>&\[\];:+]|[^\W\d][\w']*)|[^ \t\r\n]")
+# How a token of each kind moves the paren depth.
+_DEPTH = {"(": 1, ")": -1}
 
 
 def _offset(text: str, index: int) -> int:
@@ -105,6 +118,10 @@ class Parser:
     def __init__(self, text: str):
         self.kinds, self.values = tokenize(text)
         self.pos = 0
+        # a group's tokens -> the value read from them (see "Cost" above)
+        self.memo: dict[tuple[str, ...], Type | TypeEnv] = {}
+        # the paren depth after each token, made when a type group is first read
+        self.depth: list[int] | None = None
 
     # -- token plumbing ----------------------------------------------------
 
@@ -201,9 +218,28 @@ class Parser:
         return left
 
     def type_atom(self) -> Type:
-        if self.eat("("):
-            t = self.type_()
-            self.expect(")")
+        pos = self.pos
+        if self.kinds[pos] == "(":
+            # a group's key is its tokens up to the first later token at
+            # which the paren depth falls back; a type's parentheses balance,
+            # so a reading that succeeds ends there (inline: a helper would
+            # cost a frame per level of nesting)
+            depth = self.depth
+            if depth is None:
+                depth = self.depth = list(accumulate(map(_DEPTH.get, self.kinds, repeat(0))))
+            try:
+                end = depth.index(depth[pos] - 1, pos) + 1
+            except ValueError:  # no ')' closes it, so reading it fails
+                end = pos
+            key = tuple(self.values[pos:end])
+            t = self.memo.get(key)
+            if t is None:
+                self.pos = pos + 1
+                t = self.type_()
+                self.expect(")")
+                self.memo[key] = t
+            else:
+                self.pos = end
             return t
         name = self.ident()
         if self.eat("^"):
@@ -326,7 +362,9 @@ class Parser:
     # -- skeletons ---------------------------------------------------------------
 
     def skeleton(self) -> Skeleton:
-        q = self.skel_app()
+        q = self.skel_atom()
+        while self.eat("@"):
+            q = QApp(q, self.skel_atom())
         while True:
             if self.eat("|>"):
                 q = QSub(q, self.type_())
@@ -334,12 +372,6 @@ class Parser:
                 q = QWeak(q, self.type_env())
             else:
                 return q
-
-    def skel_app(self) -> Skeleton:
-        q = self.skel_atom()
-        while self.eat("@"):
-            q = QApp(q, self.skel_atom())
-        return q
 
     def skel_atom(self) -> Skeleton:
         if self.eat("("):
@@ -354,7 +386,19 @@ class Parser:
         if self.eat("^"):
             return QEVar(name, self.var_set("}"), self.skel_atom())
         self.expect("<")
-        return QVar(name, self.env_entries(">"))
+        # no type holds a '>', so a reading that succeeds ends at the next one
+        pos = self.pos
+        try:
+            end = self.kinds.index(">", pos) + 1
+        except ValueError:  # no '>' closes it, so reading it fails
+            end = pos
+        key = tuple(self.values[pos - 1:end])
+        env = self.memo.get(key)
+        if env is None:
+            env = self.memo[key] = self.env_entries(">")
+        else:
+            self.pos = end
+        return QVar(name, env)
 
 
 def _entry(parse_method):

@@ -269,22 +269,32 @@ def _fskel(argv, text):
 
 
 def test_printing_commands_accept_inputs_as_deep_as_the_parser():
-    # the printers recurse once per level, and their tables add no frame,
-    # so the parser's limit binds first: the initial skeleton of a chain of
-    # 200 applications, and the 327 levels of `\x.` the README states
+    # on these shapes the checkers and printers recurse no deeper than the
+    # parser, and the printers' tables add no frame, so the parser's limit
+    # binds first: the initial skeleton of a chain of 324 applications, and
+    # the 492 levels of `\x.` the README states
     text = "y"
-    for _ in range(200):
+    for _ in range(324):
         text = f"g @ ({text})"
     code, out, _ = _fskel(["initial"], "\\g. \\y. " + text)
     assert code == EXIT_OK
     chain = out.splitlines()[0].removeprefix("skeleton: ")
-    xs = [f"x{i}" for i in range(327)]
+    xs = [f"x{i}" for i in range(492)]
     lams = "".join(f"\\{x}. " for x in xs) + f"x0<{', '.join(f'{x}: a' for x in xs)}>"
     for q, reduced in ((chain, EXIT_UNSOLVED), (lams, EXIT_OK)):
         for argv, expected in ((["check"], EXIT_OK), (["tree"], EXIT_OK),
                                (["tree", "--dot"], EXIT_OK), (["reduce"], reduced)):
             code, out, err = _fskel(argv, q)
             assert (code, err) == (expected, "") and out, argv
+
+
+def test_check_reads_parentheses_as_deep_as_the_readme_states():
+    # a repeated type group is looked up inline in type_atom, where a helper
+    # would add a frame per level of type parentheses and lower that limit
+    for text in ("x<x: " + "(" * 492 + "a" + ")" * 492 + ">",
+                 "(" * 492 + "x<x: a>" + ")" * 492):
+        code, out, err = _fskel(["check"], text)
+        assert (code, err) == (EXIT_OK, "") and out
 
 
 def _id_chain(n):

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,10 +13,12 @@ from fskel.surface import (
     print_type_env,
 )
 from fskel.syntax import (
-    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Id, QSub,
-    SubStep, TVar, Var, canonical_constraint, constraint_eq,
+    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Id, QApp,
+    QSub, SubStep, TVar, Var, canonical_constraint, constraint_eq,
 )
 from generators import random_expansion, random_type, random_valid_skeleton
+
+CLI_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "cli" / "inputs"
 
 
 def test_term_application_left_assoc():
@@ -99,6 +102,43 @@ def test_round_trip_random_skeletons():
         assert parse_skeleton(print_skeleton(q)) == q
 
 
+def test_round_trip_repeated_groups():
+    """Texts that repeat environments and parenthesised types read back to
+    the value printed, and equal environment texts give one environment."""
+    rng = random.Random(20121101)
+    for _ in range(200):
+        q, r = random_valid_skeleton(rng), random_valid_skeleton(rng)
+        t = random_type(rng, ["a", "b"], 4)
+        for whole in (QApp(QApp(q, r), q), QSub(QSub(QApp(r, q), t), Arrow(t, t))):
+            assert parse_skeleton(print_skeleton(whole)) == whole
+        twice = Arrow(Arrow(t, t), Arrow(t, t))
+        assert parse_type(print_type(twice)) == twice
+    q = parse_skeleton("x<x: (a -> b) -> a> @ (x<x: (a -> b) -> a> |> (a -> b) -> a)")
+    assert q.fun.env is q.arg.body.env
+    assert q.fun.env.entries[0][1] is q.arg.target
+
+
+def test_repeated_groups_are_read_once(monkeypatch):
+    """chainN.skel repeats one environment at each of its N + 1 leaves and
+    one parenthesised `|>` target at each of its N steps. Each copy after
+    the first is read as one token run, so reading it enters type_ once per
+    step (for the target) and not once per type in the copy."""
+    calls = [0]
+    real = Parser.type_
+
+    def counted(self):
+        calls[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(Parser, "type_", counted)
+    counts = {}
+    for n in (10, 20, 40, 80):
+        calls[0] = 0
+        parse_skeleton((CLI_INPUTS / f"chain{n}.skel").read_text())
+        counts[n] = calls[0]
+    assert counts == {n: n + 10 for n in counts}
+
+
 def test_round_trip_terms_and_substs():
     for s in ["\\x. x", "\\x. \\y. x @ y", "(\\x. x) @ (\\y. y)", "x @ y @ z"]:
         assert print_term(parse_term(s)) == s
@@ -180,6 +220,14 @@ ERRORS = [
     ('skeleton', 'x<x: ²>', "1:6: unexpected character '²'"),
     ('skeleton', 'x<é: a> @ y<y: Ⅻ>', "1:16: unexpected character 'Ⅻ'"),
     ("skeleton", "\\é. é<é: a>", None),
+    # a copy of a group that read fine earlier in the same text, then a failure
+    ('skeleton', 'x<x: (a -> b)> @ y<y: (a -> b>', "1:30: expected ')', found '>'"),
+    ('skeleton', 'x<x: a -> b, y: c> @ x<x: a -> b, y: c> @ )', "1:43: expected 'ident', found ')'"),
+    ('skeleton', 'x<x: (a -> b) -> c> @ y<y: (a -> b) c>', "1:37: expected '>', found 'c'"),
+    ('skeleton', 'x<x: (a -> b)> |> (a -> b) |> (a -> b) -> )', "1:43: expected 'ident', found ')'"),
+    ('type', '(a -> b) -> (a -> b) c', "1:22: trailing input starting at 'c'"),
+    ('constraint', '((a -> b)) <= c & ((a -> b)) c', "1:23: expected '^', found '->'"),
+    ('subst', '[s := (a -> b), t := (a -> b) |>]', "1:31: expected ']', found '|>'"),
 ]
 
 
