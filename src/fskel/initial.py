@@ -24,7 +24,7 @@ class TermMismatch(Exception):
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton,
     kept in q's memo slot."""
-    found = getattr(q, "_allvar", None)
+    found = q._allvar
     if found is not None:
         return found
     # free type variables and expansion variables in one walk; `bound`

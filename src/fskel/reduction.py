@@ -12,12 +12,12 @@ from __future__ import annotations
 import weakref
 
 from .syntax import (
-    Abs, App, Arrow, EVarApp, Forall, Node, QAbs, QApp, QEVar, QForall, QSub,
-    QVar, QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow, env_eq,
-    fresh_name, ftv, fv, term_alpha_eq, type_eq,
+    NEQ_UNSET, Abs, App, Arrow, EVarApp, Forall, Node, QAbs, QApp, QEVar, QForall,
+    QSub, QVar, QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow,
+    env_eq, fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
 from .expansion import apply_subst
-from .solve import leq_f_witness
+from .solve import REL_F, leq_f_witness, record_solved
 from .typecheck import check_skeleton
 
 
@@ -175,11 +175,14 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
 
 
 class NeqSkeleton(Node):
-    """Skeleton whose subtyping steps carry explicit proofs. Its memo slots
-    hold a weak reference to the skeleton that from_neq would rebuild
-    exactly from this node, when the node was elaborated from it or
-    flattened to it, and, on an NSub whose proof elaboration settled to
-    end at its literal target, the type the proof was settled from."""
+    """Skeleton whose subtyping steps carry explicit proofs. Its memo slots,
+    None when the node is built, hold a weak reference to the skeleton that
+    from_neq would rebuild exactly from this node, when the node was
+    elaborated from it or flattened to it, and, on an NSub whose proof
+    elaboration settled to end at its literal target, the type the proof
+    was settled from. An NSub's proof is the certificate of the |> that
+    from_neq builds from it, which preserve checks before it records its
+    reduct's constraint as solved under REL_F."""
 
     __slots__ = ("_source", "_settled")
 
@@ -501,12 +504,10 @@ def _sub_step(t: Type, target: Type) -> tuple[Inst | None, bool]:
     return proof, check_subproof(proof)[1] == target
 
 
-_UNSET = object()  # the value of a memo slot never filled
-
-
-def _source(n: NeqSkeleton) -> Skeleton | None:
-    """The skeleton from_neq(n) rebuilds exactly, if n records a live one."""
-    ref = getattr(n, "_source", None)
+def _source(n: NeqSkeleton | None) -> Skeleton | None:
+    """The skeleton from_neq(n) rebuilds exactly, if n records a live one
+    (None for no form)."""
+    ref = None if n is None else n._source
     return None if ref is None else ref()
 
 
@@ -514,7 +515,7 @@ def _sub(body: NeqSkeleton, old: NSub) -> NSub:
     """NSub(body, old.proof), for a body at a type equal to old's body's,
     keeping the type old's proof was settled from."""
     n = NSub(body, old.proof)
-    t = getattr(old, "_settled", None)
+    t = old._settled
     if t is not None:
         object.__setattr__(n, "_settled", t)
     return n
@@ -531,8 +532,8 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
     settled: dict[tuple[Type, Type], tuple[Inst | None, bool]] = {}  # for this call only
 
     def go(q: Skeleton) -> NeqSkeleton | None:
-        n = getattr(q, "_neq", _UNSET)
-        if n is not _UNSET:
+        n = q._neq
+        if n is not NEQ_UNSET:
             return n
         match q:
             case QVar(x, env):
@@ -594,7 +595,8 @@ def to_neq(q: Skeleton) -> NeqSkeleton:
     return _elaborate(q)
 
 
-def from_neq(q: NeqSkeleton) -> Skeleton:
+def from_neq(q: NeqSkeleton,
+             rebuilt: list[tuple[QSub, SubtypeSkeleton]] | None = None) -> Skeleton:
     """Flatten a proof-carrying skeleton back to a constraint-generating one;
     its constraint is solved by construction. An NEnvSub is dropped: its
     proof is an equality, so the environment stays the same modulo the
@@ -606,7 +608,18 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
     child of the form, and, for a |>, when its body is also judged at the
     very type the proof was settled from, since that step then settles
     again to end at its literal target. Elaborating the result so enters
-    only the other rebuilt |> nodes and the nodes above them."""
+    only the other rebuilt |> nodes and the nodes above them.
+
+    Why the constraint is solved under F, atom by atom: a skeleton given
+    back, or a node built that keeps its form, holds a form, and a node
+    gets one only once every atom below it was decided under F (by
+    elaboration, or, for a kept |>, by the step its proof was settled
+    from, which relates the same two types). Every other |> built is
+    certified by its proof: it ends at the proof's end type, so an Inst
+    proof whose source is equal to the body's judged type makes its atom
+    one quantifier elimination. Each |> built that keeps no form is
+    appended to rebuilt, if given, with its proof: preserve checks those
+    certificates and records the verdict."""
     src = _source(q)
     if src is not None:
         return src
@@ -614,25 +627,27 @@ def from_neq(q: NeqSkeleton) -> Skeleton:
         case NVar(x, env):
             out, linked = QVar(x, env), True
         case NAbs(x, body):
-            qb = from_neq(body)
+            qb = from_neq(body, rebuilt)
             out, linked = QAbs(x, qb), _source(body) is qb
         case NApp(f, a):
-            qf, qa = from_neq(f), from_neq(a)
+            qf, qa = from_neq(f, rebuilt), from_neq(a, rebuilt)
             out, linked = QApp(qf, qa), _source(f) is qf and _source(a) is qa
         case NForall(a, body):
-            qb = from_neq(body)
+            qb = from_neq(body, rebuilt)
             out, linked = QForall(a, qb), _source(body) is qb
         case NEVar(s, forbidden, body):
-            qb = from_neq(body)
+            qb = from_neq(body, rebuilt)
             out, linked = QEVar(s, forbidden, qb), _source(body) is qb
         case NSub(body, proof):
-            qb = from_neq(body)
+            qb = from_neq(body, rebuilt)
             out = QSub(qb, check_subproof(proof)[1])
-            t = getattr(q, "_settled", None)
+            t = q._settled
             linked = (t is not None and _source(body) is qb
                       and check_skeleton(qb).rtype is t)
+            if not linked and rebuilt is not None:
+                rebuilt.append((out, proof))
         case NEnvSub(body, _, _):
-            return from_neq(body)
+            return from_neq(body, rebuilt)
         case _:
             raise TypeError(q)
     if linked:
@@ -803,7 +818,16 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
     elaborates none of those. The reduct is judged once and its term
     compared with m_next. The result shares every subtree off the path to
     the redex with q, so that judgement types only the rebuilt path and
-    the contractum."""
+    the contractum.
+
+    The reduct's constraint holds under REL_F by construction, and preserve
+    records it so, in every constraint node not yet marked, once the
+    certificate of each |> from_neq built without a form is checked: its
+    proof is an Inst, and the body's judged type is equal to the proof's
+    source (else NotSolved, and nothing is marked). Every other atom was
+    decided under F when elaboration entered q or an earlier skeleton
+    (see from_neq). So solve.solved(j.constraint, REL_F) on the reduct
+    enters no node; under any other relation it decides as before."""
     check_skeleton(q)
     extras: list[TypeEnv] = []
     while isinstance(q, QWeak):
@@ -811,9 +835,15 @@ def preserve(q: Skeleton, m_next: Term) -> Skeleton:
         q = q.body
     # stepping keeps the elaborated skeleton's environment, so the same
     # weakenings apply to the result
-    out = from_neq(_step_at(_elaborate(q)))
+    rebuilt: list[tuple[QSub, SubtypeSkeleton]] = []
+    out = from_neq(_step_at(_elaborate(q)), rebuilt)
     for extra in reversed(extras):
         out = QWeak(out, extra)
-    if not term_alpha_eq(check_skeleton(out).term, m_next):
+    j = check_skeleton(out)
+    for sub, proof in rebuilt:
+        if not (isinstance(proof, Inst) and type_eq(sub.body._judgement.rtype, proof.source)):
+            raise NotSolved("a rebuilt subtyping step is not certified by its proof")
+    if not term_alpha_eq(j.term, m_next):
         raise NotAStep("the given term is not the skeleton's one-step reduct")
+    record_solved(j.constraint, REL_F)
     return out

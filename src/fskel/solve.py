@@ -108,7 +108,7 @@ def solved(c: Constraint, rel: SubtypingRelation) -> bool:
     todo = [c]
     while todo:
         node = todo.pop()
-        if rel in getattr(node, "_solved", ()):
+        if rel in node._solved:
             continue
         walked.append(node)
         match node:
@@ -125,11 +125,34 @@ def solved(c: Constraint, rel: SubtypingRelation) -> bool:
                 todo.append(body)
             case other:
                 raise TypeError(other)
+    mark = (rel,)  # shared by every node that held no verdict
     for node in walked:
-        rels = getattr(node, "_solved", ())
+        rels = node._solved
         if rel not in rels:
-            object.__setattr__(node, "_solved", rels + (rel,))
+            _store_solved(node, rels + mark if rels else mark)
     return True
+
+
+def record_solved(c: Constraint, rel: SubtypingRelation) -> None:
+    """Keep in c the verdict that every atom of c holds in rel, deciding
+    none: for a caller that holds the proof (reduction.preserve). Each node
+    not kept so for rel is marked; a node kept so was marked with its whole
+    subtree, here or by solved, and is not entered."""
+    mark = (rel,)
+    todo = [c]
+    while todo:
+        node = todo.pop()
+        rels = node._solved
+        if rel in rels:
+            continue
+        _store_solved(node, rels + mark if rels else mark)
+        if isinstance(node, And):
+            todo += (node.c2, node.c1)
+        elif isinstance(node, (Exists, EGuard)):
+            todo.append(node.body)
+
+
+_store_solved = Constraint._solved.__set__
 
 
 # ---------------------------------------------------------------------------

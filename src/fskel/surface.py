@@ -465,7 +465,7 @@ def print_var_set(vs: frozenset[str]) -> str:
 
 
 def print_type(t: Type) -> str:
-    text = getattr(t, "_text", None)
+    text = t._text
     if text is None:
         match t:
             case TVar(a):

@@ -26,14 +26,23 @@ import weakref
 from _weakref import _remove_dead_weakref
 
 
+# The value a memo slot holds from the moment its node is built until its
+# fact is computed: None, but for the slots named here. A skeleton's `_neq`
+# holds None for "no proof-carrying form", so its empty value is a sentinel.
+NEQ_UNSET = object()
+MEMO_EMPTY = {"_solved": (), "_neq": NEQ_UNSET}
+
+
 @functools.cache
-def _maker(fields: tuple[str, ...], eq: bool):
-    """Compile a function that takes the fields' slot setters and returns a
-    node class's generated methods by name; classes with the same fields
-    share it."""
+def _maker(fields: tuple[str, ...], memo: tuple[str, ...], eq: bool):
+    """Compile a function that takes the fields' and memo slots' setters and
+    the memo slots' empty values, and returns a node class's generated
+    methods by name; classes with the same fields and memo slots share it."""
     mine = "".join(f"self.{n}, " for n in fields)
     stores = "".join(f"\n        _set_{n}(self, {n})" for n in fields)
-    src = [f"def make({', '.join(f'_set_{n}' for n in fields)}):",
+    stores += "".join(f"\n        _set_{n}(self, _empty_{n})" for n in memo)
+    params = [f"_set_{n}" for n in fields + memo] + [f"_empty_{n}" for n in memo]
+    src = [f"def make({', '.join(params)}):",
            f"    def __init__({', '.join(('self', *fields))}):{stores or ' pass'}"]
     if eq:
         theirs = mine.replace("self.", "other.")
@@ -56,14 +65,17 @@ class Node:
     A subclass lists its fields in its own `__slots__`; a slot whose name
     starts with `_` is a memo slot, not a field. When a subclass is defined
     it gets, once: `__match_args__` (its fields); an `__init__` that stores
-    each field through its slot's member descriptor (named `_fill` instead
-    when the class builds its nodes in `__new__`, as the interned types do);
-    and, unless the class or a base is declared with `eq=False`, `__eq__`
-    and `__hash__` on the tuple of its fields, as a dataclass has them.
-    `_defaults` holds values for the last fields, as a function's defaults
-    do. A node has the dataclass repr, refuses assignment, and is copied and
-    pickled by rebuilding it from its fields, so a copy starts with empty
-    memo slots."""
+    each field through its slot's member descriptor and each memo slot's
+    empty value (`MEMO_EMPTY`, else None), so a memo slot starts empty when
+    its node is built and reading it is a plain attribute read (named
+    `_fill`, storing only the fields, when the class builds its nodes in
+    `__new__`, as the interned types do, which fill their memo slots
+    there); and, unless the class or a base is declared with `eq=False`,
+    `__eq__` and `__hash__` on the tuple of its fields, as a dataclass has
+    them. `_defaults` holds values for the last fields, as a function's
+    defaults do. A node has the dataclass repr, refuses assignment, and is
+    copied and pickled by rebuilding it from its fields, so a copy starts
+    with empty memo slots."""
 
     __slots__ = ()
     _eq = True
@@ -75,9 +87,14 @@ class Node:
             cls._eq = eq
         fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         cls.__match_args__ = fields
-        methods = _maker(fields, cls._eq)(*(cls.__dict__[n].__set__ for n in fields))
+        builds_in_new = cls.__new__ is not object.__new__
+        memo = () if builds_in_new else tuple(
+            n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
+            if n[0] == "_" and n != "__weakref__")
+        setters = (getattr(cls, n).__set__ for n in fields + memo)
+        methods = _maker(fields, memo, cls._eq)(*setters, *(MEMO_EMPTY.get(n) for n in memo))
         methods["__init__"].__defaults__ = cls._defaults
-        if cls.__new__ is not object.__new__:
+        if builds_in_new:
             methods["_fill"] = methods.pop("__init__")
         for name, method in methods.items():
             method.__qualname__ = f"{cls.__qualname__}.{name}"
@@ -296,7 +313,7 @@ class Subst(Node):
 
     def _index(self) -> tuple[dict[str, Type], dict[str, Expansion]]:
         """The first type and the first expansion bound to each name."""
-        index = getattr(self, "_by_name", None)
+        index = self._by_name
         if index is None:
             types: dict[str, Type] = {}
             exps: dict[str, Expansion] = {}
@@ -327,9 +344,12 @@ IOTA = Subst()
 
 class Constraint(Node, eq=False):
     """Subtyping constraint. Its memo slot holds the relations under which
-    every atom below the node holds (see solve.solved). Constraints are not
-    interned: `==` and `hash` compare the structure, on an explicit stack,
-    so a constraint of any depth can be compared and hashed."""
+    every atom below the node holds: () when the node is built, then the
+    relations solve.solved found, and REL_F on the constraint of a reduct
+    that reduction.preserve returns, which holds under F by construction.
+    Constraints are not interned: `==` and `hash` compare the structure, on
+    an explicit stack, so a constraint of any depth can be compared and
+    hashed."""
 
     __slots__ = ("_solved",)
 
@@ -445,8 +465,12 @@ class Skeleton(Node):
     """Proof term encoding a typing derivation. Its memo slots hold facts
     that are pure functions of the node's subtree, each computed at most
     once and dropped with the node: the node's judgement
-    (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq)
-    and its type and expansion variables (initial.allvar). A
+    (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq;
+    None below a weakening) and its type and expansion variables
+    (initial.allvar). Each starts empty when the node is built: None, and
+    NEQ_UNSET for the form. A node holds a form only once every atom of
+    its constraint was decided under F, which is why the constraint of a
+    reduct that reduction.preserve returns holds REL_F by construction. A
     proof-carrying node refers back to the skeleton it came from by a weak
     reference, so the two never form a cycle."""
 
@@ -828,33 +852,37 @@ def _items(c: Constraint) -> dict[str, tuple[tuple, Atomic]]:
     canonicalized and keyed once for every item below."""
     items: dict[str, tuple[tuple, Atomic]] = {}
     path: list = []  # ex binders; guards (s, forbidden, canon witness, key, witness, ftv)
-    keys: list[str | None] = [""]  # keys[i]: key of path[:i]; None past an ex
-    stack: list[tuple[Constraint, int]] = [(c, 0)]
+    # keys[i]: path[i]'s own key ("" for an ex binder), joined at an atom;
+    # keeping the key of every prefix instead took memory cubic in the
+    # nesting of guards. An entry of the stack says whether the path to its
+    # node holds no ex binder.
+    keys: list[str] = []
+    stack: list[tuple[Constraint, int, bool]] = [(c, 0, True)]
     while stack:
-        node, d = stack.pop()
-        del path[d:], keys[d + 1:]
+        node, d, plain = stack.pop()
+        del path[d:], keys[d:]
         match node:
             case Atomic(lhs, rhs):
-                if keys[d] is None:
+                if not plain:
                     key, prefix, atom = _ex_item(path, node)
                     items.setdefault(key, (prefix, atom))
                     continue
                 atom_key, atom = _atom(lhs, rhs)
-                key = keys[d] + atom_key + ")" * d
+                key = "".join(keys) + atom_key + ")" * d
                 if key not in items:
                     items[key] = (tuple(path), atom)
             case And(c1, c2):
-                stack += ((c2, d), (c1, d))
+                stack += ((c2, d, plain), (c1, d, plain))
             case Exists(a, body):
                 path.append(a)
-                keys.append(None)
-                stack.append((body, d + 1))
+                keys.append("")
+                stack.append((body, d + 1, False))
             case EGuard(s, forbidden, witness, body):
                 cw = canonical_type(witness)
                 key = _guard_key(s, forbidden, cw)
                 path.append((s, forbidden, cw, key, witness, forbidden | ftv(witness)))
-                keys.append(None if keys[d] is None else keys[d] + key)
-                stack.append((body, d + 1))
+                keys.append(key)
+                stack.append((body, d + 1, plain))
             case Omega():
                 pass
             case _:

@@ -57,7 +57,7 @@ def check_skeleton(q: Skeleton) -> Judgement:
     (a subtree shared with a checked skeleton) costs one lookup. The
     application rule reads the function part's type modulo the equational
     theory: any type equal to an arrow will do (syntax.as_arrow)."""
-    j = getattr(q, "_judgement", None)
+    j = q._judgement
     return _judge(q) if j is None else j
 
 
@@ -66,7 +66,7 @@ def _judge(q: Skeleton) -> Judgement:
     node; a node that holds one already is not entered again."""
 
     def go(q: Skeleton) -> Judgement:
-        j = getattr(q, "_judgement", None)
+        j = q._judgement
         if j is not None:
             return j
         match q:

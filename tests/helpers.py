@@ -1,8 +1,8 @@
 """Shared test helpers: a unification-based simple-type inferencer used as
 an independent oracle, a corpus of closed terms with solved decorated
 skeletons, two reduction chains, linear-scan and de Bruijn oracles for
-substitution lookup and alpha-equivalence, and counters of fskel calls and
-of instances built."""
+substitution lookup and alpha-equivalence, counters of fskel calls and of
+instances built, and a solvedness check that reads no kept verdict."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ import importlib
 import random
 import sys
 
+from fskel.solve import SubtypingRelation, solved
 from fskel.surface import parse_skeleton
 from fskel.syntax import (
-    Abs, App, Arrow, Expansion, FreshSupply, QAbs, QApp, QEVar, QForall,
-    QSub, QVar, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, fresh_name,
-    ftv,
+    Abs, App, Arrow, Constraint, Expansion, FreshSupply, QAbs, QApp, QEVar,
+    QForall, QSub, QVar, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var,
+    fresh_name, ftv,
 )
 from fskel.typecheck import check_skeleton
 
@@ -293,3 +294,47 @@ def count_instances(monkeypatch, cls: type) -> list[int]:
 
     monkeypatch.setattr(cls, "__init__", counted)
     return built
+
+
+# ---------------------------------------------------------------------------
+# Solvedness, decided afresh
+
+
+def constraint_nodes(c: Constraint) -> list[Constraint]:
+    """Every node of c, walked on an explicit stack (a shared node once per
+    occurrence)."""
+    todo, out = [c], []
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        todo += [v for name in node.__match_args__
+                 if isinstance(v := getattr(node, name), Constraint)]
+    return out
+
+
+def memo_free_copy(c: Constraint) -> Constraint:
+    """c rebuilt node by node, on an explicit stack, so that no node of the
+    copy holds a kept verdict (a node shared in c is shared in the copy)."""
+    made: dict[int, Constraint] = {}
+    todo = [c]
+    while todo:
+        node = todo[-1]
+        if id(node) in made:
+            todo.pop()
+            continue
+        fields = [getattr(node, name) for name in node.__match_args__]
+        below = [v for v in fields if isinstance(v, Constraint) and id(v) not in made]
+        if below:
+            todo += below
+            continue
+        todo.pop()
+        made[id(node)] = type(node)(*(made[id(v)] if isinstance(v, Constraint) else v
+                                      for v in fields))
+    return made[id(c)]
+
+
+def decide(c: Constraint, rel: SubtypingRelation) -> bool:
+    """solved(c, rel) on a memo-free copy of c: every atom is decided, none
+    read from a verdict kept in c (preserve records its reducts' verdict
+    under F without deciding it)."""
+    return solved(memo_free_copy(c), rel)

@@ -32,7 +32,7 @@ from fskel.surface import (
 from fskel.syntax import Abs, App, Subst, Var, env_eq
 from fskel.typecheck import SkeletonError
 
-from helpers import closed_corpus, decorate, skeleton_for
+from helpers import closed_corpus, decide, decorate, skeleton_for
 
 REL_F = RELATIONS["F"]
 
@@ -394,7 +394,7 @@ def test_subject_reduction():
     total_steps = 0
     for q in cases:
         j = check_skeleton(q)
-        assert solved(j.constraint, REL_F)
+        assert decide(j.constraint, REL_F)
         for _ in range(60):
             m2 = cbv_step(j.term)
             if m2 is None:
@@ -403,7 +403,7 @@ def test_subject_reduction():
             j2 = check_skeleton(q)
             assert env_eq(j2.env, j.env)
             assert type_eq(j2.rtype, j.rtype)
-            assert solved(j2.constraint, REL_F)
+            assert decide(j2.constraint, REL_F)
             j = j2
             total_steps += 1
         else:
@@ -449,7 +449,7 @@ def test_flattened_proof_skeletons_agree_with_check_neq():
         m, env, t = check_neq(n)
         j = check_skeleton(from_neq(n))
         assert j.term == m and env_eq(j.env, env) and type_eq(j.rtype, t)
-        assert solved(j.constraint, REL_F)
+        assert decide(j.constraint, REL_F)
 
 
 def test_type_substitution_into_proof_skeletons():
@@ -477,7 +477,7 @@ def test_subject_reduction_through_dummy_quantifiers_and_equal_steps():
             j0 = check_skeleton(q)
         except SkeletonError:
             continue
-        if not solved(j0.constraint, REL_F):
+        if not decide(j0.constraint, REL_F):
             continue
         starts += 1
         assert check_system_f(erase_evars(q))
@@ -489,7 +489,7 @@ def test_subject_reduction_through_dummy_quantifiers_and_equal_steps():
             q = preserve(q, m2)
             j = check_skeleton(q)
             assert env_eq(j.env, j0.env) and type_eq(j.rtype, j0.rtype)
-            assert solved(j.constraint, REL_F)
+            assert decide(j.constraint, REL_F)
             assert check_system_f(erase_evars(q))
         else:
             pytest.fail("reduction did not terminate")
@@ -579,7 +579,7 @@ def test_elaboration_decides_solvedness():
     unsolved = 0
     for q in _solvedness_corpus():
         j = check_skeleton(q)
-        ok = solved(j.constraint, REL_F)
+        ok = decide(j.constraint, REL_F)
         unsolved += not ok
         m_next = cbv_step(j.term) or j.term  # an irreducible term: NotAStep
         assert (_raised(to_neq, q) is NotSolved) == (not ok)

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -295,6 +296,24 @@ def test_check_reads_parentheses_as_deep_as_the_readme_states():
                  "(" * 492 + "x<x: a>" + ")" * 492):
         code, out, err = _fskel(["check"], text)
         assert (code, err) == (EXIT_OK, "") and out
+
+
+def test_check_follows_long_evar_prefixes_in_bounded_memory():
+    # s0^{} ... s789^{} (\x. x<x: a>): canonicalizing its constraint once
+    # took memory cubic in the prefix, and the process was killed at this
+    # length. The child's address space is capped, so a regression fails
+    # fast (MemoryError) instead of exhausting the machine.
+    text = "".join(f"s{i}^{{}} " for i in range(790)) + "(\\x. x<x: a>)"
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "fskel.cli", "check", "-"], input=text,
+                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    assert done.stdout.endswith("constraint: omega\n")
 
 
 def _id_chain(n):

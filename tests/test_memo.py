@@ -11,11 +11,15 @@ from fskel.initial import derive_substitution, initial_skeleton
 from fskel.reduction import (
     NestedWeakening, NotSolved, cbv_step, from_neq, preserve, to_neq,
 )
-from fskel.solve import REL_EQ, REL_F, SubtypingRelation, solved
+from fskel.solve import (
+    REL_EQ, REL_F, SubtypingRelation, leq_eq, leq_f, record_solved, solved,
+)
 from fskel.surface import parse_constraint, parse_skeleton, parse_subst, parse_type
-from fskel.syntax import And, FreshSupply, Subst, TypeEnv
+from fskel.syntax import NEQ_UNSET, And, Atomic, FreshSupply, Subst, TypeEnv
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
-from helpers import count_instances, id_chain, poly_chain, skeleton_nodes
+from helpers import (
+    constraint_nodes, count_instances, decide, id_chain, poly_chain, skeleton_nodes,
+)
 
 
 @pytest.mark.parametrize("chain", [id_chain, poly_chain])
@@ -37,6 +41,49 @@ def test_check_after_preserve_judges_only_unshared_nodes(monkeypatch, chain, n):
         q = q2
     # every function part off the path to a redex is shared, not rebuilt
     assert shared >= 2 * n
+
+
+def _counting(rel, calls):
+    """rel's decide, counting its calls in calls[rel.name]."""
+    real = rel.decide
+
+    def decide(t1, t2):
+        calls[rel.name] += 1
+        return real(t1, t2)
+
+    return decide
+
+
+@pytest.mark.parametrize("chain", [id_chain, poly_chain])
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_reduct_is_solved_under_f_by_construction(chain, n):
+    # preserve records its reduct's constraint as solved under F, so solved
+    # decides no atom there; under EQ it decides as before, and deciding
+    # every atom of a memo-free copy agrees
+    calls = {"F": 0, "EQ": 0}
+    q = chain(n)
+    j = check_skeleton(q)
+    steps = atoms = 0
+    while (m := cbv_step(j.term)) is not None:
+        q = preserve(q, m)
+        j = check_skeleton(q)
+        assert REL_F in j.constraint._solved
+        before = dict(calls)
+        for rel in (REL_F, REL_EQ):
+            object.__setattr__(rel, "decide", _counting(rel, calls))
+        try:
+            ok_f, ok_eq = solved(j.constraint, REL_F), solved(j.constraint, REL_EQ)
+        finally:
+            for rel, real in ((REL_F, leq_f), (REL_EQ, leq_eq)):
+                object.__setattr__(rel, "decide", real)
+        has_atom = any(isinstance(c, Atomic) for c in constraint_nodes(j.constraint))
+        assert ok_f and calls["F"] == before["F"]
+        assert ok_eq == decide(j.constraint, REL_EQ)
+        assert (calls["EQ"] > before["EQ"]) == has_atom
+        assert decide(j.constraint, REL_F)
+        steps += 1
+        atoms += has_atom
+    assert steps >= n and (atoms > 0) == (chain is poly_chain)
 
 
 def test_faithful_skeleton_comes_back_from_its_form():
@@ -73,7 +120,8 @@ def test_memoized_node_equals_a_fresh_parse(text):
     assert j == check_skeleton(fresh) and hash(j) == hash(check_skeleton(fresh))
     for copied in (copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
         assert copied == q and repr(copied) == repr(q)
-        assert not hasattr(copied, "_judgement")  # a copy starts with empty slots
+        # a copy starts with empty slots
+        assert copied._judgement is None and copied._neq is NEQ_UNSET
         assert check_skeleton(copied) == j
     for node in (j.constraint, j.rtype, j.term, j.env):
         assert pickle.loads(pickle.dumps(node)) == node == copy.deepcopy(node)
@@ -112,6 +160,19 @@ def test_solved_decides_only_atoms_not_kept(monkeypatch):
     counting = SubtypingRelation("F", lambda t1, t2: decide.append(t1) is None)
     assert solved(c, counting) and len(decide) == 2
     assert solved(And(c, c), counting) and len(decide) == 2
+
+
+def test_a_recorded_verdict_is_read_and_kept_per_relation():
+    c = parse_constraint("all a. a -> a <= c -> c & all b. b <= c -> c")
+    decided = []
+    counting = SubtypingRelation("F", lambda t1, t2: decided.append(t1) is None)
+    record_solved(c, counting)
+    # every node holds one shared verdict, read without deciding an atom
+    assert len({id(node._solved) for node in constraint_nodes(c)}) == 1
+    assert solved(c, counting) and solved(And(c, c), counting) and decided == []
+    # another relation still decides, and its verdict is kept beside it
+    assert solved(c, REL_F) and c._solved == (counting, REL_F)
+    assert solved(c, REL_EQ) is False and REL_EQ not in c._solved
 
 
 def test_errors_are_raised_again_on_a_second_call():

@@ -194,7 +194,8 @@ def test_copies_start_with_empty_memo_slots(make, eq, text):
             assert copied is node
         else:
             assert copied is not node
-            assert [getattr(copied, name, None) for name in memo] == [None] * len(memo)
+            empty = [syntax.MEMO_EMPTY.get(name) for name in memo]
+            assert [getattr(copied, name) for name in memo] == empty
 
 
 @pytest.mark.parametrize("make, eq, text", CASES, ids=IDS)

@@ -8,7 +8,10 @@ import pytest
 from fskel import reduction
 from fskel.expansion import judgements_agree
 from generators import decorate_dummies_inside, random_neq_decoration
-from helpers import count_calls, count_instances, id_chain, poly_chain, skeleton_nodes
+from helpers import (
+    constraint_nodes, count_calls, count_instances, decide, id_chain, poly_chain,
+    skeleton_nodes,
+)
 from test_acceptance import _decorated_neq_starts, _reduction_cases
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
@@ -16,12 +19,12 @@ from fskel.reduction import (
     QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
     is_value, preserve, step_neq, subst_term, sz, to_neq, transform_T,
 )
-from fskel.solve import RELATIONS, solved
+from fskel.solve import RELATIONS
 from fskel.surface import (
     parse_skeleton, parse_term, parse_type, print_skeleton, print_term,
 )
 from fskel.syntax import (
-    Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak,
+    NEQ_UNSET, Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak,
     TypeEnv, Var, env_eq, type_eq,
 )
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
@@ -150,6 +153,31 @@ def test_to_neq_requires_solved():
     q = parse_skeleton("x<x: a> |> b")
     with pytest.raises(NotSolved):
         to_neq(q)
+
+
+@pytest.mark.parametrize("source, marked", [("all b. b -> b", True), ("all b. b", False)])
+def test_preserve_checks_the_certificate_of_each_rebuilt_step(source, marked):
+    # a |> that a step rebuilds, and that keeps no form, is certified by its
+    # Inst proof: the body's judged type must equal the proof's source. A
+    # form is planted on the skeleton so that the step rebuilds such a |>
+    # over a body judged at all b. b -> b, with a proof from `source`.
+    app = parse_skeleton("(\\x. x<x: b -> b>) @ (\\z. z<z: b>)")
+    q = QSub(QForall("b", app), parse_type("c -> c"))
+    j = check_skeleton(q)
+    planted = NSub(to_neq(QForall("b", app)), Inst(parse_type(source), parse_type("c")))
+    object.__setattr__(q, "_neq", planted)
+    contractum = app.arg._judgement.constraint
+    if marked:
+        q2 = preserve(q, cbv_step(j.term))
+        c2 = check_skeleton(q2).constraint
+        assert q2.body.body is app.arg and c2.c1.body is contractum
+        assert all(REL_F in c._solved for c in constraint_nodes(c2))
+        assert decide(c2, REL_F)
+    else:
+        with pytest.raises(NotSolved):
+            preserve(q, cbv_step(j.term))
+        assert all(REL_F not in c._solved
+                   for c in constraint_nodes(j.constraint) + [contractum])
 
 
 def test_transformation_preserves_judgement():
@@ -404,7 +432,7 @@ def test_a_step_builds_its_path_once(monkeypatch):
         q = id_chain(n)
         q = preserve(q, cbv_step(check_skeleton(q).term))
         m_next = cbv_step(check_skeleton(q).term)
-        assert all(hasattr(node, "_neq") for node in skeleton_nodes(q).values())
+        assert all(node._neq is not NEQ_UNSET for node in skeleton_nodes(q).values())
         old = skeleton_nodes(q)
         elaborated = _built_inside(monkeypatch, "_elaborate", FORMS)
         flattened = _built_inside(monkeypatch, "from_neq", SKELETONS)
@@ -457,8 +485,8 @@ def _forms_are_elaborated(q, old=()):
     back to it; the number of such nodes."""
     kept = 0
     for i, node in skeleton_nodes(q).items():
-        n = getattr(node, "_neq", None)
-        if i in old or n is None:
+        n = node._neq
+        if i in old or n is None or n is NEQ_UNSET:
             continue
         assert n == to_neq(parse_skeleton(print_skeleton(node)))
         assert n._source() is node
@@ -477,7 +505,7 @@ def test_forms_kept_by_a_step_are_the_elaborated_ones():
     while len(starts) < 300:
         try:
             q = decorate_dummies_inside(rng, rng.choice(cases), 0.15)
-            if solved(check_skeleton(q).constraint, REL_F):
+            if decide(check_skeleton(q).constraint, REL_F):
                 starts.append(q)
         except SkeletonError:
             pass

@@ -1,6 +1,7 @@
 """Core syntax: canonical forms, equalities, environments, free variables."""
 
 import random
+import tracemalloc
 
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro, Exists,
@@ -8,7 +9,8 @@ from fskel.syntax import (
     Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
     term_alpha_eq, type_eq,
 )
-from fskel.surface import parse_constraint, parse_type, print_constraint
+from fskel.surface import parse_constraint, parse_skeleton, parse_type, print_constraint
+from fskel.typecheck import check_skeleton
 from generators import evars_of, random_expansion, random_term, random_type
 from helpers import de_bruijn, lookup_linear
 
@@ -230,6 +232,27 @@ def test_canonical_constraint_deep_inputs():
     while isinstance(out, EGuard):  # the dummy binders are dropped
         out, depth = out.body, depth + 1
     assert depth == 500 and out == Atomic(TVar("c"), TVar("c"))
+
+
+def test_canonical_constraint_memory_is_not_cubic_in_guard_nesting():
+    # s0^{} ... s149^{} (\x. x<x: a>) nests 150 guards whose witnesses nest
+    # the rest of the prefix; keeping the key of every guard prefix on the
+    # path took 57 MB here, keeping each guard's own key takes about 1 MB
+    prefix = "".join(f"s{i}^{{}} " for i in range(150))
+    c = check_skeleton(parse_skeleton(prefix + "(\\x. x<x: a>)")).constraint
+    tracemalloc.start()
+    try:
+        out = canonical_constraint(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == Omega() and peak < 2 << 20
+    # an atom below the prefix gets one item under every guard
+    c = check_skeleton(parse_skeleton(prefix + "((\\x. x<x: a>) |> a -> a)")).constraint
+    out, depth = canonical_constraint(c), 0
+    while isinstance(out, EGuard):
+        out, depth = out.body, depth + 1
+    assert depth == 150 and out == Atomic(T("a -> a"), T("a -> a"))
 
 
 def test_deep_constraints_compare_and_hash():
