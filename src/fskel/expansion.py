@@ -72,74 +72,152 @@ def apply_exp_cons(i: Expansion, forbidden: frozenset[str], witness: Type,
 
 def apply_subst_set(phi: Subst, vs: frozenset[str]) -> frozenset[str]:
     """Pointwise image of a type-variable set: union of ftv of each image."""
-    out: frozenset[str] = frozenset()
-    for a in vs:
-        out |= ftv(phi.lookup_tvar(a))
-    return out
-
-
-def _rename_binder(phi: Subst, binder: str, body):
-    """Fresh binder for a Forall/Exists/QForall under phi, renamed body."""
-    fresh = fresh_name(binder, ftv(phi) | ftv(body) | {binder})
-    return fresh, apply_subst(Subst(((binder, TVar(fresh)),)), body)
+    return _Image(phi).of_set(vs)
 
 
 def apply_subst(phi: Subst, subject):
     """Apply a substitution to a type, expansion, constraint, environment or
-    skeleton (apply_subst_set maps a type-variable set)."""
-    match subject:
-        case TVar(a):
-            return phi.lookup_tvar(a)
-        case Arrow(d, c):
-            return Arrow(apply_subst(phi, d), apply_subst(phi, c))
-        case Forall(a, body):
-            if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body)
-            return Forall(a, apply_subst(phi, body))
-        case EVarApp(s, forbidden, body):
-            return apply_exp_type(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
-                                  apply_subst(phi, body))
-        case TypeEnv(entries):
-            return TypeEnv(tuple((x, apply_subst(phi, t)) for x, t in entries))
-        case QVar(x, env):
-            return QVar(x, apply_subst(phi, env))
-        case QAbs(x, body):
-            return QAbs(x, apply_subst(phi, body))
-        case QApp(f, a):
-            return QApp(apply_subst(phi, f), apply_subst(phi, a))
-        case QForall(a, body):
-            if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body)
-            return QForall(a, apply_subst(phi, body))
-        case QEVar(s, forbidden, body):
-            return apply_exp_skel(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
-                                  apply_subst(phi, body))
-        case QSub(body, target):
-            return QSub(apply_subst(phi, body), apply_subst(phi, target))
-        case QWeak(body, extra):
-            return QWeak(apply_subst(phi, body), apply_subst(phi, extra))
-        case Id():
-            return subject
-        case ForallIntro(a, rest):
-            return ForallIntro(a, apply_subst(phi, rest))
-        case EVarIntro(s, forbidden, rest):
-            return EVarIntro(s, apply_subst_set(phi, forbidden), apply_subst(phi, rest))
-        case SubStep(rest, target):
-            return SubStep(apply_subst(phi, rest), apply_subst(phi, target))
-        case Omega():
-            return subject
-        case Atomic(lhs, rhs):
-            return Atomic(apply_subst(phi, lhs), apply_subst(phi, rhs))
-        case And(c1, c2):
-            return And(apply_subst(phi, c1), apply_subst(phi, c2))
-        case Exists(a, body):
-            if a in ftv(phi):
-                a, body = _rename_binder(phi, a, body)
-            return Exists(a, apply_subst(phi, body))
-        case EGuard(s, forbidden, witness, body):
-            return apply_exp_cons(phi.lookup_evar(s), apply_subst_set(phi, forbidden),
-                                  apply_subst(phi, witness), apply_subst(phi, body))
+    skeleton (apply_subst_set maps a type-variable set). One call keeps one
+    table that maps each type, each environment (by identity: the parser
+    and initial_skeleton share them) and each forbidden set it meets to its
+    image, so a node met again is mapped once; ftv(phi) is computed only
+    when a binder is tested for a clash."""
+    image = _Image(phi)
+    if isinstance(subject, Type):
+        return image.of_type(subject)
+    if isinstance(subject, Skeleton):
+        return image.of_skel(subject)
+    if isinstance(subject, Constraint):
+        return image.of_cons(subject)
+    if isinstance(subject, TypeEnv):
+        return image.of_env(subject)
+    if isinstance(subject, Expansion):
+        return image.of_exp(subject)
     raise TypeError(subject)
+
+
+class _Image:
+    """The images under one substitution, each computed once in `table`:
+    a type keyed by itself, a forbidden set by its value, and an
+    environment by its id, with the environment kept next to its image so
+    that no id is reused while the table lives (a renamed binder's body is
+    built during the call and may be dropped). A binder is renamed when it
+    is in ftv(phi) (`clash`, built the first time a binder is tested)."""
+
+    __slots__ = ("phi", "types", "exps", "table", "clash")
+
+    def __init__(self, phi: Subst):
+        self.phi = phi
+        self.types, self.exps = phi._index()
+        self.table: dict = {}
+        self.clash: frozenset[str] | None = None
+
+    def _binder(self, a: str, body):
+        """a and body, with a renamed fresh in body when phi would capture it."""
+        clash = self.clash
+        if clash is None:
+            clash = self.clash = ftv(self.phi)
+        if a not in clash:
+            return a, body
+        fresh = fresh_name(a, clash | ftv(body))
+        return fresh, apply_subst(Subst(((a, TVar(fresh)),)), body)
+
+    def of_set(self, vs: frozenset[str]) -> frozenset[str]:
+        got = self.table.get(vs)
+        if got is None:
+            types = self.types
+            free: set[str] = set()
+            for a in vs:
+                t = types.get(a)
+                if t is None:
+                    free.add(a)
+                else:
+                    free |= ftv(t)
+            got = self.table[vs] = frozenset(free)
+        return got
+
+    def of_type(self, t: Type) -> Type:
+        got = self.table.get(t)
+        if got is not None:
+            return got
+        cls = t.__class__
+        if cls is TVar:
+            got = self.types.get(t.name, t)
+        elif cls is Arrow:
+            got = Arrow(self.of_type(t.dom), self.of_type(t.cod))
+        elif cls is EVarApp:
+            i = self.exps.get(t.evar)
+            forbidden, body = self.of_set(t.forbidden), self.of_type(t.body)
+            got = (EVarApp(t.evar, forbidden, body) if i is None
+                   else apply_exp_type(i, forbidden, body))
+        elif cls is Forall:
+            a, body = self._binder(t.binder, t.body)
+            got = Forall(a, self.of_type(body))
+        else:
+            raise TypeError(t)
+        self.table[t] = got
+        return got
+
+    def of_env(self, env: TypeEnv) -> TypeEnv:
+        got = self.table.get(id(env))
+        if got is None:
+            of_type = self.of_type
+            image = TypeEnv(tuple((x, of_type(t)) for x, t in env.entries))
+            got = self.table[id(env)] = env, image
+        return got[1]
+
+    def of_skel(self, q: Skeleton) -> Skeleton:
+        cls = q.__class__
+        if cls is QEVar:
+            i = self.exps.get(q.evar)
+            forbidden, body = self.of_set(q.forbidden), self.of_skel(q.body)
+            return (QEVar(q.evar, forbidden, body) if i is None
+                    else apply_exp_skel(i, forbidden, body))
+        if cls is QApp:
+            return QApp(self.of_skel(q.fun), self.of_skel(q.arg))
+        if cls is QVar:
+            return QVar(q.var, self.of_env(q.env))
+        if cls is QSub:
+            return QSub(self.of_skel(q.body), self.of_type(q.target))
+        if cls is QAbs:
+            return QAbs(q.binder, self.of_skel(q.body))
+        if cls is QForall:
+            a, body = self._binder(q.binder, q.body)
+            return QForall(a, self.of_skel(body))
+        if cls is QWeak:
+            return QWeak(self.of_skel(q.body), self.of_env(q.extra))
+        raise TypeError(q)
+
+    def of_cons(self, c: Constraint) -> Constraint:
+        cls = c.__class__
+        if cls is And:
+            return And(self.of_cons(c.c1), self.of_cons(c.c2))
+        if cls is Atomic:
+            return Atomic(self.of_type(c.lhs), self.of_type(c.rhs))
+        if cls is EGuard:
+            i = self.exps.get(c.evar)
+            forbidden, witness = self.of_set(c.forbidden), self.of_type(c.witness)
+            body = self.of_cons(c.body)
+            return (EGuard(c.evar, forbidden, witness, body) if i is None
+                    else apply_exp_cons(i, forbidden, witness, body))
+        if cls is Exists:
+            a, body = self._binder(c.binder, c.body)
+            return Exists(a, self.of_cons(body))
+        if cls is Omega:
+            return c
+        raise TypeError(c)
+
+    def of_exp(self, i: Expansion) -> Expansion:
+        cls = i.__class__
+        if cls is Id:
+            return i
+        if cls is ForallIntro:
+            return ForallIntro(i.var, self.of_exp(i.rest))
+        if cls is EVarIntro:
+            return EVarIntro(i.evar, self.of_set(i.forbidden), self.of_exp(i.rest))
+        if cls is SubStep:
+            return SubStep(self.of_exp(i.rest), self.of_type(i.target))
+        raise TypeError(i)
 
 
 # ---------------------------------------------------------------------------

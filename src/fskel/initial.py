@@ -1,8 +1,9 @@
 """Initial skeletons of terms, rename-equivalence, the reflexive predicate,
 and the constructive derivation of a substitution mapping an initial skeleton
 onto any valid skeleton of the same term. The derivation types each of its two
-skeletons once and walks the target once; the substitution holds one binding
-per E-variable."""
+skeletons once and walks the target once; the variables of both skeletons are
+gathered only if the target has a QForall binder to rename, and the
+substitution holds one binding per E-variable."""
 
 from __future__ import annotations
 
@@ -73,25 +74,6 @@ def allvar(q: Skeleton) -> frozenset[str]:
 # Initial skeletons
 
 
-def uniquify(m: Term) -> Term:
-    """Rename binders so no binder shadows another binder or a free variable."""
-    used = set(fv(m))
-
-    def go(m: Term, env: dict[str, str]) -> Term:
-        match m:
-            case Var(x):
-                return Var(env.get(x, x))
-            case Abs(x, body):
-                x2 = fresh_name(x, frozenset(used))
-                used.add(x2)
-                return Abs(x2, go(body, {**env, x: x2}))
-            case App(f, a):
-                return App(go(f, env), go(a, env))
-        raise TypeError(m)
-
-    return go(m, {})
-
-
 class _AVar(Node):
     __slots__ = ("var", "evar")
 
@@ -106,38 +88,45 @@ class _AApp(Node):
 
 def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, FreshSupply]:
     """Build the initial skeleton of m; returns it with the variable
-    environment for m's free variables and the advanced supply."""
-    m = uniquify(m)
+    environment for m's free variables and the advanced supply. Binders are
+    renamed so that none shadows another binder or a free variable."""
     free = fv(m)
-    box = [supply]
+    used = set(free)
+    # the supply's counters, advanced in place; one supply is built at the end
+    next_tvar, next_evar = supply.tvar_next, supply.evar_next
 
     def fresh_tvar() -> str:
-        name, box[0] = box[0].fresh_tvar()
+        nonlocal next_tvar
+        name, next_tvar = supply.next_name(supply.tvar_prefix, next_tvar)
         return name
 
     def fresh_evar() -> str:
-        name, box[0] = box[0].fresh_evar()
+        nonlocal next_evar
+        name, next_evar = supply.next_name(supply.evar_prefix, next_evar)
         return name
 
     tvar_of: dict[str, str] = {}  # term variable -> type variable, insertion-ordered
 
-    def alloc(m: Term):
+    def alloc(m: Term, renamed: dict[str, str]):
         match m:
             case Var(x):
+                x = renamed.get(x, x)
                 if x not in tvar_of:
                     tvar_of[x] = fresh_tvar()
                 return _AVar(x, fresh_evar())
             case Abs(x, body):
-                tvar_of[x] = fresh_tvar()
-                ab = alloc(body)
-                return _AAbs(x, ab, fresh_evar())
+                x2 = fresh_name(x, used)
+                used.add(x2)
+                tvar_of[x2] = fresh_tvar()
+                ab = alloc(body, {**renamed, x: x2})
+                return _AAbs(x2, ab, fresh_evar())
             case App(f, a):
-                af = alloc(f)
-                aa = alloc(a)
+                af = alloc(f, renamed)
+                aa = alloc(a, renamed)
                 return _AApp(af, aa, fresh_tvar(), fresh_evar())
         raise TypeError(m)
 
-    annotated = alloc(m)
+    annotated = alloc(m, {})
 
     envs: dict[frozenset[str], tuple[TypeEnv, frozenset[str]]] = {}
 
@@ -171,7 +160,8 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
 
     skel, _ = build(annotated, frozenset())
     theta = TypeEnv(tuple((x, TVar(a)) for x, a in tvar_of.items() if x in free))
-    return skel, theta, box[0]
+    return skel, theta, FreshSupply(next_tvar, next_evar, supply.avoid,
+                                    supply.tvar_prefix, supply.evar_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +241,23 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     of q_init. Cost: typing the nodes of either skeleton not judged before
     (none, for a skeleton its caller has checked) and one walk of the
     target, which renames the target's binders as it goes instead of
-    rebuilding it and reads each function part's type from its judgement."""
+    rebuilding it and reads each function part's type from its judgement.
+    The names a renamed binder must miss (allvar of both skeletons and the
+    target's free type variables) are gathered at the first QForall of the
+    target, so a target with none walks neither skeleton for them; the
+    initial term's free variables are computed only when the target's
+    environment has entries to sort into G'."""
     j_i = check_skeleton(q_init)
     j_t = check_skeleton(q_target)
     if not term_alpha_eq(j_i.term, j_t.term):
         raise TermMismatch("skeletons type different terms")
 
     # Strip root weakenings into the extra environment.
-    body = q_target
-    while isinstance(body, QWeak):
-        body = body.body
+    root = q_target
+    while isinstance(root, QWeak):
+        root = root.body
 
-    avoid = set(allvar(q_init) | allvar(body) | ftv(j_t.env))
+    avoid: set[str] | None = None  # names a renamed binder must miss; built at a QForall
     bindings: list[tuple[str, Type | Expansion]] = []
     first: dict[str, Type] = {}  # each term variable's type variable -> its first binding
 
@@ -271,6 +266,7 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
         bindings below it go to `bindings`. names maps the target's term
         binders to q_i's, and phi renames the target's enclosing QForall
         binders to fresh names."""
+        nonlocal avoid
         if not isinstance(q_i, QEVar):
             raise AssertionError("initial sub-skeleton must be rooted at an E-variable")
 
@@ -279,6 +275,8 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
 
         match q_t:
             case QForall(a, body):
+                if avoid is None:
+                    avoid = set(allvar(q_init) | allvar(root) | ftv(j_t.env))
                 a2 = fresh_name(a, avoid)
                 avoid.add(a2)
                 kept = tuple(b for b in phi.bindings if b[0] != a)
@@ -324,7 +322,9 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
                 raise TermMismatch("skeletons type different terms")
         return Id()
 
-    bindings.append((q_init.evar, walk(q_init, body, {}, IOTA)))
-    free = fv(j_i.term)
-    gamma_extra = TypeEnv(tuple((x, t) for x, t in j_t.env.entries if x not in free))
-    return Subst(tuple(bindings)), gamma_extra
+    bindings.append((q_init.evar, walk(q_init, root, {}, IOTA)))
+    extra = ()
+    if j_t.env.entries:
+        free = fv(j_i.term)
+        extra = tuple((x, t) for x, t in j_t.env.entries if x not in free)
+    return Subst(tuple(bindings)), TypeEnv(extra)

@@ -47,15 +47,14 @@ def _witness(t1: Type, t2: Type, c1: Type, c2: Type) -> tuple[str, Type, Type] |
         cur = cur.body
     if not binders:
         return None
-    cands = [(x, ftv(x)) for x in _witness_candidates(t1, t2, c2)]
+    cands = _witness_candidates(t1, t2, c2)
     for i, a in enumerate(binders):
         rest = binders[:i] + binders[i + 1:]
         body = cur
         for b in reversed(rest):
             body = Forall(b, body)
-        for x, free in cands:
-            if not free.isdisjoint(rest):
-                continue  # would be captured by the remaining binders
+        for x in cands:
+            # apply_subst renames a remaining binder that would capture x
             if canonical_type(apply_subst(Subst(((a, x),)), body)) == c2:
                 return a, body, x
     return None

@@ -605,19 +605,20 @@ class FreshSupply(Node):
     __slots__ = ("tvar_next", "evar_next", "avoid", "tvar_prefix", "evar_prefix")
     _defaults = (0, 0, frozenset(), "a", "s")
 
-    def fresh_tvar(self) -> tuple[str, "FreshSupply"]:
-        i = self.tvar_next
-        while f"{self.tvar_prefix}{i}" in self.avoid:
+    def next_name(self, prefix: str, i: int) -> tuple[str, int]:
+        """The first name prefix<j> with j >= i that is not avoided, and
+        j + 1: the counter to pass for the name after it."""
+        while f"{prefix}{i}" in self.avoid:
             i += 1
-        name = f"{self.tvar_prefix}{i}"
-        return name, FreshSupply(i + 1, self.evar_next, self.avoid, self.tvar_prefix, self.evar_prefix)
+        return f"{prefix}{i}", i + 1
+
+    def fresh_tvar(self) -> tuple[str, "FreshSupply"]:
+        name, i = self.next_name(self.tvar_prefix, self.tvar_next)
+        return name, FreshSupply(i, self.evar_next, self.avoid, self.tvar_prefix, self.evar_prefix)
 
     def fresh_evar(self) -> tuple[str, "FreshSupply"]:
-        i = self.evar_next
-        while f"{self.evar_prefix}{i}" in self.avoid:
-            i += 1
-        name = f"{self.evar_prefix}{i}"
-        return name, FreshSupply(self.tvar_next, i + 1, self.avoid, self.tvar_prefix, self.evar_prefix)
+        name, i = self.next_name(self.evar_prefix, self.evar_next)
+        return name, FreshSupply(self.tvar_next, i, self.avoid, self.tvar_prefix, self.evar_prefix)
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:

@@ -24,7 +24,7 @@ from fskel.reduction import (
     NAbs, NeqError, NestedWeakening, NotAStep, NotSolved, check_neq, from_neq,
     step_neq, subst_neq, sz, to_neq, transform_T,
 )
-from fskel.solve import RELATIONS, leq_f
+from fskel.solve import RELATIONS, leq_f, leq_f_witness
 from fskel.surface import (
     parse_constraint, parse_skeleton, parse_subst, parse_term, parse_type,
     print_constraint, print_skeleton, print_type, print_type_env,
@@ -326,13 +326,13 @@ def _oracle_leq(t1, t2):
         rest = binders[:i] + binders[i + 1:]
         if a in binders[i + 1:]:
             continue  # shadowed: this binder is a dummy handled by stripping
+        body = core
+        for b in reversed(rest):
+            body = Forall(b, body)
         for x in cands:
-            if ftv(x) & set(rest):
-                continue
-            body = _oracle_subst(a, x, core)
-            for b in reversed(rest):
-                body = Forall(b, body)
-            if _oracle_eq(body, t2):
+            # substituting under the remaining binders renames any of them
+            # that would capture a free variable of x
+            if _oracle_eq(_oracle_subst(a, x, body), t2):
                 return True
     return False
 
@@ -347,6 +347,22 @@ def test_one_step_instantiation_matches_bruteforce_oracle():
                 for t2 in table[j]:
                     assert leq_f(t1, t2) == _oracle_leq(t1, t2), (
                         print_type(t1), print_type(t2))
+
+
+@pytest.mark.parametrize("t1, t2", [
+    # the witness b0 is free where canonical_type names a remaining binder b0
+    ("all a. all c. c -> a", "all c. c -> b0"),
+    ("all a. all c. c -> a", "all c. c -> d"),
+    # the witness c is free where t1 names a remaining binder c
+    ("all a. all c. c -> a", "all d. d -> c"),
+    ("all a. all c. a -> c -> c", "all e. (c -> c) -> e -> e"),
+])
+def test_one_step_instantiation_renames_a_binder_that_would_capture(t1, t2):
+    t1, t2 = parse_type(t1), parse_type(t2)
+    assert _oracle_leq(t1, t2)
+    assert leq_f(t1, t2)
+    a, body, x = leq_f_witness(t1, t2)
+    assert type_eq(apply_subst(Subst(((a, x),)), body), t2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,19 +4,27 @@ import random
 
 import pytest
 
+import reference_subst
 from fskel.expansion import (
     apply_exp_cons, apply_exp_skel, apply_exp_type, apply_subst,
     judgements_agree, property_expansion_sound, property_subst_sound,
 )
-from generators import random_expansion, random_subst_for, random_valid_skeleton
+from fskel.initial import derive_substitution, initial_skeleton
+from generators import (
+    decorate_dummies_inside, evars_of, random_expansion, random_subst_for,
+    random_type, random_valid_skeleton,
+)
 from fskel.surface import (
     parse_constraint, parse_expansion, parse_skeleton, parse_subst,
-    parse_type, parse_type_env,
+    parse_term, parse_type, parse_type_env, print_skeleton,
 )
 from fskel.syntax import (
-    EVarApp, IOTA, Subst, constraint_eq, env_eq, ftv, type_eq,
+    And, Atomic, EGuard, EVarApp, Exists, Forall, FreshSupply, IOTA, Omega,
+    QForall, QVar, QWeak, Skeleton, Subst, TVar, TypeEnv, constraint_eq,
+    env_eq, ftv, type_eq,
 )
 from fskel.typecheck import check_skeleton
+from helpers import count_instances
 
 
 def T(s):
@@ -118,3 +126,115 @@ def test_judgements_agree_is_alpha_insensitive():
     j1 = check_skeleton(parse_skeleton("\\x. x<x: a>"))
     j2 = check_skeleton(parse_skeleton("\\y. y<y: a>"))
     assert judgements_agree(j1, j2)
+
+
+# ---------------------------------------------------------------------------
+# apply_subst: one table per call, checked against a plain reference
+
+
+def _chain(n: int):
+    """The initial skeleton of \\f. \\x. f @ (... @ (f @ x)) (n applications)
+    and the substitution derived onto the chain typed with
+    f: all b. b -> b instantiated at c -> c at every use."""
+    env = "f: all b. b -> b, x: c -> c"
+    body, term = f"x<{env}>", "x"
+    for _ in range(n):
+        body = f"(f<{env}> |> (c -> c) -> c -> c) @ ({body})"
+        term = f"f @ ({term})"
+    q, _, _ = initial_skeleton(parse_term(f"\\f. \\x. {term}"), FreshSupply())
+    sigma, _ = derive_substitution(q, parse_skeleton(f"\\f. \\x. {body}"))
+    return q, sigma
+
+
+def _environments(q) -> dict[int, TypeEnv]:
+    """The environment objects of q's variable and weakening nodes, by id."""
+    found, todo = {}, [q]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (QVar, QWeak)):
+            env = node.env if isinstance(node, QVar) else node.extra
+            found[id(env)] = env
+        todo += [v for name in node.__match_args__
+                 if isinstance(v := getattr(node, name), Skeleton)]
+    return found
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80])
+def test_apply_subst_builds_one_environment_per_distinct_input(monkeypatch, n):
+    q, sigma = _chain(n)
+    for subject in (q, parse_skeleton(print_skeleton(q))):
+        distinct = _environments(subject)
+        built = count_instances(monkeypatch, TypeEnv)
+        got = apply_subst(sigma, subject)
+        monkeypatch.undo()
+        assert built[0] == len(distinct) < n
+        assert got == reference_subst.substitute(sigma, subject)
+        assert len(_environments(got)) == len(distinct)
+
+
+# binder names the generators use (random_type's t0-t2, the dummies of
+# decorate_dummies_inside, random_valid_skeleton's g), so that substitutions
+# built over them capture and force renaming
+_BINDERS = ["t0", "t1", "t2", "d", "g"]
+_EVARS = ["u0", "u1", "u2"]
+
+
+def _clashing_subst(rng: random.Random, subject) -> Subst:
+    names = sorted(ftv(subject) | set(_BINDERS))
+    bindings = [(a, random_type(rng, names, rng.randrange(3)))
+                for a in names if rng.random() < 0.4]
+    bindings += [(s, random_expansion(rng, names, rng.randrange(3)))
+                 for s in sorted(evars_of(subject) | set(_EVARS)) if rng.random() < 0.5]
+    if bindings and rng.random() < 0.3:
+        bindings.append(rng.choice(bindings)[:1] + (TVar("t0"),))  # shadowed later binding
+    rng.shuffle(bindings)
+    return Subst(tuple(bindings))
+
+
+def _random_constraint(rng: random.Random, names: list[str], depth: int):
+    if depth <= 0 or rng.random() < 0.25:
+        return Omega() if rng.random() < 0.1 else Atomic(
+            random_type(rng, names, 2), random_type(rng, names, 2))
+    match rng.randrange(4):
+        case 0:
+            return And(_random_constraint(rng, names, depth - 1),
+                       _random_constraint(rng, names, depth - 1))
+        case 1 | 2:
+            a = rng.choice(_BINDERS)
+            return Exists(a, _random_constraint(rng, names + [a], depth - 1))
+        case _:
+            return EGuard(rng.choice(_EVARS), frozenset(rng.sample(names, 2)),
+                          random_type(rng, names, 2),
+                          _random_constraint(rng, names, depth - 1))
+
+
+def _subjects(rng: random.Random):
+    """Seeded subjects of every category, tagged with their kind."""
+    for _ in range(150):
+        q = random_valid_skeleton(rng, 5)
+        yield "skeleton", q
+        yield "skeleton", decorate_dummies_inside(rng, q, 0.3)
+        yield "constraint", check_skeleton(q).constraint
+        yield "environment", check_skeleton(q).env
+    names = ["a", "b", "c"]
+    for _ in range(300):
+        yield "type", random_type(rng, names, 5)
+        yield "constraint", _random_constraint(rng, names, 4)
+        yield "expansion", random_expansion(rng, names, 4)
+
+
+def test_apply_subst_agrees_with_the_reference():
+    rng = random.Random(1801)
+    clashes = {(kind, binder): 0 for kind, binder in (
+        ("type", Forall), ("expansion", Forall), ("skeleton", Forall),
+        ("skeleton", QForall), ("constraint", Exists))}
+    for kind, subject in _subjects(rng):
+        phi = _clashing_subst(rng, subject)
+        got = apply_subst(phi, subject)
+        assert got == reference_subst.substitute(phi, subject), (kind, subject, phi)
+        for key in clashes:
+            if key[0] == kind and (reference_subst.binders(subject, key[1])
+                                   & reference_subst.free_vars(phi)):
+                clashes[key] += 1
+    # each kind of binder met a name free in the substitution, so was renamed
+    assert min(clashes.values()) >= 30, clashes

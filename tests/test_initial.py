@@ -11,15 +11,15 @@ from generators import random_subst_for, random_term, random_valid_skeleton
 from fskel.solve import RELATIONS, solved
 from fskel.initial import (
     TermMismatch, allvar, derive_substitution, initial_skeleton, reflexive,
-    rename_equiv, uniquify,
+    rename_equiv,
 )
 from fskel.surface import (
     parse_constraint, parse_skeleton, parse_term, print_skeleton,
     print_type_env,
 )
 from fskel.syntax import (
-    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QVar, QWeak, TVar,
-    TypeEnv, Var, env_eq, term_alpha_eq, type_eq,
+    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QForall, QVar, QWeak,
+    TVar, TypeEnv, Var, env_eq, term_alpha_eq, type_eq,
 )
 from fskel.typecheck import check_skeleton, relevant
 from helpers import count_calls
@@ -56,7 +56,7 @@ def test_duplicate_binders_are_uniquified():
     q, _, _ = initial_skeleton(m, FreshSupply())
     j = check_skeleton(q)
     assert judgements_agree(j, check_skeleton(q))
-    u = uniquify(m)
+    assert term_alpha_eq(j.term, m)
     names = set()
 
     def walk(t):
@@ -68,8 +68,12 @@ def test_duplicate_binders_are_uniquified():
             case App(f, a):
                 walk(f)
                 walk(a)
-    walk(u)
+    walk(j.term)
     assert len(names) == 2
+    # a binder is renamed away from a free variable of the same name
+    q, theta, _ = initial_skeleton(parse_term("(\\x. x) @ x"), FreshSupply())
+    assert print_type_env(theta) == "{x: a1}"
+    assert check_skeleton(q).term.fun.binder != "x"
 
 
 def test_rename_equiv_between_supplies():
@@ -295,11 +299,20 @@ def test_allvar_is_kept_on_the_node():
 
 
 def test_derive_substitution_walks_a_target_once():
-    # a second derivation onto the same target walks only its new initial
-    # skeleton, the same number of nodes as the first one's
+    # a target with no QForall binder needs no names to avoid: allvar
+    # enters no node of either skeleton
     qt, m = _left_nested(8)
-    q0, q1 = (initial_skeleton(m, FreshSupply())[0] for _ in range(2))
-    _, first = _allvar_visits(lambda: derive_substitution(q0, qt))
-    _, second = _allvar_visits(lambda: derive_substitution(q1, qt))
-    _, target = _allvar_visits(lambda: allvar(_left_nested(8)[0]))
-    assert target > 0 and first - second == target
+    q0 = initial_skeleton(m, FreshSupply())[0]
+    _, visits = _allvar_visits(lambda: derive_substitution(q0, qt))
+    assert visits == 0
+    # with QForall binders, the names are gathered once, at the first: each
+    # skeleton is walked once, and a second derivation onto the same target
+    # walks only its new initial skeleton (the target's walk is kept on it)
+    qf = QForall("g", QForall("h", qt))
+    q0, q1, q2 = (initial_skeleton(m, FreshSupply())[0] for _ in range(3))
+    _, first = _allvar_visits(lambda: derive_substitution(q0, qf))
+    _, second = _allvar_visits(lambda: derive_substitution(q1, qf))
+    _, init = _allvar_visits(lambda: allvar(q2))
+    _, target = _allvar_visits(lambda: allvar(QForall("g", QForall("h", _left_nested(8)[0]))))
+    assert init > 0 and target > 0
+    assert first == init + target and second == init
