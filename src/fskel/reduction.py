@@ -16,7 +16,7 @@ from .syntax import (
     QSub, QVar, QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var, as_arrow,
     env_eq, fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
-from .expansion import apply_subst
+from .expansion import apply_subst, apply_subst_set
 from .solve import REL_F, leq_f_witness, record_solved
 from .typecheck import check_skeleton
 
@@ -310,108 +310,77 @@ def sz(q: NeqSkeleton) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Single type-variable substitution into proof-carrying skeletons
+# Type-variable substitution into proof-carrying skeletons and proofs
 
 
-def _subst_type(a: str, x: Type, t: Type) -> Type:
-    return apply_subst(Subst(((a, x),)), t)
-
-
-def subst_proof(a: str, x: Type, p: SubtypeSkeleton) -> SubtypeSkeleton:
-    match p:
-        case Inst(src, arg):
-            return Inst(_subst_type(a, x, src), _subst_type(a, x, arg))
-        case QuantComm(src):
-            return QuantComm(_subst_type(a, x, src))
-        case DummyIn(b, t):
-            if b == a:
-                return DummyIn(b, t)  # a cannot occur in t
-            if b in ftv(x):
-                b2 = fresh_name(b, ftv(x) | ftv(t) | {a})
-                return DummyIn(b2, _subst_type(a, x, t))
-            return DummyIn(b, _subst_type(a, x, t))
-        case DummyElim(b, t):
-            inv = subst_proof(a, x, DummyIn(b, t))
-            assert isinstance(inv, DummyIn)
-            return DummyElim(inv.var, inv.body)
-        case FunCong(p1, p2):
-            return FunCong(subst_proof(a, x, p1), subst_proof(a, x, p2))
-        case EVarCong(s, forbidden, inner):
-            fb = (forbidden - {a}) | ftv(x) if a in forbidden else forbidden
-            return EVarCong(s, fb, subst_proof(a, x, inner))
-        case QuantCong(b, inner):
-            if b == a:
-                return p  # the conclusion binds a; nothing to substitute
-            if b in ftv(x):
-                b2 = fresh_name(b, ftv(x) | {a})
-                inner = subst_proof(b, TVar(b2), inner)
-                b = b2
-            return QuantCong(b, subst_proof(a, x, inner))
-    raise TypeError(p)
-
-
-def subst_neq(a: str, x: Type, q: NeqSkeleton) -> NeqSkeleton:
+def subst_neq(a: str, x: Type, q: NeqSkeleton | SubtypeSkeleton | Type):
     """Capture-avoiding substitution of type x for variable a in a
-    proof-carrying skeleton."""
-    match q:
+    proof-carrying skeleton, a subtyping proof or a type. One substitution
+    is built per call, and another only below a binder that shadows or is
+    renamed; every type and environment in q is mapped by apply_subst,
+    every forbidden set by apply_subst_set. The binder rule,
+    at an NForall, QuantCong, DummyIn or DummyElim binder b: b shadows the
+    substitution's own binding of b, and if b is free in an image, it is
+    renamed, together with the rest of the substitution, to
+    fresh_name(b, images | domain | the free variables of b's scope)."""
+    return _subst(Subst(((a, x),)), q)
+
+
+def _subst(phi: Subst, n):
+    """n, a proof-carrying skeleton, a subtyping proof or a type, under phi."""
+    match n:
         case NVar(y, env):
-            return NVar(y, TypeEnv(tuple((z, _subst_type(a, x, t)) for z, t in env.entries)))
+            return NVar(y, apply_subst(phi, env))
         case NAbs(y, body):
-            return NAbs(y, subst_neq(a, x, body))
-        case NApp(f, arg):
-            return NApp(subst_neq(a, x, f), subst_neq(a, x, arg))
-        case NForall(b, body):
-            if b == a:
-                return q
-            if b in ftv(x):
-                b2 = fresh_name(b, ftv(x) | {a} | _neq_ftv(body))
-                body = subst_neq(b, TVar(b2), body)
-                b = b2
-            return NForall(b, subst_neq(a, x, body))
-        case NEVar(s, forbidden, body):
-            fb = (forbidden - {a}) | ftv(x) if a in forbidden else forbidden
-            return NEVar(s, fb, subst_neq(a, x, body))
-        case NSub(body, proof):
-            return NSub(subst_neq(a, x, body), subst_proof(a, x, proof))
+            return NAbs(y, _subst(phi, body))
+        case NApp(left, right) | NSub(left, right) | FunCong(left, right) | Inst(left, right):
+            return n.__class__(_subst(phi, left), _subst(phi, right))
+        case NEVar(s, forbidden, body) | EVarCong(s, forbidden, body):
+            return n.__class__(s, apply_subst_set(phi, forbidden), _subst(phi, body))
         case NEnvSub(body, y, proof):
-            return NEnvSub(subst_neq(a, x, body), y, subst_proof(a, x, proof))
-    raise TypeError(q)
-
-
-def _proof_ftv(p: SubtypeSkeleton) -> frozenset[str]:
-    match p:
-        case Inst(src, arg):
-            return ftv(src) | ftv(arg)
+            return NEnvSub(_subst(phi, body), y, _subst(phi, proof))
+        case NForall(b, scope) | QuantCong(b, scope) | DummyIn(b, scope) | DummyElim(b, scope):
+            b, phi = _binder(phi, b, scope)
+            return n if not phi.bindings else n.__class__(b, _subst(phi, scope))
         case QuantComm(src):
-            return ftv(src)
-        case DummyIn(b, t) | DummyElim(b, t):
-            return ftv(t) | {b}
-        case FunCong(p1, p2):
-            return _proof_ftv(p1) | _proof_ftv(p2)
-        case EVarCong(_, forbidden, inner):
-            return forbidden | _proof_ftv(inner)
-        case QuantCong(b, inner):
-            return _proof_ftv(inner) | {b}
-    raise TypeError(p)
+            return QuantComm(apply_subst(phi, src))
+        case Type():
+            return apply_subst(phi, n)
+    raise TypeError(n)
 
 
-def _neq_ftv(q: NeqSkeleton) -> frozenset[str]:
-    match q:
+def _binder(phi: Subst, b: str, scope) -> tuple[str, Subst]:
+    """subst_neq's binder rule: the name of binder b and the substitution
+    to walk its scope with."""
+    if any(c == b for c, _ in phi.bindings):
+        phi = Subst(tuple(bound for bound in phi.bindings if bound[0] != b))
+    clash = ftv(phi)  # the domain and the images' free variables
+    if b not in clash:
+        return b, phi
+    fresh = fresh_name(b, clash | _free(scope))
+    return fresh, Subst(((b, TVar(fresh)),) + phi.bindings)
+
+
+def _free(n) -> frozenset[str]:
+    """The type variables free in a proof-carrying skeleton, a subtyping
+    proof or a type."""
+    match n:
         case NVar(_, env):
             return ftv(env)
         case NAbs(_, body):
-            return _neq_ftv(body)
-        case NApp(f, a):
-            return _neq_ftv(f) | _neq_ftv(a)
-        case NForall(b, body):
-            return _neq_ftv(body) - {b}
-        case NEVar(_, forbidden, body):
-            return forbidden | _neq_ftv(body)
-        case NSub(body, proof):
-            return _neq_ftv(body) | _proof_ftv(proof)
-        case NEnvSub(body, _, proof):
-            return _neq_ftv(body) | _proof_ftv(proof)
-    raise TypeError(q)
+            return _free(body)
+        case (NApp(left, right) | NSub(left, right) | NEnvSub(left, _, right)
+              | FunCong(left, right) | Inst(left, right)):
+            return _free(left) | _free(right)
+        case NEVar(_, forbidden, body) | EVarCong(_, forbidden, body):
+            return forbidden | _free(body)
+        case NForall(b, scope) | QuantCong(b, scope):
+            return _free(scope) - {b}
+        case DummyIn(_, t) | DummyElim(_, t) | QuantComm(t):
+            return ftv(t)
+        case Type():
+            return ftv(n)
+    raise TypeError(n)
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +407,17 @@ def transform_T(q: NeqSkeleton) -> NeqSkeleton:
                 return t
             match proof:
                 case Inst(Forall(a, t1), x):
-                    end = _subst_type(a, x, t1)
+                    end = subst_neq(a, x, t1)
                     for b, rest, t_rest in _splits(t):
-                        if type_eq(_subst_type(b, x, t_rest), end):
+                        if type_eq(subst_neq(b, x, t_rest), end):
                             return transform_T(subst_neq(b, x, rest))
                 case QuantCong(a, inner):
                     s1, s2, _ = check_subproof(inner)
                     for b, rest, t_rest in _splits(t):
                         # b takes a's place; it must not capture a variable of s2
                         if ((b == a or b not in ftv(s2))
-                                and type_eq(t_rest, _subst_type(a, TVar(b), s1))):
-                            inner_b = subst_proof(a, TVar(b), inner)
+                                and type_eq(t_rest, subst_neq(a, TVar(b), s1))):
+                            inner_b = subst_neq(a, TVar(b), inner)
                             return NForall(b, transform_T(NSub(rest, inner_b)))
             return NSub(t, proof)
     raise TypeError(q)

@@ -326,14 +326,6 @@ class Subst(Node):
             object.__setattr__(self, "_by_name", index)
         return index
 
-    def lookup_tvar(self, a: str) -> Type:
-        t = self._index()[0].get(a)
-        return TVar(a) if t is None else t
-
-    def lookup_evar(self, s: str) -> Expansion:
-        i = self._index()[1].get(s)
-        return EVarIntro(s, frozenset(), Id()) if i is None else i
-
 
 IOTA = Subst()
 
@@ -612,14 +604,6 @@ class FreshSupply(Node):
             i += 1
         return f"{prefix}{i}", i + 1
 
-    def fresh_tvar(self) -> tuple[str, "FreshSupply"]:
-        name, i = self.next_name(self.tvar_prefix, self.tvar_next)
-        return name, FreshSupply(i, self.evar_next, self.avoid, self.tvar_prefix, self.evar_prefix)
-
-    def fresh_evar(self) -> tuple[str, "FreshSupply"]:
-        name, i = self.next_name(self.evar_prefix, self.evar_next)
-        return name, FreshSupply(self.tvar_next, i, self.avoid, self.tvar_prefix, self.evar_prefix)
-
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     """Smallest-index variant of base not in avoid."""
@@ -636,7 +620,15 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def rename_type(t: Type, mapping: dict[str, str]) -> Type:
-    """Apply a variable renaming to the free type variables of t."""
+    """Apply a variable renaming to the free type variables of t. It is
+    kept apart from expansion.apply_subst on purpose: a binder named like a
+    renamed variable shadows it and keeps its name, while apply_subst
+    renames every binder the substitution mentions. On (all b0. b0) -> b0
+    with [b0 := b1], this gives (all b0. b0) -> b1 and apply_subst gives
+    (all b0_0. b0_0) -> b1. Canonicalization renames a block's binders with
+    this function, so the canonical names depend on it: canonical_type of
+    all b0. (all c. c) -> b0 is all b1. (all b0. b0) -> b1, whose inner
+    binder is already canonical."""
     match t:
         case TVar(a):
             return TVar(mapping.get(a, a))

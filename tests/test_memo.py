@@ -7,6 +7,7 @@ import pickle
 
 import pytest
 
+from fskel.expansion import apply_subst
 from fskel.initial import derive_substitution, initial_skeleton
 from fskel.reduction import (
     NestedWeakening, NotSolved, cbv_step, from_neq, preserve, to_neq,
@@ -130,12 +131,13 @@ def test_memoized_node_equals_a_fresh_parse(text):
 def test_memoized_subst_equals_a_fresh_one():
     text = "[a := b -> b, s := all c. id, a := c]"
     phi = parse_subst(text)
-    assert phi.lookup_tvar("a") == parse_type("b -> b")
+    a = parse_type("a")
+    assert apply_subst(phi, a) == parse_type("b -> b")
     fresh = parse_subst(text)
     assert phi == fresh and hash(phi) == hash(fresh) and repr(phi) == repr(fresh)
     for copied in (copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
-        assert copied == phi and copied.lookup_tvar("a") == parse_type("b -> b")
-    assert Subst() == Subst(()) and Subst().lookup_tvar("a") == parse_type("a")
+        assert copied == phi and apply_subst(copied, a) == parse_type("b -> b")
+    assert Subst() == Subst(()) and apply_subst(Subst(), a) == a
 
 
 def test_solved_verdict_is_kept_per_relation():

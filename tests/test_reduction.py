@@ -7,17 +7,18 @@ import pytest
 
 from fskel import reduction
 from fskel.expansion import judgements_agree
-from generators import decorate_dummies_inside, random_neq_decoration
+from generators import decorate_dummies_inside, random_neq_decoration, random_type
 from helpers import (
     constraint_nodes, count_calls, count_instances, decide, id_chain, poly_chain,
     skeleton_nodes,
 )
+from reference_subst import binders, free_vars, substitute
 from test_acceptance import _decorated_neq_starts, _reduction_cases
 from fskel.reduction import (
     BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
     NEnvSub, NEVar, NForall, NeqError, NotAStep, NotSolved, NSub, NVar,
     QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
-    is_value, preserve, step_neq, subst_term, sz, to_neq, transform_T,
+    is_value, preserve, step_neq, subst_neq, subst_term, sz, to_neq, transform_T,
 )
 from fskel.solve import RELATIONS
 from fskel.surface import (
@@ -25,7 +26,7 @@ from fskel.surface import (
 )
 from fskel.syntax import (
     NEQ_UNSET, Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak,
-    TypeEnv, Var, env_eq, type_eq,
+    Subst, TVar, TypeEnv, Var, env_eq, ftv, type_eq,
 )
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 
@@ -596,3 +597,92 @@ def test_subst_redex_reads_each_name_set_once(monkeypatch):
         assert print_term(check_skeleton(q2).term) == f"{renamed}{inner}y1"
         counts.append(calls["reduction._term_names"])
     assert counts[3] - counts[2] == 2 * (counts[2] - counts[1]) == 4 * (counts[1] - counts[0])
+
+
+# ---------------------------------------------------------------------------
+# Type substitution into proofs
+
+
+def test_substitution_renames_a_quantifier_congruence_binder_away_from_its_proof():
+    # b is free in the image, so QuantCong's b is renamed; b_0 is free in the
+    # inner proof, so the new name must not be b_0
+    env = TypeEnv((("x", TVar("d")), ("y", TVar("b")), ("z", TVar("b_0"))))
+    n = NSub(NForall("b", NForall("d", NAbs("x", NAbs("y", NVar("z", env))))),
+             QuantCong("b", Inst(T("all d. d -> b -> b_0"), TVar("c"))))
+    assert type_eq(check_neq(n)[2], T("all b. c -> b -> b_0"))
+    _, _, t = check_neq(subst_neq("c", TVar("b"), n))
+    assert type_eq(t, T("all b_1. b -> b_1 -> b_0"))
+
+
+def _proofs_in(n):
+    """The proof of every NSub and NEnvSub in n."""
+    while not isinstance(n, NVar):
+        match n:
+            case NSub(_, proof) | NEnvSub(_, _, proof):
+                yield proof
+            case NApp(f, _):
+                yield from _proofs_in(f)
+        n = n.arg if isinstance(n, NApp) else n.body
+
+
+def _quant_cong_vars(p):
+    match p:
+        case QuantCong(b, inner):
+            return [b] + _quant_cong_vars(inner)
+        case FunCong(p1, p2):
+            return _quant_cong_vars(p1) + _quant_cong_vars(p2)
+        case EVarCong(_, _, inner):
+            return _quant_cong_vars(inner)
+    return []
+
+
+def _nest(rng, p, names, equalities):
+    """p under one more proof node: a QuantCong, FunCong or EVarCong over
+    it, or an Inst or a QuantComm from one of its ends."""
+    t1, t2, tag = check_subproof(p)
+    match rng.randrange(5):
+        case 0:
+            return QuantCong(rng.choice(names), p)
+        case 1 if tag == "equality":
+            return FunCong(rng.choice(equalities), p)
+        case 2 if tag == "equality":
+            return EVarCong("u0", frozenset(rng.sample(names, 2)), p)
+        case 3:
+            # the decorations seldom make one
+            return QuantComm(Forall(rng.choice(names), Forall(rng.choice(names), t1)))
+        case 4:
+            # an instance that puts names of the pool free in the proof
+            a = rng.choice(sorted(ftv(t2)) or names)
+            return Inst(Forall(a, t2), random_type(rng, names, 2))
+    return QuantCong(rng.choice(names), p)
+
+
+def test_type_substitution_into_proofs_agrees_with_the_reference():
+    # proofs of every constructor, from the decorations' proofs; the
+    # substituted variable, the image's variables and the binders added
+    # come from names that clash with each other and with the proofs' own
+    # binders, so QuantCong binders are renamed
+    rng = random.Random(1019)
+    pool = {"b", "b_0", "d", "d_0"}
+    proofs = [p for n in _decorated_neq_starts(rng, 300) for p in _proofs_in(n)]
+    equalities = [p for p in proofs if check_subproof(p)[2] == "equality"]
+    kinds, renamed = set(), 0
+    for _ in range(3_000):
+        p = rng.choice(proofs)
+        for _ in range(rng.randrange(4)):
+            p = _nest(rng, p, sorted(pool | binders(check_subproof(p)[0], Forall)), equalities)
+        t1, t2, tag = check_subproof(p)
+        names = sorted(pool | free_vars(t1) | free_vars(t2)
+                       | binders(t1, Forall) | binders(t2, Forall))
+        a = rng.choice(names)
+        x = random_type(rng, names, rng.randrange(3))
+        p2 = subst_neq(a, x, p)
+        s1, s2, tag2 = check_subproof(p2)
+        phi = Subst(((a, x),))
+        assert tag2 == tag
+        assert type_eq(s1, substitute(phi, t1)) and type_eq(s2, substitute(phi, t2))
+        kinds.add(type(p).__name__)
+        renamed += sum(b != b2 for b, b2 in zip(_quant_cong_vars(p), _quant_cong_vars(p2)))
+    assert kinds == {"Inst", "QuantComm", "DummyIn", "DummyElim", "FunCong",
+                     "EVarCong", "QuantCong"}
+    assert renamed >= 30, renamed

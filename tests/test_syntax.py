@@ -4,11 +4,13 @@ import random
 import tracemalloc
 
 from fskel.syntax import (
-    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro, Exists,
-    Expansion, Forall, FreshSupply, Id, Omega, Subst, TVar, Type, TypeEnv,
+    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists,
+    Expansion, Forall, FreshSupply, Omega, Subst, TVar, Type, TypeEnv,
     Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
     term_alpha_eq, type_eq,
 )
+from fskel.expansion import apply_exp_type, apply_subst
+from fskel.initial import initial_skeleton
 from fskel.surface import parse_constraint, parse_skeleton, parse_type, print_constraint
 from fskel.typecheck import check_skeleton
 from generators import evars_of, random_expansion, random_term, random_type
@@ -99,11 +101,12 @@ def test_type_env_first_binding_wins():
 
 
 def test_subst_lookup_defaults():
+    # an unbound type variable maps to itself, an unbound E-variable to s^{} id
     phi = Subst((("a", TVar("b")),))
-    assert phi.lookup_tvar("a") == TVar("b")
-    assert phi.lookup_tvar("c") == TVar("c")
-    from fskel.syntax import EVarIntro, Id
-    assert phi.lookup_evar("s") == EVarIntro("s", frozenset(), Id())
+    assert apply_subst(phi, TVar("a")) == TVar("b")
+    assert apply_subst(phi, TVar("c")) == TVar("c")
+    t = EVarApp("s", frozenset(), TVar("c"))
+    assert apply_subst(phi, t) == t
 
 
 def test_subst_index_agrees_with_linear_scan():
@@ -125,10 +128,11 @@ def test_subst_index_agrees_with_linear_scan():
                 t = lookup_linear(phi, name, Type)
                 i = lookup_linear(phi, name, Expansion)
                 # the first binding of each kind, that very object, or the default
-                assert (phi.lookup_tvar(name) is t if t is not None
-                        else phi.lookup_tvar(name) == TVar(name))
-                assert (phi.lookup_evar(name) is i if i is not None
-                        else phi.lookup_evar(name) == EVarIntro(name, frozenset(), Id()))
+                got = apply_subst(phi, TVar(name))
+                assert got is t if t is not None else got == TVar(name)
+                got = apply_subst(phi, EVarApp(name, frozenset(), TVar("z")))
+                assert got == (apply_exp_type(i, frozenset(), TVar("z")) if i is not None
+                               else EVarApp(name, frozenset(), TVar("z")))
     assert repeated >= 200
 
 
@@ -186,8 +190,9 @@ def test_term_alpha_eq_agrees_with_de_bruijn():
 
 def test_fresh_supply_avoids():
     sup = FreshSupply(avoid=frozenset({"a0", "a1"}))
-    name, sup = sup.fresh_tvar()
-    assert name == "a2"
+    assert sup.next_name(sup.tvar_prefix, sup.tvar_next) == ("a2", 3)
+    q, _, sup2 = initial_skeleton(Abs("x", Var("x")), sup)
+    assert not ftv(q) & sup.avoid and sup2.tvar_next == 3
     assert fresh_name("x", {"x", "x_0"}) == "x_1"
     assert fresh_name("x", set()) == "x"
 
