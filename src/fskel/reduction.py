@@ -44,19 +44,20 @@ class BadSubProof(Exception):
 
 def subst_term(x: str, v: Term, m: Term) -> Term:
     """Capture-avoiding substitution of v for x in m."""
-    match m:
-        case Var(y):
-            return v if y == x else m
-        case Abs(y, body):
-            if y == x:
-                return m
-            if y in fv(v) and x in fv(body):
-                y2 = fresh_name(y, fv(v) | fv(body) | {x})
-                body = subst_term(y, Var(y2), body)
-                y = y2
-            return Abs(y, subst_term(x, v, body))
-        case App(f, a):
-            return App(subst_term(x, v, f), subst_term(x, v, a))
+    cls = type(m)
+    if cls is Var:
+        return v if m.name == x else m
+    if cls is App:
+        return App(subst_term(x, v, m.fun), subst_term(x, v, m.arg))
+    if cls is Abs:
+        y, body = m.binder, m.body
+        if y == x:
+            return m
+        if y in fv(v) and x in fv(body):
+            y2 = fresh_name(y, fv(v) | fv(body) | {x})
+            body = subst_term(y, Var(y2), body)
+            y = y2
+        return Abs(y, subst_term(x, v, body))
     raise TypeError(m)
 
 
@@ -66,27 +67,26 @@ def is_value(m: Term) -> bool:
 
 def cbv_step(m: Term) -> Term | None:
     """One small step of call-by-value evaluation, or None."""
-    match m:
-        case App(Abs(x, body), arg) if is_value(arg):
-            return subst_term(x, arg, body)
-        case App(f, a):
-            f2 = cbv_step(f)
-            if f2 is not None:
-                return App(f2, a)
-            if is_value(f):
-                a2 = cbv_step(a)
-                if a2 is not None:
-                    return App(f, a2)
-            return None
-        case _:
-            return None
+    if type(m) is not App:
+        return None
+    f, a = m.fun, m.arg
+    if type(f) is Abs and is_value(a):
+        return subst_term(f.binder, a, f.body)
+    f2 = cbv_step(f)
+    if f2 is not None:
+        return App(f2, a)
+    if is_value(f):
+        a2 = cbv_step(a)
+        if a2 is not None:
+            return App(f, a2)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Subtyping proof skeletons
 
 
-class SubtypeSkeleton(Node):
+class SubtypeSkeleton(Node, final=False):
     """Proof term for one subtyping judgement."""
 
     __slots__ = ()
@@ -174,7 +174,7 @@ def check_subproof(p: SubtypeSkeleton) -> tuple[Type, Type, str]:
 # Skeletons with explicit subtyping proofs
 
 
-class NeqSkeleton(Node):
+class NeqSkeleton(Node, final=False):
     """Skeleton whose subtyping steps carry explicit proofs. Its memo slots,
     None when the node is built, hold a weak reference to the skeleton that
     from_neq would rebuild exactly from this node, when the node was
@@ -328,24 +328,33 @@ def subst_neq(a: str, x: Type, q: NeqSkeleton | SubtypeSkeleton | Type):
 
 def _subst(phi: Subst, n):
     """n, a proof-carrying skeleton, a subtyping proof or a type, under phi."""
-    match n:
-        case NVar(y, env):
-            return NVar(y, apply_subst(phi, env))
-        case NAbs(y, body):
-            return NAbs(y, _subst(phi, body))
-        case NApp(left, right) | NSub(left, right) | FunCong(left, right) | Inst(left, right):
-            return n.__class__(_subst(phi, left), _subst(phi, right))
-        case NEVar(s, forbidden, body) | EVarCong(s, forbidden, body):
-            return n.__class__(s, apply_subst_set(phi, forbidden), _subst(phi, body))
-        case NEnvSub(body, y, proof):
-            return NEnvSub(_subst(phi, body), y, _subst(phi, proof))
-        case NForall(b, scope) | QuantCong(b, scope) | DummyIn(b, scope) | DummyElim(b, scope):
-            b, phi = _binder(phi, b, scope)
-            return n if not phi.bindings else n.__class__(b, _subst(phi, scope))
-        case QuantComm(src):
-            return QuantComm(apply_subst(phi, src))
-        case Type():
-            return apply_subst(phi, n)
+    if isinstance(n, Type):
+        return apply_subst(phi, n)
+    cls = type(n)
+    if cls is NAbs:
+        return NAbs(n.binder, _subst(phi, n.body))
+    if cls is NVar:
+        return NVar(n.var, apply_subst(phi, n.env))
+    if cls is NForall or cls is QuantCong or cls is DummyIn or cls is DummyElim:
+        scope = n.proof if cls is QuantCong else n.body
+        b, phi = _binder(phi, n.binder if cls is NForall else n.var, scope)
+        return n if not phi.bindings else cls(b, _subst(phi, scope))
+    if cls is NApp:
+        return NApp(_subst(phi, n.fun), _subst(phi, n.arg))
+    if cls is NSub:
+        return NSub(_subst(phi, n.body), _subst(phi, n.proof))
+    if cls is Inst:
+        return Inst(_subst(phi, n.source), _subst(phi, n.arg))
+    if cls is FunCong:
+        return FunCong(_subst(phi, n.dom_proof), _subst(phi, n.cod_proof))
+    if cls is NEVar:
+        return NEVar(n.evar, apply_subst_set(phi, n.forbidden), _subst(phi, n.body))
+    if cls is EVarCong:
+        return EVarCong(n.evar, apply_subst_set(phi, n.forbidden), _subst(phi, n.proof))
+    if cls is NEnvSub:
+        return NEnvSub(_subst(phi, n.body), n.var, _subst(phi, n.proof))
+    if cls is QuantComm:
+        return QuantComm(apply_subst(phi, n.source))
     raise TypeError(n)
 
 
@@ -394,32 +403,34 @@ def transform_T(q: NeqSkeleton) -> NeqSkeleton:
     proof, an Inst of a dummy binder, any NEnvSub) is dropped. An Inst or a
     QuantCong is pushed into the NForall block of its body, at the binder
     whose instantiation gives the proof's end modulo the theory."""
-    match q:
-        case NVar(_, _) | NAbs(_, _) | NApp(_, _) | NEVar(_, _, _):
-            return q
-        case NForall(a, body):
-            return NForall(a, transform_T(body))
-        case NEnvSub(body, _, _):
-            return transform_T(body)
-        case NSub(body, proof):
-            t = transform_T(body)
-            if not _regular(proof):
-                return t
-            match proof:
-                case Inst(Forall(a, t1), x):
-                    end = subst_neq(a, x, t1)
-                    for b, rest, t_rest in _splits(t):
-                        if type_eq(subst_neq(b, x, t_rest), end):
-                            return transform_T(subst_neq(b, x, rest))
-                case QuantCong(a, inner):
-                    s1, s2, _ = check_subproof(inner)
-                    for b, rest, t_rest in _splits(t):
-                        # b takes a's place; it must not capture a variable of s2
-                        if ((b == a or b not in ftv(s2))
-                                and type_eq(t_rest, subst_neq(a, TVar(b), s1))):
-                            inner_b = subst_neq(a, TVar(b), inner)
-                            return NForall(b, transform_T(NSub(rest, inner_b)))
-            return NSub(t, proof)
+    cls = type(q)
+    if cls is NAbs or cls is NVar or cls is NApp or cls is NEVar:
+        return q
+    if cls is NSub:
+        t = transform_T(q.body)
+        proof = q.proof
+        if not _regular(proof):
+            return t
+        if type(proof) is Inst:  # a regular Inst's source is a Forall
+            a, t1, x = proof.source.binder, proof.source.body, proof.arg
+            end = subst_neq(a, x, t1)
+            for b, rest, t_rest in _splits(t):
+                if type_eq(subst_neq(b, x, t_rest), end):
+                    return transform_T(subst_neq(b, x, rest))
+        else:  # a QuantCong
+            a, inner = proof.var, proof.proof
+            s1, s2, _ = check_subproof(inner)
+            for b, rest, t_rest in _splits(t):
+                # b takes a's place; it must not capture a variable of s2
+                if ((b == a or b not in ftv(s2))
+                        and type_eq(t_rest, subst_neq(a, TVar(b), s1))):
+                    inner_b = subst_neq(a, TVar(b), inner)
+                    return NForall(b, transform_T(NSub(rest, inner_b)))
+        return NSub(t, proof)
+    if cls is NForall:
+        return NForall(q.binder, transform_T(q.body))
+    if cls is NEnvSub:
+        return transform_T(q.body)
     raise TypeError(q)
 
 
@@ -504,44 +515,49 @@ def _elaborate(q: Skeleton) -> NeqSkeleton:
         n = q._neq
         if n is not NEQ_UNSET:
             return n
-        match q:
-            case QVar(x, env):
-                n, linked = NVar(x, env), True
-            case QAbs(x, body):
-                nb = go(body)
-                n, linked = None if nb is None else NAbs(x, nb), _source(nb) is body
-            case QApp(f, a):
-                nf, na = go(f), go(a)
-                n = None if nf is None or na is None else NApp(nf, na)
-                linked = _source(nf) is f and _source(na) is a
-            case QForall(a, body):
-                nb = go(body)
-                n, linked = None if nb is None else NForall(a, nb), _source(nb) is body
-            case QEVar(s, forbidden, body):
-                nb = go(body)
-                n = None if nb is None else NEVar(s, forbidden, nb)
-                linked = _source(nb) is body
-            case QSub(body, target):
-                nb = go(body)
-                key = body._judgement.rtype, target
-                step = settled.get(key)
-                if step is None:
-                    step = settled[key] = _sub_step(*key)
-                proof, exact = step
-                if proof is None:
-                    n, linked = nb, False  # the redundant step is dropped
-                elif nb is None:
-                    n, linked = None, False
-                else:
-                    n = NSub(nb, proof)
-                    if exact:
-                        object.__setattr__(n, "_settled", key[0])
-                    linked = exact and _source(nb) is body
-            case QWeak(body, _):
-                go(body)
+        cls = type(q)
+        if cls is QApp:
+            f, a = q.fun, q.arg
+            nf, na = go(f), go(a)
+            n = None if nf is None or na is None else NApp(nf, na)
+            linked = _source(nf) is f and _source(na) is a
+        elif cls is QVar:
+            n, linked = NVar(q.var, q.env), True
+        elif cls is QAbs:
+            body = q.body
+            nb = go(body)
+            n, linked = None if nb is None else NAbs(q.binder, nb), _source(nb) is body
+        elif cls is QSub:
+            body = q.body
+            nb = go(body)
+            key = body._judgement.rtype, q.target
+            step = settled.get(key)
+            if step is None:
+                step = settled[key] = _sub_step(*key)
+            proof, exact = step
+            if proof is None:
+                n, linked = nb, False  # the redundant step is dropped
+            elif nb is None:
                 n, linked = None, False
-            case _:
-                raise TypeError(q)
+            else:
+                n = NSub(nb, proof)
+                if exact:
+                    object.__setattr__(n, "_settled", key[0])
+                linked = exact and _source(nb) is body
+        elif cls is QForall:
+            body = q.body
+            nb = go(body)
+            n, linked = None if nb is None else NForall(q.binder, nb), _source(nb) is body
+        elif cls is QEVar:
+            body = q.body
+            nb = go(body)
+            n = None if nb is None else NEVar(q.evar, q.forbidden, nb)
+            linked = _source(nb) is body
+        elif cls is QWeak:
+            go(q.body)
+            n, linked = None, False
+        else:
+            raise TypeError(q)
         if linked:
             object.__setattr__(n, "_source", weakref.ref(q))
         object.__setattr__(q, "_neq", n)
@@ -592,33 +608,38 @@ def from_neq(q: NeqSkeleton,
     src = _source(q)
     if src is not None:
         return src
-    match q:
-        case NVar(x, env):
-            out, linked = QVar(x, env), True
-        case NAbs(x, body):
-            qb = from_neq(body, rebuilt)
-            out, linked = QAbs(x, qb), _source(body) is qb
-        case NApp(f, a):
-            qf, qa = from_neq(f, rebuilt), from_neq(a, rebuilt)
-            out, linked = QApp(qf, qa), _source(f) is qf and _source(a) is qa
-        case NForall(a, body):
-            qb = from_neq(body, rebuilt)
-            out, linked = QForall(a, qb), _source(body) is qb
-        case NEVar(s, forbidden, body):
-            qb = from_neq(body, rebuilt)
-            out, linked = QEVar(s, forbidden, qb), _source(body) is qb
-        case NSub(body, proof):
-            qb = from_neq(body, rebuilt)
-            out = QSub(qb, check_subproof(proof)[1])
-            t = q._settled
-            linked = (t is not None and _source(body) is qb
-                      and check_skeleton(qb).rtype is t)
-            if not linked and rebuilt is not None:
-                rebuilt.append((out, proof))
-        case NEnvSub(body, _, _):
-            return from_neq(body, rebuilt)
-        case _:
-            raise TypeError(q)
+    cls = type(q)
+    if cls is NApp:
+        f, a = q.fun, q.arg
+        qf, qa = from_neq(f, rebuilt), from_neq(a, rebuilt)
+        out, linked = QApp(qf, qa), _source(f) is qf and _source(a) is qa
+    elif cls is NAbs:
+        body = q.body
+        qb = from_neq(body, rebuilt)
+        out, linked = QAbs(q.binder, qb), _source(body) is qb
+    elif cls is NSub:
+        body, proof = q.body, q.proof
+        qb = from_neq(body, rebuilt)
+        out = QSub(qb, check_subproof(proof)[1])
+        t = q._settled
+        linked = (t is not None and _source(body) is qb
+                  and check_skeleton(qb).rtype is t)
+        if not linked and rebuilt is not None:
+            rebuilt.append((out, proof))
+    elif cls is NVar:
+        out, linked = QVar(q.var, q.env), True
+    elif cls is NForall:
+        body = q.body
+        qb = from_neq(body, rebuilt)
+        out, linked = QForall(q.binder, qb), _source(body) is qb
+    elif cls is NEVar:
+        body = q.body
+        qb = from_neq(body, rebuilt)
+        out, linked = QEVar(q.evar, q.forbidden, qb), _source(body) is qb
+    elif cls is NEnvSub:
+        return from_neq(q.body, rebuilt)
+    else:
+        raise TypeError(q)
     if linked:
         object.__setattr__(out, "_neq", q)
         object.__setattr__(q, "_source", weakref.ref(out))
@@ -636,17 +657,17 @@ def _term_names(q: NeqSkeleton, known: dict[int, frozenset[str]]) -> frozenset[s
     names = known.get(id(q))
     if names is not None:
         return names
-    match q:
-        case NVar(x, env):
-            names = frozenset({x}) | env.supp()
-        case NAbs(x, body):
-            names = frozenset({x}) | _term_names(body, known)
-        case NApp(f, a):
-            names = _term_names(f, known) | _term_names(a, known)
-        case NForall(_, body) | NEVar(_, _, body) | NSub(body, _) | NEnvSub(body, _, _):
-            names = _term_names(body, known)
-        case _:
-            raise TypeError(q)
+    cls = type(q)
+    if cls is NAbs:
+        names = frozenset({q.binder}) | _term_names(q.body, known)
+    elif cls is NVar:
+        names = frozenset({q.var}) | q.env.supp()
+    elif cls is NForall or cls is NSub or cls is NEVar or cls is NEnvSub:
+        names = _term_names(q.body, known)
+    elif cls is NApp:
+        names = _term_names(q.fun, known) | _term_names(q.arg, known)
+    else:
+        raise TypeError(q)
     known[id(q)] = names
     return names
 
@@ -656,25 +677,26 @@ def _extend_envs(q: NeqSkeleton, extras: list[tuple[str, Type]]) -> NeqSkeleton:
     names subst_redex has renamed away from every name of q."""
     if not extras:
         return q
-    match q:
-        case NVar(x, env):
-            return NVar(x, TypeEnv(env.entries + tuple(extras)))
-        case NAbs(x, body):
-            return NAbs(x, _extend_envs(body, extras))
-        case NApp(f, a):
-            return NApp(_extend_envs(f, extras), _extend_envs(a, extras))
-        case NForall(a, body):
-            return NForall(a, _extend_envs(body, extras))
-        case NEVar(s, forbidden, body):
-            grown = frozenset().union(*[ftv(t) for _, t in extras])
-            if not grown <= forbidden:
-                raise NotAStep(
-                    f"{s}: forbidden set too small for the substituted environment")
-            return NEVar(s, forbidden, _extend_envs(body, extras))
-        case NSub(body, _):
-            return _sub(_extend_envs(body, extras), q)
-        case NEnvSub(body, y, proof):
-            return NEnvSub(_extend_envs(body, extras), y, proof)
+    cls = type(q)
+    if cls is NAbs:
+        return NAbs(q.binder, _extend_envs(q.body, extras))
+    if cls is NVar:
+        return NVar(q.var, TypeEnv(q.env.entries + tuple(extras)))
+    if cls is NForall:
+        return NForall(q.binder, _extend_envs(q.body, extras))
+    if cls is NApp:
+        return NApp(_extend_envs(q.fun, extras), _extend_envs(q.arg, extras))
+    if cls is NEVar:
+        s, forbidden = q.evar, q.forbidden
+        grown = frozenset().union(*[ftv(t) for _, t in extras])
+        if not grown <= forbidden:
+            raise NotAStep(
+                f"{s}: forbidden set too small for the substituted environment")
+        return NEVar(s, forbidden, _extend_envs(q.body, extras))
+    if cls is NSub:
+        return _sub(_extend_envs(q.body, extras), q)
+    if cls is NEnvSub:
+        return NEnvSub(_extend_envs(q.body, extras), q.var, q.proof)
     raise TypeError(q)
 
 
@@ -691,29 +713,31 @@ def subst_redex(body: NeqSkeleton, x: str, arg: NeqSkeleton) -> NeqSkeleton:
     arg_names = _term_names(arg, known)
 
     def go(q: NeqSkeleton, crossed: tuple[str, ...], ren: dict[str, str]) -> NeqSkeleton:
-        match q:
-            case NVar(y, env):
-                if y == x:
-                    return _extend_envs(arg, [(ren.get(c, c), env.lookup(c)) for c in crossed])
-                return NVar(ren.get(y, y), TypeEnv(tuple(
-                    (ren.get(z, z), t) for z, t in env.entries if z != x)))
-            case NAbs(y, body):
-                if y in arg_names:
-                    # body's environments hold x and every binder crossed
-                    # before, under its old name; the new names are added
-                    ren = {**ren, y: fresh_name(
-                        y, arg_names | _term_names(body, known) | set(ren.values()))}
-                return NAbs(ren.get(y, y), go(body, crossed + (y,), ren))
-            case NApp(f, a):
-                return NApp(go(f, crossed, ren), go(a, crossed, ren))
-            case NForall(a, body):
-                return NForall(a, go(body, crossed, ren))
-            case NEVar(s, forbidden, body):
-                return NEVar(s, forbidden, go(body, crossed, ren))
-            case NSub(body, _):
-                return _sub(go(body, crossed, ren), q)
-            case NEnvSub(body, _, _):
-                return go(body, crossed, ren)
+        cls = type(q)
+        if cls is NVar:
+            y, env = q.var, q.env
+            if y == x:
+                return _extend_envs(arg, [(ren.get(c, c), env.lookup(c)) for c in crossed])
+            return NVar(ren.get(y, y), TypeEnv(tuple(
+                (ren.get(z, z), t) for z, t in env.entries if z != x)))
+        if cls is NApp:
+            return NApp(go(q.fun, crossed, ren), go(q.arg, crossed, ren))
+        if cls is NSub:
+            return _sub(go(q.body, crossed, ren), q)
+        if cls is NAbs:
+            y, body = q.binder, q.body
+            if y in arg_names:
+                # body's environments hold x and every binder crossed
+                # before, under its old name; the new names are added
+                ren = {**ren, y: fresh_name(
+                    y, arg_names | _term_names(body, known) | set(ren.values()))}
+            return NAbs(ren.get(y, y), go(body, crossed + (y,), ren))
+        if cls is NForall:
+            return NForall(q.binder, go(q.body, crossed, ren))
+        if cls is NEVar:
+            return NEVar(q.evar, q.forbidden, go(q.body, crossed, ren))
+        if cls is NEnvSub:
+            return go(q.body, crossed, ren)
         raise TypeError(q)
 
     return go(body, (), {})
@@ -753,22 +777,25 @@ def _step_at(n: NeqSkeleton) -> NeqSkeleton:
     from, and shares every subtree off the path with n; from_neq turns the
     result into a skeleton, giving each of those subtrees back as the
     skeleton it was elaborated from."""
-    match n:
-        case NForall(a, body):
-            return NForall(a, _step_at(body))
-        case NEVar(s, forbidden, body):
-            return NEVar(s, forbidden, _step_at(body))
-        case NSub(body, _):
-            return _sub(_step_at(body), n)
-        case NEnvSub(body, _, _):
-            return _step_at(body)
-        case NApp(f, a) if isinstance(_core(f), NApp):
+    cls = type(n)
+    if cls is NApp:
+        f, a = n.fun, n.arg
+        core = type(_core(f))
+        if core is NApp:
             return NApp(_step_at(f), a)
-        case NApp(f, a) if isinstance(_core(a), NApp):
+        if type(_core(a)) is NApp:
             return NApp(f, _step_at(a))
-        case NApp(f, a) if isinstance(_core(f), NAbs):
+        if core is NAbs:
             exposed = _expose_abs(f)
             return subst_redex(exposed.body, exposed.binder, a)
+    elif cls is NForall:
+        return NForall(n.binder, _step_at(n.body))
+    elif cls is NEVar:
+        return NEVar(n.evar, n.forbidden, _step_at(n.body))
+    elif cls is NSub:
+        return _sub(_step_at(n.body), n)
+    elif cls is NEnvSub:
+        return _step_at(n.body)
     raise NotAStep("the skeleton's term is not reducible")
 
 

@@ -110,20 +110,21 @@ def solved(c: Constraint, rel: SubtypingRelation) -> bool:
         if rel in node._solved:
             continue
         walked.append(node)
-        match node:
-            case Omega():
-                pass
-            case Atomic(lhs, rhs):
-                if (lhs, rhs) not in decided:
-                    if not rel.decide(lhs, rhs):
-                        return False
-                    decided.add((lhs, rhs))
-            case And(c1, c2):
-                todo += (c2, c1)
-            case Exists(_, body) | EGuard(_, _, _, body):
-                todo.append(body)
-            case other:
-                raise TypeError(other)
+        cls = type(node)
+        if cls is And:
+            todo += (node.c2, node.c1)
+        elif cls is Atomic:
+            pair = node.lhs, node.rhs
+            if pair not in decided:
+                if not rel.decide(*pair):
+                    return False
+                decided.add(pair)
+        elif cls is Exists or cls is EGuard:
+            todo.append(node.body)
+        elif cls is Omega:
+            pass
+        else:
+            raise TypeError(node)
     mark = (rel,)  # shared by every node that held no verdict
     for node in walked:
         rels = node._solved

@@ -75,14 +75,32 @@ class Node:
     them. `_defaults` holds values for the last fields, as a function's
     defaults do. A node has the dataclass repr, refuses assignment, and is
     copied and pickled by rebuilding it from its fields, so a copy starts
-    with empty memo slots."""
+    with empty memo slots.
+
+    A node class is final: defining a class derived from one raises
+    TypeError, unless the base is one of the categories declared with
+    `final=False` (Term, Type, Expansion, Constraint, Skeleton and, in
+    reduction, SubtypeSkeleton and NeqSkeleton), which have no fields. So
+    `type(n) is C` decides exactly what the class pattern `C(...)` decides,
+    and the walkers a reduction step enters dispatch on `cls = type(n)`
+    with an `if cls is C` chain, most frequent class first. A `match` on
+    class patterns makes an isinstance call for every case that fails and
+    reads `__match_args__` for every capture: in a walker over the seven
+    skeleton classes, on CPython 3.11, that was 0.9-1.4 µs per QVar, QApp
+    or QSub node, against 0.15-0.2 µs for the chain."""
 
     __slots__ = ()
     _eq = True
+    _final = False
     _defaults = None
 
-    def __init_subclass__(cls, eq=None):
+    def __init_subclass__(cls, eq=None, final=True):
         super().__init_subclass__()
+        for base in cls.__bases__:
+            if getattr(base, "_final", False):
+                raise TypeError(f"cannot derive {cls.__qualname__} from {base.__qualname__}: "
+                                "a node class is final unless declared with final=False")
+        cls._final = final
         if eq is not None:
             cls._eq = eq
         fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
@@ -118,7 +136,7 @@ class Node:
 # Terms
 
 
-class Term(Node):
+class Term(Node, final=False):
     """Untyped lambda-term."""
 
     __slots__ = ()
@@ -144,13 +162,13 @@ class App(Term):
 
 def fv(m: Term) -> frozenset[str]:
     """Free term variables of a term."""
-    match m:
-        case Var(x):
-            return frozenset({x})
-        case Abs(x, body):
-            return fv(body) - {x}
-        case App(f, a):
-            return fv(f) | fv(a)
+    cls = type(m)
+    if cls is Abs:
+        return fv(m.body) - {m.binder}
+    if cls is Var:
+        return frozenset({m.name})
+    if cls is App:
+        return fv(m.fun) | fv(m.arg)
     raise TypeError(m)
 
 
@@ -163,17 +181,21 @@ def term_alpha_eq(m1: Term, m2: Term) -> bool:
            same: bool) -> bool:
         if same and m1 is m2:
             return True
-        match m1, m2:
-            case Var(x), Var(y):
-                if x in env1 or y in env2:
-                    return env1.get(x) == env2.get(y)
-                return x == y
-            case Abs(x, b1), Abs(y, b2):
-                return go(b1, b2, {**env1, x: depth}, {**env2, y: depth}, depth + 1,
-                          same and x == y)
-            case App(f1, a1), App(f2, a2):
-                return (go(f1, f2, env1, env2, depth, same)
-                        and go(a1, a2, env1, env2, depth, same))
+        cls = type(m1)
+        if cls is not type(m2):
+            return False
+        if cls is Abs:
+            x, y = m1.binder, m2.binder
+            return go(m1.body, m2.body, {**env1, x: depth}, {**env2, y: depth}, depth + 1,
+                      same and x == y)
+        if cls is App:
+            return (go(m1.fun, m2.fun, env1, env2, depth, same)
+                    and go(m1.arg, m2.arg, env1, env2, depth, same))
+        if cls is Var:
+            x, y = m1.name, m2.name
+            if x in env1 or y in env2:
+                return env1.get(x) == env2.get(y)
+            return x == y
         return False
 
     return go(m1, m2, {}, {}, 0, True)
@@ -205,7 +227,7 @@ _IS_CANONICAL = object()
 _NO_FORALL = object()
 
 
-class Type(Node, eq=False):
+class Type(Node, eq=False, final=False):
     """System Fs type. Nodes are interned, so `==` and `hash` are identity,
     and copies rebuild through the table. The memo slots hold pure
     functions of the node, each computed at most once: its free variables
@@ -268,7 +290,7 @@ class EVarApp(Type):
 # Expansions
 
 
-class Expansion(Node):
+class Expansion(Node, final=False):
     """Asymmetric expansion term."""
 
     __slots__ = ()
@@ -334,7 +356,7 @@ IOTA = Subst()
 # Constraints
 
 
-class Constraint(Node, eq=False):
+class Constraint(Node, eq=False, final=False):
     """Subtyping constraint. Its memo slot holds the relations under which
     every atom below the node holds: () when the node is built, then the
     relations solve.solved found, and REL_F on the constraint of a reduct
@@ -453,7 +475,7 @@ def env_eq(g1: TypeEnv, g2: TypeEnv) -> bool:
 # Skeletons
 
 
-class Skeleton(Node):
+class Skeleton(Node, final=False):
     """Proof term encoding a typing derivation. Its memo slots hold facts
     that are pure functions of the node's subtree, each computed at most
     once and dropped with the node: the node's judgement
@@ -518,71 +540,71 @@ class QWeak(Skeleton):
 def ftv(subject) -> frozenset[str]:
     """Free type variables of a type, expansion, substitution, constraint,
     environment or skeleton."""
-    match subject:
-        case Type():
-            return _type_ftv(subject)
-        case TypeEnv(entries):
-            out = frozenset()
-            for _, t in entries:
-                out |= _type_ftv(t)
-            return out
-        case Id():
-            return frozenset()
-        case ForallIntro(a, rest):
-            return ftv(rest) | {a}
-        case EVarIntro(_, forbidden, rest):
-            return ftv(rest) | forbidden
-        case SubStep(rest, target):
-            return ftv(rest) | ftv(target)
-        case Subst(bindings):
-            out: frozenset[str] = frozenset()
-            for name, val in bindings:
-                if isinstance(val, Type):
-                    out |= {name} | ftv(val)
-                else:
-                    out |= ftv(val)
-            return out
-        case Omega():
-            return frozenset()
-        case Atomic(lhs, rhs):
-            return ftv(lhs) | ftv(rhs)
-        case And(c1, c2):
-            return ftv(c1) | ftv(c2)
-        case Exists(a, body):
-            return ftv(body) - {a}
-        case EGuard(_, forbidden, witness, body):
-            return forbidden | ftv(witness) | ftv(body)
-        case QVar(_, env):
-            return ftv(env)
-        case QAbs(_, body):
-            return ftv(body)
-        case QApp(f, a):
-            return ftv(f) | ftv(a)
-        case QForall(a, body):
-            return ftv(body) - {a}
-        case QEVar(_, forbidden, body):
-            return forbidden | ftv(body)
-        case QSub(body, target):
-            return ftv(body) | ftv(target)
-        case QWeak(body, extra):
-            return ftv(body) | ftv(extra)
+    cls = type(subject)
+    if cls is TypeEnv:
+        out = frozenset()
+        for _, t in subject.entries:
+            out |= _type_ftv(t)
+        return out
+    if isinstance(subject, Type):
+        return _type_ftv(subject)
+    if cls is Subst:
+        out: frozenset[str] = frozenset()
+        for name, val in subject.bindings:
+            if isinstance(val, Type):
+                out |= {name} | ftv(val)
+            else:
+                out |= ftv(val)
+        return out
+    if cls is Id:
+        return frozenset()
+    if cls is ForallIntro:
+        return ftv(subject.rest) | {subject.var}
+    if cls is EVarIntro:
+        return ftv(subject.rest) | subject.forbidden
+    if cls is SubStep:
+        return ftv(subject.rest) | ftv(subject.target)
+    if cls is Omega:
+        return frozenset()
+    if cls is Atomic:
+        return ftv(subject.lhs) | ftv(subject.rhs)
+    if cls is And:
+        return ftv(subject.c1) | ftv(subject.c2)
+    if cls is Exists:
+        return ftv(subject.body) - {subject.binder}
+    if cls is EGuard:
+        return subject.forbidden | ftv(subject.witness) | ftv(subject.body)
+    if cls is QVar:
+        return ftv(subject.env)
+    if cls is QAbs:
+        return ftv(subject.body)
+    if cls is QApp:
+        return ftv(subject.fun) | ftv(subject.arg)
+    if cls is QForall:
+        return ftv(subject.body) - {subject.binder}
+    if cls is QEVar:
+        return subject.forbidden | ftv(subject.body)
+    if cls is QSub:
+        return ftv(subject.body) | ftv(subject.target)
+    if cls is QWeak:
+        return ftv(subject.body) | ftv(subject.extra)
     raise TypeError(f"ftv: unsupported subject {subject!r}")
 
 
 def _type_ftv(t: Type) -> frozenset[str]:
     free = t._ftv
     if free is None:
-        match t:
-            case TVar(a):
-                free = frozenset((a,))
-            case Arrow(d, c):
-                free = _type_ftv(d) | _type_ftv(c)
-            case Forall(a, body):
-                free = _type_ftv(body) - {a}
-            case EVarApp(_, forbidden, body):
-                free = _type_ftv(body) | forbidden
-            case _:
-                raise TypeError(t)
+        cls = type(t)
+        if cls is Arrow:
+            free = _type_ftv(t.dom) | _type_ftv(t.cod)
+        elif cls is TVar:
+            free = frozenset((t.name,))
+        elif cls is Forall:
+            free = _type_ftv(t.body) - {t.binder}
+        elif cls is EVarApp:
+            free = _type_ftv(t.body) | t.forbidden
+        else:
+            raise TypeError(t)
         object.__setattr__(t, "_ftv", free)
     return free
 

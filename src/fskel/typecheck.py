@@ -69,60 +69,66 @@ def _judge(q: Skeleton) -> Judgement:
         j = q._judgement
         if j is not None:
             return j
-        match q:
-            case QVar(x, env):
-                if not env.well_formed():
-                    raise MalformedEnv(f"environment of {x} mentions a variable twice")
-                t = env.lookup(x)
-                if t is None:
-                    raise UnboundVariable(f"{x} not in its environment")
-                j = Judgement(Var(x), env, t, Omega())
-            case QAbs(x, body):
-                jb = go(body)
-                t1 = jb.env.lookup(x)
-                if t1 is None:
-                    raise UnboundVariable(f"abstraction binder {x} not in the body environment")
-                j = Judgement(Abs(x, jb.term), jb.env.remove(x), Arrow(t1, jb.rtype),
-                              jb.constraint)
-            case QApp(f, a):
-                j1 = go(f)
-                j2 = go(a)
-                if not env_eq(j1.env, j2.env):
-                    raise EnvMismatch("application premises carry different environments")
-                arr = as_arrow(j1.rtype)
-                if arr is None:
-                    raise NotAnArrow("function part does not have an arrow type")
-                if not type_eq(arr.dom, j2.rtype):
-                    raise DomainMismatch("argument type does not match the function domain")
-                j = Judgement(App(j1.term, j2.term), j1.env, arr.cod,
-                              And(j1.constraint, j2.constraint))
-            case QForall(a, body):
-                jb = go(body)
-                if a in ftv(jb.env):
-                    raise EscapingVariable(f"{a} is free in the environment")
-                j = Judgement(jb.term, jb.env, Forall(a, jb.rtype), Exists(a, jb.constraint))
-            case QEVar(s, forbidden, body):
-                jb = go(body)
-                if not ftv(jb.env) <= forbidden:
-                    raise ForbiddenSetTooSmall(
-                        f"{s}: environment variables {sorted(ftv(jb.env) - forbidden)} "
-                        "missing from the forbidden set")
-                j = Judgement(jb.term, jb.env, EVarApp(s, forbidden, jb.rtype),
-                              EGuard(s, forbidden, jb.rtype, jb.constraint))
-            case QSub(body, target):
-                jb = go(body)
-                j = Judgement(jb.term, jb.env, target,
-                              And(jb.constraint, Atomic(jb.rtype, target)))
-            case QWeak(body, extra):
-                jb = go(body)
-                if not extra.well_formed():
-                    raise MalformedEnv("weakening environment mentions a variable twice")
-                if jb.env.supp() & extra.supp():
-                    raise SupportOverlap(
-                        f"weakening re-binds {sorted(jb.env.supp() & extra.supp())}")
-                j = Judgement(jb.term, jb.env.concat(extra), jb.rtype, jb.constraint)
-            case _:
-                raise TypeError(q)
+        cls = type(q)
+        if cls is QApp:
+            j1 = go(q.fun)
+            j2 = go(q.arg)
+            if not env_eq(j1.env, j2.env):
+                raise EnvMismatch("application premises carry different environments")
+            arr = as_arrow(j1.rtype)
+            if arr is None:
+                raise NotAnArrow("function part does not have an arrow type")
+            if not type_eq(arr.dom, j2.rtype):
+                raise DomainMismatch("argument type does not match the function domain")
+            j = Judgement(App(j1.term, j2.term), j1.env, arr.cod,
+                          And(j1.constraint, j2.constraint))
+        elif cls is QAbs:
+            x = q.binder
+            jb = go(q.body)
+            t1 = jb.env.lookup(x)
+            if t1 is None:
+                raise UnboundVariable(f"abstraction binder {x} not in the body environment")
+            j = Judgement(Abs(x, jb.term), jb.env.remove(x), Arrow(t1, jb.rtype),
+                          jb.constraint)
+        elif cls is QSub:
+            target = q.target
+            jb = go(q.body)
+            j = Judgement(jb.term, jb.env, target,
+                          And(jb.constraint, Atomic(jb.rtype, target)))
+        elif cls is QVar:
+            x, env = q.var, q.env
+            if not env.well_formed():
+                raise MalformedEnv(f"environment of {x} mentions a variable twice")
+            t = env.lookup(x)
+            if t is None:
+                raise UnboundVariable(f"{x} not in its environment")
+            j = Judgement(Var(x), env, t, Omega())
+        elif cls is QForall:
+            a = q.binder
+            jb = go(q.body)
+            if a in ftv(jb.env):
+                raise EscapingVariable(f"{a} is free in the environment")
+            j = Judgement(jb.term, jb.env, Forall(a, jb.rtype), Exists(a, jb.constraint))
+        elif cls is QEVar:
+            s, forbidden = q.evar, q.forbidden
+            jb = go(q.body)
+            if not ftv(jb.env) <= forbidden:
+                raise ForbiddenSetTooSmall(
+                    f"{s}: environment variables {sorted(ftv(jb.env) - forbidden)} "
+                    "missing from the forbidden set")
+            j = Judgement(jb.term, jb.env, EVarApp(s, forbidden, jb.rtype),
+                          EGuard(s, forbidden, jb.rtype, jb.constraint))
+        elif cls is QWeak:
+            extra = q.extra
+            jb = go(q.body)
+            if not extra.well_formed():
+                raise MalformedEnv("weakening environment mentions a variable twice")
+            if jb.env.supp() & extra.supp():
+                raise SupportOverlap(
+                    f"weakening re-binds {sorted(jb.env.supp() & extra.supp())}")
+            j = Judgement(jb.term, jb.env.concat(extra), jb.rtype, jb.constraint)
+        else:
+            raise TypeError(q)
         object.__setattr__(q, "_judgement", j)
         return j
 

@@ -1,8 +1,9 @@
 """Shared test helpers: a unification-based simple-type inferencer used as
 an independent oracle, a corpus of closed terms with solved decorated
 skeletons, two reduction chains, linear-scan and de Bruijn oracles for
-substitution lookup and alpha-equivalence, counters of fskel calls and of
-instances built, and a solvedness check that reads no kept verdict."""
+substitution lookup, alpha-equivalence and call-by-value steps, counters
+of fskel calls and of instances built, and a solvedness check that reads
+no kept verdict."""
 
 from __future__ import annotations
 
@@ -231,7 +232,7 @@ def skeleton_nodes(q: Skeleton) -> dict[int, Skeleton]:
 
 
 # ---------------------------------------------------------------------------
-# Oracles for substitution lookup and alpha-equivalence
+# Oracles for substitution lookup, alpha-equivalence and call-by-value steps
 
 
 def lookup_linear(phi: Subst, name: str, kind: type) -> Type | Expansion | None:
@@ -256,6 +257,51 @@ def de_bruijn(m: Term, bound: tuple[str, ...] = ()):
         case App(f, a):
             return ("app", de_bruijn(f, bound), de_bruijn(a, bound))
     raise TypeError(m)
+
+
+def _db_shift(t, d: int, cutoff: int = 0):
+    """De Bruijn form t with each index of a binder outside it (at least
+    cutoff) moved by d."""
+    tag = t[0]
+    if tag == "bound":
+        return ("bound", t[1] + d) if t[1] >= cutoff else t
+    if tag == "abs":
+        return ("abs", _db_shift(t[1], d, cutoff + 1))
+    if tag == "app":
+        return ("app", _db_shift(t[1], d, cutoff), _db_shift(t[2], d, cutoff))
+    return t
+
+
+def _db_subst(t, j: int, s):
+    """De Bruijn form t with s for index j."""
+    tag = t[0]
+    if tag == "bound":
+        return s if t[1] == j else t
+    if tag == "abs":
+        return ("abs", _db_subst(t[1], j + 1, _db_shift(s, 1)))
+    if tag == "app":
+        return ("app", _db_subst(t[1], j, s), _db_subst(t[2], j, s))
+    return t
+
+
+def cbv_step_de_bruijn(t):
+    """One call-by-value step on a de Bruijn form (de_bruijn's output), or
+    None: the function part steps first, the argument once the function
+    part is a value, and an abstraction applied to a value contracts.
+    Names play no part, so no binder can capture a variable."""
+    if t[0] != "app":
+        return None
+    f, a = t[1], t[2]
+    if f[0] == "abs" and a[0] != "app":
+        return _db_shift(_db_subst(f[1], 0, _db_shift(a, 1)), -1)
+    f2 = cbv_step_de_bruijn(f)
+    if f2 is not None:
+        return ("app", f2, a)
+    if f[0] != "app":
+        a2 = cbv_step_de_bruijn(a)
+        if a2 is not None:
+            return ("app", f, a2)
+    return None
 
 
 # ---------------------------------------------------------------------------

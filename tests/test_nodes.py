@@ -1,8 +1,11 @@
 """The protocol every fskel node class keeps: its repr, its equality and
-hash, positional matching, copies that start with empty memo slots, and
-frozen fields. Also what `import fskel` costs: no dataclass machinery."""
+hash, positional matching, copies that start with empty memo slots, frozen
+fields, and final classes, on which the walkers dispatch by exact class.
+Also what `import fskel` costs: no dataclass machinery."""
 
+import ast
 import copy
+import importlib
 import pickle
 import subprocess
 import sys
@@ -12,12 +15,15 @@ import pytest
 
 from fskel import initial, reduction, solve, syntax, typecheck
 from fskel.syntax import (
-    Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists, Forall,
-    ForallIntro, FreshSupply, Id, Omega, QAbs, QApp, QEVar, QForall, QSub, QVar,
-    QWeak, SubStep, Subst, TVar, TypeEnv, Var,
+    Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro, Exists,
+    Forall, ForallIntro, FreshSupply, Id, Node, Omega, QAbs, QApp, QEVar, QForall,
+    QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar, Type, TypeEnv, Var,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+MODULES = [importlib.import_module(f"fskel.{path.stem}")
+           for path in sorted((SRC / "fskel").glob("*.py")) if path.stem != "__init__"]
 
 A, B = TVar("a"), TVar("b")
 AB = Arrow(A, B)
@@ -236,3 +242,105 @@ def test_import_needs_no_dataclass_machinery():
     loaded, nodes = done.stdout.splitlines()
     assert loaded == ""
     assert int(nodes) >= 45  # the node classes and their bases, none with a __dict__
+
+
+# ---------------------------------------------------------------------------
+# Final classes and exact-class dispatch
+
+
+def _node_classes():
+    return {v for m in MODULES for v in vars(m).values()
+            if isinstance(v, type) and v.__module__ == m.__name__ and issubclass(v, Node)
+            and v is not Node}
+
+
+CATEGORIES = {syntax.Term, Type, syntax.Expansion, Constraint, Skeleton,
+              reduction.SubtypeSkeleton, reduction.NeqSkeleton}
+
+
+def test_every_concrete_node_class_is_final():
+    # concrete: every class with fields, and the leaves without (Id, Omega)
+    classes = _node_classes()
+    assert CATEGORIES | {Id, Omega} <= classes
+    for cls in classes - CATEGORIES:
+        assert cls._final, cls
+        with pytest.raises(TypeError, match="final"):
+            type("Derived", (cls,), {"__slots__": ()})
+    for cls in CATEGORIES:
+        # a category has no fields and is a base of the classes a walker
+        # dispatches on; a class may still derive from it
+        assert not cls._final and not cls.__match_args__
+        assert any(k.__base__ is cls for k in classes)
+
+
+def test_no_class_derives_from_a_final_node_class():
+    final = {k.__name__ for k in _node_classes() if k._final}
+    files = sorted((SRC / "fskel").glob("*.py")) + sorted(TESTS.glob("*.py"))
+    derived = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    name = base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", "")
+                    if name in final:
+                        derived.append(f"{path.name}: {node.name}({name})")
+    assert derived == []
+
+
+# Members of a category that no walker knows: each has the memo slots its
+# category's walkers read before they dispatch.
+class _StraySkeleton(Skeleton):
+    __slots__ = ()
+
+
+class _StrayForm(reduction.NeqSkeleton):
+    __slots__ = ()
+
+
+class _StrayType(Type):
+    __slots__ = ()
+
+
+class _StrayConstraint(Constraint):
+    __slots__ = ()
+
+
+NX_ENV = reduction.NVar("x", ENV)
+
+# (walker, call): each call hands the walker a node of a class it has no
+# branch for, of a foreign category where the walker reads no memo slot
+# first; the walker's last branch raises TypeError.
+FOREIGN = [
+    ("typecheck._judge", lambda: typecheck._judge(_StraySkeleton())),
+    ("reduction._elaborate", lambda: reduction._elaborate(_StraySkeleton())),
+    ("reduction.from_neq", lambda: reduction.from_neq(_StrayForm())),
+    ("reduction.subst_term", lambda: reduction.subst_term("x", Var("y"), A)),
+    ("reduction.subst_redex", lambda: reduction.subst_redex(A, "x", NX_ENV)),
+    ("reduction._term_names", lambda: reduction._term_names(A, {})),
+    ("reduction.transform_T", lambda: reduction.transform_T(QX)),
+    ("reduction._extend_envs", lambda: reduction._extend_envs(A, [("y", B)])),
+    ("reduction._subst", lambda: reduction.subst_neq("a", B, QX)),
+    ("syntax.ftv", lambda: syntax.ftv(Var("x"))),
+    ("syntax._type_ftv", lambda: syntax.ftv(_StrayType())),
+    ("syntax.fv", lambda: syntax.fv(A)),
+    ("solve.solved", lambda: solve.solved(_StrayConstraint(), solve.REL_F)),
+]
+
+
+@pytest.mark.parametrize("walker, call", FOREIGN, ids=[w for w, _ in FOREIGN])
+def test_walkers_reject_a_node_they_have_no_branch_for(walker, call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_walkers_without_a_type_error_keep_their_answer_on_foreign_nodes():
+    # these walkers never raised TypeError: cbv_step has no step, term
+    # equality says no, and a step finds no redex
+    assert reduction.cbv_step(A) is None
+    assert reduction.cbv_step(App(A, B)) is None
+    assert syntax.term_alpha_eq(A, B) is False
+    assert syntax.term_alpha_eq(Var("x"), A) is False
+    with pytest.raises(reduction.NotAStep):
+        reduction._step_at(A)
+    with pytest.raises(reduction.NotAStep):
+        reduction.step_neq(reduction.NAbs("x", NX_ENV))

@@ -7,10 +7,12 @@ import pytest
 
 from fskel import reduction
 from fskel.expansion import judgements_agree
-from generators import decorate_dummies_inside, random_neq_decoration, random_type
+from generators import (
+    decorate_dummies_inside, random_neq_decoration, random_term, random_type,
+)
 from helpers import (
-    constraint_nodes, count_calls, count_instances, decide, id_chain, poly_chain,
-    skeleton_nodes,
+    cbv_step_de_bruijn, constraint_nodes, count_calls, count_instances, de_bruijn,
+    decide, id_chain, poly_chain, skeleton_nodes,
 )
 from reference_subst import binders, free_vars, substitute
 from test_acceptance import _decorated_neq_starts, _reduction_cases
@@ -69,6 +71,53 @@ def test_cbv_no_reduction_under_lambda():
 def test_cbv_argument_must_be_value():
     m = parse_term("(\\x. x) @ (y @ z)")
     assert cbv_step(m) is None  # stuck: argument is a non-value normal form
+
+
+def _term_names(m):
+    """Every variable and binder name of m."""
+    if isinstance(m, Var):
+        return {m.name}
+    if isinstance(m, Abs):
+        return {m.binder} | _term_names(m.body)
+    return _term_names(m.fun) | _term_names(m.arg)
+
+
+def _shadows(m, bound=frozenset()):
+    """Whether some binder of m is crossed again below itself."""
+    if isinstance(m, Var):
+        return False
+    if isinstance(m, Abs):
+        return m.binder in bound or _shadows(m.body, bound | {m.binder})
+    return _shadows(m.fun, bound) or _shadows(m.arg, bound)
+
+
+def test_cbv_step_agrees_with_a_de_bruijn_stepper():
+    # the binders are x0..x3 and so are most free names, so an argument's
+    # free variable often meets a binder of the body it is substituted into
+    rng = random.Random(20121101)
+    free = ["x0", "x1", "x2", "x3", "y"]
+    seen = dict.fromkeys(("terms", "steps", "stuck", "shadowed", "renamed"), 0)
+    for _ in range(2500):
+        m = random_term(rng, rng.randrange(2, 12), free)
+        if rng.random() < 0.7:
+            x = f"x{rng.randrange(4)}"
+            arg = (Var(rng.choice(free)) if rng.random() < 0.5
+                   else random_term(rng, rng.randrange(1, 6), free))
+            m = App(Abs(x, m), arg)
+        seen["terms"] += 1
+        seen["shadowed"] += _shadows(m)
+        for _ in range(4):  # a random term may not terminate
+            got, want = cbv_step(m), cbv_step_de_bruijn(de_bruijn(m))
+            if want is None:
+                assert got is None, print_term(m)
+                seen["stuck"] += isinstance(m, App)
+                break
+            assert got is not None and de_bruijn(got) == want, print_term(m)
+            seen["steps"] += 1
+            seen["renamed"] += bool(_term_names(got) - _term_names(m))
+            m = got
+    assert seen["terms"] >= 2000 and seen["steps"] >= 2000, seen
+    assert min(seen["stuck"], seen["shadowed"]) >= 200 and seen["renamed"] >= 30, seen
 
 
 def test_values():
