@@ -21,6 +21,7 @@ and share little.
 
 from __future__ import annotations
 
+import copy
 import functools
 import weakref
 from _weakref import _remove_dead_weakref
@@ -75,7 +76,8 @@ class Node:
     them. `_defaults` holds values for the last fields, as a function's
     defaults do. A node has the dataclass repr, refuses assignment, and is
     copied and pickled by rebuilding it from its fields, so a copy starts
-    with empty memo slots.
+    with empty memo slots; its repr and deep copy walk an explicit stack, so
+    a node of any depth has both.
 
     A node class is final: defining a class derived from one raises
     TypeError, unless the base is one of the categories declared with
@@ -119,8 +121,10 @@ class Node:
             setattr(cls, name, method)
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        return _fold(self, _repr_of, repr, {})
+
+    def __deepcopy__(self, memo):
+        return _fold(self, _copy_of, lambda v: copy.deepcopy(v, memo), memo)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
@@ -130,6 +134,43 @@ class Node:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def _fold(root: Node, build, leaf, done: dict):
+    """build(v, the results of v's parts) at root, computed bottom-up on an
+    explicit stack: the parts of a node are its fields, those of a tuple its
+    items, and anything else is a leaf, whose result is leaf(v). done maps
+    the id of a node or tuple already folded to its result, so a part that
+    is shared is folded once."""
+    results: list = []
+    todo: list = [(root, False)]
+    while todo:
+        v, ready = todo.pop()
+        if ready:
+            k = len(results) - (len(v) if type(v) is tuple else len(v.__match_args__))
+            done[id(v)] = result = build(v, results[k:])
+            del results[k:]
+            results.append(result)
+        elif type(v) is not tuple and not isinstance(v, Node):
+            results.append(leaf(v))
+        elif id(v) in done:
+            results.append(done[id(v)])
+        else:
+            todo.append((v, True))
+            parts = v if type(v) is tuple else [getattr(v, n) for n in v.__match_args__]
+            todo += ((p, False) for p in reversed(parts))
+    return results[0]
+
+
+def _repr_of(v, texts: list[str]) -> str:
+    if type(v) is tuple:
+        return f"({', '.join(texts)}{',' if len(texts) == 1 else ''})"
+    fields = ", ".join(f"{name}={text}" for name, text in zip(v.__match_args__, texts))
+    return f"{type(v).__qualname__}({fields})"
+
+
+def _copy_of(v, parts: list):
+    return tuple(parts) if type(v) is tuple else type(v)(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -786,8 +827,14 @@ def as_arrow(t: Type) -> Arrow | None:
 #
 # An item is one atom with the ex binders and guards above it. A canonical item
 # drops each ex binder not free below it, renames the others e<j> left to right
-# (least j not free in the item) and holds canonical types. Its key is its repr
-# with each variable set listed sorted (repr lists a set in hash order).
+# (least j not free in the item) and holds canonical types. The items of c form
+# a trie: a dict per distinct prefix maps each part extending it (a guard (s,
+# forbidden, canonical witness), a renamed binder) to the longer prefix's dict,
+# and each atom (canonical lhs, canonical rhs) to None. Items are ordered by their
+# parts' keys, none a proper prefix of another: so by kind, atoms, guards, binders
+# (At < EG < Ex), then by key, built only for two or more siblings of one kind.
+# The walk is linear in c, plus Θ(prefix) per item below an ex binder; only the
+# output is super-linear: Θ(Σ item prefix) nodes, n²/2 guards on an n-chain.
 
 
 def _set_key(vs: frozenset[str]) -> str:
@@ -816,110 +863,104 @@ def _guard_key(s: str, forbidden: frozenset[str], witness: Type) -> str:
     return f"EGuard(evar={s!r}, forbidden={_set_key(forbidden)}, witness={_type_key(witness)}, body="
 
 
-def _atom(lhs: Type, rhs: Type) -> tuple[str, Atomic]:
-    atom = Atomic(canonical_type(lhs), canonical_type(rhs))
-    return f"Atomic(lhs={_type_key(atom.lhs)}, rhs={_type_key(atom.rhs)})", atom
+_KEYS = (lambda p: f"Atomic(lhs={_type_key(p[0])}, rhs={_type_key(p[1])})",
+         lambda p: _guard_key(*p), lambda a: f"Exists(binder={a!r}, body=")
 
 
-def _ex_item(path: list, atom: Atomic) -> tuple[str, tuple, Atomic]:
-    """Key, prefix and atom of the canonical item of a path holding ex binders:
-    rename binders first, then canonicalize the types they occur in."""
-    atom_free = ftv(atom)
-    free = set(atom_free)
-    kept = [False] * len(path)
-    for i, p in reversed(list(enumerate(path))):
-        if isinstance(p, str):
-            kept[i] = p in free
+def _insert_under_ex(trie: dict, path: list, atom: Atomic) -> None:
+    """Insert the item of an atom below an ex binder into the trie from its
+    root: rename binders first, then canonicalize the types they occur in."""
+    free, path, j = set(ftv(atom)), list(path), 0  # free: the item's ftv once the loop ends
+    for i in reversed(range(len(path))):
+        p = path[i]
+        if type(p) is not str:
+            free |= p[1] | _type_ftv(p[3])
+        elif p in free:
             free.discard(p)
         else:
-            free |= p[5]
+            path[i] = None  # not free below: dropped
     mapping: dict[str, str] = {}
-    prefix: list = []
-    parts: list[str] = []
-    j = 0
-    for i, p in enumerate(path):
-        if isinstance(p, str):
-            if kept[i]:
-                while f"e{j}" in free:
-                    j += 1
-                mapping[p] = name = f"e{j}"
+
+    def canon(t: Type) -> Type:
+        m = {a: b for a, b in mapping.items() if a in _type_ftv(t)}
+        return canonical_type(rename_type(t, m) if m else t)
+
+    for p in path:
+        if type(p) is str:
+            while f"e{j}" in free:
                 j += 1
-                prefix.append(name)
-                parts.append(f"Exists(binder={name!r}, body=")
-            continue
-        s, forbidden, cw, key, witness, gfree = p
-        m = {a: b for a, b in mapping.items() if a in gfree}
-        if m:
-            forbidden = frozenset(m.get(a, a) for a in forbidden)
-            cw = canonical_type(rename_type(witness, m))
-            key = _guard_key(s, forbidden, cw)
-        prefix.append((s, forbidden, cw))
-        parts.append(key)
-    m = {a: b for a, b in mapping.items() if a in atom_free}
-    lhs, rhs = (rename_type(atom.lhs, m), rename_type(atom.rhs, m)) if m else (atom.lhs, atom.rhs)
-    atom_key, atom = _atom(lhs, rhs)
-    return "".join(parts) + atom_key + ")" * len(prefix), tuple(prefix), atom
+            mapping[p] = name = f"e{j}"
+            trie = trie.setdefault(name, {})
+            j += 1
+        elif p is not None:
+            forbidden = frozenset(mapping.get(a, a) for a in p[1])
+            trie = trie.setdefault((p[0], forbidden, canon(p[3])), {})
+    trie[canon(atom.lhs), canon(atom.rhs)] = None
 
 
-def _items(c: Constraint) -> dict[str, tuple[tuple, Atomic]]:
-    """The canonical items of c, deduplicated: key -> (prefix, atom). One
-    walk with the prefix on an explicit stack; each guard's witness is
-    canonicalized and keyed once for every item below."""
-    items: dict[str, tuple[tuple, Atomic]] = {}
-    path: list = []  # ex binders; guards (s, forbidden, canon witness, key, witness, ftv)
-    # keys[i]: path[i]'s own key ("" for an ex binder), joined at an atom;
-    # keeping the key of every prefix instead took memory cubic in the
-    # nesting of guards. An entry of the stack says whether the path to its
-    # node holds no ex binder.
-    keys: list[str] = []
-    stack: list[tuple[Constraint, int, bool]] = [(c, 0, True)]
+def _trie(c: Constraint) -> dict:
+    """The trie of c's canonical items, by one walk with the path on an explicit
+    stack: a guard's witness is canonicalized once, its node made at the first atom."""
+    path: list = []  # ex binders; guards (s, forbidden, canonical witness, witness)
+    nodes: list[dict] = [{}]  # nodes[i]: the trie node of path[:i], if that holds no ex binder
+    stack: list[tuple[Constraint, int, bool]] = [(c, 0, True)]  # node, depth, no ex above
     while stack:
         node, d, plain = stack.pop()
-        del path[d:], keys[d:]
-        match node:
-            case Atomic(lhs, rhs):
-                if not plain:
-                    key, prefix, atom = _ex_item(path, node)
-                    items.setdefault(key, (prefix, atom))
-                    continue
-                atom_key, atom = _atom(lhs, rhs)
-                key = "".join(keys) + atom_key + ")" * d
-                if key not in items:
-                    items[key] = (tuple(path), atom)
-            case And(c1, c2):
-                stack += ((c2, d, plain), (c1, d, plain))
-            case Exists(a, body):
-                path.append(a)
-                keys.append("")
-                stack.append((body, d + 1, False))
-            case EGuard(s, forbidden, witness, body):
-                cw = canonical_type(witness)
-                key = _guard_key(s, forbidden, cw)
-                path.append((s, forbidden, cw, key, witness, forbidden | ftv(witness)))
-                keys.append(key)
-                stack.append((body, d + 1, plain))
-            case Omega():
-                pass
-            case _:
-                raise TypeError(node)
-    return items
+        del path[d:], nodes[d + 1:]
+        cls = type(node)
+        if cls is Atomic and not plain:
+            _insert_under_ex(nodes[0], path, node)
+        elif cls is Atomic:
+            for i in range(len(nodes) - 1, d):
+                nodes.append(nodes[i].setdefault(path[i][:3], {}))
+            nodes[d][canonical_type(node.lhs), canonical_type(node.rhs)] = None
+        elif cls is And:
+            stack += ((node.c2, d, plain), (node.c1, d, plain))
+        elif cls is EGuard:
+            path.append((node.evar, node.forbidden, canonical_type(node.witness), node.witness))
+            stack.append((node.body, d + 1, plain))
+        elif cls is Exists:
+            path.append(node.binder)
+            stack.append((node.body, d + 1, False))
+        elif cls is not Omega:
+            raise TypeError(node)
+    return nodes[0]
 
 
 def canonical_constraint(c: Constraint) -> Constraint:
     """Canonical representative of c's equality class: its canonical items,
-    deduplicated, sorted by key and joined by right-nested And (Omega if
-    there are none)."""
-    items = _items(c)
+    deduplicated, in key order and joined by right-nested And (Omega if
+    there are none). One depth-first walk over the trie, last item first."""
     out: Constraint | None = None
-    for key in sorted(items, reverse=True):
-        prefix, item = items[key]
-        for p in reversed(prefix):
-            item = Exists(p, item) if isinstance(p, str) else EGuard(p[0], p[1], p[2], item)
-        out = item if out is None else And(item, out)
+    path: list = []
+    stack: list = [(None, _trie(c), 0)]  # part, its trie node, its parent's depth
+    while stack:
+        part, node, d = stack.pop()
+        del path[d:]
+        if node is None:
+            item: Constraint = Atomic(*part)
+            for s, forbidden, witness in reversed(path):
+                item = Exists(s, item) if forbidden is None else EGuard(s, forbidden, witness, item)
+            out = item if out is None else And(item, out)
+            continue
+        if part is not None:
+            path.append((part, None, None) if type(part) is str else part)
+        kinds: tuple[list, list, list] = ([], [], [])  # atoms (pairs), guards (triples), binders
+        for p in node:
+            kinds[2 if type(p) is str else len(p) - 2].append(p)
+        for parts, key in zip(kinds, _KEYS):
+            if len(parts) > 1:
+                parts.sort(key=key)
+            stack += ((p, node[p], len(path)) for p in parts)
     return Omega() if out is None else out
 
 
 def constraint_eq(c1: Constraint, c2: Constraint) -> bool:
-    """Equality of constraints modulo the equational theory: the same set of
-    canonical items, compared by key (a key determines its item)."""
-    return _items(c1).keys() == _items(c2).keys()
+    """Equality of constraints modulo the equational theory: equal tries."""
+    todo = [(_trie(c1), _trie(c2))]
+    while todo:
+        n1, n2 = todo.pop()
+        if n1.keys() != n2.keys():
+            return False
+        todo += ((child, n2[p]) for p, child in n1.items() if child is not None)
+    return True

@@ -227,6 +227,35 @@ def test_other_names_are_frozen_too(make, eq, text):
             delattr(node, name)
 
 
+def test_repr_and_deepcopy_follow_any_depth():
+    # 2,000 levels: a right-nested And, a guard chain, and deep nodes held in
+    # the tuple fields of an environment and a substitution
+    n = 2000
+    conj, guards, arrow, expansion = ATOM, ATOM, A, Id()
+    for i in range(n):
+        conj = And(ATOM, conj)
+        guards = EGuard(f"s{i}", frozenset({"a"}), AB, guards)
+        arrow = Arrow(B, arrow)
+        expansion = EVarIntro("s", frozenset({"b"}), expansion)
+    atom_text = repr(ATOM)
+    cases = [
+        (conj, f"And(c1={atom_text}, c2=" * n + atom_text + ")" * n),
+        (guards, "".join(f"EGuard(evar='s{i}', forbidden=frozenset({{'a'}}), witness={AB!r}, body="
+                         for i in reversed(range(n))) + atom_text + ")" * n),
+        (TypeEnv((("x", arrow), ("y", A))),
+         "TypeEnv(entries=(('x', " + "Arrow(dom=TVar(name='b'), cod=" * n + "TVar(name='a')"
+         + ")" * n + "), ('y', TVar(name='a'))))"),
+        (Subst((("s", expansion),)),
+         "Subst(bindings=(('s', " + "EVarIntro(evar='s', forbidden=frozenset({'b'}), rest=" * n
+         + "Id()" + ")" * n + "),))"),
+    ]
+    for node, text in cases:
+        assert repr(node) == text
+        copied = copy.deepcopy(node)
+        assert type(copied) is type(node) and copied is not node and repr(copied) == text
+    assert copy.deepcopy(arrow) is arrow
+
+
 def test_import_needs_no_dataclass_machinery():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import fskel\n"

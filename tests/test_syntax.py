@@ -1,7 +1,9 @@
 """Core syntax: canonical forms, equalities, environments, free variables."""
 
+import copy
 import random
 import tracemalloc
+from collections import Counter
 
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists,
@@ -11,10 +13,13 @@ from fskel.syntax import (
 )
 from fskel.expansion import apply_exp_type, apply_subst
 from fskel.initial import initial_skeleton
-from fskel.surface import parse_constraint, parse_skeleton, parse_type, print_constraint
+from fskel.surface import (
+    parse_constraint, parse_skeleton, parse_term, parse_type, print_constraint,
+)
 from fskel.typecheck import check_skeleton
+import reference_canonical
 from generators import evars_of, random_expansion, random_term, random_type
-from helpers import de_bruijn, lookup_linear
+from helpers import constraint_nodes, count_calls, de_bruijn, lookup_linear
 
 
 def T(s):
@@ -409,3 +414,112 @@ def test_constraint_eq_deep_conjunctions():
     assert constraint_eq(right, left)
     changed = And(left.c1, Atomic(TVar("a1999"), TVar("d")))  # was a1999 <= c
     assert not constraint_eq(right, changed)
+
+
+_NAMES = ["a", "b", "e0", "e1", "b0", "b1"]
+
+
+def _reference_case(rng, depth, shared, seen):
+    """A random constraint in which siblings often differ in one part only,
+    ex binders nest and shadow, and subconstraints, items and omega repeat;
+    seen counts each of these features as it is built."""
+    r = rng.random()
+    if shared and r < 0.08:
+        seen["shared"] += 1
+        return rng.choice(shared)  # the very node again
+    if depth <= 0 or r < 0.3:
+        if r < 0.1:
+            seen["omega"] += 1
+            return Omega()
+        return Atomic(random_type(rng, _NAMES, 2), random_type(rng, _NAMES, 2))
+    body = _reference_case(rng, depth - 1, shared, seen)
+    if r < 0.48:
+        if rng.random() < 0.2:
+            seen["duplicate"] += 1
+            c = And(body, copy.deepcopy(body))
+        else:
+            c = And(body, _reference_case(rng, depth - 1, shared, seen))
+    elif r < 0.64:
+        a = rng.choice(["a", "b", "e0"])
+        if rng.random() < 0.3:
+            seen["shadowing"] += 1
+            body = Exists(a, body)
+        seen["nested" if any(isinstance(n, Exists) for n in constraint_nodes(body)) else "ex"] += 1
+        c = Exists(a, body)
+    elif r < 0.86:
+        # two sibling guards that differ only in the forbidden set or only in the witness
+        s, w = f"s{rng.randrange(2)}", random_type(rng, _NAMES, 2)
+        forbidden = frozenset(rng.sample(_NAMES, rng.randrange(3)))
+        other = body if rng.random() < 0.5 else _reference_case(rng, depth - 1, shared, seen)
+        if rng.random() < 0.25:
+            seen["{a} and {a, b}"] += 1
+            c = And(EGuard(s, frozenset({"a"}), w, body), EGuard(s, frozenset({"a", "b"}), w, other))
+        elif rng.random() < 0.5:
+            seen["forbidden"] += 1
+            c = And(EGuard(s, forbidden, w, body),
+                    EGuard(s, forbidden | {rng.choice(_NAMES)}, w, other))
+        else:
+            seen["witness"] += 1
+            c = And(EGuard(s, forbidden, w, body),
+                    EGuard(s, forbidden, random_type(rng, _NAMES, 2), other))
+    else:
+        c = EGuard(f"s{rng.randrange(2)}", frozenset(rng.sample(_NAMES, rng.randrange(3))),
+                   random_type(rng, _NAMES, 2), body)
+    shared.append(c)
+    return c
+
+
+def test_canonical_constraint_agrees_with_the_string_key_reference():
+    rng = random.Random(2106)
+    seen = Counter()
+    cases = [_reference_case(rng, 4, [], seen) for _ in range(2400)]
+    verdicts = Counter()
+    keys = set()
+    for i, c in enumerate(cases):
+        assert canonical_constraint(c) == reference_canonical.canonical(c)
+        for k, item in reference_canonical.items(c).items():
+            parts = reference_canonical.part_keys(item)
+            assert "".join(parts) + ")" * (len(parts) - 1) == k
+            keys.update(parts)
+        match i % 4:
+            case 0:  # equal: ex binders renamed, conjuncts shuffled
+                other = _rename_ex(c, rng, [0])
+            case 1:  # equal: every item twice
+                other = And(c, copy.deepcopy(c))
+            case 2:  # equal only if the new atom repeats an item
+                other = And(Atomic(random_type(rng, _NAMES, 1), TVar("a")), c)
+            case _:
+                other = cases[i - 1]
+        verdicts[constraint_eq(c, other)] += 1
+        assert constraint_eq(c, other) == reference_canonical.equal(c, other)
+    # comparing joined keys is comparing the first parts where two items
+    # differ only because no part's key is a proper prefix of another's
+    ordered = sorted(keys)
+    assert not [(a, b) for a, b in zip(ordered, ordered[1:]) if b.startswith(a)]
+    assert verdicts[True] >= 1000 and verdicts[False] >= 500
+    for feature in ("shared", "omega", "duplicate", "shadowing", "nested", "{a} and {a, b}",
+                    "forbidden", "witness"):
+        assert seen[feature] >= 200, (feature, seen)
+
+
+def _chain_constraint(n):
+    term = "\\f. \\x. " + "f @ (" * n + "x" + ")" * n
+    return check_skeleton(initial_skeleton(parse_term(term), FreshSupply())[0]).constraint
+
+
+def test_keys_are_built_only_to_order_siblings_of_one_kind(monkeypatch):
+    chain = _chain_constraint(160)
+    k = 7
+    siblings = Atomic(TVar("c"), TVar("c"))
+    for i in range(k):
+        guard = EGuard("s", frozenset({f"a{i}"}), T("c -> c"), Atomic(TVar(f"a{i}"), TVar("c")))
+        siblings = And(guard, siblings)
+    calls = count_calls(monkeypatch, ["syntax._type_key", "syntax._guard_key"])
+    out = canonical_constraint(chain)
+    assert constraint_eq(chain, chain) and constraint_eq(siblings, siblings)
+    assert calls == {"syntax._type_key": 0, "syntax._guard_key": 0}
+    # each of the chain's atoms under its whole guard prefix: about n²/2 guards
+    assert sum(type(n) is EGuard for n in constraint_nodes(out)) >= 160 * 159 // 2
+    # k guards and one atom at the root: a key for each guard, none for the atom
+    assert canonical_constraint(siblings) == reference_canonical.canonical(siblings)
+    assert calls["syntax._guard_key"] == k
