@@ -269,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSOLVED
     except RecursionError:
-        # the parser and the walkers recurse once per level of nesting
+        # the typing pass and the other walkers recurse once per level of nesting
         print("error: input nested too deeply", file=sys.stderr)
         return EXIT_INVALID
 

@@ -108,22 +108,24 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
     tvar_of: dict[str, str] = {}  # term variable -> type variable, insertion-ordered
 
     def alloc(m: Term, renamed: dict[str, str]):
-        match m:
-            case Var(x):
-                x = renamed.get(x, x)
-                if x not in tvar_of:
-                    tvar_of[x] = fresh_tvar()
-                return _AVar(x, fresh_evar())
-            case Abs(x, body):
-                x2 = fresh_name(x, used)
-                used.add(x2)
-                tvar_of[x2] = fresh_tvar()
-                ab = alloc(body, {**renamed, x: x2})
-                return _AAbs(x2, ab, fresh_evar())
-            case App(f, a):
-                af = alloc(f, renamed)
-                aa = alloc(a, renamed)
-                return _AApp(af, aa, fresh_tvar(), fresh_evar())
+        cls = type(m)
+        if cls is App:
+            af = alloc(m.fun, renamed)
+            aa = alloc(m.arg, renamed)
+            return _AApp(af, aa, fresh_tvar(), fresh_evar())
+        if cls is Var:
+            x = m.name
+            x = renamed.get(x, x)
+            if x not in tvar_of:
+                tvar_of[x] = fresh_tvar()
+            return _AVar(x, fresh_evar())
+        if cls is Abs:
+            x = m.binder
+            x2 = fresh_name(x, used)
+            used.add(x2)
+            tvar_of[x2] = fresh_tvar()
+            ab = alloc(m.body, {**renamed, x: x2})
+            return _AAbs(x2, ab, fresh_evar())
         raise TypeError(m)
 
     annotated = alloc(m, {})
@@ -140,22 +142,24 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
         return got
 
     def build(node, scope: frozenset[str]) -> tuple[Skeleton, Type]:
-        match node:
-            case _AVar(x, s):
-                env, delta = env_at(scope)
-                return (QEVar(s, delta, QVar(x, env)),
-                        EVarApp(s, delta, TVar(tvar_of[x])))
-            case _AAbs(x, body, s):
-                qb, tb = build(body, scope | {x})
-                delta = env_at(scope)[1]
-                return (QEVar(s, delta, QAbs(x, qb)),
-                        EVarApp(s, delta, Arrow(TVar(tvar_of[x]), tb)))
-            case _AApp(f, arg, a, s):
-                qf, _ = build(f, scope)
-                qa, ta = build(arg, scope)
-                delta = env_at(scope)[1]
-                q = QEVar(s, delta, QApp(QSub(qf, Arrow(ta, TVar(a))), qa))
-                return q, EVarApp(s, delta, TVar(a))
+        cls = type(node)
+        if cls is _AApp:
+            qf, _ = build(node.fun, scope)
+            qa, ta = build(node.arg, scope)
+            s, delta = node.evar, env_at(scope)[1]
+            a = TVar(node.tvar)
+            return QEVar(s, delta, QApp(QSub(qf, Arrow(ta, a)), qa)), EVarApp(s, delta, a)
+        if cls is _AVar:
+            x, s = node.var, node.evar
+            env, delta = env_at(scope)
+            return (QEVar(s, delta, QVar(x, env)),
+                    EVarApp(s, delta, TVar(tvar_of[x])))
+        if cls is _AAbs:
+            x = node.binder
+            qb, tb = build(node.body, scope | {x})
+            s, delta = node.evar, env_at(scope)[1]
+            return (QEVar(s, delta, QAbs(x, qb)),
+                    EVarApp(s, delta, Arrow(TVar(tvar_of[x]), tb)))
         raise TypeError(node)
 
     skel, _ = build(annotated, frozenset())
@@ -234,6 +238,72 @@ def reflexive(c: Constraint) -> bool:
 # Deriving a substitution from an initial skeleton to a target skeleton
 
 
+def _mentions(q: Skeleton, name: str) -> bool:
+    """Whether name is in allvar(q), found by a walk that stops at the first
+    occurrence. A type counts through its free variables, kept in its memo
+    slot, and its E-variables; each distinct type and environment is
+    entered once. Below a QForall that binds name only E-variables count,
+    so those nodes wait on a stack of their own."""
+    found = q._allvar
+    if found is not None:
+        return name in found
+    no_evar: set[int] = set()  # ids of types with no E-variable named name
+    clear: set[int] = set()  # ids of environments known not to mention name
+    free: list[Skeleton] = [q]
+    bound: list[Skeleton] = []
+
+    def in_type(t: Type, count_free: bool) -> bool:
+        if count_free and name in (t._ftv or ftv(t)):
+            return True
+        types = [t]
+        while types:
+            t = types.pop()
+            if id(t) in no_evar:
+                continue
+            no_evar.add(id(t))
+            cls = type(t)
+            if cls is Arrow:
+                types += (t.dom, t.cod)
+            elif cls is EVarApp:
+                if t.evar == name:
+                    return True
+                types.append(t.body)
+            elif cls is Forall:
+                types.append(t.body)
+        return False
+
+    for todo, is_free in ((free, True), (bound, False)):
+        while todo:
+            q = todo.pop()
+            cls = type(q)
+            if cls is QEVar:
+                if q.evar == name or (is_free and name in q.forbidden):
+                    return True
+                todo.append(q.body)
+            elif cls is QApp:
+                todo.append(q.fun)
+                todo.append(q.arg)
+            elif cls is QSub:
+                if in_type(q.target, is_free):
+                    return True
+                todo.append(q.body)
+            elif cls is QVar or cls is QWeak:
+                env = q.env if cls is QVar else q.extra
+                if id(env) not in clear:
+                    if any(in_type(t, is_free) for _, t in env.entries):
+                        return True
+                    clear.add(id(env))
+                if cls is QWeak:
+                    todo.append(q.body)
+            elif cls is QAbs:
+                todo.append(q.body)
+            elif cls is QForall:
+                (bound if q.binder == name else todo).append(q.body)
+            else:
+                raise TypeError(q)
+    return False
+
+
 def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, TypeEnv]:
     """A substitution phi and extra environment G' such that
     QWeak(apply_subst(phi, q_init), G') reproduces q_target's judgement up to
@@ -242,11 +312,13 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     (none, for a skeleton its caller has checked) and one walk of the
     target, which renames the target's binders as it goes instead of
     rebuilding it and reads each function part's type from its judgement.
-    The names a renamed binder must miss (allvar of both skeletons and the
-    target's free type variables) are gathered at the first QForall of the
-    target, so a target with none walks neither skeleton for them; the
-    initial term's free variables are computed only when the target's
-    environment has entries to sort into G'."""
+    A renamed QForall binder takes the first of fresh_name's candidates
+    (a, a_0, a_1, ...) that is not in allvar of either skeleton, nor free
+    in the target's environment, nor taken by a binder renamed before; each
+    candidate is looked for in the skeletons by a walk that stops where it
+    is found, so allvar's sets are not built. The initial term's free
+    variables are computed only when the target's environment has entries
+    to sort into G'."""
     j_i = check_skeleton(q_init)
     j_t = check_skeleton(q_target)
     if not term_alpha_eq(j_i.term, j_t.term):
@@ -254,10 +326,20 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
 
     # Strip root weakenings into the extra environment.
     root = q_target
-    while isinstance(root, QWeak):
+    while type(root) is QWeak:
         root = root.body
 
-    avoid: set[str] | None = None  # names a renamed binder must miss; built at a QForall
+    taken: set[str] = set()  # names the renamed binders took
+
+    def fresh(a: str) -> str:
+        """fresh_name(a, avoid), with avoid's members found one at a time."""
+        candidate, i, env_free = a, 0, ftv(j_t.env)
+        while (candidate in taken or candidate in env_free or _mentions(root, candidate)
+               or _mentions(q_init, candidate)):
+            candidate, i = f"{a}_{i}", i + 1
+        taken.add(candidate)
+        return candidate
+
     bindings: list[tuple[str, Type | Expansion]] = []
     first: dict[str, Type] = {}  # each term variable's type variable -> its first binding
 
@@ -266,60 +348,66 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
         bindings below it go to `bindings`. names maps the target's term
         binders to q_i's, and phi renames the target's enclosing QForall
         binders to fresh names."""
-        nonlocal avoid
-        if not isinstance(q_i, QEVar):
+        if type(q_i) is not QEVar:
             raise AssertionError("initial sub-skeleton must be rooted at an E-variable")
+        cls = type(q_t)
+        if cls is QSub:
+            target = q_t.target
+            return SubStep(walk(q_i, q_t.body, names, phi),
+                           apply_subst(phi, target) if phi.bindings else target)
+        if cls is QEVar:
+            rest = walk(q_i, q_t.body, names, phi)
+            covered = frozenset().union(
+                *(ftv(first.get(a, TVar(a))) for a in q_i.forbidden))
+            return EVarIntro(q_t.evar, apply_subst_set(phi, q_t.forbidden) - covered, rest)
+        if cls is QForall:
+            a = q_t.binder
+            a2 = fresh(a)
+            kept = tuple(b for b in phi.bindings if b[0] != a)
+            phi = Subst(kept if a2 == a else kept + ((a, TVar(a2)),))
+            return ForallIntro(a2, walk(q_i, q_t.body, names, phi))
+        if cls is QWeak:
+            raise TermMismatch("weakening below the root is not supported")
 
-        def rn(t):
-            return apply_subst(phi, t) if phi.bindings else t
-
-        match q_t:
-            case QForall(a, body):
-                if avoid is None:
-                    avoid = set(allvar(q_init) | allvar(root) | ftv(j_t.env))
-                a2 = fresh_name(a, avoid)
-                avoid.add(a2)
-                kept = tuple(b for b in phi.bindings if b[0] != a)
-                phi = Subst(kept if a2 == a else kept + ((a, TVar(a2)),))
-                return ForallIntro(a2, walk(q_i, body, names, phi))
-            case QSub(body, target):
-                return SubStep(walk(q_i, body, names, phi), rn(target))
-            case QEVar(s_t, delta_t, body):
-                rest = walk(q_i, body, names, phi)
-                covered = frozenset().union(
-                    *(ftv(first.get(a, TVar(a))) for a in q_i.forbidden))
-                return EVarIntro(s_t, apply_subst_set(phi, delta_t) - covered, rest)
-            case QWeak(_, _):
-                raise TermMismatch("weakening below the root is not supported")
-
-        match q_i.body, q_t:
-            case QVar(_, theta), QVar(_, gamma):
-                env = {names.get(y, y): t for y, t in gamma.entries}
-                if len(env) != len(gamma.entries):
-                    raise TermMismatch("binder renaming collides with an environment entry")
-                for xi, ti in theta.entries:
-                    g = env.get(xi)
-                    if g is not None and isinstance(ti, TVar):
-                        g = rn(g)
-                        bindings.append((ti.name, g))
-                        first.setdefault(ti.name, g)
-            case QAbs(x, body_i), QAbs(x2, body_t):
-                exp = walk(body_i, body_t, {**names, x2: x}, phi)
-                bindings.append((body_i.evar, exp))
-            case QApp(QSub(fun_i, Arrow(_, TVar(a_new))), arg_i), QApp(fun_t, arg_t):
-                if isinstance(fun_t, QSub):
-                    arr, fun_t = rn(fun_t.target), fun_t.body
-                else:
-                    arr = rn(check_skeleton(fun_t).rtype)
-                exp = walk(fun_i, fun_t, names, phi)
-                bindings.append((fun_i.evar, exp))
-                # check_skeleton(q_target) read this type as an arrow modulo
-                # the theory, and renaming type variables keeps it one
-                arr = as_arrow(arr)
-                exp = walk(arg_i, arg_t, names, phi)
-                bindings.extend(((arg_i.evar, exp), (a_new, arr.cod)))
-            case _:
+        body_i = q_i.body
+        cls_i = type(body_i)
+        if cls is QApp and cls_i is QApp:
+            sub_i = body_i.fun
+            arr_i = sub_i.target if type(sub_i) is QSub else None
+            if type(arr_i) is not Arrow or type(arr_i.cod) is not TVar:
                 raise TermMismatch("skeletons type different terms")
+            fun_i, arg_i, fun_t = sub_i.body, body_i.arg, q_t.fun
+            if type(fun_t) is QSub:
+                arr, fun_t = fun_t.target, fun_t.body
+            else:
+                arr = check_skeleton(fun_t).rtype
+            if phi.bindings:
+                arr = apply_subst(phi, arr)
+            exp = walk(fun_i, fun_t, names, phi)
+            bindings.append((fun_i.evar, exp))
+            # check_skeleton(q_target) read this type as an arrow modulo
+            # the theory, and renaming type variables keeps it one
+            arr = as_arrow(arr)
+            exp = walk(arg_i, q_t.arg, names, phi)
+            bindings.extend(((arg_i.evar, exp), (arr_i.cod.name, arr.cod)))
+        elif cls is QVar and cls_i is QVar:
+            gamma = q_t.env.entries
+            env = {names.get(y, y): t for y, t in gamma}
+            if len(env) != len(gamma):
+                raise TermMismatch("binder renaming collides with an environment entry")
+            for xi, ti in body_i.env.entries:
+                g = env.get(xi)
+                if g is not None and type(ti) is TVar:
+                    if phi.bindings:
+                        g = apply_subst(phi, g)
+                    bindings.append((ti.name, g))
+                    first.setdefault(ti.name, g)
+        elif cls is QAbs and cls_i is QAbs:
+            body_t = body_i.body
+            exp = walk(body_t, q_t.body, {**names, q_t.binder: body_i.binder}, phi)
+            bindings.append((body_t.evar, exp))
+        else:
+            raise TermMismatch("skeletons type different terms")
         return Id()
 
     bindings.append((q_init.evar, walk(q_init, root, {}, IOTA)))

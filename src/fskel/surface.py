@@ -24,26 +24,34 @@ character, a tab too, one column wide.
 Cost: one regex scan turns the text into a list of token strings and a
 parallel list of kinds, and the parser reads them by index.  A token's
 line and column are found only when a `ParseError` is raised, by scanning
-the text again up to the failing token.  A `Parser` serves one parse call,
-and its table `memo` dies with it.  The table maps the tokens of a group to
-the value read from them.  A group is a parenthesised type, from its '(' to
-the first later token at which the paren depth falls back, or a variable
-leaf's environment, from its '<' to the next '>' (environments do not
-nest); the opening token tells the two kinds apart.  A copy of a group in
-the table is stepped over, not read again, so the environments and `|>`
-targets a printed skeleton repeats at every leaf are read once.  Only a
-reading that succeeds is stored, and it ends at the group's closing token;
-types are interned; so the table changes no value and no error.  A key
-costs its token count: k nested type parentheses cost O(k^2) token copies,
-and k is bounded by the nesting limit.  Otherwise parsing is linear in the
-text.  The parser backtracks (by resetting the index) in two places, each a
-bounded number of times: a substitution value is read as an expansion and,
-if that fails, once more as a type; a constraint atom not opening with '('
-is read as "T <= T" and, if that fails, as a guard.  The choice between a
-parenthesised type and a parenthesised constraint is left-factored, so a
-constraint atom that opens with k parentheses is read once.  The printers
-render each node object once (see "Printers" below), so printing makes one
-call per edge of the printed object.
+the text again up to the failing token.  Types, terms, environments and
+skeletons are read on one explicit stack of pending frames per call, each
+token once, by its kind, with no call per token and no recursion, so
+their nesting has no limit (an operator-stack reader: Pratt, "Top Down
+Operator Precedence", POPL 1973).  Expansions, substitutions and
+constraints keep recursive descent over their own nesting, through
+`eat`, `expect` and `ident`, and read every type in them with that
+reader; their nesting is bounded by Python's recursion limit.  A
+`Parser` serves one parse call, and its table `memo` dies with it.  The
+table maps the tokens of a group to the value read from them.  A group is
+a parenthesised type opened outside any other group of the same type, from
+its '(' to the first later token at which the paren depth falls back, a
+variable leaf's environment, from its '<' to the next '>' (environments
+do not nest), or a variable set, from its '{' to the next '}' (';' in a
+guard); the opening token tells the kinds apart.  A copy of a group in the table
+is stepped over, not read again, so the environments, variable sets and
+`|>` targets a printed skeleton repeats at every leaf are read once.  Only
+a reading that succeeds is stored, and it ends at the group's closing
+token; types are interned; so the table changes no value and no error.  A
+key costs its token count, and keyed groups do not overlap, so parsing is
+linear in the text.  The parser backtracks (by resetting the index) in
+two places, each a bounded number of times: a substitution value is read
+as an expansion and, if that fails, once more as a type; a constraint
+atom not opening with '(' is read as "T <= T" and, if that fails, as a
+guard.  The choice between a parenthesised type and a parenthesised
+constraint is left-factored, so a constraint atom that opens with k
+parentheses is read once.  The type and skeleton printers emit into one
+list from an explicit stack; see "Printers" below.
 """
 
 from __future__ import annotations
@@ -74,9 +82,10 @@ SYMBOLS = ("->", "|>", ":=", "<=", *"\\.@()^{},<>&[];:+")
 # A token's kind is the token itself for keywords and symbols, else "ident".
 _KIND = {s: s for s in KEYWORDS + SYMBOLS}
 # Group 1 is a symbol or a word; a character that starts neither matches
-# outside the group and so reads as "".  `[^\W\d]` is a word character
+# outside the group and so reads as "".  The alternatives are ordered by
+# how often a printed skeleton's tokens take them.  `[^\W\d]` is a word character
 # that is not a decimal digit: for ASCII text exactly a letter or `_`.
-_TOKEN = re.compile(r"(->|\|>|:=|<=|[\\.@()^{},<>&\[\];:+]|[^\W\d][\w']*)|[^ \t\r\n]")
+_TOKEN = re.compile(r"([\\.@()^{},>&\[\];+]|[^\W\d][\w']*|:=?|<=?|->|\|>)|[^ \t\r\n]")
 # How a token of each kind moves the paren depth.
 _DEPTH = {"(": 1, ")": -1}
 
@@ -114,12 +123,27 @@ class _Stuck(Exception):
     the entry point turns it into a ParseError with a line and a column."""
 
 
+# Frame tags of the readers' explicit stacks: a binder ("all a." or
+# "\x."), an E-variable prefix awaiting its atom, the left side of "->" or
+# "@", and an open parenthesis.
+_ALL, _ABS, _EVAR, _ARROW, _APP, _OPEN = range(6)
+
+
 class Parser:
+    """The tokens of one text, a position in them, and the group table.
+
+    Types, terms, environments and skeletons are read on an explicit stack
+    of pending frames, each token once, by kind, so their nesting costs no
+    recursion (`type_`, `term`, `env_entries`, `skeleton`).  Expansions,
+    substitutions and constraints are read by recursive descent over their
+    own nesting, through the token helpers `eat`, `expect` and `ident`, and
+    read each type in them with `type_`."""
+
     def __init__(self, text: str):
         self.kinds, self.values = tokenize(text)
         self.pos = 0
         # a group's tokens -> the value read from them (see "Cost" above)
-        self.memo: dict[tuple[str, ...], Type | TypeEnv] = {}
+        self.memo: dict[tuple[str, ...], Type | TypeEnv | frozenset[str]] = {}
         # the paren depth after each token, made when a type group is first read
         self.depth: list[int] | None = None
 
@@ -138,9 +162,14 @@ class Parser:
     def expect(self, kind: str) -> str:
         pos = self.pos
         if self.kinds[pos] != kind:
-            self.fail(f"expected {kind!r}, found {self.values[pos] or 'end of input'!r}")
+            self.expected(kind, pos)
         self.pos = pos + 1
         return self.values[pos]
+
+    def expected(self, kind: str, pos: int):
+        """Fail at token pos, which is not of the kind wanted there."""
+        self.pos = pos
+        self.fail(f"expected {kind!r}, found {self.values[pos] or 'end of input'!r}")
 
     def fail(self, message: str):
         raise _Stuck(message, self.pos)
@@ -155,96 +184,199 @@ class Parser:
         return self.expect("ident")
 
     def binder(self) -> str:
-        """The identifier and the '.' after 'all', 'ex' or '\\'."""
-        a = self.expect("ident")
-        self.expect(".")
+        """The identifier and the '.' after the 'all' or 'ex' just read."""
+        a = self._binder_at(self.pos - 1)
+        self.pos += 2
         return a
 
     def var_set(self, close: str) -> frozenset[str]:
-        """'{', comma-separated identifiers, then close."""
-        self.expect("{")
+        """'{', comma-separated identifiers, then close. A set is a group
+        too, from its '{' to the next close, which no set holds."""
+        kinds, pos = self.kinds, self.pos
+        if kinds[pos] != "{":
+            self.expected("{", pos)
+        try:
+            end = kinds.index(close, pos) + 1
+        except ValueError:  # nothing closes it, so reading it fails
+            end = pos
+        key = tuple(self.values[pos:end])
+        names = self.memo.get(key)
+        if names is not None:
+            self.pos = end
+            return names
+        self.pos = pos + 1
         names = self.var_list()
-        self.expect(close)
+        pos = self.pos
+        if kinds[pos] != close:
+            self.expected(close, pos)
+        self.pos = pos + 1
+        self.memo[key] = names
         return names
 
     def var_list(self) -> frozenset[str]:
         """Comma-separated identifiers, possibly none."""
+        kinds, values, pos = self.kinds, self.values, self.pos
         names: list[str] = []
-        if self.at("ident"):
-            names.append(self.ident())
-            while self.eat(","):
-                names.append(self.ident())
+        if kinds[pos] == "ident":
+            names.append(values[pos])
+            pos += 1
+            while kinds[pos] == ",":
+                pos += 1
+                if kinds[pos] != "ident":
+                    self.expected("ident", pos)
+                names.append(values[pos])
+                pos += 1
+        self.pos = pos
         return frozenset(names)
 
     def env_entries(self, close: str) -> TypeEnv:
+        """Comma-separated entries 'x: T', possibly none, then close."""
+        kinds, values, pos = self.kinds, self.values, self.pos
         entries: list[tuple[str, Type]] = []
-        if not self.at(close):
+        if kinds[pos] != close:
             while True:
-                x = self.ident()
-                self.expect(":")
-                entries.append((x, self.type_()))
-                if not self.eat(","):
+                if kinds[pos] != "ident":
+                    self.expected("ident", pos)
+                if kinds[pos + 1] != ":":
+                    self.expected(":", pos + 1)
+                self.pos = pos + 2
+                entries.append((values[pos], self.type_()))
+                pos = self.pos
+                if kinds[pos] != ",":
                     break
-        self.expect(close)
+                pos += 1
+        if kinds[pos] != close:
+            self.expected(close, pos)
+        self.pos = pos + 1
         return TypeEnv(tuple(entries))
+
+    def _binder_at(self, pos: int) -> str:
+        """The identifier and the '.' after the binding token at pos."""
+        kinds = self.kinds
+        if kinds[pos + 1] != "ident":
+            self.expected("ident", pos + 1)
+        if kinds[pos + 2] != ".":
+            self.expected(".", pos + 2)
+        return self.values[pos + 1]
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        if self.eat("\\"):
-            return Abs(self.binder(), self.term())
-        m = self.term_atom()
-        while self.eat("@"):
-            m = App(m, self.term_atom())
-        return m
-
-    def term_atom(self) -> Term:
-        if self.eat("("):
-            m = self.term()
-            self.expect(")")
-            return m
-        if self.at("\\"):
-            return self.term()
-        return Var(self.ident())
+        """Term: '\\x.' prefixes, then atoms joined by '@', where an atom is
+        a variable, a parenthesised term or a term opening with '\\x.'."""
+        kinds, values = self.kinds, self.values
+        pos = self.pos
+        stack: list[tuple] = []
+        while True:
+            # a term or an atom starts at pos
+            kind = kinds[pos]
+            while kind == "\\":
+                stack.append((_ABS, self._binder_at(pos)))
+                pos += 3
+                kind = kinds[pos]
+            if kind == "(":
+                stack.append((_OPEN,))
+                pos += 1
+                continue
+            if kind != "ident":
+                self.expected("ident", pos)
+            m = Var(values[pos])
+            pos += 1
+            while True:
+                # m is an atom
+                if stack and stack[-1][0] == _APP:
+                    m = App(stack.pop()[1], m)
+                if kinds[pos] == "@":
+                    stack.append((_APP, m))
+                    pos += 1
+                    break
+                # the term ends at pos; an abstraction around it is an atom
+                while stack and stack[-1][0] == _ABS:
+                    m = Abs(stack.pop()[1], m)
+                if not stack:
+                    self.pos = pos
+                    return m
+                if stack[-1][0] == _OPEN:
+                    if kinds[pos] != ")":
+                        self.expected(")", pos)
+                    stack.pop()
+                    pos += 1
 
     # -- types -------------------------------------------------------------
 
     def type_(self) -> Type:
-        if self.eat("all"):
-            return Forall(self.binder(), self.type_())
-        left = self.type_atom()
-        if self.eat("->"):
-            return Arrow(left, self.type_())
-        return left
-
-    def type_atom(self) -> Type:
+        """Type: 'all a.' prefixes, then E-variable prefixes 's^{A}' before
+        an atom (a variable or a parenthesised type), then optionally '->'
+        and a type."""
+        kinds, values, memo = self.kinds, self.values, self.memo
         pos = self.pos
-        if self.kinds[pos] == "(":
-            # a group's key is its tokens up to the first later token at
-            # which the paren depth falls back; a type's parentheses balance,
-            # so a reading that succeeds ends there (inline: a helper would
-            # cost a frame per level of nesting)
-            depth = self.depth
-            if depth is None:
-                depth = self.depth = list(accumulate(map(_DEPTH.get, self.kinds, repeat(0))))
-            try:
-                end = depth.index(depth[pos] - 1, pos) + 1
-            except ValueError:  # no ')' closes it, so reading it fails
-                end = pos
-            key = tuple(self.values[pos:end])
-            t = self.memo.get(key)
-            if t is None:
-                self.pos = pos + 1
-                t = self.type_()
-                self.expect(")")
-                self.memo[key] = t
+        stack: list[tuple] = []
+        groups = 0  # open groups on the stack
+        while True:
+            # a type starts at pos
+            kind = kinds[pos]
+            while kind == "all":
+                stack.append((_ALL, self._binder_at(pos)))
+                pos += 3
+                kind = kinds[pos]
+            while kind == "ident" and kinds[pos + 1] == "^":
+                name = values[pos]
+                self.pos = pos + 2
+                stack.append((_EVAR, name, self.var_set("}")))
+                pos = self.pos
+                kind = kinds[pos]
+            if kind == "ident":
+                t = TVar(values[pos])
+                pos += 1
+            elif kind == "(":
+                groups += 1
+                if groups > 1:  # inside a group: read it, keyless
+                    stack.append((_OPEN, None))
+                    pos += 1
+                    continue
+                # a group's key is its tokens up to the first later token at
+                # which the paren depth falls back; a type's parentheses
+                # balance, so a reading that succeeds ends there
+                depth = self.depth
+                if depth is None:
+                    depth = self.depth = list(accumulate(map(_DEPTH.get, kinds, repeat(0))))
+                try:
+                    end = depth.index(depth[pos] - 1, pos) + 1
+                except ValueError:  # no ')' closes it, so reading it fails
+                    end = pos
+                key = tuple(values[pos:end])
+                t = memo.get(key)
+                if t is None:
+                    stack.append((_OPEN, key))
+                    pos += 1
+                    continue
+                groups = 0
+                pos = end
             else:
-                self.pos = end
-            return t
-        name = self.ident()
-        if self.eat("^"):
-            return EVarApp(name, self.var_set("}"), self.type_atom())
-        return TVar(name)
+                self.expected("ident", pos)
+            while True:
+                # t is an atom
+                while stack and stack[-1][0] == _EVAR:
+                    _, s, forbidden = stack.pop()
+                    t = EVarApp(s, forbidden, t)
+                if kinds[pos] == "->":
+                    stack.append((_ARROW, t))
+                    pos += 1
+                    break
+                # the type ends at pos
+                while stack and stack[-1][0] != _OPEN:
+                    tag, x = stack.pop()
+                    t = Arrow(x, t) if tag == _ARROW else Forall(x, t)
+                if not stack:
+                    self.pos = pos
+                    return t
+                if kinds[pos] != ")":
+                    self.expected(")", pos)
+                key = stack.pop()[1]
+                if key is not None:
+                    memo[key] = t
+                groups -= 1
+                pos += 1
 
     # -- expansions ----------------------------------------------------------
 
@@ -356,49 +488,88 @@ class Parser:
     # -- type environments -----------------------------------------------------
 
     def type_env(self) -> TypeEnv:
-        self.expect("{")
+        pos = self.pos
+        if self.kinds[pos] != "{":
+            self.expected("{", pos)
+        self.pos = pos + 1
         return self.env_entries("}")
 
     # -- skeletons ---------------------------------------------------------------
 
     def skeleton(self) -> Skeleton:
-        q = self.skel_atom()
-        while self.eat("@"):
-            q = QApp(q, self.skel_atom())
-        while True:
-            if self.eat("|>"):
-                q = QSub(q, self.type_())
-            elif self.eat("+"):
-                q = QWeak(q, self.type_env())
-            else:
-                return q
-
-    def skel_atom(self) -> Skeleton:
-        if self.eat("("):
-            q = self.skeleton()
-            self.expect(")")
-            return q
-        if self.eat("\\"):
-            return QAbs(self.binder(), self.skeleton())
-        if self.eat("all"):
-            return QForall(self.binder(), self.skeleton())
-        name = self.ident()
-        if self.eat("^"):
-            return QEVar(name, self.var_set("}"), self.skel_atom())
-        self.expect("<")
-        # no type holds a '>', so a reading that succeeds ends at the next one
+        """Skeleton: atoms joined by '@', then '|> T' and '+ {E}' steps,
+        where an atom is a variable 'x<E>', a parenthesised skeleton, a
+        skeleton opening with '\\x.' or 'all a.', or an E-variable prefix
+        's^{A}' before an atom."""
+        kinds, values, memo = self.kinds, self.values, self.memo
         pos = self.pos
-        try:
-            end = self.kinds.index(">", pos) + 1
-        except ValueError:  # no '>' closes it, so reading it fails
-            end = pos
-        key = tuple(self.values[pos - 1:end])
-        env = self.memo.get(key)
-        if env is None:
-            env = self.memo[key] = self.env_entries(">")
-        else:
-            self.pos = end
-        return QVar(name, env)
+        stack: list[tuple] = []
+        while True:
+            # a skeleton or an atom starts at pos
+            kind = kinds[pos]
+            while True:
+                if kind == "\\" or kind == "all":
+                    stack.append((_ABS if kind == "\\" else _ALL, self._binder_at(pos)))
+                    pos += 3
+                elif kind == "ident" and kinds[pos + 1] == "^":
+                    name = values[pos]
+                    self.pos = pos + 2
+                    stack.append((_EVAR, name, self.var_set("}")))
+                    pos = self.pos
+                else:
+                    break
+                kind = kinds[pos]
+            if kind == "(":
+                stack.append((_OPEN,))
+                pos += 1
+                continue
+            if kind != "ident":
+                self.expected("ident", pos)
+            if kinds[pos + 1] != "<":
+                self.expected("<", pos + 1)
+            # no type holds a '>', so a reading that succeeds ends at the next one
+            try:
+                end = kinds.index(">", pos + 2) + 1
+            except ValueError:  # no '>' closes it, so reading it fails
+                end = pos + 2
+            key = tuple(values[pos + 1:end])
+            env = memo.get(key)
+            if env is None:
+                self.pos = pos + 2
+                env = memo[key] = self.env_entries(">")
+                end = self.pos
+            q = QVar(values[pos], env)
+            pos = end
+            while True:
+                # q is an atom
+                while stack and stack[-1][0] == _EVAR:
+                    _, s, forbidden = stack.pop()
+                    q = QEVar(s, forbidden, q)
+                if stack and stack[-1][0] == _APP:
+                    q = QApp(stack.pop()[1], q)
+                kind = kinds[pos]
+                if kind == "@":
+                    stack.append((_APP, q))
+                    pos += 1
+                    break
+                while kind == "|>" or kind == "+":
+                    self.pos = pos + 1
+                    q = QSub(q, self.type_()) if kind == "|>" else QWeak(q, self.type_env())
+                    pos = self.pos
+                    kind = kinds[pos]
+                # the skeleton ends at pos; a binder around it makes an atom
+                if not stack:
+                    self.pos = pos
+                    return q
+                frame = stack.pop()
+                if frame[0] == _ABS:
+                    q = QAbs(frame[1], q)
+                elif frame[0] == _ALL:
+                    q = QForall(frame[1], q)
+                else:
+                    if kind != ")":
+                        self.expected(")", pos)
+                    pos += 1
 
 
 def _entry(parse_method):
@@ -427,12 +598,15 @@ parse_var_list = _entry(Parser.var_list)
 # ---------------------------------------------------------------------------
 # Printers
 #
-# Each printer renders a node object once. A type keeps its text in its
-# `_text` memo slot. Terms, environments and skeletons are not interned, so
-# their printers take a table, `memo`, that maps id(node) to (node, text):
-# holding the node keeps its id from being reused while the table lives. A
-# caller that prints many nodes sharing subterms passes one table to every
-# call; without one, each call starts a table of its own.
+# A type keeps its text in its `_text` memo slot, made once per type node.
+# Terms and environments are not interned, so their printers take a table,
+# `memo`, that maps id(node) to (node, text): holding the node keeps its id
+# from being reused while the table lives. A caller that prints many nodes
+# sharing subterms passes one table to every call; without one, each call
+# starts a table of its own. print_skeleton keeps no text of a skeleton
+# node, only of the environments it meets, so its output is the only text
+# it holds that grows with depth; it and print_constraint walk an explicit
+# stack. print_term and print_expansion recurse on the nesting.
 
 
 def print_term(m: Term, memo: dict | None = None) -> str:
@@ -465,26 +639,48 @@ def print_var_set(vs: frozenset[str]) -> str:
 
 
 def print_type(t: Type) -> str:
+    """t's text, kept in its memo slot: the parts that have none yet are
+    rendered bottom-up on an explicit stack."""
     text = t._text
-    if text is None:
-        match t:
-            case TVar(a):
-                text = a
-            case Arrow(d, c):
-                ds = print_type(d)
-                if isinstance(d, (Arrow, Forall)):
-                    ds = f"({ds})"
-                text = f"{ds} -> {print_type(c)}"
-            case Forall(a, body):
-                text = f"all {a}. {print_type(body)}"
-            case EVarApp(s, forbidden, body):
-                bs = print_type(body)
-                if isinstance(body, (Arrow, Forall)):
-                    bs = f"({bs})"
-                text = f"{s}^{{{print_var_set(forbidden)}}} {bs}"
-            case _:
-                raise TypeError(t)
+    if text is not None:
+        return text
+    todo = [t]
+    while todo:
+        t = todo[-1]
+        cls = type(t)
+        if cls is TVar:
+            text = t.name
+        elif cls is Arrow:
+            d, c = t.dom, t.cod
+            ds, cs = d._text, c._text
+            if ds is None or cs is None:
+                if ds is None:
+                    todo.append(d)
+                if cs is None and c is not d:
+                    todo.append(c)
+                continue
+            if type(d) is Arrow or type(d) is Forall:
+                ds = f"({ds})"
+            text = f"{ds} -> {cs}"
+        elif cls is EVarApp:
+            body = t.body
+            bs = body._text
+            if bs is None:
+                todo.append(body)
+                continue
+            if type(body) is Arrow or type(body) is Forall:
+                bs = f"({bs})"
+            text = f"{t.evar}^{{{print_var_set(t.forbidden)}}} {bs}"
+        elif cls is Forall:
+            bs = t.body._text
+            if bs is None:
+                todo.append(t.body)
+                continue
+            text = f"all {t.binder}. {bs}"
+        else:
+            raise TypeError(t)
         object.__setattr__(t, "_text", text)
+        todo.pop()
     return text
 
 
@@ -562,43 +758,53 @@ def print_type_env(env: TypeEnv, memo: dict | None = None) -> str:
     return "{" + _print_entries(env, {} if memo is None else memo) + "}"
 
 
+# Where a skeleton printer puts parentheses: around a function part or an
+# argument of these classes, around the body of an E-variable prefix not
+# of _BARE_EVAR_BODY, and around the body of a '|>' or '+' step of these.
+_WRAP_FUN = frozenset((QAbs, QForall, QSub, QWeak))
+_WRAP_ARG = _WRAP_FUN | {QApp}
+_BARE_EVAR_BODY = frozenset((QVar, QEVar))
+_WRAP_STEP_BODY = frozenset((QAbs, QForall))
+
+
 def print_skeleton(q: Skeleton, memo: dict | None = None) -> str:
+    """q's text, emitted into one list from one explicit stack of nodes and
+    literal pieces. An environment's text is made once per environment
+    object, through memo if one is given; no skeleton node keeps its text,
+    so the call holds O(output) characters."""
     if memo is None:
         memo = {}
-    hit = memo.get(id(q))
-    if hit is not None:
-        return hit[1]
-    match q:
-        case QVar(x, env):
-            text = f"{x}<{_print_entries(env, memo)}>"
-        case QAbs(x, body):
-            text = f"\\{x}. {print_skeleton(body, memo)}"
-        case QApp(f, a):
-            fs = print_skeleton(f, memo)
-            if isinstance(f, (QAbs, QForall, QSub, QWeak)):
-                fs = f"({fs})"
-            as_ = print_skeleton(a, memo)
-            if isinstance(a, (QAbs, QForall, QSub, QWeak, QApp)):
-                as_ = f"({as_})"
-            text = f"{fs} @ {as_}"
-        case QForall(a, body):
-            text = f"all {a}. {print_skeleton(body, memo)}"
-        case QEVar(s, forbidden, body):
-            bs = print_skeleton(body, memo)
-            if not isinstance(body, (QVar, QEVar)):
-                bs = f"({bs})"
-            text = f"{s}^{{{print_var_set(forbidden)}}} {bs}"
-        case QSub(body, target):
-            bs = print_skeleton(body, memo)
-            if isinstance(body, (QAbs, QForall)):
-                bs = f"({bs})"
-            text = f"{bs} |> {print_type(target)}"
-        case QWeak(body, extra):
-            bs = print_skeleton(body, memo)
-            if isinstance(body, (QAbs, QForall)):
-                bs = f"({bs})"
-            text = f"{bs} + {print_type_env(extra, memo)}"
-        case _:
+    out: list[str] = []
+    todo: list = [q]
+    while todo:
+        q = todo.pop()
+        cls = type(q)
+        if cls is str:
+            out.append(q)
+        elif cls is QEVar:
+            out.append(f"{q.evar}^{{{print_var_set(q.forbidden)}}} ")
+            body = q.body
+            todo += (body,) if type(body) in _BARE_EVAR_BODY else (")", body, "(")
+        elif cls is QApp:
+            f, a = q.fun, q.arg
+            todo += (")", a, " @ (") if type(a) in _WRAP_ARG else (a, " @ ")
+            todo += (")", f, "(") if type(f) in _WRAP_FUN else (f,)
+        elif cls is QSub:
+            body = q.body
+            todo.append(f" |> {print_type(q.target)}")
+            todo += (")", body, "(") if type(body) in _WRAP_STEP_BODY else (body,)
+        elif cls is QVar:
+            out.append(f"{q.var}<{_print_entries(q.env, memo)}>")
+        elif cls is QAbs:
+            out.append(f"\\{q.binder}. ")
+            todo.append(q.body)
+        elif cls is QForall:
+            out.append(f"all {q.binder}. ")
+            todo.append(q.body)
+        elif cls is QWeak:
+            body = q.body
+            todo.append(f" + {{{_print_entries(q.extra, memo)}}}")
+            todo += (")", body, "(") if type(body) in _WRAP_STEP_BODY else (body,)
+        else:
             raise TypeError(q)
-    memo[id(q)] = q, text
-    return text
+    return "".join(out)

@@ -35,29 +35,44 @@ MEMO_EMPTY = {"_solved": (), "_neq": NEQ_UNSET}
 
 
 @functools.cache
-def _maker(fields: tuple[str, ...], memo: tuple[str, ...], eq: bool):
+def _maker(fields: tuple[str, ...], memo: tuple[str, ...]):
     """Compile a function that takes the fields' and memo slots' setters and
-    the memo slots' empty values, and returns a node class's generated
-    methods by name; classes with the same fields and memo slots share it."""
-    mine = "".join(f"self.{n}, " for n in fields)
+    the memo slots' empty values, and returns a node class's `__init__` and
+    `_parts` (the tuple of its fields); classes with the same fields and
+    memo slots share it."""
     stores = "".join(f"\n        _set_{n}(self, {n})" for n in fields)
     stores += "".join(f"\n        _set_{n}(self, _empty_{n})" for n in memo)
     params = [f"_set_{n}" for n in fields + memo] + [f"_empty_{n}" for n in memo]
     src = [f"def make({', '.join(params)}):",
-           f"    def __init__({', '.join(('self', *fields))}):{stores or ' pass'}"]
-    if eq:
-        theirs = mine.replace("self.", "other.")
-        src.append(f"    def __eq__(self, other):\n"
-                   f"        if other.__class__ is self.__class__:\n"
-                   f"            return ({mine}) == ({theirs})\n"
-                   f"        return NotImplemented\n"
-                   f"    def __hash__(self):\n"
-                   f"        return hash(({mine}))")
-    names = ("__init__",) + ("__eq__", "__hash__") * eq
-    src.append(f"    return {{{', '.join(f'{n!r}: {n}' for n in names)}}}")
+           f"    def __init__({', '.join(('self', *fields))}):{stores or ' pass'}",
+           f"    def _parts(self):\n        return ({''.join(f'self.{n}, ' for n in fields)})",
+           "    return __init__, _parts"]
     ns: dict = {}
     exec("\n".join(src), ns)
     return ns["make"]
+
+
+# Every node class, and every node class compared by structure (all but
+# the interned types), each with `tuple`: the containers that `_fold` and
+# the structural `==` and `hash` enter.
+_NODES: set[type] = {tuple}
+_STRUCTURAL: set[type] = {tuple}
+
+# CPython's tuple hash (xxHash64, as since 3.8), so that a node hashes as
+# the tuple of its fields does without hashing its parts recursively.
+_MASK = (1 << 64) - 1
+_P1, _P2, _P5 = 11400714785074694791, 14029467366897019727, 2870177450012600261
+
+
+def _tuple_hash(lanes: list[int]) -> int:
+    acc = _P5
+    for lane in lanes:
+        acc = (acc + (lane & _MASK) * _P2) & _MASK
+        acc = (((acc << 31) | (acc >> 33)) * _P1) & _MASK
+    acc = (acc + (len(lanes) ^ _P5 ^ 3527539)) & _MASK
+    if acc == _MASK:
+        return 1546275796
+    return acc - (1 << 64) if acc >> 63 else acc
 
 
 class Node:
@@ -71,13 +86,20 @@ class Node:
     its node is built and reading it is a plain attribute read (named
     `_fill`, storing only the fields, when the class builds its nodes in
     `__new__`, as the interned types do, which fill their memo slots
-    there); and, unless the class or a base is declared with `eq=False`,
-    `__eq__` and `__hash__` on the tuple of its fields, as a dataclass has
-    them. `_defaults` holds values for the last fields, as a function's
-    defaults do. A node has the dataclass repr, refuses assignment, and is
-    copied and pickled by rebuilding it from its fields, so a copy starts
-    with empty memo slots; its repr and deep copy walk an explicit stack, so
-    a node of any depth has both.
+    there). `_defaults` holds values for the last fields, as a function's
+    defaults do. A node has the dataclass repr and refuses assignment.
+
+    Every node but an interned type compares by structure: `==` walks both
+    nodes on one explicit stack, entering the fields of nodes and the
+    items of tuples (the entries of an environment, the bindings of a
+    substitution) and comparing anything else, a type too, by its own
+    `==`; `hash` is that of the tuple of the node's fields, as a dataclass
+    has it, computed bottom-up on an explicit stack, with each shared part
+    hashed once. `copy` rebuilds a node from its fields, so a copy starts
+    with empty memo slots; `pickle` hands the pickler the node's parts in
+    post-order, each shared part once, and rebuilds them in a loop; repr
+    and deep copy walk an explicit stack too. So a node of any depth has
+    all of these.
 
     A node class is final: defining a class derived from one raises
     TypeError, unless the base is one of the categories declared with
@@ -92,19 +114,19 @@ class Node:
     or QSub node, against 0.15-0.2 µs for the chain."""
 
     __slots__ = ()
-    _eq = True
     _final = False
     _defaults = None
 
-    def __init_subclass__(cls, eq=None, final=True):
+    def __init_subclass__(cls, final=True):
         super().__init_subclass__()
         for base in cls.__bases__:
             if getattr(base, "_final", False):
                 raise TypeError(f"cannot derive {cls.__qualname__} from {base.__qualname__}: "
                                 "a node class is final unless declared with final=False")
         cls._final = final
-        if eq is not None:
-            cls._eq = eq
+        _NODES.add(cls)
+        if cls.__eq__ is Node.__eq__:
+            _STRUCTURAL.add(cls)
         fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         cls.__match_args__ = fields
         builds_in_new = cls.__new__ is not object.__new__
@@ -112,16 +134,44 @@ class Node:
             n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
             if n[0] == "_" and n != "__weakref__")
         setters = (getattr(cls, n).__set__ for n in fields + memo)
-        methods = _maker(fields, memo, cls._eq)(*setters, *(MEMO_EMPTY.get(n) for n in memo))
-        methods["__init__"].__defaults__ = cls._defaults
-        if builds_in_new:
-            methods["_fill"] = methods.pop("__init__")
-        for name, method in methods.items():
+        init, parts = _maker(fields, memo)(*setters, *(MEMO_EMPTY.get(n) for n in memo))
+        init.__defaults__ = cls._defaults
+        for name, method in (("_fill" if builds_in_new else "__init__", init), ("_parts", parts)):
             method.__qualname__ = f"{cls.__qualname__}.{name}"
             setattr(cls, name, method)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # each pair on the stack has one class, a structural one
+        todo = [(self, other)]
+        while todo:
+            v1, v2 = todo.pop()
+            if type(v1) is tuple:
+                if len(v1) != len(v2):
+                    return False
+                pairs = zip(v1, v2)
+            else:
+                pairs = zip(v1._parts(), v2._parts())
+            for p1, p2 in pairs:
+                if p1 is not p2:
+                    cls = type(p1)
+                    if cls is not type(p2):
+                        return False
+                    if cls in _STRUCTURAL:
+                        todo.append((p1, p2))
+                    elif p1 != p2:
+                        return False
+        return True
+
+    def __hash__(self):
+        return _fold(self, _hash_of, hash, {}, _STRUCTURAL)
+
     def __repr__(self):
         return _fold(self, _repr_of, repr, {})
+
+    def __copy__(self):
+        return type(self)(*self._parts())
 
     def __deepcopy__(self, memo):
         return _fold(self, _copy_of, lambda v: copy.deepcopy(v, memo), memo)
@@ -133,15 +183,24 @@ class Node:
         raise AttributeError(f"cannot delete field {name!r} of a frozen {type(self).__name__}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # the parts in post-order: (class, indices of the parts' entries),
+        # or (None, value) for a leaf; tuple is the class of a tuple
+        code: list[tuple] = []
+
+        def entry(cls, parts) -> int:
+            code.append((cls, parts))
+            return len(code) - 1
+
+        _fold(self, lambda v, parts: entry(type(v), parts), lambda v: entry(None, v), {})
+        return _decode, (code,)
 
 
-def _fold(root: Node, build, leaf, done: dict):
+def _fold(root: Node, build, leaf, done: dict, inner: set[type] = _NODES):
     """build(v, the results of v's parts) at root, computed bottom-up on an
-    explicit stack: the parts of a node are its fields, those of a tuple its
-    items, and anything else is a leaf, whose result is leaf(v). done maps
-    the id of a node or tuple already folded to its result, so a part that
-    is shared is folded once."""
+    explicit stack: the parts of a node whose class is in inner are its
+    fields, those of a tuple its items, and anything else is a leaf, whose
+    result is leaf(v). done maps the id of a node or tuple already folded
+    to its result, so a part that is shared is folded once."""
     results: list = []
     todo: list = [(root, False)]
     while todo:
@@ -151,15 +210,32 @@ def _fold(root: Node, build, leaf, done: dict):
             done[id(v)] = result = build(v, results[k:])
             del results[k:]
             results.append(result)
-        elif type(v) is not tuple and not isinstance(v, Node):
+        elif type(v) not in inner:
             results.append(leaf(v))
         elif id(v) in done:
             results.append(done[id(v)])
         else:
             todo.append((v, True))
-            parts = v if type(v) is tuple else [getattr(v, n) for n in v.__match_args__]
-            todo += ((p, False) for p in reversed(parts))
+            todo += ((p, False) for p in reversed(v if type(v) is tuple else v._parts()))
     return results[0]
+
+
+def _hash_of(v, lanes: list[int]) -> int:
+    return _tuple_hash(lanes)
+
+
+def _decode(code: list):
+    """The node whose parts Node.__reduce__ listed in code, rebuilt entry
+    by entry: types through the intern table."""
+    built: list = []
+    for cls, parts in code:
+        if cls is None:
+            built.append(parts)
+        elif cls is tuple:
+            built.append(tuple([built[i] for i in parts]))
+        else:
+            built.append(cls(*[built[i] for i in parts]))
+    return built[-1]
 
 
 def _repr_of(v, texts: list[str]) -> str:
@@ -268,7 +344,7 @@ _IS_CANONICAL = object()
 _NO_FORALL = object()
 
 
-class Type(Node, eq=False, final=False):
+class Type(Node, final=False):
     """System Fs type. Nodes are interned, so `==` and `hash` are identity,
     and copies rebuild through the table. The memo slots hold pure
     functions of the node, each computed at most once: its free variables
@@ -276,6 +352,9 @@ class Type(Node, eq=False, final=False):
     and its text (`surface.print_type`)."""
 
     __slots__ = ("_ftv", "_canonical", "_key", "_text", "__weakref__")
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, *fields):
         key = (cls, *fields)
@@ -397,50 +476,15 @@ IOTA = Subst()
 # Constraints
 
 
-class Constraint(Node, eq=False, final=False):
+class Constraint(Node, final=False):
     """Subtyping constraint. Its memo slot holds the relations under which
     every atom below the node holds: () when the node is built, then the
     relations solve.solved found, and REL_F on the constraint of a reduct
     that reduction.preserve returns, which holds under F by construction.
-    Constraints are not interned: `==` and `hash` compare the structure, on
-    an explicit stack, so a constraint of any depth can be compared and
-    hashed."""
+    Constraints are not interned: they compare by structure, as every node
+    but a type does."""
 
     __slots__ = ("_solved",)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            c1, c2 = todo.pop()
-            if c1 is c2:
-                continue
-            if type(c1) is not type(c2):
-                return False
-            for name in c1.__match_args__:
-                v1, v2 = getattr(c1, name), getattr(c2, name)
-                if isinstance(v1, Constraint):
-                    todo.append((v1, v2))
-                elif v1 != v2:
-                    return False
-        return True
-
-    def __hash__(self):
-        # the fields of every node in a fixed pre-order, children last
-        h = 0
-        todo = [self]
-        while todo:
-            node = todo.pop()
-            fields = [type(node)]
-            for name in node.__match_args__:
-                v = getattr(node, name)
-                if isinstance(v, Constraint):
-                    todo.append(v)
-                else:
-                    fields.append(v)
-            h = hash((h, *fields))
-        return h
 
 
 class Omega(Constraint):

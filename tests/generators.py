@@ -58,6 +58,60 @@ def random_type(rng: random.Random, tvars: list[str], depth: int) -> Type:
                            random_type(rng, tvars, depth - 1))
 
 
+def random_env(rng: random.Random, tvars: list[str], names: list[str]) -> TypeEnv:
+    """An environment of up to two of names, at random types."""
+    xs = rng.sample(names, rng.randrange(3))
+    return TypeEnv(tuple((x, random_type(rng, tvars, 3)) for x in xs))
+
+
+def random_skeleton_shape(rng: random.Random, tvars: list[str], names: list[str],
+                          depth: int) -> Skeleton:
+    """A skeleton of any shape, valid or not: printing and parsing read no
+    typing rule."""
+    if depth <= 0 or rng.random() < 0.25:
+        return QVar(rng.choice(names), random_env(rng, tvars, names))
+    match rng.randrange(7):
+        case 0:
+            return QAbs(rng.choice(names), random_skeleton_shape(rng, tvars, names, depth - 1))
+        case 1 | 2:
+            return QApp(random_skeleton_shape(rng, tvars, names, depth - 1),
+                        random_skeleton_shape(rng, tvars, names, depth - 1))
+        case 3:
+            return QForall(rng.choice(tvars), random_skeleton_shape(rng, tvars, names, depth - 1))
+        case 4:
+            return QEVar(f"s{rng.randrange(2)}", frozenset(rng.sample(tvars, rng.randrange(3))),
+                         random_skeleton_shape(rng, tvars, names, depth - 1))
+        case 5:
+            return QSub(random_skeleton_shape(rng, tvars, names, depth - 1),
+                        random_type(rng, tvars, 3))
+        case _:
+            return QWeak(random_skeleton_shape(rng, tvars, names, depth - 1),
+                         random_env(rng, tvars, names))
+
+
+# Pieces a mutation inserts: every token, separators and characters that
+# are not tokens.
+_PIECES = ["\t", "\r\n", "\n", " ", "é", "²", "Ⅻ", "1", "'", "_", "a", "all",
+           "ex", "id", "omega", "->", "|>", ":=", "<=", "(", ")", "{", "}", "^",
+           ",", ";", ":", "<", ">", "&", "@", "+", "\\", ".", "[", "]"]
+
+
+def mutate_text(rng: random.Random, text: str) -> str:
+    """text after one to three random edits: an inserted piece, a deleted
+    run of up to three characters, or a copied run of up to eight."""
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(text) + 1)
+        match rng.randrange(3):
+            case 0:
+                text = text[:i] + rng.choice(_PIECES) + text[i:]
+            case 1:
+                text = text[:i] + text[i + rng.randrange(1, 4):]
+            case _:
+                j = rng.randrange(len(text) + 1)
+                text = text[:i] + text[j:j + rng.randrange(1, 9)] + text[i:]
+    return text
+
+
 def random_expansion(rng: random.Random, tvars: list[str], depth: int) -> Expansion:
     if depth <= 0 or rng.random() < 0.3:
         return Id()

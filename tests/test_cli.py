@@ -270,12 +270,13 @@ def _fskel(argv, text):
 
 
 def test_printing_commands_accept_inputs_as_deep_as_the_parser():
-    # on these shapes the checkers and printers recurse no deeper than the
-    # parser, and the printers' tables add no frame, so the parser's limit
-    # binds first: the initial skeleton of a chain of 324 applications, and
-    # the 492 levels of `\x.` the README states
+    # the reader and the skeleton printer follow any depth, so the typing
+    # pass binds first, at one frame per skeleton node on the path (two per
+    # application of a chain): the initial skeleton of a chain of 450
+    # applications reads back, and 492 levels of `\x.` are well within
+    # the 987 the README states
     text = "y"
-    for _ in range(324):
+    for _ in range(450):
         text = f"g @ ({text})"
     code, out, _ = _fskel(["initial"], "\\g. \\y. " + text)
     assert code == EXIT_OK
@@ -290,10 +291,11 @@ def test_printing_commands_accept_inputs_as_deep_as_the_parser():
 
 
 def test_check_reads_parentheses_as_deep_as_the_readme_states():
-    # a repeated type group is looked up inline in type_atom, where a helper
-    # would add a frame per level of type parentheses and lower that limit
-    for text in ("x<x: " + "(" * 492 + "a" + ")" * 492 + ">",
-                 "(" * 492 + "x<x: a>" + ")" * 492):
+    # the reader keeps open parentheses on its stack, not in frames, and
+    # keys only a type's outermost group in its table, so parentheses of
+    # any depth read back, in time linear in the text: 5,000 levels here
+    for text in ("x<x: " + "(" * 5000 + "a" + ")" * 5000 + ">",
+                 "(" * 5000 + "x<x: a>" + ")" * 5000):
         code, out, err = _fskel(["check"], text)
         assert (code, err) == (EXIT_OK, "") and out
 

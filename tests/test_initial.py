@@ -18,8 +18,8 @@ from fskel.surface import (
     print_type_env,
 )
 from fskel.syntax import (
-    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QForall, QVar, QWeak,
-    TVar, TypeEnv, Var, env_eq, term_alpha_eq, type_eq,
+    And, App, Arrow, Atomic, Expansion, ForallIntro, FreshSupply, QApp, QForall, QVar, QWeak,
+    TVar, TypeEnv, Var, env_eq, ftv, term_alpha_eq, type_eq,
 )
 from fskel.typecheck import check_skeleton, relevant
 from helpers import count_calls
@@ -299,20 +299,44 @@ def test_allvar_is_kept_on_the_node():
 
 
 def test_derive_substitution_walks_a_target_once():
-    # a target with no QForall binder needs no names to avoid: allvar
-    # enters no node of either skeleton
+    # allvar enters no node of either skeleton, with or without QForall
+    # binders in the target: a binder's candidate names are looked for in
+    # the skeletons one at a time, and allvar is not called
     qt, m = _left_nested(8)
     q0 = initial_skeleton(m, FreshSupply())[0]
     _, visits = _allvar_visits(lambda: derive_substitution(q0, qt))
     assert visits == 0
-    # with QForall binders, the names are gathered once, at the first: each
-    # skeleton is walked once, and a second derivation onto the same target
-    # walks only its new initial skeleton (the target's walk is kept on it)
     qf = QForall("g", QForall("h", qt))
-    q0, q1, q2 = (initial_skeleton(m, FreshSupply())[0] for _ in range(3))
-    _, first = _allvar_visits(lambda: derive_substitution(q0, qf))
-    _, second = _allvar_visits(lambda: derive_substitution(q1, qf))
-    _, init = _allvar_visits(lambda: allvar(q2))
-    _, target = _allvar_visits(lambda: allvar(QForall("g", QForall("h", _left_nested(8)[0]))))
-    assert init > 0 and target > 0
-    assert first == init + target and second == init
+    for _ in range(2):
+        q0 = initial_skeleton(m, FreshSupply())[0]
+        _, visits = _allvar_visits(lambda: derive_substitution(q0, qf))
+        assert visits == 0
+
+
+def test_derive_substitution_onto_quantified_targets_calls_no_allvar(monkeypatch):
+    calls = count_calls(monkeypatch, ["initial.allvar"])
+    quantified = sum(isinstance(sigma.bindings[-1][1], ForallIntro)
+                     for _, sigma, _ in _derived(range(300)))
+    assert quantified > 50 and calls["initial.allvar"] == 0
+
+
+def test_binder_names_match_allvar_on_seeded_targets():
+    """The names chosen for the target's QForall binders, one candidate at a
+    time, are those fresh_name picks out of allvar of both skeletons: the
+    substitution is the same when every allvar is known beforehand."""
+    renamed = 0
+    for seed in range(600):
+        rng = random.Random(seed)
+        q = random_valid_skeleton(rng)
+        qt = apply_subst(random_subst_for(rng, q), q)
+        # a binder named like a variable of either skeleton must be renamed
+        names = sorted((allvar(q) | allvar(qt)) - ftv(check_skeleton(qt).env)) or ["a"]
+        qt = QForall(rng.choice(names), QForall(rng.choice(names + ["a_0"]), qt))
+        m = check_skeleton(qt).term
+        lazy = derive_substitution(initial_skeleton(m, FreshSupply())[0], qt)
+        q0 = initial_skeleton(m, FreshSupply())[0]
+        qt2 = QForall(qt.binder, QForall(qt.body.binder, qt.body.body))
+        allvar(q0), allvar(qt2)  # fills their memo slots, which the walk reads
+        assert derive_substitution(q0, qt2) == lazy, seed
+        renamed += lazy[0].bindings[-1][1].var != qt.binder
+    assert renamed > 50

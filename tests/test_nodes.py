@@ -33,9 +33,10 @@ QX = QVar("x", ENV)
 NX = reduction.NVar("x", ENV)
 INST = reduction.Inst(Forall("a", A), B)
 
-# How each class compares: by its fields (as a dataclass with eq=True did),
-# by identity (interned types) or by structure on a stack (constraints).
-FIELDS, IDENTITY, STRUCTURE = "fields", "identity", "structure"
+# How each class compares: by identity (interned types), or by its fields,
+# on an explicit stack, with the hash of the tuple of its fields (as a
+# dataclass with eq=True did) for every other class, constraints too.
+FIELDS, IDENTITY = "fields", "identity"
 
 # (factory, how it compares, its repr); a factory builds a fresh node.
 CASES = [
@@ -54,13 +55,13 @@ CASES = [
     (lambda: SubStep(Id(), A), FIELDS, "SubStep(rest=Id(), target=TVar(name='a'))"),
     (lambda: Subst((("a", B), ("s", Id()))), FIELDS,
      "Subst(bindings=(('a', TVar(name='b')), ('s', Id())))"),
-    (lambda: Omega(), STRUCTURE, "Omega()"),
-    (lambda: Atomic(A, B), STRUCTURE, "Atomic(lhs=TVar(name='a'), rhs=TVar(name='b'))"),
-    (lambda: And(ATOM, Omega()), STRUCTURE,
+    (lambda: Omega(), FIELDS, "Omega()"),
+    (lambda: Atomic(A, B), FIELDS, "Atomic(lhs=TVar(name='a'), rhs=TVar(name='b'))"),
+    (lambda: And(ATOM, Omega()), FIELDS,
      "And(c1=Atomic(lhs=TVar(name='a'), rhs=TVar(name='b')), c2=Omega())"),
-    (lambda: Exists("a", ATOM), STRUCTURE,
+    (lambda: Exists("a", ATOM), FIELDS,
      "Exists(binder='a', body=Atomic(lhs=TVar(name='a'), rhs=TVar(name='b')))"),
-    (lambda: EGuard("s", frozenset({"b"}), A, Omega()), STRUCTURE,
+    (lambda: EGuard("s", frozenset({"b"}), A, Omega()), FIELDS,
      "EGuard(evar='s', forbidden=frozenset({'b'}), witness=TVar(name='a'), body=Omega())"),
     (lambda: TypeEnv((("x", A),)), FIELDS, "TypeEnv(entries=(('x', TVar(name='a')),))"),
     (lambda: QVar("x", ENV), FIELDS,
@@ -254,6 +255,50 @@ def test_repr_and_deepcopy_follow_any_depth():
         copied = copy.deepcopy(node)
         assert type(copied) is type(node) and copied is not node and repr(copied) == text
     assert copy.deepcopy(arrow) is arrow
+
+
+def _deep(n: int, bottom: str = "x") -> list:
+    """Fresh nodes n levels deep of each kind compared by structure: a
+    skeleton of each binder and step, an environment's skeleton, an
+    expansion, a substitution holding it, a constraint and a proof-carrying
+    skeleton; `bottom` names the variable at the bottom of each."""
+    leaf = QVar(bottom, TypeEnv(((bottom, A),)))
+    abss, steps, expansion = leaf, leaf, SubStep(Id(), TVar(bottom))
+    conj, neq = Atomic(TVar(bottom), B), reduction.NVar(bottom, ENV)
+    for i in range(n):
+        abss = QEVar("s", frozenset({"a"}), QAbs("x", QForall("c", abss)))
+        steps = QWeak(QSub(QApp(leaf, steps), A), TypeEnv((("y", B),)))
+        expansion = EVarIntro("s", frozenset({"b"}), SubStep(ForallIntro("a", expansion), A))
+        conj = And(ATOM, EGuard("s", frozenset({"a"}), AB, Exists("a", conj)))
+        neq = reduction.NAbs("x", neq)
+    return [abss, steps, TypeEnv((("x", A), ("y", B))), expansion,
+            Subst((("a", B), ("s", expansion))), conj, neq]
+
+
+def test_eq_and_hash_follow_any_depth():
+    # 2,000 levels, past the recursion limit: two equal, distinct copies
+    # compare equal and hash alike, and a change at the bottom is seen
+    for node, twin, other in zip(_deep(2000), _deep(2000), _deep(2000, bottom="z")):
+        assert node is not twin and node == twin and not node != twin
+        assert hash(node) == hash(twin)
+        if type(node) is not TypeEnv:
+            assert node != other
+
+
+def test_pickle_follows_any_depth_and_keeps_sharing():
+    for node in _deep(2000):
+        copied = pickle.loads(pickle.dumps(node))
+        assert type(copied) is type(node) and copied is not node and copied == node
+    arrow = A
+    for _ in range(2000):
+        arrow = Arrow(B, arrow)
+    assert pickle.loads(pickle.dumps(arrow)) is arrow  # through the intern table
+    # a part shared in the node is encoded once and rebuilt once
+    q = _deep(200)[0]
+    shared = QApp(q, q)
+    assert len(pickle.dumps(shared)) < 1.1 * len(pickle.dumps(q))
+    copied = pickle.loads(pickle.dumps(shared))
+    assert copied == shared and copied.fun is copied.arg
 
 
 def test_import_needs_no_dataclass_machinery():

@@ -15,7 +15,10 @@ from fskel.syntax import (
 )
 from fskel.typecheck import check_skeleton
 
-from generators import random_expansion, random_term, random_type, random_valid_skeleton
+from generators import (
+    random_env, random_expansion, random_skeleton_shape, random_term, random_type,
+    random_valid_skeleton,
+)
 from reference_printer import (
     ref_constraint, ref_expansion, ref_skeleton, ref_term, ref_type,
     ref_type_env,
@@ -24,31 +27,6 @@ from reference_printer import (
 TVARS = ["a", "b", "c"]
 TERM_VARS = ["x", "y", "z"]
 CASES = 2000
-
-
-def _random_env(rng: random.Random) -> TypeEnv:
-    xs = rng.sample(TERM_VARS, rng.randrange(3))
-    return TypeEnv(tuple((x, random_type(rng, TVARS, 3)) for x in xs))
-
-
-def _random_skeleton(rng: random.Random, depth: int):
-    """A skeleton of any shape, valid or not: printing reads no rule."""
-    if depth <= 0 or rng.random() < 0.25:
-        return QVar(rng.choice(TERM_VARS), _random_env(rng))
-    match rng.randrange(7):
-        case 0:
-            return QAbs(rng.choice(TERM_VARS), _random_skeleton(rng, depth - 1))
-        case 1 | 2:
-            return QApp(_random_skeleton(rng, depth - 1), _random_skeleton(rng, depth - 1))
-        case 3:
-            return QForall(rng.choice(TVARS), _random_skeleton(rng, depth - 1))
-        case 4:
-            return QEVar(f"s{rng.randrange(2)}", frozenset(rng.sample(TVARS, rng.randrange(3))),
-                         _random_skeleton(rng, depth - 1))
-        case 5:
-            return QSub(_random_skeleton(rng, depth - 1), random_type(rng, TVARS, 3))
-        case _:
-            return QWeak(_random_skeleton(rng, depth - 1), _random_env(rng))
 
 
 def _random_constraint(rng: random.Random, depth: int):
@@ -97,7 +75,7 @@ def _shared_skeleton(rng: random.Random):
                 return QSub(kid, random_type(rng, TVARS, 2))
             case _:
                 return QWeak(kid, pool[0].env)  # one environment object, shared
-    leaves = [QVar(x, _random_env(rng)) for x in TERM_VARS]
+    leaves = [QVar(x, random_env(rng, TVARS, TERM_VARS)) for x in TERM_VARS]
     return _shared(rng, leaves, build, rng.randrange(1, 10))
 
 
@@ -124,11 +102,11 @@ def test_printers_match_the_reference_on_random_inputs():
         assert print_term(m) == ref_term(m)
         c = _random_constraint(rng, rng.randrange(6))
         assert print_constraint(c) == ref_constraint(c)
-        q = _random_skeleton(rng, rng.randrange(6))
+        q = random_skeleton_shape(rng, TVARS, TERM_VARS, rng.randrange(6))
         assert print_skeleton(q) == ref_skeleton(q)
         i = random_expansion(rng, TVARS, rng.randrange(5))
         assert print_expansion(i) == ref_expansion(i)
-        env = _random_env(rng)
+        env = random_env(rng, TVARS, TERM_VARS)
         assert print_type_env(env) == ref_type_env(env)
 
 
@@ -183,9 +161,9 @@ def test_one_table_over_many_short_lived_nodes():
     for _ in range(CASES):
         m = random_term(rng, rng.randrange(1, 8), [])
         assert print_term(m, memo) == ref_term(m)
-        q = _random_skeleton(rng, rng.randrange(4))
+        q = random_skeleton_shape(rng, TVARS, TERM_VARS, rng.randrange(4))
         assert print_skeleton(q, memo) == ref_skeleton(q)
-        env = _random_env(rng)
+        env = random_env(rng, TVARS, TERM_VARS)
         assert print_type_env(env, memo) == ref_type_env(env)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_parser
 from fskel.surface import (
     ParseError, Parser, parse_constraint, parse_expansion, parse_skeleton,
     parse_subst, parse_term, parse_type, parse_type_env, print_constraint,
@@ -16,7 +17,7 @@ from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, EGuard, EVarApp, Exists, Forall, Id, QApp,
     QSub, SubStep, TVar, Var, canonical_constraint, constraint_eq,
 )
-from generators import random_expansion, random_type, random_valid_skeleton
+from generators import mutate_text, random_expansion, random_type, random_valid_skeleton
 
 CLI_INPUTS = Path(__file__).resolve().parents[1] / "bench" / "cli" / "inputs"
 
@@ -122,7 +123,8 @@ def test_repeated_groups_are_read_once(monkeypatch):
     """chainN.skel repeats one environment at each of its N + 1 leaves and
     one parenthesised `|>` target at each of its N steps. Each copy after
     the first is read as one token run, so reading it enters type_ once per
-    step (for the target) and not once per type in the copy."""
+    step (for the target) and not once per type in the copy; the only other
+    calls read the two entries of the first environment."""
     calls = [0]
     real = Parser.type_
 
@@ -136,7 +138,7 @@ def test_repeated_groups_are_read_once(monkeypatch):
         calls[0] = 0
         parse_skeleton((CLI_INPUTS / f"chain{n}.skel").read_text())
         counts[n] = calls[0]
-    assert counts == {n: n + 10 for n in counts}
+    assert counts == {n: n + 2 for n in counts}
 
 
 def test_round_trip_terms_and_substs():
@@ -243,21 +245,16 @@ def test_parse_error_messages(entry, text, message):
     assert str(e.value) == f"{e.value.line}:{e.value.col}: {e.value.message}"
 
 
-def _mutate(rng, text):
-    pieces = ["\t", "\r\n", "\n", " ", "é", "²", "Ⅻ", "1", "'", "_", "a", "all",
-              "ex", "id", "omega", "->", "|>", ":=", "<=", "(", ")", "{", "}", "^",
-              ",", ";", ":", "<", ">", "&", "@", "+", "\\", ".", "[", "]"]
-    for _ in range(rng.randrange(1, 4)):
-        i = rng.randrange(len(text) + 1)
-        match rng.randrange(3):
-            case 0:
-                text = text[:i] + rng.choice(pieces) + text[i:]
-            case 1:
-                text = text[:i] + text[i + rng.randrange(1, 4):]
-            case _:
-                j = rng.randrange(len(text) + 1)
-                text = text[:i] + text[j:j + rng.randrange(1, 9)] + text[i:]
-    return text
+def test_reference_parser_gives_the_same_messages():
+    # the oracle of tests/test_reader.py reports every case above alike
+    for entry, text, message in ERRORS:
+        parse = getattr(reference_parser, f"parse_{entry}")
+        if message is None:
+            assert parse(text) == PARSE[entry](text)
+            continue
+        with pytest.raises(reference_parser.ParseError) as e:
+            parse(text)
+        assert str(e.value) == message
 
 
 def test_mutated_inputs_parse_or_raise_parse_error():
@@ -275,7 +272,7 @@ def test_mutated_inputs_parse_or_raise_parse_error():
         texts.append(print_skeleton(random_valid_skeleton(rng)))
     parsed = 0
     for _ in range(3000):
-        text = _mutate(rng, rng.choice(texts))
+        text = mutate_text(rng, rng.choice(texts))
         for entry, parse in PARSE.items():
             try:
                 value = parse(text)
