@@ -34,7 +34,8 @@ from .solve import (
 )
 from .reduction import (
     NestedWeakening, NotAStep, NotSolved, cbv_step, check_neq,
-    check_subproof, from_neq, preserve, subst_term, sz, to_neq, transform_T,
+    check_subproof, from_neq, is_value, preserve, subst_term, sz, to_neq,
+    transform_T,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

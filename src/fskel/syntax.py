@@ -29,8 +29,11 @@ from _weakref import _remove_dead_weakref
 
 # The value a memo slot holds from the moment its node is built until its
 # fact is computed: None, but for the slots named here. A skeleton's `_neq`
-# holds None for "no proof-carrying form", so its empty value is a sentinel.
+# holds None for "no proof-carrying form", so its empty value is a sentinel;
+# it holds NEQ_SELF when the node is its own form, so no node refers to
+# itself. A QSub's `_proof` starts as None.
 NEQ_UNSET = object()
+NEQ_SELF = object()
 MEMO_EMPTY = {"_solved": (), "_neq": NEQ_UNSET}
 
 
@@ -104,7 +107,7 @@ class Node:
     A node class is final: defining a class derived from one raises
     TypeError, unless the base is one of the categories declared with
     `final=False` (Term, Type, Expansion, Constraint, Skeleton and, in
-    reduction, SubtypeSkeleton and NeqSkeleton), which have no fields. So
+    reduction, SubtypeSkeleton), which have no fields. So
     `type(n) is C` decides exactly what the class pattern `C(...)` decides,
     and the walkers a reduction step enters dispatch on `cls = type(n)`
     with an `if cls is C` chain, most frequent class first. A `match` on
@@ -564,16 +567,18 @@ class Skeleton(Node, final=False):
     """Proof term encoding a typing derivation. Its memo slots hold facts
     that are pure functions of the node's subtree, each computed at most
     once and dropped with the node: the node's judgement
-    (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq;
-    None below a weakening) and its type and expansion variables
-    (initial.allvar). Each starts empty when the node is built: None, and
-    NEQ_UNSET for the form. A node holds a form only once every atom of
-    its constraint was decided under F, which is why the constraint of a
-    reduct that reduction.preserve returns holds REL_F by construction. A
-    proof-carrying node refers back to the skeleton it came from by a weak
-    reference, so the two never form a cycle."""
+    (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq:
+    the skeleton with each redundant |> dropped and each target replaced by
+    the end of its proof; NEQ_SELF when that is the node itself, None below
+    a weakening) and its type and expansion variables (initial.allvar).
+    Each starts empty when the node is built: None, and NEQ_UNSET for the
+    form. A node holds a form only once every atom of its constraint was
+    decided under F, or was built by a reduction step whose reduct
+    reduction.preserve then certified, which is why the constraint of a
+    reduct that preserve returns holds REL_F by construction. A QSub also
+    keeps the subtyping proof of its step (see QSub)."""
 
-    __slots__ = ("_judgement", "_neq", "_allvar", "__weakref__")
+    __slots__ = ("_judgement", "_neq", "_allvar")
 
 
 class QVar(Skeleton):
@@ -607,9 +612,12 @@ class QEVar(Skeleton):
 
 
 class QSub(Skeleton):
-    """Subtyping skeleton: Q |> T"""
+    """Subtyping skeleton: Q |> T. Its `_proof` memo slot holds the proof of
+    the step, from Q's type to T, once one is known: the Inst that
+    reduction's elaboration settled, or the proof a reduction step built
+    the node with; None until then."""
 
-    __slots__ = ("body", "target")
+    __slots__ = ("body", "target", "_proof")
 
 
 class QWeak(Skeleton):

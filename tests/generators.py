@@ -10,8 +10,8 @@ import random
 
 from fskel.initial import initial_skeleton
 from fskel.reduction import (
-    DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp, NEVar, NEnvSub,
-    NForall, NSub, NVar, NeqSkeleton, QuantComm, QuantCong, check_neq,
+    DummyElim, DummyIn, EVarCong, FunCong, Inst, QuantComm, QuantCong, check_neq,
+    proved,
 )
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, EGuard, EVarApp, EVarIntro, Exists,
@@ -212,8 +212,10 @@ def random_valid_skeleton(rng: random.Random, size: int = 4) -> Skeleton:
     return q
 
 
-def random_neq_decoration(rng: random.Random, n: NeqSkeleton) -> NeqSkeleton:
-    """Wrap a valid proof-carrying skeleton in one random valid decoration."""
+def random_neq_decoration(rng: random.Random, n: Skeleton) -> Skeleton:
+    """Wrap a valid proof-carrying skeleton in one random valid decoration:
+    a quantifier, an E-variable, or a |> carrying a proof of one of the
+    seven kinds."""
     _, env, t = check_neq(n)
     choices = ["dummy_in", "forall", "evar"]
     if isinstance(t, Forall) and t.binder not in ftv(t.body):
@@ -226,33 +228,28 @@ def random_neq_decoration(rng: random.Random, n: NeqSkeleton) -> NeqSkeleton:
         choices.append("fun_cong")
     if isinstance(t, EVarApp):
         choices.append("evar_cong")
-    if env.entries:
-        choices.append("env_sub")
     avoid = _all_type_names(env, t)
     b = fresh_name("d", avoid)
     match rng.choice(choices):
         case "dummy_in":
-            return NSub(n, DummyIn(b, t))
+            return proved(n, DummyIn(b, t))
         case "dummy_elim":
-            return NSub(n, DummyElim(t.binder, t.body))
+            return proved(n, DummyElim(t.binder, t.body))
         case "forall":
-            return NForall(fresh_name("g", avoid | ftv(env)), n)
+            return QForall(fresh_name("g", avoid | ftv(env)), n)
         case "evar":
-            return NEVar(f"u{rng.randrange(3)}", ftv(env) | ftv(t), n)
+            return QEVar(f"u{rng.randrange(3)}", ftv(env) | ftv(t), n)
         case "inst":
             x = random_type(rng, sorted(ftv(t)), rng.randrange(2))
-            return NSub(n, Inst(t, x))
+            return proved(n, Inst(t, x))
         case "quant_cong":
-            return NSub(n, QuantCong(t.binder, DummyIn(b, t.body)))
+            return proved(n, QuantCong(t.binder, DummyIn(b, t.body)))
         case "quant_comm":
-            return NSub(n, QuantComm(t))
+            return proved(n, QuantComm(t))
         case "fun_cong":
-            return NSub(n, FunCong(DummyElim(b, t.dom), DummyIn(b, t.cod)))
+            return proved(n, FunCong(DummyElim(b, t.dom), DummyIn(b, t.cod)))
         case "evar_cong":
-            return NSub(n, EVarCong(t.evar, t.forbidden, DummyIn(b, t.body)))
-        case "env_sub":
-            y, ty = rng.choice(env.entries)
-            return NEnvSub(n, y, DummyElim(b, ty))
+            return proved(n, EVarCong(t.evar, t.forbidden, DummyIn(b, t.body)))
     raise AssertionError
 
 
@@ -272,26 +269,24 @@ def _all_type_names(env, t) -> frozenset[str]:
     return out | frozenset(walk(t))
 
 
-def decorate_neq_inside(rng: random.Random, n: NeqSkeleton, p: float) -> NeqSkeleton:
-    """Walk n bottom-up and wrap each node, with probability p, in one
-    random_neq_decoration. The result may be invalid (an Inst changes the
-    type of the node it wraps); check_neq raises NeqError on a node it
-    cannot decorate."""
+def decorate_neq_inside(rng: random.Random, n: Skeleton, p: float) -> Skeleton:
+    """Walk a proof-carrying n bottom-up and wrap each node, with
+    probability p, in one random_neq_decoration. The result may be invalid
+    (an Inst changes the type of the node it wraps); check_neq raises
+    NeqError on a node it cannot decorate."""
     match n:
-        case NVar(_, _):
+        case QVar(_, _):
             pass
-        case NAbs(x, body):
-            n = NAbs(x, decorate_neq_inside(rng, body, p))
-        case NApp(f, a):
-            n = NApp(decorate_neq_inside(rng, f, p), decorate_neq_inside(rng, a, p))
-        case NForall(a, body):
-            n = NForall(a, decorate_neq_inside(rng, body, p))
-        case NEVar(s, forbidden, body):
-            n = NEVar(s, forbidden, decorate_neq_inside(rng, body, p))
-        case NSub(body, proof):
-            n = NSub(decorate_neq_inside(rng, body, p), proof)
-        case NEnvSub(body, y, proof):
-            n = NEnvSub(decorate_neq_inside(rng, body, p), y, proof)
+        case QAbs(x, body):
+            n = QAbs(x, decorate_neq_inside(rng, body, p))
+        case QApp(f, a):
+            n = QApp(decorate_neq_inside(rng, f, p), decorate_neq_inside(rng, a, p))
+        case QForall(a, body):
+            n = QForall(a, decorate_neq_inside(rng, body, p))
+        case QEVar(s, forbidden, body):
+            n = QEVar(s, forbidden, decorate_neq_inside(rng, body, p))
+        case QSub(body, _):
+            n = proved(decorate_neq_inside(rng, body, p), n._proof)
         case _:
             raise TypeError(n)
     return random_neq_decoration(rng, n) if rng.random() < p else n

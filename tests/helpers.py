@@ -215,6 +215,21 @@ def poly_chain(n: int) -> Skeleton:
         f"((\\f. \\x. {text}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)")
 
 
+def carried_proofs(q: Skeleton) -> list:
+    """The proof each |> of q carries, in pre-order, a shared node once per
+    occurrence."""
+    todo, out = [q], []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, QSub):
+            out.append(node._proof)
+        if isinstance(node, QApp):
+            todo += (node.arg, node.fun)
+        elif not isinstance(node, QVar):
+            todo.append(node.body)
+    return out
+
+
 def skeleton_nodes(q: Skeleton) -> dict[int, Skeleton]:
     """Every distinct node object of q, by id()."""
     out: dict[int, Skeleton] = {}

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from fskel import (
-    Arrow, EVarApp, Forall, FreshSupply, Omega, QApp, QSub, QWeak, TVar,
+    Arrow, EVarApp, Forall, FreshSupply, Omega, QAbs, QApp, QSub, QWeak, TVar,
     TypeEnv, apply_subst, canonical_constraint, check_skeleton, check_system_f,
     cbv_step, constraint_eq, erase_evars, ftv, initial_skeleton, preserve,
     solved, type_eq,
@@ -21,8 +21,8 @@ from generators import (
 )
 from fskel.initial import derive_substitution, reflexive, rename_equiv
 from fskel.reduction import (
-    NAbs, NeqError, NestedWeakening, NotAStep, NotSolved, check_neq, from_neq,
-    step_neq, subst_neq, sz, to_neq, transform_T,
+    NeqError, NestedWeakening, NotAStep, NotSolved, check_neq, step_neq,
+    subst_neq, sz, to_neq, transform_T,
 )
 from fskel.solve import RELATIONS, leq_f, leq_f_witness
 from fskel.surface import (
@@ -461,9 +461,11 @@ def test_subject_reduction_on_decorated_proof_skeletons():
 
 
 def test_flattened_proof_skeletons_agree_with_check_neq():
+    # a proof-carrying skeleton is a skeleton, flat already: the typing pass
+    # agrees with the check of its proofs, and its constraint is solved
     for n in _decorated_neq_starts(random.Random(1013), 2_000):
         m, env, t = check_neq(n)
-        j = check_skeleton(from_neq(n))
+        j = check_skeleton(n)
         assert j.term == m and env_eq(j.env, env) and type_eq(j.rtype, t)
         assert decide(j.constraint, REL_F)
 
@@ -547,8 +549,8 @@ def test_transformation_size_nonincreasing():
         check_neq(t)
         assert sz(t) <= sz(n)
         assert sz(n) >= 1 and sz(t) >= 1
-        assert (sz(n) == 1) == isinstance(n, NAbs)
-        assert (sz(t) == 1) == isinstance(t, NAbs)
+        assert (sz(n) == 1) == isinstance(n, QAbs)
+        assert (sz(t) == 1) == isinstance(t, QAbs)
         checked += 1
 
 

@@ -10,16 +10,21 @@ import pytest
 from fskel.expansion import apply_subst
 from fskel.initial import derive_substitution, initial_skeleton
 from fskel.reduction import (
-    NestedWeakening, NotSolved, cbv_step, from_neq, preserve, to_neq,
+    NestedWeakening, NotAStep, NotSolved, cbv_step, preserve, to_neq,
 )
 from fskel.solve import (
     REL_EQ, REL_F, SubtypingRelation, leq_eq, leq_f, record_solved, solved,
 )
-from fskel.surface import parse_constraint, parse_skeleton, parse_subst, parse_type
-from fskel.syntax import NEQ_UNSET, And, Atomic, FreshSupply, Subst, TypeEnv
+from fskel.surface import (
+    parse_constraint, parse_skeleton, parse_subst, parse_type, print_skeleton,
+)
+from fskel.syntax import (
+    NEQ_UNSET, And, Atomic, FreshSupply, QApp, QWeak, Subst, TypeEnv,
+)
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 from helpers import (
-    constraint_nodes, count_instances, decide, id_chain, poly_chain, skeleton_nodes,
+    carried_proofs, constraint_nodes, count_instances, decide, id_chain, poly_chain,
+    skeleton_nodes,
 )
 
 
@@ -89,7 +94,7 @@ def test_a_reduct_is_solved_under_f_by_construction(chain, n):
 
 def test_faithful_skeleton_comes_back_from_its_form():
     q = parse_skeleton("(\\x. x<x: c -> c>) @ (\\z. z<z: c>)")
-    assert from_neq(to_neq(q)) is q
+    assert to_neq(q) is q
     # a redundant |> is dropped, and a proof ending at a type that is equal
     # to the target but not the target itself keeps the type it ends at
     for text, expected in [
@@ -97,7 +102,7 @@ def test_faithful_skeleton_comes_back_from_its_form():
         ("x<x: all b. b -> b> |> all z. c -> c", "x<x: all b. b -> b> |> c -> c"),
     ]:
         q = parse_skeleton(text)
-        assert from_neq(to_neq(q)) == parse_skeleton(expected)
+        assert to_neq(q) == parse_skeleton(expected)
 
 
 def _every_memo(q):
@@ -218,3 +223,56 @@ def test_weakened_root_is_stepped_and_shares_the_rest():
     q2 = preserve(q, cbv_step(j.term))
     assert q2.extra == q.extra and q2.body is q.body.arg
     assert check_skeleton(q2).env == j.env
+
+
+def _reducts(q):
+    """The reducts preserve gives from q to its normal form, each with the
+    proof its every |> carries, then the error it raised, if any."""
+    out = []
+    try:
+        j = check_skeleton(q)
+        while (m := cbv_step(j.term)) is not None:
+            q = preserve(q, m)
+            j = check_skeleton(q)
+            out.append((q, carried_proofs(q)))
+    except (SkeletonError, NotSolved, NotAStep, NestedWeakening) as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+# Functions whose argument a step moves below zero, one or two binders, so
+# that the argument's environments are extended differently; t is the
+# argument's type.
+CONTEXTS = [
+    "\\x. x<x: {t}>",
+    "\\x. \\w. x<x: {t}, w: e>",
+    "\\x. \\v. \\w. x<x: {t}, v: d, w: e>",
+]
+
+
+@pytest.mark.parametrize("shared, t", [
+    # an Inst settled to end at its target, one settled to end at a type
+    # equal to the target but not the target itself, and a redundant step
+    ("(all b. \\y. y<y: b>) |> (c -> c) -> c -> c", "(c -> c) -> c -> c"),
+    ("(all b. \\y. y<y: b>) |> all z. c -> c", "c -> c"),
+    ("(\\y. y<y: c>) |> all d. c -> c", "c -> c"),
+    # steps that do not hold, above and below an E-variable
+    ("(\\y. y<y: c>) |> d -> d", "d -> d"),
+    ("s^{} ((all b. \\y. y<y: b>) |> c -> d)", "s^{} (c -> d)"),
+])
+def test_a_shared_step_is_elaborated_for_each_environment(shared, t):
+    # one |> subtree is the argument of every context, so its form and its
+    # proof are computed in the first and read in the others, where the
+    # step extends its environments differently, and under a weakening at
+    # the root; each run reduces and fails as a cold parse of its skeleton
+    s = parse_skeleton(shared)
+    runs = []
+    for context in CONTEXTS:
+        fun = parse_skeleton(context.format(t=t))
+        for q in (QApp(fun, s), QWeak(QApp(fun, s), TypeEnv((("k", parse_type("e")),)))):
+            cold = parse_skeleton(print_skeleton(q))
+            runs.append(_reducts(q))
+            assert runs[-1] == _reducts(cold)
+    # errors are not kept: an unsolved step holds no form
+    unsolved = runs[0] == [(NotSolved, "constraint does not hold under quantifier elimination")]
+    assert (s._neq is NEQ_UNSET) == unsolved

@@ -30,7 +30,7 @@ AB = Arrow(A, B)
 ENV = TypeEnv((("x", A),))
 ATOM = Atomic(A, B)
 QX = QVar("x", ENV)
-NX = reduction.NVar("x", ENV)
+NX = QVar("x", ENV)
 INST = reduction.Inst(Forall("a", A), B)
 
 # How each class compares: by identity (interned types), or by its fields,
@@ -102,24 +102,6 @@ CASES = [
     (lambda: reduction.QuantCong("c", INST), FIELDS,
      "QuantCong(var='c', proof=Inst(source=Forall(binder='a', body=TVar(name='a')), "
      "arg=TVar(name='b')))"),
-    (lambda: reduction.NVar("x", ENV), FIELDS,
-     "NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),)))"),
-    (lambda: reduction.NAbs("y", NX), FIELDS,
-     "NAbs(binder='y', body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
-    (lambda: reduction.NApp(NX, NX), FIELDS,
-     "NApp(fun=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
-     "arg=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
-    (lambda: reduction.NForall("b", NX), FIELDS,
-     "NForall(binder='b', body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
-    (lambda: reduction.NEVar("s", frozenset({"b"}), NX), FIELDS,
-     "NEVar(evar='s', forbidden=frozenset({'b'}), "
-     "body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
-    (lambda: reduction.NSub(NX, INST), FIELDS,
-     "NSub(body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
-     "proof=Inst(source=Forall(binder='a', body=TVar(name='a')), arg=TVar(name='b')))"),
-    (lambda: reduction.NEnvSub(NX, "x", INST), FIELDS,
-     "NEnvSub(body=NVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), var='x', "
-     "proof=Inst(source=Forall(binder='a', body=TVar(name='a')), arg=TVar(name='b')))"),
     (lambda: typecheck.Judgement(Var("x"), ENV, A, Omega()), FIELDS,
      "Judgement(term=Var(name='x'), env=TypeEnv(entries=(('x', TVar(name='a')),)), "
      "rtype=TVar(name='a'), constraint=Omega())"),
@@ -134,7 +116,29 @@ CASES = [
      "evar='s2')"),
 ]
 
-IDS = [case[2].split("(")[0] for case in CASES]
+# The nodes a reduction step builds, under the names of the proof-carrying
+# classes they replaced: the benchmark's names for QVar, QAbs and QApp, a
+# |> built with its proof, and what elaboration makes of a quantifier and
+# an E-variable node (the very node, holding its form).
+FORMS = [
+    ("NVar", lambda: reduction.NVar("x", ENV),
+     "QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),)))"),
+    ("NAbs", lambda: reduction.NAbs("y", NX),
+     "QAbs(binder='y', body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    ("NApp", lambda: reduction.NApp(NX, NX),
+     "QApp(fun=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "arg=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    ("NForall", lambda: reduction.to_neq(QForall("b", QVar("x", ENV))),
+     "QForall(binder='b', body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    ("NEVar", lambda: reduction.to_neq(QEVar("s", frozenset({"a"}), QVar("x", ENV))),
+     "QEVar(evar='s', forbidden=frozenset({'a'}), "
+     "body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))))"),
+    ("NSub", lambda: reduction.proved(NX, INST),
+     "QSub(body=QVar(var='x', env=TypeEnv(entries=(('x', TVar(name='a')),))), "
+     "target=TVar(name='b'))"),
+]
+IDS = [case[2].split("(")[0] for case in CASES] + [name for name, _, _ in FORMS]
+CASES += [(make, FIELDS, text) for _, make, text in FORMS]
 
 
 def _fields(node):
@@ -168,7 +172,7 @@ def _destructure(node):
 
 def test_every_node_class_is_covered():
     classes = {type(make()) for make, _, _ in CASES}
-    assert len(classes) == len(CASES) == 45
+    assert len(classes) == len(CASES) - len(FORMS) == 38
     modules = (syntax, reduction, typecheck, solve, initial)
     with_fields = {v for m in modules for v in vars(m).values()
                    if isinstance(v, type) and v.__module__ == m.__name__
@@ -260,17 +264,18 @@ def test_repr_and_deepcopy_follow_any_depth():
 def _deep(n: int, bottom: str = "x") -> list:
     """Fresh nodes n levels deep of each kind compared by structure: a
     skeleton of each binder and step, an environment's skeleton, an
-    expansion, a substitution holding it, a constraint and a proof-carrying
-    skeleton; `bottom` names the variable at the bottom of each."""
+    expansion, a substitution holding it, a constraint and a skeleton whose
+    |> carry their proofs; `bottom` names the variable at the bottom of
+    each."""
     leaf = QVar(bottom, TypeEnv(((bottom, A),)))
     abss, steps, expansion = leaf, leaf, SubStep(Id(), TVar(bottom))
-    conj, neq = Atomic(TVar(bottom), B), reduction.NVar(bottom, ENV)
+    conj, neq = Atomic(TVar(bottom), B), QVar(bottom, ENV)
     for i in range(n):
         abss = QEVar("s", frozenset({"a"}), QAbs("x", QForall("c", abss)))
         steps = QWeak(QSub(QApp(leaf, steps), A), TypeEnv((("y", B),)))
         expansion = EVarIntro("s", frozenset({"b"}), SubStep(ForallIntro("a", expansion), A))
         conj = And(ATOM, EGuard("s", frozenset({"a"}), AB, Exists("a", conj)))
-        neq = reduction.NAbs("x", neq)
+        neq = reduction.proved(QAbs("x", neq), INST)
     return [abss, steps, TypeEnv((("x", A), ("y", B))), expansion,
             Subst((("a", B), ("s", expansion))), conj, neq]
 
@@ -329,7 +334,7 @@ def _node_classes():
 
 
 CATEGORIES = {syntax.Term, Type, syntax.Expansion, Constraint, Skeleton,
-              reduction.SubtypeSkeleton, reduction.NeqSkeleton}
+              reduction.SubtypeSkeleton}
 
 
 def test_every_concrete_node_class_is_final():
@@ -367,10 +372,6 @@ class _StraySkeleton(Skeleton):
     __slots__ = ()
 
 
-class _StrayForm(reduction.NeqSkeleton):
-    __slots__ = ()
-
-
 class _StrayType(Type):
     __slots__ = ()
 
@@ -379,7 +380,7 @@ class _StrayConstraint(Constraint):
     __slots__ = ()
 
 
-NX_ENV = reduction.NVar("x", ENV)
+NX_ENV = QVar("x", ENV)
 
 # (walker, call): each call hands the walker a node of a class it has no
 # branch for, of a foreign category where the walker reads no memo slot
@@ -387,13 +388,13 @@ NX_ENV = reduction.NVar("x", ENV)
 FOREIGN = [
     ("typecheck._judge", lambda: typecheck._judge(_StraySkeleton())),
     ("reduction._elaborate", lambda: reduction._elaborate(_StraySkeleton())),
-    ("reduction.from_neq", lambda: reduction.from_neq(_StrayForm())),
+    ("reduction._certify", lambda: reduction._certify(_StraySkeleton())),
     ("reduction.subst_term", lambda: reduction.subst_term("x", Var("y"), A)),
     ("reduction.subst_redex", lambda: reduction.subst_redex(A, "x", NX_ENV)),
     ("reduction._term_names", lambda: reduction._term_names(A, {})),
-    ("reduction.transform_T", lambda: reduction.transform_T(QX)),
+    ("reduction.transform_T", lambda: reduction.transform_T(_StraySkeleton())),
     ("reduction._extend_envs", lambda: reduction._extend_envs(A, [("y", B)])),
-    ("reduction._subst", lambda: reduction.subst_neq("a", B, QX)),
+    ("reduction._subst", lambda: reduction.subst_neq("a", B, _StraySkeleton())),
     ("syntax.ftv", lambda: syntax.ftv(Var("x"))),
     ("syntax._type_ftv", lambda: syntax.ftv(_StrayType())),
     ("syntax.fv", lambda: syntax.fv(A)),
@@ -417,4 +418,4 @@ def test_walkers_without_a_type_error_keep_their_answer_on_foreign_nodes():
     with pytest.raises(reduction.NotAStep):
         reduction._step_at(A)
     with pytest.raises(reduction.NotAStep):
-        reduction.step_neq(reduction.NAbs("x", NX_ENV))
+        reduction.step_neq(QAbs("x", NX_ENV))

@@ -11,24 +11,24 @@ from generators import (
     decorate_dummies_inside, random_neq_decoration, random_term, random_type,
 )
 from helpers import (
-    cbv_step_de_bruijn, constraint_nodes, count_calls, count_instances, de_bruijn,
-    decide, id_chain, poly_chain, skeleton_nodes,
+    carried_proofs, cbv_step_de_bruijn, constraint_nodes, count_calls, count_instances,
+    de_bruijn, decide, id_chain, poly_chain, skeleton_nodes,
 )
 from reference_subst import binders, free_vars, substitute
 from test_acceptance import _decorated_neq_starts, _reduction_cases
 from fskel.reduction import (
-    BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NAbs, NApp,
-    NEnvSub, NEVar, NForall, NeqError, NotAStep, NotSolved, NSub, NVar,
-    QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
-    is_value, preserve, step_neq, subst_neq, subst_term, sz, to_neq, transform_T,
+    BadSubProof, DummyElim, DummyIn, EVarCong, FunCong, Inst, NeqError, NotAStep,
+    NotSolved, QuantComm, QuantCong, cbv_step, check_neq, check_subproof, from_neq,
+    is_value, preserve, proved, step_neq, subst_neq, subst_term, sz, to_neq,
+    transform_T,
 )
 from fskel.solve import RELATIONS
 from fskel.surface import (
     parse_skeleton, parse_term, parse_type, print_skeleton, print_term,
 )
 from fskel.syntax import (
-    NEQ_UNSET, Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak,
-    Subst, TVar, TypeEnv, Var, env_eq, ftv, type_eq,
+    NEQ_SELF, NEQ_UNSET, Abs, App, Arrow, Forall, QAbs, QApp, QEVar, QForall, QSub,
+    QVar, QWeak, Subst, TVar, TypeEnv, Var, env_eq, ftv, type_eq,
 )
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 
@@ -181,7 +181,7 @@ def test_malformed_proofs_are_rejected(p):
 
 
 # ---------------------------------------------------------------------------
-# Proof-carrying skeletons
+# Proof-carrying skeletons: skeletons whose |> carry their proofs
 
 
 def _example():
@@ -207,14 +207,15 @@ def test_to_neq_requires_solved():
 
 @pytest.mark.parametrize("source, marked", [("all b. b -> b", True), ("all b. b", False)])
 def test_preserve_checks_the_certificate_of_each_rebuilt_step(source, marked):
-    # a |> that a step rebuilds, and that keeps no form, is certified by its
-    # Inst proof: the body's judged type must equal the proof's source. A
-    # form is planted on the skeleton so that the step rebuilds such a |>
-    # over a body judged at all b. b -> b, with a proof from `source`.
+    # a |> that a step rebuilds, and that is not its own form, is certified
+    # by its Inst proof: the body's judged type must equal the proof's
+    # source. A form is planted on the skeleton so that the step rebuilds
+    # such a |> over a body judged at all b. b -> b, with a proof from
+    # `source`.
     app = parse_skeleton("(\\x. x<x: b -> b>) @ (\\z. z<z: b>)")
     q = QSub(QForall("b", app), parse_type("c -> c"))
     j = check_skeleton(q)
-    planted = NSub(to_neq(QForall("b", app)), Inst(parse_type(source), parse_type("c")))
+    planted = proved(to_neq(QForall("b", app)), Inst(parse_type(source), parse_type("c")))
     object.__setattr__(q, "_neq", planted)
     contractum = app.arg._judgement.constraint
     if marked:
@@ -248,7 +249,7 @@ def test_sz_base_cases():
     n = to_neq(_example())
     assert sz(n) >= 1
     fun = n.fun if hasattr(n, "fun") else None
-    assert isinstance(fun, NAbs) and sz(fun) == 1
+    assert isinstance(fun, QAbs) and sz(fun) == 1
 
 
 def test_step_neq_beta():
@@ -269,8 +270,8 @@ def test_step_exposes_an_abstraction_under_a_dummy_elimination():
     # the function part's proof starts at all d. (c0 -> c0) -> c0 -> c0,
     # which equals the abstraction's type
     c = T("c0 -> c0")
-    n = NApp(NSub(NAbs("z", NVar("z", _env(z="c0 -> c0"))), DummyElim("d", Arrow(c, c))),
-             NAbs("z0", NVar("z0", _env(z0="c0"))))
+    n = QApp(proved(QAbs("z", QVar("z", _env(z="c0 -> c0"))), DummyElim("d", Arrow(c, c))),
+             QAbs("z0", QVar("z0", _env(z0="c0"))))
     _, env, t = check_neq(n)
     assert type_eq(t, c)
     m2, env2, t2 = check_neq(step_neq(n))
@@ -280,12 +281,12 @@ def test_step_exposes_an_abstraction_under_a_dummy_elimination():
 def test_transform_instantiates_the_binder_under_a_dummy():
     # the Inst's binder is the real all a, not the dummy all d above it
     tau = T("all a. a -> a")
-    n = NSub(NSub(NForall("a", NAbs("y", NVar("y", _env(y="a")))), DummyElim("d", tau)),
-             Inst(T("all b0. b0 -> b0"), tau))
+    n = proved(proved(QForall("a", QAbs("y", QVar("y", _env(y="a")))), DummyElim("d", tau)),
+               Inst(T("all b0. b0 -> b0"), tau))
     _, env, t = check_neq(n)
     n2 = transform_T(n)
     _, env2, t2 = check_neq(n2)
-    assert isinstance(n2, NAbs) and env_eq(env2, env) and type_eq(t2, t)
+    assert isinstance(n2, QAbs) and env_eq(env2, env) and type_eq(t2, t)
 
 
 def test_transform_instantiates_the_binder_the_proof_names():
@@ -293,11 +294,11 @@ def test_transform_instantiates_the_binder_the_proof_names():
     # binders of the canonical block, with b0 standing for b
     env = "f: a -> b, x: a"
     q = parse_skeleton(f"all a. all b. \\f. \\x. f<{env}> @ x<{env}>")
-    n = NSub(to_neq(q), Inst(T("all b1. all b0. (b0 -> b1) -> b0 -> b1"), T("c")))
+    n = proved(to_neq(q), Inst(T("all b1. all b0. (b0 -> b1) -> b0 -> b1"), T("c")))
     _, env0, t = check_neq(n)
     n2 = transform_T(n)
     _, env2, t2 = check_neq(n2)
-    assert isinstance(n2, NForall) and n2.binder == "a" and isinstance(n2.body, NAbs)
+    assert isinstance(n2, QForall) and n2.binder == "a" and isinstance(n2.body, QAbs)
     assert env_eq(env2, env0) and type_eq(t2, T("all a. (a -> c) -> a -> c"))
 
 
@@ -307,11 +308,11 @@ def test_transform_pushes_a_quantifier_congruence_into_the_block():
     env = "f: a -> b, x: a"
     q = parse_skeleton(f"all a. all b. \\f. \\x. f<{env}> @ x<{env}>")
     proof = QuantCong("b", Inst(T("all a. (a -> b) -> a -> b"), T("all a. a -> a")))
-    n = NSub(NSub(to_neq(q), QuantComm(T("all a. all b. (a -> b) -> a -> b"))), proof)
+    n = proved(proved(to_neq(q), QuantComm(T("all a. all b. (a -> b) -> a -> b"))), proof)
     _, env0, t = check_neq(n)
     n2 = transform_T(n)
     _, env2, t2 = check_neq(n2)
-    assert isinstance(n2, NForall) and isinstance(n2.body, NAbs)
+    assert isinstance(n2, QForall) and isinstance(n2.body, QAbs)
     assert env_eq(env2, env0) and type_eq(t2, t)
 
 
@@ -320,33 +321,40 @@ def test_transform_drops_every_equality_step():
     _, env, t = check_neq(n)
     steps = [DummyIn("d", t), FunCong(DummyElim("d", t.dom), DummyIn("d", t.cod))]
     for p in steps:
-        assert transform_T(NSub(n, p)) is n
-    assert transform_T(NEnvSub(n.body, "x", DummyElim("d", T("a -> a")))) is n.body
-    assert transform_T(NSub(n, Inst(Forall("e", t), T("c")))) is n  # dummy binder
+        assert transform_T(proved(n, p)) is n
+    assert transform_T(proved(n, Inst(Forall("e", t), T("c")))) is n  # dummy binder
 
 
 def test_transform_keeps_a_step_with_no_quantifier_to_take():
-    # the variable's own type is quantified: there is no NForall to push into
+    # the variable's own type is quantified: there is no QForall to push into
     tau = T("all a. a -> a")
-    n = NSub(NVar("f", TypeEnv((("f", tau),))), Inst(tau, T("c")))
+    n = proved(QVar("f", TypeEnv((("f", tau),))), Inst(tau, T("c")))
     assert transform_T(n) == n
 
 
+def _carrying(body, target, proof):
+    """body |> target, carrying proof whatever its end."""
+    n = QSub(body, target)
+    object.__setattr__(n, "_proof", proof)
+    return n
+
+
 @pytest.mark.parametrize("n, message", [
-    (NVar("x", TypeEnv((("x", T("a")), ("x", T("b"))))), "mentions a variable twice"),
-    (NVar("x", _env(y="a")), "x not in its environment"),
-    (NAbs("z", NVar("x", _env(x="a"))), "binder z not in the body environment"),
-    (NApp(NVar("f", _env(f="a -> a")), NVar("x", _env(x="a"))), "different environments"),
-    (NApp(NVar("x", _env(x="a")), NVar("x", _env(x="a"))), "not have an arrow type"),
-    (NApp(NVar("f", _env(f="a -> a", x="b")), NVar("x", _env(f="a -> a", x="b"))),
+    (QVar("x", TypeEnv((("x", T("a")), ("x", T("b"))))), "mentions a variable twice"),
+    (QVar("x", _env(y="a")), "x not in its environment"),
+    (QAbs("z", QVar("x", _env(x="a"))), "binder z not in the body environment"),
+    (QApp(QVar("f", _env(f="a -> a")), QVar("x", _env(x="a"))), "different environments"),
+    (QApp(QVar("x", _env(x="a")), QVar("x", _env(x="a"))), "not have an arrow type"),
+    (QApp(QVar("f", _env(f="a -> a", x="b")), QVar("x", _env(f="a -> a", x="b"))),
      "does not match the function domain"),
-    (NForall("a", NVar("x", _env(x="a"))), "a is free in the environment"),
-    (NEVar("s", frozenset(), NVar("x", _env(x="a"))), "forbidden set too small"),
-    (NSub(NVar("x", _env(x="a")), Inst(T("all b. b"), T("a"))), "does not start at"),
-    (NEnvSub(NVar("x", _env(x="a")), "y", DummyIn("d", T("a"))), "absent variable y"),
-    (NEnvSub(NVar("x", _env(x="all b. b")), "x", Inst(T("all b. b"), T("a"))),
-     "must be an equality"),
-    (NEnvSub(NVar("x", _env(x="a")), "x", DummyIn("d", T("b"))), "does not end at"),
+    (QForall("a", QVar("x", _env(x="a"))), "a is free in the environment"),
+    (QEVar("s", frozenset(), QVar("x", _env(x="a"))), "forbidden set too small"),
+    (proved(QVar("x", _env(x="a")), Inst(T("all b. b"), T("a"))), "does not start at"),
+    (QSub(QVar("x", _env(x="a")), T("all d. a")), "carries no proof"),
+    # the target must be the very type the proof ends at, not one equal to it
+    (_carrying(QVar("x", _env(x="a")), T("all e. a"), DummyIn("d", T("a"))),
+     "does not end at"),
+    (_carrying(QVar("x", _env(x="a")), T("b"), DummyIn("d", T("a"))), "does not end at"),
 ])
 def test_check_neq_rejects(n, message):
     with pytest.raises(NeqError, match=message):
@@ -469,87 +477,95 @@ def _built_inside(monkeypatch, name, classes):
     return inside
 
 
-FORMS = (NVar, NAbs, NApp, NForall, NEVar, NSub, NEnvSub)
 SKELETONS = (QVar, QAbs, QApp, QForall, QEVar, QSub, QWeak)
 
 
 def test_a_step_builds_its_path_once(monkeypatch):
-    # the first step's flattening gives the path to its redex and the
-    # contractum their forms, so the second step's elaboration makes no
-    # form; from_neq builds the n - 2 new path nodes, the contractum being
-    # the argument's own skeleton, and nothing else builds a skeleton node
+    # the first step marks the path to its redex and the contractum as
+    # their own forms, so the second step's elaboration builds nothing;
+    # the step builds the n - 2 new path nodes, the contractum being the
+    # argument's own skeleton, and nothing else builds a skeleton node
     for n in (8, 16):
         q = id_chain(n)
         q = preserve(q, cbv_step(check_skeleton(q).term))
         m_next = cbv_step(check_skeleton(q).term)
-        assert all(node._neq is not NEQ_UNSET for node in skeleton_nodes(q).values())
+        assert all(node._neq is NEQ_SELF for node in skeleton_nodes(q).values())
         old = skeleton_nodes(q)
-        elaborated = _built_inside(monkeypatch, "_elaborate", FORMS)
-        flattened = _built_inside(monkeypatch, "from_neq", SKELETONS)
+        elaborated = _built_inside(monkeypatch, "_elaborate", SKELETONS)
+        stepped = _built_inside(monkeypatch, "_step_at", SKELETONS)
         built = [count_instances(monkeypatch, c) for c in SKELETONS]
         q2 = preserve(q, m_next)
         monkeypatch.undo()
         new = [i for i in skeleton_nodes(q2) if i not in old]
         assert elaborated[0] == 0
-        assert flattened[0] == n - 2
+        assert stepped[0] == n - 2
         assert sum(c[0] for c in built) == len(new) == n - 2
 
 
-def test_step_neq_builds_no_skeleton(monkeypatch):
-    # a step on a proof-carrying skeleton stays in that language: over whole
-    # runs, and on decorated starts, step_neq builds no skeleton node
+def test_step_neq_builds_only_its_reduct(monkeypatch):
+    # a step builds its reduct and nothing to flatten: over whole runs, and
+    # on decorated starts, every node step_neq builds, but for the
+    # intermediate nodes of T, is a node of its result
     starts = [to_neq(chain(n)) for chain in (id_chain, poly_chain) for n in (8, 16)]
     starts += list(_decorated_neq_starts(random.Random(29), 40))
-    inside = _built_inside(monkeypatch, "step_neq", SKELETONS)
     steps = 0
     for n in starts:
         while cbv_step(check_neq(n)[0]) is not None:
-            n = reduction.step_neq(n)
+            inside = _built_inside(monkeypatch, "step_neq", SKELETONS)
+            in_t = _built_inside(monkeypatch, "transform_T", SKELETONS)
+            n2 = reduction.step_neq(n)
+            monkeypatch.undo()
+            old = skeleton_nodes(n)
+            assert inside[0] - in_t[0] == len([i for i in skeleton_nodes(n2) if i not in old])
+            n = n2
             steps += 1
-    monkeypatch.undo()
-    assert steps >= 40 and inside[0] == 0
+    assert steps >= 40
 
 
 @pytest.mark.parametrize("chain", [id_chain, poly_chain])
 def test_only_the_input_is_elaborated(monkeypatch, chain):
-    # every node a step builds keeps its form, the |> nodes of the
-    # substituted polymorphic function included, since each body is judged
-    # at the very type its proof was settled from
+    # the input is its own form: elaboration builds no node and settles
+    # each distinct |> once; every node a step builds is marked as its own
+    # form, the |> nodes of the substituted polymorphic function included,
+    # so no later elaboration settles or builds anything
     for n in (8, 16):
         q = chain(n)
-        made = _built_inside(monkeypatch, "_elaborate", FORMS)
+        made = _built_inside(monkeypatch, "_elaborate", SKELETONS)
+        settled = count_calls(monkeypatch, ["reduction._sub_step"])
         j = check_skeleton(q)
         q = preserve(q, cbv_step(j.term))
-        first = made[0]
+        first = settled["reduction._sub_step"]
         j = check_skeleton(q)
         while (m := cbv_step(j.term)) is not None:
             q = preserve(q, m)
             j = check_skeleton(q)
         monkeypatch.undo()
-        assert first == len(skeleton_nodes(chain(n))) and made[0] == first
+        assert made[0] == 0
+        assert first == (chain is poly_chain) == settled["reduction._sub_step"]
 
 
 def _forms_are_elaborated(q, old=()):
     """Every node of q, but those whose ids are in old, that keeps a form
-    keeps the one elaborating a fresh parse of it makes, and the form points
-    back to it; the number of such nodes."""
+    keeps the one elaborating a fresh parse of it makes, with the same
+    proofs; the number of such nodes."""
     kept = 0
     for i, node in skeleton_nodes(q).items():
         n = node._neq
         if i in old or n is None or n is NEQ_UNSET:
             continue
-        assert n == to_neq(parse_skeleton(print_skeleton(node)))
-        assert n._source() is node
+        form = node if n is NEQ_SELF else n
+        fresh = to_neq(parse_skeleton(print_skeleton(node)))
+        assert form == fresh and carried_proofs(form) == carried_proofs(fresh)
         kept += 1
     return kept
 
 
 def test_forms_kept_by_a_step_are_the_elaborated_ones():
-    # the starts of the seeded properties on decorated skeletons: forms
-    # decorated at every depth, flattened by from_neq, and skeletons with
-    # dummy quantifiers and steps between equal types inside, each reduced
-    # by preserve to normal form
-    starts = [from_neq(n) for n in _decorated_neq_starts(random.Random(1013), 150)]
+    # the starts of the seeded properties on decorated skeletons: skeletons
+    # decorated at every depth with |> carrying proofs of every kind, and
+    # skeletons with dummy quantifiers and steps between equal types
+    # inside, each elaborated and reduced by preserve to normal form
+    starts = list(_decorated_neq_starts(random.Random(1013), 150))
     rng = random.Random(1014)
     cases = _reduction_cases()
     while len(starts) < 300:
@@ -562,6 +578,7 @@ def test_forms_kept_by_a_step_are_the_elaborated_ones():
     kept = [0, 0]
     for i, q in enumerate(starts):
         if i < 150:
+            to_neq(q)
             kept[0] += _forms_are_elaborated(q)
         j = check_skeleton(q)
         while (m := cbv_step(j.term)) is not None:
@@ -656,22 +673,21 @@ def test_substitution_renames_a_quantifier_congruence_binder_away_from_its_proof
     # b is free in the image, so QuantCong's b is renamed; b_0 is free in the
     # inner proof, so the new name must not be b_0
     env = TypeEnv((("x", TVar("d")), ("y", TVar("b")), ("z", TVar("b_0"))))
-    n = NSub(NForall("b", NForall("d", NAbs("x", NAbs("y", NVar("z", env))))),
-             QuantCong("b", Inst(T("all d. d -> b -> b_0"), TVar("c"))))
+    n = proved(QForall("b", QForall("d", QAbs("x", QAbs("y", QVar("z", env))))),
+               QuantCong("b", Inst(T("all d. d -> b -> b_0"), TVar("c"))))
     assert type_eq(check_neq(n)[2], T("all b. c -> b -> b_0"))
     _, _, t = check_neq(subst_neq("c", TVar("b"), n))
     assert type_eq(t, T("all b_1. b -> b_1 -> b_0"))
 
 
 def _proofs_in(n):
-    """The proof of every NSub and NEnvSub in n."""
-    while not isinstance(n, NVar):
-        match n:
-            case NSub(_, proof) | NEnvSub(_, _, proof):
-                yield proof
-            case NApp(f, _):
-                yield from _proofs_in(f)
-        n = n.arg if isinstance(n, NApp) else n.body
+    """The proof of every |> in n."""
+    while not isinstance(n, QVar):
+        if isinstance(n, QSub):
+            yield n._proof
+        if isinstance(n, QApp):
+            yield from _proofs_in(n.fun)
+        n = n.arg if isinstance(n, QApp) else n.body
 
 
 def _quant_cong_vars(p):
