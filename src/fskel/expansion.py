@@ -78,10 +78,10 @@ def apply_subst_set(phi: Subst, vs: frozenset[str]) -> frozenset[str]:
 def apply_subst(phi: Subst, subject):
     """Apply a substitution to a type, expansion, constraint, environment or
     skeleton (apply_subst_set maps a type-variable set). One call keeps one
-    table that maps each type, each environment (by identity: the parser
-    and initial_skeleton share them) and each forbidden set it meets to its
-    image, so a node met again is mapped once; ftv(phi) is computed only
-    when a binder is tested for a clash."""
+    table that maps each type, each environment and each variable leaf (by
+    identity: the parser and initial_skeleton share them) and each forbidden
+    set it meets to its image, so a node met again is mapped once; ftv(phi)
+    is computed only when a binder is tested for a clash."""
     image = _Image(phi)
     if isinstance(subject, Type):
         return image.of_type(subject)
@@ -99,7 +99,7 @@ def apply_subst(phi: Subst, subject):
 class _Image:
     """The images under one substitution, each computed once in `table`:
     a type keyed by itself, a forbidden set by its value, and an
-    environment by its id, with the environment kept next to its image so
+    environment or a variable leaf by its id, kept next to its image so
     that no id is reused while the table lives (a renamed binder's body is
     built during the call and may be dropped). A binder is renamed when it
     is in ftv(phi) (`clash`, built the first time a binder is tested)."""
@@ -176,7 +176,10 @@ class _Image:
         if cls is QApp:
             return QApp(self.of_skel(q.fun), self.of_skel(q.arg))
         if cls is QVar:
-            return QVar(q.var, self.of_env(q.env))
+            got = self.table.get(id(q))
+            if got is None:
+                got = self.table[id(q)] = q, QVar(q.var, self.of_env(q.env))
+            return got[1]
         if cls is QSub:
             return QSub(self.of_skel(q.body), self.of_type(q.target))
         if cls is QAbs:

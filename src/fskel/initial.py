@@ -3,7 +3,7 @@ and the constructive derivation of a substitution mapping an initial skeleton
 onto any valid skeleton of the same term. The derivation types each of its two
 skeletons once and walks the target once; the variables of both skeletons are
 gathered only if the target has a QForall binder to rename, and the
-substitution holds one binding per E-variable."""
+substitution binds each name once."""
 
 from __future__ import annotations
 
@@ -89,7 +89,9 @@ class _AApp(Node):
 def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, FreshSupply]:
     """Build the initial skeleton of m; returns it with the variable
     environment for m's free variables and the advanced supply. Binders are
-    renamed so that none shadows another binder or a free variable."""
+    renamed so that none shadows another binder or a free variable. Each
+    scope's environment is one object, and so is each variable's leaf in
+    it."""
     free = fv(m)
     used = set(free)
     # the supply's counters, advanced in place; one supply is built at the end
@@ -130,15 +132,16 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
 
     annotated = alloc(m, {})
 
-    envs: dict[frozenset[str], tuple[TypeEnv, frozenset[str]]] = {}
+    envs: dict[frozenset[str], tuple[TypeEnv, frozenset[str], dict[str, QVar]]] = {}
 
-    def env_at(scope: frozenset[str]) -> tuple[TypeEnv, frozenset[str]]:
-        """The environment of a scope and its type variables, built once."""
+    def env_at(scope: frozenset[str]) -> tuple[TypeEnv, frozenset[str], dict[str, QVar]]:
+        """The environment of a scope, its type variables and its leaves by
+        variable, built once."""
         got = envs.get(scope)
         if got is None:
             env = TypeEnv(tuple(
                 (x, TVar(a)) for x, a in tvar_of.items() if x in free or x in scope))
-            got = envs[scope] = env, ftv(env)
+            got = envs[scope] = env, ftv(env), {}
         return got
 
     def build(node, scope: frozenset[str]) -> tuple[Skeleton, Type]:
@@ -151,9 +154,11 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
             return QEVar(s, delta, QApp(QSub(qf, Arrow(ta, a)), qa)), EVarApp(s, delta, a)
         if cls is _AVar:
             x, s = node.var, node.evar
-            env, delta = env_at(scope)
-            return (QEVar(s, delta, QVar(x, env)),
-                    EVarApp(s, delta, TVar(tvar_of[x])))
+            env, delta, leaves = env_at(scope)
+            leaf = leaves.get(x)
+            if leaf is None:
+                leaf = leaves[x] = QVar(x, env)
+            return QEVar(s, delta, leaf), EVarApp(s, delta, TVar(tvar_of[x]))
         if cls is _AAbs:
             x = node.binder
             qb, tb = build(node.body, scope | {x})
@@ -307,11 +312,14 @@ def _mentions(q: Skeleton, name: str) -> bool:
 def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, TypeEnv]:
     """A substitution phi and extra environment G' such that
     QWeak(apply_subst(phi, q_init), G') reproduces q_target's judgement up to
-    a reflexive constraint remainder; phi holds one binding per E-variable
-    of q_init. Cost: typing the nodes of either skeleton not judged before
-    (none, for a skeleton its caller has checked) and one walk of the
-    target, which renames the target's binders as it goes instead of
-    rebuilding it and reads each function part's type from its judgement.
+    a reflexive constraint remainder; phi binds each name once: each
+    E-variable of q_init, each application's codomain variable, and each
+    term variable's type variable at its first leaf (first match wins, so
+    a later leaf's binding would be dead). Cost: typing the nodes of either
+    skeleton not judged before (none, for a skeleton its caller has
+    checked) and one walk of the target, which renames the target's
+    binders as it goes instead of rebuilding it and reads each function
+    part's type from its judgement.
     A renamed QForall binder takes the first of fresh_name's candidates
     (a, a_0, a_1, ...) that is not in allvar of either skeleton, nor free
     in the target's environment, nor taken by a binder renamed before; each
@@ -341,7 +349,7 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
         return candidate
 
     bindings: list[tuple[str, Type | Expansion]] = []
-    first: dict[str, Type] = {}  # each term variable's type variable -> its first binding
+    first: dict[str, Type] = {}  # each term variable's type variable -> its binding
 
     def walk(q_i: Skeleton, q_t: Skeleton, names: dict[str, str], phi: Subst) -> Expansion:
         """The expansion of q_i's E-variable that maps q_i onto q_t; the
@@ -397,11 +405,11 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
                 raise TermMismatch("binder renaming collides with an environment entry")
             for xi, ti in body_i.env.entries:
                 g = env.get(xi)
-                if g is not None and type(ti) is TVar:
+                if g is not None and type(ti) is TVar and ti.name not in first:
                     if phi.bindings:
                         g = apply_subst(phi, g)
                     bindings.append((ti.name, g))
-                    first.setdefault(ti.name, g)
+                    first[ti.name] = g
         elif cls is QAbs and cls_i is QAbs:
             body_t = body_i.body
             exp = walk(body_t, q_t.body, {**names, q_t.binder: body_i.binder}, phi)

@@ -36,19 +36,20 @@ reader; their nesting is bounded by Python's recursion limit.  A
 table maps the tokens of a group to the value read from them.  A group is
 a parenthesised type opened outside any other group of the same type, from
 its '(' to the first later token at which the paren depth falls back, a
-variable leaf's environment, from its '<' to the next '>' (environments
-do not nest), or a variable set, from its '{' to the next '}' (';' in a
-guard); the opening token tells the kinds apart.  A copy of a group in the table
-is stepped over, not read again, so the environments, variable sets and
-`|>` targets a printed skeleton repeats at every leaf are read once.  Only
+variable leaf, from its name to the next '>' (environments do not nest),
+the leaf's environment, from its '<', or a variable set, from its '{' to
+the next '}' (';' in a guard); the opening token tells the kinds apart.  A
+copy of a group in the table is stepped over, not read again, so the
+environments, variable sets and `|>` targets a printed skeleton repeats at
+every leaf are read once, and equal leaf texts share one leaf.  Only
 a reading that succeeds is stored, and it ends at the group's closing
 token; types are interned; so the table changes no value and no error.  A
-key costs its token count, and keyed groups do not overlap, so parsing is
-linear in the text.  The parser backtracks (by resetting the index) in
-two places, each a bounded number of times: a substitution value is read
-as an expansion and, if that fails, once more as a type; a constraint
-atom not opening with '(' is read as "T <= T" and, if that fails, as a
-guard.  The choice between a parenthesised type and a parenthesised
+key costs its token count, and keyed groups overlap only where a leaf
+holds its environment, so parsing is linear in the text.  The parser
+backtracks (by resetting the index) in two places, each a bounded number
+of times: a substitution value is read as an expansion and, if that
+fails, once more as a type; a constraint atom not opening with '(' is
+read as "T <= T" and, if that fails, as a guard.  The choice between a parenthesised type and a parenthesised
 constraint is left-factored, so a constraint atom that opens with k
 parentheses is read once.  The type and skeleton printers emit into one
 list from an explicit stack; see "Printers" below.
@@ -86,6 +87,10 @@ _KIND = {s: s for s in KEYWORDS + SYMBOLS}
 # how often a printed skeleton's tokens take them.  `[^\W\d]` is a word character
 # that is not a decimal digit: for ASCII text exactly a letter or `_`.
 _TOKEN = re.compile(r"([\\.@()^{},>&\[\];+]|[^\W\d][\w']*|:=?|<=?|->|\|>)|[^ \t\r\n]")
+# The same tokens in ASCII text, where a word character that is not a digit
+# is a letter or `_`: explicit classes scan faster than `\w`.
+_TOKEN_ASCII = re.compile(
+    r"([\\.@()^{},>&\[\];+]|[A-Za-z_][A-Za-z0-9_']*|:=?|<=?|->|\|>)|[^ \t\r\n]")
 # How a token of each kind moves the paren depth.
 _DEPTH = {"(": 1, ")": -1}
 
@@ -103,9 +108,10 @@ def _error(message: str, text: str, offset: int) -> ParseError:
 
 def tokenize(text: str) -> tuple[list[str], list[str]]:
     """The kinds and the values of text's tokens, ending with ("eof", "")."""
-    values = _TOKEN.findall(text)
+    plain = text.isascii()
+    values = (_TOKEN_ASCII if plain else _TOKEN).findall(text)
     bad = values.index("") if "" in values else len(values)
-    if not text.isascii():
+    if not plain:
         # outside ASCII, `[^\W\d]` also admits numerals such as ² and Ⅻ
         bad = next((i for i, v in enumerate(islice(values, bad))
                     if v not in _KIND and not (v[0].isalpha() or v[0] == "_")), bad)
@@ -143,7 +149,7 @@ class Parser:
         self.kinds, self.values = tokenize(text)
         self.pos = 0
         # a group's tokens -> the value read from them (see "Cost" above)
-        self.memo: dict[tuple[str, ...], Type | TypeEnv | frozenset[str]] = {}
+        self.memo: dict[tuple[str, ...], Type | TypeEnv | QVar | frozenset[str]] = {}
         # the paren depth after each token, made when a type group is first read
         self.depth: list[int] | None = None
 
@@ -527,18 +533,23 @@ class Parser:
                 self.expected("ident", pos)
             if kinds[pos + 1] != "<":
                 self.expected("<", pos + 1)
-            # no type holds a '>', so a reading that succeeds ends at the next one
+            # no type holds a '>', so a reading that succeeds ends at the next
+            # one; the leaf's key is its tokens, its environment's key the same
+            # from the '<'
             try:
                 end = kinds.index(">", pos + 2) + 1
             except ValueError:  # no '>' closes it, so reading it fails
                 end = pos + 2
-            key = tuple(values[pos + 1:end])
-            env = memo.get(key)
-            if env is None:
-                self.pos = pos + 2
-                env = memo[key] = self.env_entries(">")
-                end = self.pos
-            q = QVar(values[pos], env)
+            leaf = tuple(values[pos:end])
+            q = memo.get(leaf)
+            if q is None:
+                key = leaf[1:]
+                env = memo.get(key)
+                if env is None:
+                    self.pos = pos + 2
+                    env = memo[key] = self.env_entries(">")
+                    end = self.pos
+                q = memo[leaf] = QVar(values[pos], env)
             pos = end
             while True:
                 # q is an atom

@@ -38,21 +38,57 @@ MEMO_EMPTY = {"_solved": (), "_neq": NEQ_UNSET}
 
 
 @functools.cache
-def _maker(fields: tuple[str, ...], memo: tuple[str, ...]):
+def _maker(fields: tuple[str, ...], memo: tuple[str, ...], mark: str | None = None):
     """Compile a function that takes the fields' and memo slots' setters and
     the memo slots' empty values, and returns a node class's `__init__` and
     `_parts` (the tuple of its fields); classes with the same fields and
-    memo slots share it."""
+    memo slots share it. Given mark, the source of a new type's `_canonical`
+    value, it returns an interning `__new__` in place of `__init__`, with a
+    fixed arity, and takes `_INTERN` after the empty values."""
+    values = {n: f"_empty_{n}" for n in memo}
+    if mark is not None:
+        values["_canonical"] = mark
     stores = "".join(f"\n        _set_{n}(self, {n})" for n in fields)
-    stores += "".join(f"\n        _set_{n}(self, _empty_{n})" for n in memo)
+    stores += "".join(f"\n        _set_{n}(self, {v})" for n, v in values.items())
     params = [f"_set_{n}" for n in fields + memo] + [f"_empty_{n}" for n in memo]
-    src = [f"def make({', '.join(params)}):",
-           f"    def __init__({', '.join(('self', *fields))}):{stores or ' pass'}",
+    args = "".join(f", {n}" for n in fields)
+    if mark is None:
+        src = [f"    def __init__(self{args}):{stores or ' pass'}"]
+    else:
+        params += ["_get", "_new", "_table", "_ref", "_drop", "_NO_FORALL"]
+        src = [f"    def __new__(cls{args}):",
+               f"        key = (cls{args},)",
+               "        ref = _get(key)",
+               "        if ref is not None:",
+               "            self = ref()",
+               "            if self is not None:",
+               "                return self",
+               f"        self = _new(cls){stores}",
+               "        ref = _table[key] = _ref(self, _drop)",
+               "        ref.key = key",
+               "        return self"]
+    src = [f"def make({', '.join(params)}):", *src,
            f"    def _parts(self):\n        return ({''.join(f'self.{n}, ' for n in fields)})",
-           "    return __init__, _parts"]
+           f"    return {'__init__' if mark is None else '__new__'}, _parts"]
     ns: dict = {}
     exec("\n".join(src), ns)
     return ns["make"]
+
+
+def _mark(cls: type, fields: tuple[str, ...]) -> str:
+    """The source of a new type's `_canonical` value: _NO_FORALL when no
+    Forall occurs in it (the fields its class states in `_kids` are so
+    marked), else None. A class with fields that states no `_kids`, or
+    names one that is not a field, is refused."""
+    kids = cls.__dict__.get("_kids", ())
+    if ("_kids" not in cls.__dict__ and fields
+            or kids is not None and not set(kids) <= set(fields)):
+        raise TypeError(f"type class {cls.__qualname__} must state `_kids`, "
+                        "a tuple of its fields that hold types, or None")
+    if kids is None:  # a Forall
+        return "None"
+    tests = " and ".join(f"{n}._canonical is _NO_FORALL" for n in kids)
+    return f"_NO_FORALL if {tests} else None" if kids else "_NO_FORALL"
 
 
 # Every node class, and every node class compared by structure (all but
@@ -86,11 +122,13 @@ class Node:
     it gets, once: `__match_args__` (its fields); an `__init__` that stores
     each field through its slot's member descriptor and each memo slot's
     empty value (`MEMO_EMPTY`, else None), so a memo slot starts empty when
-    its node is built and reading it is a plain attribute read (named
-    `_fill`, storing only the fields, when the class builds its nodes in
-    `__new__`, as the interned types do, which fill their memo slots
-    there). `_defaults` holds values for the last fields, as a function's
-    defaults do. A node has the dataclass repr and refuses assignment.
+    its node is built and reading it is a plain attribute read. A class
+    compared by identity, a type, gets an interning `__new__` of its own
+    arity in place of `__init__`: it looks the fields up in the weak table
+    and builds a missing node there, its `_canonical` slot marked from its
+    children's (`_mark`). `_defaults` holds values for the last fields, as
+    a function's defaults do. A node has the dataclass repr and refuses
+    assignment.
 
     Every node but an interned type compares by structure: `==` walks both
     nodes on one explicit stack, entering the fields of nodes and the
@@ -126,22 +164,26 @@ class Node:
             if getattr(base, "_final", False):
                 raise TypeError(f"cannot derive {cls.__qualname__} from {base.__qualname__}: "
                                 "a node class is final unless declared with final=False")
+        fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
+        interned = cls.__eq__ is object.__eq__  # a type
+        mark = _mark(cls, fields) if interned else None
         cls._final = final
         _NODES.add(cls)
         if cls.__eq__ is Node.__eq__:
             _STRUCTURAL.add(cls)
-        fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
         cls.__match_args__ = fields
-        builds_in_new = cls.__new__ is not object.__new__
-        memo = () if builds_in_new else tuple(
-            n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
-            if n[0] == "_" and n != "__weakref__")
+        memo = tuple(n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
+                     if n[0] == "_" and n != "__weakref__")
         setters = (getattr(cls, n).__set__ for n in fields + memo)
-        init, parts = _maker(fields, memo)(*setters, *(MEMO_EMPTY.get(n) for n in memo))
+        make = _maker(fields, memo, mark)
+        init, parts = make(*setters, *(MEMO_EMPTY.get(n) for n in memo),
+                           *(_INTERN if interned else ()))
         init.__defaults__ = cls._defaults
-        for name, method in (("_fill" if builds_in_new else "__init__", init), ("_parts", parts)):
-            method.__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, method)
+        name = "__new__" if interned else "__init__"
+        init.__qualname__ = f"{cls.__qualname__}.{name}"
+        parts.__qualname__ = f"{cls.__qualname__}._parts"
+        setattr(cls, name, staticmethod(init) if interned else init)
+        cls._parts = parts
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -345,6 +387,8 @@ def _drop(ref: _TypeRef) -> None:
 # which is so by construction and lets its parents be marked in turn.
 _IS_CANONICAL = object()
 _NO_FORALL = object()
+# What an interning constructor takes besides setters and empty values.
+_INTERN = (_TYPES.get, object.__new__, _TYPES, _TypeRef, _drop, _NO_FORALL)
 
 
 class Type(Node, final=False):
@@ -352,61 +396,43 @@ class Type(Node, final=False):
     and copies rebuild through the table. The memo slots hold pure
     functions of the node, each computed at most once: its free variables
     (`ftv`), its canonical form (`canonical_type`), its key (`_type_key`)
-    and its text (`surface.print_type`)."""
+    and its text (`surface.print_type`). Each type class with fields
+    states `_kids`, those that hold types, from which a new node's
+    no-Forall mark is read (`_mark`); Forall states None, as no Forall is
+    so marked."""
 
     __slots__ = ("_ftv", "_canonical", "_key", "_text", "__weakref__")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __new__(cls, *fields):
-        key = (cls, *fields)
-        ref = _TYPES.get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(cls)
-        node._fill(*fields)
-        canonical = None if cls is Forall else _NO_FORALL
-        for f in fields:
-            if isinstance(f, Type) and f._canonical is not _NO_FORALL:
-                canonical = None
-        _store_ftv(node, None)
-        _store_canonical(node, canonical)
-        _store_key(node, None)
-        _store_text(node, None)
-        ref = _TYPES[key] = _TypeRef(node, _drop)
-        ref.key = key
-        return node
-
-
-_store_ftv, _store_canonical, _store_key, _store_text = (
-    Type.__dict__[n].__set__ for n in Type.__slots__[:4])
-
 
 class TVar(Type):
     """Type variable: a"""
 
     __slots__ = ("name",)
+    _kids = ()
 
 
 class Arrow(Type):
     """Function type: T1 -> T2"""
 
     __slots__ = ("dom", "cod")
+    _kids = ("dom", "cod")
 
 
 class Forall(Type):
     """Universal quantifier: all a. T"""
 
     __slots__ = ("binder", "body")
+    _kids = None
 
 
 class EVarApp(Type):
     """E-variable application: s^{A} T"""
 
     __slots__ = ("evar", "forbidden", "body")
+    _kids = ("body",)
 
 
 # ---------------------------------------------------------------------------

@@ -73,14 +73,18 @@ def _judge(q: Skeleton) -> Judgement:
         if cls is QApp:
             j1 = go(q.fun)
             j2 = go(q.arg)
-            if not env_eq(j1.env, j2.env):
+            env = j1.env
+            if env is not j2.env and not env_eq(env, j2.env):
                 raise EnvMismatch("application premises carry different environments")
-            arr = as_arrow(j1.rtype)
-            if arr is None:
-                raise NotAnArrow("function part does not have an arrow type")
-            if not type_eq(arr.dom, j2.rtype):
+            arr = j1.rtype
+            if type(arr) is not Arrow:
+                arr = as_arrow(arr)
+                if arr is None:
+                    raise NotAnArrow("function part does not have an arrow type")
+            dom, rtype = arr.dom, j2.rtype
+            if dom is not rtype and not type_eq(dom, rtype):
                 raise DomainMismatch("argument type does not match the function domain")
-            j = Judgement(App(j1.term, j2.term), j1.env, arr.cod,
+            j = Judgement(App(j1.term, j2.term), env, arr.cod,
                           And(j1.constraint, j2.constraint))
         elif cls is QAbs:
             x = q.binder
@@ -129,10 +133,13 @@ def _judge(q: Skeleton) -> Judgement:
             j = Judgement(jb.term, jb.env.concat(extra), jb.rtype, jb.constraint)
         else:
             raise TypeError(q)
-        object.__setattr__(q, "_judgement", j)
+        _store_judgement(q, j)
         return j
 
     return go(q)
+
+
+_store_judgement = Skeleton._judgement.__set__
 
 
 def relevant(q: Skeleton) -> bool:

@@ -215,6 +215,16 @@ def poly_chain(n: int) -> Skeleton:
         f"((\\f. \\x. {text}) @ (all b. \\y. y<y: b>)) @ (\\w. w<w: c>)")
 
 
+def chain_target(n: int, wrap: bool = False) -> Skeleton:
+    """\\f. \\x. f @ (... @ x), n applications, typed with f: all b. b -> b
+    instantiated at c -> c at every use, under all g. if wrap."""
+    env = "f: all b. b -> b, x: c -> c"
+    body = f"x<{env}>"
+    for _ in range(n):
+        body = f"(f<{env}> |> (c -> c) -> c -> c) @ ({body})"
+    return parse_skeleton(("all g. " if wrap else "") + f"\\f. \\x. {body}")
+
+
 def carried_proofs(q: Skeleton) -> list:
     """The proof each |> of q carries, in pre-order, a shared node once per
     occurrence."""

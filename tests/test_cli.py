@@ -15,11 +15,11 @@ import pytest
 
 from fskel.cli import EXIT_INVALID, EXIT_OK, EXIT_UNSOLVED, main
 from fskel.reduction import NotSolved
-from fskel.surface import print_skeleton
+from fskel.surface import parse_skeleton, print_skeleton
 from fskel.typecheck import Judgement, SkeletonError, check_skeleton
 
 from generators import decorate_dummies_inside
-from helpers import count_calls, count_instances
+from helpers import count_calls, count_instances, skeleton_nodes
 from test_acceptance import _reduction_cases
 
 GOLDEN = "\\x. (x<x: all a. a> |> (all a. a) -> b) @ x<x: all a. a>"
@@ -329,9 +329,12 @@ def _id_chain(n):
 @pytest.mark.parametrize("rel", ["F", "EQ"])
 def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
     # at most one typing pass and one solvedness walk (the printed verdict)
-    # per step; a pass judges only the nodes the step rebuilt. The chain
-    # has 26 nodes, and step k rebuilds the 7 - k applications above its
-    # redex, whose contractum is the argument's skeleton, judged before.
+    # per step; a pass judges each distinct node once, and only the nodes
+    # the step rebuilt. The chain has 26 nodes, 19 distinct ones, as its
+    # eight leaves u<u: c -> c> read as one node, and step k rebuilds the
+    # 7 - k applications above its redex, whose contractum is the
+    # argument's skeleton, judged before.
+    assert len(skeleton_nodes(parse_skeleton(_id_chain(8)))) == 19
     path = write(_id_chain(8))
     calls = count_calls(monkeypatch, ["typecheck._judge", "solve.solved"])
     built = count_instances(monkeypatch, Judgement)
@@ -340,7 +343,7 @@ def test_reduce_judges_each_step_once(write, capsys, monkeypatch, rel):
     steps = out.count("\nstep ") + 1
     assert steps == 9
     assert calls["typecheck._judge"] <= steps and calls["solve.solved"] == steps
-    assert built[0] == 26 + sum(7 - k for k in range(8))
+    assert built[0] == 19 + sum(7 - k for k in range(8))
 
 
 def test_canonical_output_independent_of_hash_seed(write):

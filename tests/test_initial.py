@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from fskel.expansion import apply_subst, judgements_agree
-from generators import random_subst_for, random_term, random_valid_skeleton
+from generators import (
+    decorate_dummies_inside, random_subst_for, random_term, random_valid_skeleton,
+)
 from fskel.solve import RELATIONS, solved
 from fskel.initial import (
     TermMismatch, allvar, derive_substitution, initial_skeleton, reflexive,
@@ -22,7 +24,7 @@ from fskel.syntax import (
     TVar, TypeEnv, Var, env_eq, ftv, term_alpha_eq, type_eq,
 )
 from fskel.typecheck import check_skeleton, relevant
-from helpers import count_calls
+from helpers import chain_target, closed_corpus, count_calls, decorate, skeleton_for
 
 
 def test_free_variables_get_distinct_type_variables():
@@ -236,6 +238,42 @@ def test_derived_substitution_binds_each_evar_once():
     for _, sigma, _ in _derived(range(400)):
         evars = [name for name, val in sigma.bindings if isinstance(val, Expansion)]
         assert len(evars) == len(set(evars))
+
+
+def _one_binding_corpus():
+    """Targets of three families: chains, bare and under a quantifier;
+    decorated solved skeletons of the closed corpus; and random valid
+    skeletons with dummy quantifiers and steps decorated inside."""
+    for n in range(1, 41):
+        yield chain_target(n)
+        yield chain_target(n, True)
+    rng = random.Random(24)
+    for m in closed_corpus():
+        yield decorate(skeleton_for(m), rng)
+    for _ in range(300):
+        q = random_valid_skeleton(rng)
+        yield decorate_dummies_inside(rng, apply_subst(random_subst_for(rng, q), q), 0.3)
+
+
+# sha256 of the lines test_derived_substitution_binds_each_name_once hashes,
+# recorded from a derive_substitution that bound a term variable's type
+# variable again at every leaf: dropping those dead bindings changes no image
+ONE_BINDING_DIGEST = "2c9f30e6dafb9e37b1c00567bb5f6eda27e485bd32ef7001faa52d1d3d4c27b6"
+
+
+def test_derived_substitution_binds_each_name_once():
+    digest = hashlib.sha256()
+    for qt in _one_binding_corpus():
+        q0, _, _ = initial_skeleton(check_skeleton(qt).term, FreshSupply())
+        sigma, gamma = derive_substitution(q0, qt)
+        names = [name for name, _ in sigma.bindings]
+        assert len(names) == len(set(names))
+        line = print_skeleton(apply_subst(sigma, q0)) + " + " + print_type_env(gamma)
+        digest.update(line.encode() + b"\n")
+    # at n = 40: 83 E-variables, 40 codomain variables and the two leaf types
+    q0, _, _ = initial_skeleton(check_skeleton(chain_target(40)).term, FreshSupply())
+    assert len(derive_substitution(q0, chain_target(40))[0].bindings) == 125
+    assert digest.hexdigest() == ONE_BINDING_DIGEST
 
 
 def _left_nested(n: int):

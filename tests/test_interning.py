@@ -98,3 +98,97 @@ def test_table_is_weak_and_slots_make_no_cycle():
         assert len(syntax._TYPES) == before
     finally:
         gc.enable()
+
+
+# Names no other test uses, so every node built over them starts fresh here
+# and no canonical_type call elsewhere has touched its `_canonical` slot.
+_OWN = ("own_a", "own_b", "own_c")
+
+
+def _own_type(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return TVar(rng.choice(_OWN))
+    match rng.randrange(4):
+        case 0 | 1:
+            return Arrow(_own_type(rng, depth - 1), _own_type(rng, depth - 1))
+        case 2:
+            return Forall(rng.choice(_OWN), _own_type(rng, depth - 1))
+        case _:
+            forbidden = frozenset(rng.sample(_OWN, rng.randrange(3)))
+            return EVarApp(rng.choice(("s", "r")), forbidden, _own_type(rng, depth - 1))
+
+
+def _rebuilt(t):
+    """t built afresh, bottom-up, from its fields' values."""
+    if type(t) is TVar:
+        return TVar(t.name)
+    if type(t) is Arrow:
+        return Arrow(_rebuilt(t.dom), _rebuilt(t.cod))
+    if type(t) is Forall:
+        return Forall(t.binder, _rebuilt(t.body))
+    return EVarApp(t.evar, frozenset(t.forbidden), _rebuilt(t.body))
+
+
+def _has_forall(t) -> bool:
+    if type(t) is Forall:
+        return True
+    return any(_has_forall(f) for f in t._parts() if isinstance(f, syntax.Type))
+
+
+def test_generated_constructors_intern_mark_and_drop():
+    rng = random.Random(1101)
+    gc.disable()
+    try:
+        before = len(syntax._TYPES)
+        kept = []
+        for _ in range(600):
+            t = _own_type(rng, 6)
+            # equal fields give the same node, however they are passed
+            assert _rebuilt(t) is t and type(t)(*t._parts()) is t
+            # the mark: None exactly where a Forall occurs
+            if _has_forall(t):
+                assert t._canonical is None
+            else:
+                assert t._canonical is syntax._NO_FORALL
+            for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+                assert copied is t
+            kept.append(t)
+        assert len(syntax._TYPES) > before
+        # a dead node's entry is removed, and only its own
+        leaf = TVar("own_dead")
+        t = Arrow(leaf, leaf)
+        key = (Arrow, leaf, leaf)
+        alive = syntax._TYPES[key]() is t
+        del t
+        assert alive and key not in syntax._TYPES and TVar("own_dead") is leaf
+        del kept, copied, key, leaf
+        assert len(syntax._TYPES) == before
+    finally:
+        gc.enable()
+
+
+def test_each_type_class_states_the_fields_its_mark_reads():
+    # the no-Forall mark reads the fields a class states, so they must be
+    # exactly those that hold types (a Forall states None: never marked)
+    seen = {}
+    rng = random.Random(24)
+    for _ in range(300):
+        t = _own_type(rng, 4)
+        held = tuple(n for n in type(t).__match_args__
+                     if isinstance(getattr(t, n), syntax.Type))
+        seen.setdefault(type(t), set()).add(held)
+    assert set(seen) == {TVar, Arrow, Forall, EVarApp}
+    for cls, helds in seen.items():
+        assert helds == {("body",) if cls is Forall else cls._kids}
+    assert Forall._kids is None
+    # a type class that states none, or names a non-field, is refused
+    # before it is counted as a node class
+    nodes = set(syntax._NODES)
+    with pytest.raises(TypeError, match="_kids"):
+        class Unstated(syntax.Type):
+            __slots__ = ("left", "right")
+    with pytest.raises(TypeError, match="_kids"):
+        class Misnamed(syntax.Type):
+            __slots__ = ("left", "right")
+            _kids = ("dom", "cod")
+    assert syntax._NODES == nodes

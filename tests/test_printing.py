@@ -180,19 +180,19 @@ def _chain_skeleton(n: int):
     return q
 
 
-def _term_nodes(m) -> int:
-    """The number of distinct node objects in m."""
-    seen, todo = set(), [m]
+def _term_nodes(m) -> tuple[int, int]:
+    """The number of distinct node objects in m, and of their child links:
+    one fewer links than nodes where none is shared."""
+    seen, links, todo = set(), 0, [m]
     while todo:
         m = todo.pop()
         if id(m) in seen:
             continue
         seen.add(id(m))
-        if isinstance(m, Abs):
-            todo.append(m.body)
-        elif isinstance(m, App):
-            todo += (m.fun, m.arg)
-    return len(seen)
+        kids = (m.body,) if isinstance(m, Abs) else (m.fun, m.arg) if isinstance(m, App) else ()
+        links += len(kids)
+        todo += kids
+    return len(seen), links
 
 
 def _tree_term_renders(monkeypatch, q):
@@ -221,9 +221,12 @@ def test_tree_lines_render_each_term_node_once(monkeypatch):
         lines, rendered, calls[n] = _tree_term_renders(monkeypatch, q)
         assert lines == cli._tree_lines(q)
         assert len({id(m) for m in rendered}) == len(rendered)
-        assert len(rendered) == _term_nodes(check_skeleton(q).term)
-        # each line reads its term from the table but the first
-        assert calls[n] == len(rendered) + len(lines) - 1
+        nodes, links = _term_nodes(check_skeleton(q).term)
+        assert len(rendered) == nodes
+        # each line reads its term from the table but the first, and each
+        # node rendered reads its children: a shared one from the table
+        assert calls[n] == len(lines) + links
+        assert links > nodes - 1  # the leaves g are one Var
         renders[n] = len(rendered)
     # linear in n: the same number of renders and calls per application
     assert renders[40] - renders[20] == 2 * (renders[20] - renders[10])
