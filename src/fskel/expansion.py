@@ -78,10 +78,11 @@ def apply_subst_set(phi: Subst, vs: frozenset[str]) -> frozenset[str]:
 def apply_subst(phi: Subst, subject):
     """Apply a substitution to a type, expansion, constraint, environment or
     skeleton (apply_subst_set maps a type-variable set). One call keeps one
-    table that maps each type, each environment and each variable leaf (by
-    identity: the parser and initial_skeleton share them) and each forbidden
-    set it meets to its image, so a node met again is mapped once; ftv(phi)
-    is computed only when a binder is tested for a clash."""
+    _Image per scope, and each maps every type, environment, variable leaf
+    and forbidden set it meets once. A type binder is crossed by the one
+    rule of _Image._binder: it shadows the substitution's binding of its
+    name, and is renamed only when it is free in an image, so
+    [b0 := b1] maps (all b0. b0) -> b0 to (all b0. b0) -> b1."""
     image = _Image(phi)
     if isinstance(subject, Type):
         return image.of_type(subject)
@@ -100,9 +101,10 @@ class _Image:
     """The images under one substitution, each computed once in `table`:
     a type keyed by itself, a forbidden set by its value, and an
     environment or a variable leaf by its id, kept next to its image so
-    that no id is reused while the table lives (a renamed binder's body is
-    built during the call and may be dropped). A binder is renamed when it
-    is in ftv(phi) (`clash`, built the first time a binder is tested)."""
+    that no id is reused while the table lives. The scope of a type binder
+    is mapped by the _Image that _binder gives for it: this one, or a new
+    one when the binder changes the substitution. ftv(phi) (`clash`) is
+    built the first time a binder is tested."""
 
     __slots__ = ("phi", "types", "exps", "table", "clash")
 
@@ -112,15 +114,26 @@ class _Image:
         self.table: dict = {}
         self.clash: frozenset[str] | None = None
 
-    def _binder(self, a: str, body):
-        """a and body, with a renamed fresh in body when phi would capture it."""
+    def _binder(self, b: str, scope, free=ftv) -> tuple[str, _Image]:
+        """The one rule for crossing a type binder b: its name and the _Image
+        to map its scope with. b shadows phi's binding of b; if b is then
+        free in an image, it is renamed to fresh_name(b, ftv(rest of phi) |
+        free(scope)), and the renaming is carried in the scope's
+        substitution."""
         clash = self.clash
         if clash is None:
-            clash = self.clash = ftv(self.phi)
-        if a not in clash:
-            return a, body
-        fresh = fresh_name(a, clash | ftv(body))
-        return fresh, apply_subst(Subst(((a, TVar(fresh)),)), body)
+            clash = self.clash = ftv(self.phi)  # the domain and the images' free variables
+        if b not in clash:
+            return b, self
+        bindings = self.phi.bindings
+        if b in self.types:
+            bindings = tuple(bound for bound in bindings
+                             if bound[0] != b or not isinstance(bound[1], Type))
+            clash = ftv(Subst(bindings))
+        if b not in clash:
+            return b, _Image(Subst(bindings))
+        name = fresh_name(b, clash | free(scope))
+        return name, _Image(Subst(((b, TVar(name)),) + bindings))
 
     def of_set(self, vs: frozenset[str]) -> frozenset[str]:
         got = self.table.get(vs)
@@ -151,8 +164,8 @@ class _Image:
             got = (EVarApp(t.evar, forbidden, body) if i is None
                    else apply_exp_type(i, forbidden, body))
         elif cls is Forall:
-            a, body = self._binder(t.binder, t.body)
-            got = Forall(a, self.of_type(body))
+            a, image = self._binder(t.binder, t.body)
+            got = Forall(a, image.of_type(t.body))
         else:
             raise TypeError(t)
         self.table[t] = got
@@ -185,8 +198,8 @@ class _Image:
         if cls is QAbs:
             return QAbs(q.binder, self.of_skel(q.body))
         if cls is QForall:
-            a, body = self._binder(q.binder, q.body)
-            return QForall(a, self.of_skel(body))
+            a, image = self._binder(q.binder, q.body)
+            return QForall(a, image.of_skel(q.body))
         if cls is QWeak:
             return QWeak(self.of_skel(q.body), self.of_env(q.extra))
         raise TypeError(q)
@@ -204,8 +217,8 @@ class _Image:
             return (EGuard(c.evar, forbidden, witness, body) if i is None
                     else apply_exp_cons(i, forbidden, witness, body))
         if cls is Exists:
-            a, body = self._binder(c.binder, c.body)
-            return Exists(a, self.of_cons(body))
+            a, image = self._binder(c.binder, c.body)
+            return Exists(a, image.of_cons(c.body))
         if cls is Omega:
             return c
         raise TypeError(c)

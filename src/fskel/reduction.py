@@ -15,7 +15,7 @@ from .syntax import (
     QForall, QSub, QVar, QWeak, Skeleton, Subst, TVar, Term, Type, TypeEnv, Var,
     as_arrow, env_eq, fresh_name, ftv, fv, term_alpha_eq, type_eq,
 )
-from .expansion import apply_subst, apply_subst_set
+from .expansion import _Image, apply_subst
 from .solve import REL_F, leq_f_witness, record_solved
 from .typecheck import check_skeleton
 
@@ -317,63 +317,48 @@ def _step_size(p: SubtypeSkeleton) -> int:
 
 def subst_neq(a: str, x: Type, q: Skeleton | SubtypeSkeleton | Type):
     """Capture-avoiding substitution of type x for variable a in a
-    proof-carrying skeleton, a subtyping proof or a type. One substitution
-    is built per call, and another only below a binder that shadows or is
-    renamed; every type and environment in q is mapped by apply_subst,
-    every forbidden set by apply_subst_set, and each |> gets the proof
-    mapped and the target that proof ends at. The binder rule, at a
-    QForall, QuantCong, DummyIn or DummyElim binder b: b shadows the
-    substitution's own binding of b, and if b is free in an image, it is
-    renamed, together with the rest of the substitution, to
-    fresh_name(b, images | domain | the free variables of b's scope)."""
-    return _subst(Subst(((a, x),)), q)
+    proof-carrying skeleton, a subtyping proof or a type. It walks q with
+    one expansion._Image per scope, which maps every type, environment and
+    forbidden set once, and gives each |> the proof mapped and the target
+    that proof ends at. Every type binder (QForall, QuantCong, DummyIn,
+    DummyElim) is crossed by _Image._binder, the rule apply_subst follows."""
+    return _subst(_Image(Subst(((a, x),))), q)
 
 
-def _subst(phi: Subst, n):
-    """n, a proof-carrying skeleton, a subtyping proof or a type, under phi."""
+def _subst(image: _Image, n):
+    """n, a proof-carrying skeleton, a subtyping proof or a type, mapped by
+    image."""
     if isinstance(n, Type):
-        return apply_subst(phi, n)
+        return image.of_type(n)
     cls = type(n)
     if cls is QAbs:
-        return QAbs(n.binder, _subst(phi, n.body))
+        return QAbs(n.binder, _subst(image, n.body))
     if cls is QVar:
-        return QVar(n.var, apply_subst(phi, n.env))
+        return QVar(n.var, image.of_env(n.env))
     if cls is QForall or cls is QuantCong or cls is DummyIn or cls is DummyElim:
         scope = n.proof if cls is QuantCong else n.body
-        b, phi = _binder(phi, n.binder if cls is QForall else n.var, scope)
-        return n if not phi.bindings else cls(b, _subst(phi, scope))
+        b, image = image._binder(n.binder if cls is QForall else n.var, scope, _free)
+        return n if not image.phi.bindings else cls(b, _subst(image, scope))
     if cls is QApp:
-        return QApp(_subst(phi, n.fun), _subst(phi, n.arg))
+        return QApp(_subst(image, n.fun), _subst(image, n.arg))
     if cls is QSub:
-        return proved(_subst(phi, n.body), _subst(phi, n._proof))
+        return proved(_subst(image, n.body), _subst(image, n._proof))
     if cls is Inst:
-        return Inst(_subst(phi, n.source), _subst(phi, n.arg))
+        return Inst(_subst(image, n.source), _subst(image, n.arg))
     if cls is FunCong:
-        return FunCong(_subst(phi, n.dom_proof), _subst(phi, n.cod_proof))
+        return FunCong(_subst(image, n.dom_proof), _subst(image, n.cod_proof))
     if cls is QEVar:
-        return QEVar(n.evar, apply_subst_set(phi, n.forbidden), _subst(phi, n.body))
+        return QEVar(n.evar, image.of_set(n.forbidden), _subst(image, n.body))
     if cls is EVarCong:
-        return EVarCong(n.evar, apply_subst_set(phi, n.forbidden), _subst(phi, n.proof))
+        return EVarCong(n.evar, image.of_set(n.forbidden), _subst(image, n.proof))
     if cls is QuantComm:
-        return QuantComm(apply_subst(phi, n.source))
+        return QuantComm(image.of_type(n.source))
     raise TypeError(n)
-
-
-def _binder(phi: Subst, b: str, scope) -> tuple[str, Subst]:
-    """subst_neq's binder rule: the name of binder b and the substitution
-    to walk its scope with."""
-    if any(c == b for c, _ in phi.bindings):
-        phi = Subst(tuple(bound for bound in phi.bindings if bound[0] != b))
-    clash = ftv(phi)  # the domain and the images' free variables
-    if b not in clash:
-        return b, phi
-    fresh = fresh_name(b, clash | _free(scope))
-    return fresh, Subst(((b, TVar(fresh)),) + phi.bindings)
 
 
 def _free(n) -> frozenset[str]:
     """The type variables free in a proof-carrying skeleton, a subtyping
-    proof or a type."""
+    proof or a type: the scope's free variables a renamed binder avoids."""
     match n:
         case QVar(_, env):
             return ftv(env)

@@ -757,38 +757,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Capture-avoiding renaming inside types (used by canonicalization)
-
-
-def rename_type(t: Type, mapping: dict[str, str]) -> Type:
-    """Apply a variable renaming to the free type variables of t. It is
-    kept apart from expansion.apply_subst on purpose: a binder named like a
-    renamed variable shadows it and keeps its name, while apply_subst
-    renames every binder the substitution mentions. On (all b0. b0) -> b0
-    with [b0 := b1], this gives (all b0. b0) -> b1 and apply_subst gives
-    (all b0_0. b0_0) -> b1. Canonicalization renames a block's binders with
-    this function, so the canonical names depend on it: canonical_type of
-    all b0. (all c. c) -> b0 is all b1. (all b0. b0) -> b1, whose inner
-    binder is already canonical."""
-    match t:
-        case TVar(a):
-            return TVar(mapping.get(a, a))
-        case Arrow(d, c):
-            return Arrow(rename_type(d, mapping), rename_type(c, mapping))
-        case Forall(a, body):
-            inner = {k: v for k, v in mapping.items() if k != a}
-            if a in inner.values():
-                # the binder would capture a renamed variable: rename it too
-                fresh = fresh_name(a, set(inner.values()) | ftv(body))
-                inner[a] = fresh
-                a = fresh
-            return Forall(a, rename_type(body, inner))
-        case EVarApp(s, forbidden, body):
-            return EVarApp(s, frozenset(mapping.get(a, a) for a in forbidden), rename_type(body, mapping))
-    raise TypeError(t)
-
-
-# ---------------------------------------------------------------------------
 # Canonical types
 
 
@@ -854,17 +822,16 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
     ordered = [kept[i] for i in order]
 
     # Rename block binders to canonical fresh names, outermost first.
-    mapping: dict[str, str] = {}
+    from .expansion import apply_subst
     fresh: list[str] = []
-    for a in ordered:
+    for _ in ordered:
         while True:
             cand = f"b{counter[0]}"
             counter[0] += 1
             if cand not in avoid:
                 break
-        mapping[a] = cand
         fresh.append(cand)
-    body = rename_type(body, mapping)
+    body = apply_subst(Subst(tuple((a, TVar(b)) for a, b in zip(ordered, fresh))), body)
     for name in reversed(fresh):
         body = Forall(name, body)
     return body
@@ -874,7 +841,10 @@ def canonical_type(t: Type) -> Type:
     """Canonical representative of t's equality class (alpha, adjacent-quantifier
     reordering, dummy-quantifier suppression). It is kept in t's memo slot,
     and the canonical form, its own canonical form, is marked as such; a
-    type with no Forall in it was marked so when it was built."""
+    type with no Forall in it was marked so when it was built. Inner blocks
+    are named first, and a block's binders are renamed by apply_subst, whose
+    binder rule the inner binders follow: canonical_type of
+    all b0. (all c. c) -> b0 is all b1. (all b0. b0) -> b1."""
     c = t._canonical
     if c is None:
         c = _canon(t, [0], _type_ftv(t))
@@ -957,11 +927,12 @@ def _insert_under_ex(trie: dict, path: list, atom: Atomic) -> None:
             free.discard(p)
         else:
             path[i] = None  # not free below: dropped
+    from .expansion import apply_subst
     mapping: dict[str, str] = {}
 
     def canon(t: Type) -> Type:
-        m = {a: b for a, b in mapping.items() if a in _type_ftv(t)}
-        return canonical_type(rename_type(t, m) if m else t)
+        m = tuple((a, TVar(b)) for a, b in mapping.items() if a in _type_ftv(t))
+        return canonical_type(apply_subst(Subst(m), t) if m else t)
 
     for p in path:
         if type(p) is str:

@@ -13,15 +13,40 @@ sorted by key and joined by right-nested And (Omega if there are none);
 two constraints are equal when their sets of keys are.
 
 Every item is built and keyed in full, by plain recursion. Only the type
-functions canonical_type, rename_type and ftv come from fskel.syntax; no
-code of its canonical constraints is used.
+functions canonical_type, ftv and fresh_name come from fskel.syntax; no
+code of its canonical constraints is used. The renaming of a type by the
+kept binders is this module's own _rename_type, not the substitution the
+canonicalizer renames with.
 """
 
 from __future__ import annotations
 
 from fskel.syntax import (
-    And, Atomic, Constraint, EGuard, Exists, Omega, canonical_type, ftv, rename_type,
+    And, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists, Forall, Omega, TVar, Type,
+    canonical_type, fresh_name, ftv,
 )
+
+
+def _rename_type(t: Type, mapping: dict[str, str]) -> Type:
+    """Apply a variable renaming to the free type variables of t. A binder
+    named like a renamed variable shadows it and keeps its name; a binder
+    that would capture a renamed variable's new name is renamed too."""
+    match t:
+        case TVar(a):
+            return TVar(mapping.get(a, a))
+        case Arrow(d, c):
+            return Arrow(_rename_type(d, mapping), _rename_type(c, mapping))
+        case Forall(a, body):
+            inner = {k: v for k, v in mapping.items() if k != a}
+            if a in inner.values():
+                # the binder would capture a renamed variable: rename it too
+                fresh = fresh_name(a, set(inner.values()) | ftv(body))
+                inner[a] = fresh
+                a = fresh
+            return Forall(a, _rename_type(body, inner))
+        case EVarApp(s, forbidden, body):
+            return EVarApp(s, frozenset(mapping.get(a, a) for a in forbidden), _rename_type(body, mapping))
+    raise TypeError(t)
 
 
 def key(x) -> str:
@@ -88,10 +113,10 @@ def canonical_item(path: tuple, atom: Atomic) -> Constraint:
             continue
         m = {a: b for a, b in mapping.items() if a in p.forbidden | ftv(p.witness)}
         prefix.append((p.evar, frozenset(m.get(a, a) for a in p.forbidden),
-                       canonical_type(rename_type(p.witness, m))))
+                       canonical_type(_rename_type(p.witness, m))))
     m = {a: b for a, b in mapping.items() if a in ftv(atom)}
-    item: Constraint = Atomic(canonical_type(rename_type(atom.lhs, m)),
-                              canonical_type(rename_type(atom.rhs, m)))
+    item: Constraint = Atomic(canonical_type(_rename_type(atom.lhs, m)),
+                              canonical_type(_rename_type(atom.rhs, m)))
     for p in reversed(prefix):
         item = Exists(p, item) if isinstance(p, str) else EGuard(*p, item)
     return item

@@ -6,12 +6,12 @@ anew, and a name is looked up by a scan of the bindings in order, the first
 binding of the right kind winning (an unbound type variable maps to itself,
 an unbound E-variable `s` to `s^{} id`).
 
-A binder (`all a.` in a type or a skeleton, `ex a.` in a constraint) is
-renamed when `a` is free in the substitution: bound to a type by it, or
-free in any value it binds. The new name is the first of `a_0, a_1, ...`
-free in neither the substitution nor the body; the body is first renamed
-by the substitution `[a := a_i]`, under this same rule, and then the outer
-substitution is applied to it.
+A binder (`all a.` in a type or a skeleton, `ex a.` in a constraint)
+shadows the substitution's binding of `a`: its body is mapped by the rest
+of the substitution. If `a` is free in that rest (bound to a type by it,
+or free in any value it binds), the binder is renamed to the first of
+`a_0, a_1, ...` free in neither the rest nor the body, and the body is
+mapped in one pass by the rest with `[a := a_i]` put first.
 `all a.` in an expansion is not a binder. The E-variables of a forbidden set
 are not renamed; the set maps to the union of the free variables of its
 members' images.
@@ -162,18 +162,20 @@ def _exp_cons(i, forbidden, witness, c):
 
 
 def _under_binder(phi: Subst, a: str, body, build):
-    """build(a', phi applied to body), with a renamed to a' first when a
-    is free in phi."""
-    free = free_vars(phi)
+    """build(a', body mapped by the rest of phi): a shadows phi's binding of
+    a, and is renamed to a' when it is free in the rest."""
+    rest = tuple((name, val) for name, val in phi.bindings
+                 if name != a or not isinstance(val, (TVar, Arrow, Forall, EVarApp)))
+    free = free_vars(Subst(rest))
     if a in free:
         avoid = free | free_vars(body)
         i = 0
         while f"{a}_{i}" in avoid:
             i += 1
         fresh = f"{a}_{i}"
-        body = substitute(Subst(((a, TVar(fresh)),)), body)
+        rest = ((a, TVar(fresh)),) + rest
         a = fresh
-    return build(a, substitute(phi, body))
+    return build(a, substitute(Subst(rest), body))
 
 
 def substitute(phi: Subst, x):

@@ -92,6 +92,16 @@ def test_subst(write, capsys):
     assert code == EXIT_OK and "rtype: b -> b" in out
 
 
+def test_subst_keeps_a_binder_that_shadows_the_substitution(write, capsys):
+    # all b0. shadows [b0 := b1] and keeps its name: the skeleton, the
+    # environment and the type read the same, not (all b0_0. b0_0) -> b1
+    code, out, _ = run(capsys, ["subst", write("x<x: (all b0. b0) -> b0>"), "[b0 := b1]"])
+    assert code == EXIT_OK
+    assert out.splitlines()[:4] == [
+        "skeleton: x<x: (all b0. b0) -> b1>", "term: x",
+        "env: {x: (all b0. b0) -> b1}", "rtype: (all b0. b0) -> b1"]
+
+
 def test_expand(write, capsys):
     code, out, _ = run(capsys, ["expand", write("x<x: a>"), "all b. id",
                                 "--forbidden", "a", "--format", "raw"])

@@ -6,7 +6,7 @@ import pytest
 
 import reference_subst
 from fskel.expansion import (
-    apply_exp_cons, apply_exp_skel, apply_exp_type, apply_subst,
+    _Image, apply_exp_cons, apply_exp_skel, apply_exp_type, apply_subst,
     judgements_agree, property_expansion_sound, property_subst_sound,
 )
 from fskel.initial import derive_substitution, initial_skeleton
@@ -19,8 +19,8 @@ from fskel.surface import (
     parse_term, parse_type, parse_type_env, print_skeleton,
 )
 from fskel.syntax import (
-    And, Atomic, EGuard, EVarApp, Exists, Forall, FreshSupply, IOTA, Omega,
-    QForall, QVar, QWeak, Skeleton, Subst, TVar, TypeEnv, constraint_eq,
+    And, Arrow, Atomic, EGuard, Exists, Forall, FreshSupply, IOTA, Omega,
+    QForall, QVar, QWeak, Skeleton, Subst, TVar, Type, TypeEnv, constraint_eq,
     env_eq, ftv, type_eq,
 )
 from fskel.typecheck import check_skeleton
@@ -228,13 +228,51 @@ def test_apply_subst_agrees_with_the_reference():
     clashes = {(kind, binder): 0 for kind, binder in (
         ("type", Forall), ("expansion", Forall), ("skeleton", Forall),
         ("skeleton", QForall), ("constraint", Exists))}
+    shadows = dict.fromkeys((("type", Forall), ("skeleton", QForall),
+                             ("constraint", Exists)), 0)
     for kind, subject in _subjects(rng):
         phi = _clashing_subst(rng, subject)
         got = apply_subst(phi, subject)
         assert got == reference_subst.substitute(phi, subject), (kind, subject, phi)
+        bound = {name for name, val in phi.bindings if isinstance(val, Type)}
         for key in clashes:
-            if key[0] == kind and (reference_subst.binders(subject, key[1])
-                                   & reference_subst.free_vars(phi)):
-                clashes[key] += 1
-    # each kind of binder met a name free in the substitution, so was renamed
+            if key[0] == kind:
+                names = reference_subst.binders(subject, key[1])
+                clashes[key] += bool(names & reference_subst.free_vars(phi))
+                if key in shadows:
+                    shadows[key] += bool(names & bound)
+    # each kind of binder met a name free in the substitution, so was
+    # renamed, and a name the substitution binds, which it shadows
     assert min(clashes.values()) >= 30, clashes
+    assert min(shadows.values()) >= 50, shadows
+
+
+def _nested_clashing_binders(k: int):
+    """all a. a -> (all a. a -> ... (all a. a -> c)), k binders."""
+    t = TVar("c")
+    for _ in range(k):
+        t = Forall("a", Arrow(TVar("a"), t))
+    return t
+
+
+@pytest.mark.parametrize("k", [50, 100, 200])
+def test_apply_subst_maps_each_scope_once_under_nested_renamed_binders(monkeypatch, k):
+    # every binder clashes with [c := a] and is renamed: its scope is
+    # mapped once, with the renaming carried in the substitution, not
+    # rewritten first and then mapped again
+    t = _nested_clashing_binders(k)
+    real, entries = _Image.of_type, [0]
+
+    def counted(self, u):
+        entries[0] += 1
+        return real(self, u)
+
+    monkeypatch.setattr(_Image, "of_type", counted)
+    got = apply_subst(Subst((("c", TVar("a")),)), t)
+    monkeypatch.undo()
+    assert entries[0] <= 3 * k + 1
+    expected = TVar("a")
+    for _ in range(k):
+        expected = Forall("a_0", Arrow(TVar("a_0"), expected))
+    assert got is expected
+    assert got == reference_subst.substitute(Subst((("c", TVar("a")),)), t)
