@@ -11,7 +11,7 @@ from .syntax import (
     Exists, Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs,
     QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar,
     Term, Type, TypeEnv, Var, canonical_constraint, canonical_type,
-    constraint_eq, ftv, fv, type_eq,
+    constraint_eq, flatten_constraint, ftv, fv, type_eq,
 )
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,

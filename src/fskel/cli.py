@@ -16,7 +16,7 @@ from .surface import (
 )
 from .syntax import (
     FreshSupply, QAbs, QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton,
-    canonical_constraint, canonical_type,
+    canonical_constraint, canonical_type, flatten_constraint,
 )
 from .typecheck import Judgement, SkeletonError, check_skeleton
 
@@ -49,7 +49,10 @@ def _print_judgement(j: Judgement, fmt: str, memo: dict | None = None) -> None:
     """Print j; memo is the printers' table (see `surface`), which a caller
     printing several judgements that share subterms passes to each."""
     rtype = canonical_type(j.rtype) if fmt == "canonical" else j.rtype
-    cons = canonical_constraint(j.constraint) if fmt == "canonical" else j.constraint
+    # printed flattened, each atom under its whole prefix: the text that the
+    # digests in bench/cli/cases.json pin
+    cons = flatten_constraint(canonical_constraint(j.constraint)) if fmt == "canonical" \
+        else j.constraint
     print(f"term: {print_term(j.term, memo)}")
     print(f"env: {print_type_env(j.env, memo)}")
     print(f"rtype: {print_type(rtype)}")

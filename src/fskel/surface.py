@@ -724,8 +724,8 @@ def print_subst(phi: Subst) -> str:
 
 def print_constraint(c: Constraint) -> str:
     # an explicit stack of nodes and literal pieces: no recursion on depth.
-    # A canonical constraint repeats each guard under every item below it,
-    # so each distinct guard's text is made once.
+    # A flattened constraint (the CLI's canonical text) repeats each guard
+    # under every item below it, so each distinct guard's text is made once.
     out: list[str] = []
     todo: list[Constraint | str] = [c]
     guards: dict[tuple, str] = {}

@@ -13,10 +13,8 @@ four memo slots: its free variables (`ftv`), its canonical form
 (`surface.print_type`), each computed at most once; a type with no
 `Forall` in it is marked its own canonical form when it is built.
 Constraints, environments and skeletons are not interned; they compare by
-structure. The canonical form of a chain of n applications has
-n items, each under its whole guard prefix, O(n^2) nodes in all that are
-almost all new, so interning constraints would add a table entry per node
-and share little.
+structure. The canonical form of a constraint is its trie of items,
+factored: one node per trie part, built anew by each call.
 """
 
 from __future__ import annotations
@@ -881,8 +879,11 @@ def as_arrow(t: Type) -> Arrow | None:
 # and each atom (canonical lhs, canonical rhs) to None. Items are ordered by their
 # parts' keys, none a proper prefix of another: so by kind, atoms, guards, binders
 # (At < EG < Ex), then by key, built only for two or more siblings of one kind.
-# The walk is linear in c, plus Θ(prefix) per item below an ex binder; only the
-# output is super-linear: Θ(Σ item prefix) nodes, n²/2 guards on an n-chain.
+# The walk is linear in c, plus Θ(prefix) per item below an ex binder. The
+# representative is the trie itself, factored: one node per trie part, so on
+# an n-chain n guards, not the n²/2 of repeating each atom under its whole
+# prefix. That flattened form (flatten_constraint) is made only where the CLI
+# prints, whose canonical text the digests of bench/cli/cases.json pin.
 
 
 def _set_key(vs: frozenset[str]) -> str:
@@ -977,30 +978,65 @@ def _trie(c: Constraint) -> dict:
 
 
 def canonical_constraint(c: Constraint) -> Constraint:
-    """Canonical representative of c's equality class: its canonical items,
-    deduplicated, in key order and joined by right-nested And (Omega if
-    there are none). One depth-first walk over the trie, last item first."""
+    """Canonical representative of c's equality class: the trie of its
+    canonical items, factored. A trie node is the right-nested And of its
+    children in key order (Omega for an empty root); a guard part wraps its
+    child's rendering in an EGuard, a binder part in an Exists. So the output
+    has one node per trie part and one And per sibling after the first;
+    flatten_constraint puts each item back under its whole prefix.
+    Built bottom-up on an explicit stack: a node's children are rendered
+    onto `out`, in order, then joined."""
+    root = _trie(c)
+    if not root:
+        return Omega()
+    out: list[Constraint] = []
+    stack: list = [(None, root, 0)]  # part, its trie node, its children's count once rendered
+    while stack:
+        part, node, k = stack.pop()
+        if not k:  # first visit: render the atoms, then the other children in turn
+            kinds: tuple[list, list, list] = ([], [], [])  # atoms (pairs), guards (triples), binders
+            for p in node:
+                kinds[2 if type(p) is str else len(p) - 2].append(p)
+            for parts, key in zip(kinds, _KEYS):
+                if len(parts) > 1:
+                    parts.sort(key=key)
+            out += (Atomic(*p) for p in kinds[0])
+            stack.append((part, node, len(node)))
+            stack += ((p, node[p], 0) for p in reversed(kinds[2]))
+            stack += ((p, node[p], 0) for p in reversed(kinds[1]))
+            continue
+        body = out.pop()
+        for _ in range(k - 1):
+            body = And(out.pop(), body)
+        out.append(body if part is None else Exists(part, body) if type(part) is str
+                   else EGuard(*part, body))
+    return out[0]
+
+
+def flatten_constraint(c: Constraint) -> Constraint:
+    """c with each atom under its whole prefix of ex binders and guards: its
+    items in order, joined by right-nested And (Omega if there are none).
+    The form `fskel --format canonical` prints. One walk, last item first,
+    with the prefix on one shared path list."""
     out: Constraint | None = None
     path: list = []
-    stack: list = [(None, _trie(c), 0)]  # part, its trie node, its parent's depth
+    stack: list[tuple[Constraint, int]] = [(c, 0)]
     while stack:
-        part, node, d = stack.pop()
+        node, d = stack.pop()
         del path[d:]
-        if node is None:
-            item: Constraint = Atomic(*part)
-            for s, forbidden, witness in reversed(path):
-                item = Exists(s, item) if forbidden is None else EGuard(s, forbidden, witness, item)
-            out = item if out is None else And(item, out)
-            continue
-        if part is not None:
-            path.append((part, None, None) if type(part) is str else part)
-        kinds: tuple[list, list, list] = ([], [], [])  # atoms (pairs), guards (triples), binders
-        for p in node:
-            kinds[2 if type(p) is str else len(p) - 2].append(p)
-        for parts, key in zip(kinds, _KEYS):
-            if len(parts) > 1:
-                parts.sort(key=key)
-            stack += ((p, node[p], len(path)) for p in parts)
+        cls = type(node)
+        if cls is Atomic:
+            for p in reversed(path):
+                node = Exists(p.binder, node) if type(p) is Exists \
+                    else EGuard(p.evar, p.forbidden, p.witness, node)
+            out = node if out is None else And(node, out)
+        elif cls is And:
+            stack += ((node.c1, d), (node.c2, d))
+        elif cls is EGuard or cls is Exists:
+            path.append(node)
+            stack.append((node.body, d + 1))
+        elif cls is not Omega:
+            raise TypeError(node)
     return Omega() if out is None else out
 
 

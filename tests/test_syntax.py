@@ -8,11 +8,12 @@ from collections import Counter
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists,
     Expansion, Forall, FreshSupply, Omega, Subst, TVar, Type, TypeEnv,
-    Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
-    term_alpha_eq, type_eq,
+    Var, canonical_constraint, canonical_type, constraint_eq, flatten_constraint,
+    fresh_name, ftv, term_alpha_eq, type_eq,
 )
 from fskel.expansion import apply_exp_type, apply_subst
 from fskel.initial import initial_skeleton
+from fskel.solve import REL_EQ, REL_F, solved
 from fskel.surface import (
     parse_constraint, parse_skeleton, parse_term, parse_type, print_constraint,
 )
@@ -469,6 +470,32 @@ def _reference_case(rng, depth, shared, seen):
     return c
 
 
+def _items(c):
+    """c's atoms in order, each under its whole prefix of binders and guards."""
+    match c:
+        case Atomic():
+            return [c]
+        case And(c1, c2):
+            return _items(c1) + _items(c2)
+        case Exists(a, body):
+            return [Exists(a, item) for item in _items(body)]
+        case EGuard(s, forbidden, witness, body):
+            return [EGuard(s, forbidden, witness, item) for item in _items(body)]
+    return []
+
+
+def _flattened(c):
+    """c's items joined by right-nested And, Omega if there are none: the
+    flattened form, written here apart from syntax.flatten_constraint."""
+    items = _items(c)
+    if not items:
+        return Omega()
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = And(item, out)
+    return out
+
+
 def test_canonical_constraint_agrees_with_the_string_key_reference():
     rng = random.Random(2106)
     seen = Counter()
@@ -476,7 +503,7 @@ def test_canonical_constraint_agrees_with_the_string_key_reference():
     verdicts = Counter()
     keys = set()
     for i, c in enumerate(cases):
-        assert canonical_constraint(c) == reference_canonical.canonical(c)
+        assert _flattened(canonical_constraint(c)) == reference_canonical.canonical(c)
         for k, item in reference_canonical.items(c).items():
             parts = reference_canonical.part_keys(item)
             assert "".join(parts) + ")" * (len(parts) - 1) == k
@@ -518,8 +545,52 @@ def test_keys_are_built_only_to_order_siblings_of_one_kind(monkeypatch):
     out = canonical_constraint(chain)
     assert constraint_eq(chain, chain) and constraint_eq(siblings, siblings)
     assert calls == {"syntax._type_key": 0, "syntax._guard_key": 0}
-    # each of the chain's atoms under its whole guard prefix: about n²/2 guards
-    assert sum(type(n) is EGuard for n in constraint_nodes(out)) >= 160 * 159 // 2
+    # factored: linear in n, each guard of a prefix once (repeating every
+    # atom under its whole guard prefix made about n²/2)
+    assert sum(type(n) is EGuard for n in constraint_nodes(out)) <= 160 + 2
     # k guards and one atom at the root: a key for each guard, none for the atom
     assert canonical_constraint(siblings) == reference_canonical.canonical(siblings)
     assert calls["syntax._guard_key"] == k
+
+
+def _corpus():
+    """The seeded constraints of the two tests above: random ones (seed 11)
+    and ones whose siblings often share all but one part (seed 2106)."""
+    rng = random.Random(11)
+    cases = [_random_constraint(rng, 5) for _ in range(400)]
+    rng = random.Random(2106)
+    return cases + [_reference_case(rng, 4, [], Counter()) for _ in range(2400)]
+
+
+def test_factored_representative_is_canonical_equal_and_solved_alike():
+    shared_prefix = 0
+    for c in _corpus():
+        cc = canonical_constraint(c)
+        assert canonical_constraint(cc) == cc
+        assert constraint_eq(cc, c)
+        for rel in (REL_F, REL_EQ):
+            assert solved(cc, rel) == solved(c, rel)
+        # two or more items under one guard or binder: where renaming the
+        # binders of each item apart could undo the factoring
+        shared_prefix += any(type(n) in (EGuard, Exists) and type(n.body) is And
+                             for n in constraint_nodes(cc))
+    assert shared_prefix >= 200
+
+
+def test_flattened_representative_prints_the_reference_bytes():
+    for c in _corpus():
+        flat = flatten_constraint(canonical_constraint(c))
+        assert flatten_constraint(flat) == flat
+        assert print_constraint(flat) == print_constraint(reference_canonical.canonical(c))
+
+
+def test_canonical_constraint_is_linear_on_a_deep_guard_chain():
+    # built without the parser: 2,000 nested guards, an atom at every level;
+    # the flattened form would repeat each atom under its whole prefix
+    n = 2000
+    c = Atomic(TVar(f"a{n - 1}"), TVar("c"))
+    for i in reversed(range(n - 1)):
+        c = EGuard(f"s{i}", frozenset({"b"}), TVar("c"), And(Atomic(TVar(f"a{i}"), TVar("c")), c))
+    out = canonical_constraint(c)
+    assert len(constraint_nodes(out)) <= 3 * n
+    assert constraint_eq(out, c) and canonical_constraint(out) == out
