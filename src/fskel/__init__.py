@@ -11,13 +11,13 @@ from .syntax import (
     Exists, Expansion, Forall, ForallIntro, FreshSupply, Id, Omega, QAbs,
     QApp, QEVar, QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar,
     Term, Type, TypeEnv, Var, canonical_constraint, canonical_type,
-    constraint_eq, flatten_constraint, ftv, fv, type_eq,
+    constraint_eq, ftv, fv, type_eq,
 )
 from .surface import (
     ParseError, parse_constraint, parse_expansion, parse_skeleton,
     parse_subst, parse_term, parse_type, parse_type_env, print_constraint,
-    print_expansion, print_skeleton, print_subst, print_term, print_type,
-    print_type_env,
+    print_expansion, print_flattened, print_skeleton, print_subst, print_term,
+    print_type, print_type_env,
 )
 from .typecheck import Judgement, SkeletonError, check_skeleton, relevant
 from .expansion import (

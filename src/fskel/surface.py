@@ -616,8 +616,8 @@ parse_var_list = _entry(Parser.var_list)
 # sharing subterms passes one table to every call; without one, each call
 # starts a table of its own. print_skeleton keeps no text of a skeleton
 # node, only of the environments it meets, so its output is the only text
-# it holds that grows with depth; it and print_constraint walk an explicit
-# stack. print_term and print_expansion recurse on the nesting.
+# it holds that grows with depth; it, print_constraint and print_flattened
+# walk an explicit stack. print_term and print_expansion recurse.
 
 
 def print_term(m: Term, memo: dict | None = None) -> str:
@@ -626,21 +626,21 @@ def print_term(m: Term, memo: dict | None = None) -> str:
     hit = memo.get(id(m))
     if hit is not None:
         return hit[1]
-    match m:
-        case Var(x):
-            text = x
-        case Abs(x, body):
-            text = f"\\{x}. {print_term(body, memo)}"
-        case App(f, a):
-            fs = print_term(f, memo)
-            if isinstance(f, Abs):
-                fs = f"({fs})"
-            as_ = print_term(a, memo)
-            if isinstance(a, (Abs, App)):
-                as_ = f"({as_})"
-            text = f"{fs} @ {as_}"
-        case _:
-            raise TypeError(m)
+    cls = type(m)
+    if cls is Var:
+        text = m.name
+    elif cls is Abs:
+        text = f"\\{m.binder}. {print_term(m.body, memo)}"
+    elif cls is App:
+        fs = print_term(m.fun, memo)
+        if type(m.fun) is Abs:
+            fs = f"({fs})"
+        as_ = print_term(m.arg, memo)
+        if type(m.arg) in (Abs, App):
+            as_ = f"({as_})"
+        text = f"{fs} @ {as_}"
+    else:
+        raise TypeError(m)
     memo[id(m)] = m, text
     return text
 
@@ -723,37 +723,68 @@ def print_subst(phi: Subst) -> str:
 
 
 def print_constraint(c: Constraint) -> str:
-    # an explicit stack of nodes and literal pieces: no recursion on depth.
-    # A flattened constraint (the CLI's canonical text) repeats each guard
-    # under every item below it, so each distinct guard's text is made once.
+    # an explicit stack of nodes and literal pieces: no recursion on depth
     out: list[str] = []
     todo: list[Constraint | str] = [c]
-    guards: dict[tuple, str] = {}
     while todo:
         c = todo.pop()
-        match c:
-            case str():
-                out.append(c)
-            case Omega():
-                out.append("omega")
-            case Atomic(lhs, rhs):
-                out.append(f"{print_type(lhs)} <= {print_type(rhs)}")
-            case And(c1, c2):
-                todo += (c2, " & ")
-                todo += (")", c1, "(") if isinstance(c1, (Exists, EGuard)) else (c1,)
-            case Exists(a, body):
-                out.append(f"ex {a}. ")
-                todo.append(body)
-            case EGuard(s, forbidden, witness, body):
-                key = s, forbidden, witness
-                text = guards.get(key)
-                if text is None:
-                    text = guards[key] = f"{s}^{{{print_var_set(forbidden)}; {print_type(witness)}}} "
-                out.append(text)
-                todo += (")", body, "(") if isinstance(body, (And, Exists)) else (body,)
-            case _:
-                raise TypeError(c)
+        cls = type(c)
+        if cls is str:
+            out.append(c)
+        elif cls is Atomic:
+            out.append(f"{print_type(c.lhs)} <= {print_type(c.rhs)}")
+        elif cls is And:
+            todo += (c.c2, " & ")
+            todo += (")", c.c1, "(") if type(c.c1) in (Exists, EGuard) else (c.c1,)
+        elif cls is EGuard:
+            out.append(_guard_text(c))
+            todo += (")", c.body, "(") if type(c.body) in (And, Exists) else (c.body,)
+        elif cls is Exists:
+            out.append(f"ex {c.binder}. ")
+            todo.append(c.body)
+        elif cls is Omega:
+            out.append("omega")
+        else:
+            raise TypeError(c)
     return "".join(out)
+
+
+def _guard_text(g: EGuard) -> str:
+    return f"{g.evar}^{{{print_var_set(g.forbidden)}; {print_type(g.witness)}}} "
+
+
+def print_flattened(c: Constraint) -> str:
+    """print_constraint of c's flattened form, each atom under its whole
+    prefix of ex binders and guards, with no node of it built ("omega" if c
+    has no atom). One walk, last atom first; path[d] holds the texts the
+    depth-d prefix opens and closes (a guard directly above an ex binder
+    opens a parenthesis), so each part's text is made once and shared."""
+    out: list[str] = []  # the pieces, last first
+    path = [("", "")]
+    stack: list[tuple[Constraint, int, bool]] = [(c, 0, False)]  # node, depth, under a guard
+    while stack:
+        node, d, guarded = stack.pop()
+        del path[d + 1:]
+        opens, closes = path[d]
+        cls = type(node)
+        if cls is Atomic:
+            atom = f"{print_type(node.lhs)} <= {print_type(node.rhs)}"
+            if not out:  # the last item: bare
+                out += (closes, atom, opens)
+            else:  # left of an &: in parentheses if it has a prefix
+                out += (" & ", ")", closes, atom, opens, "(") if d else (" & ", atom)
+        elif cls is And:
+            stack += ((node.c1, d, guarded), (node.c2, d, guarded))
+        elif cls is EGuard:
+            path.append((opens + _guard_text(node), closes))
+            stack.append((node.body, d + 1, True))
+        elif cls is Exists:
+            text = f"ex {node.binder}. "
+            path.append((f"{opens}({text}", closes + ")") if guarded else (opens + text, closes))
+            stack.append((node.body, d + 1, False))
+        elif cls is not Omega:
+            raise TypeError(node)
+    return "".join(reversed(out)) if out else "omega"
 
 
 def _print_entries(env: TypeEnv, memo: dict) -> str:

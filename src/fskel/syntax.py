@@ -882,8 +882,9 @@ def as_arrow(t: Type) -> Arrow | None:
 # The walk is linear in c, plus Θ(prefix) per item below an ex binder. The
 # representative is the trie itself, factored: one node per trie part, so on
 # an n-chain n guards, not the n²/2 of repeating each atom under its whole
-# prefix. That flattened form (flatten_constraint) is made only where the CLI
-# prints, whose canonical text the digests of bench/cli/cases.json pin.
+# prefix. The CLI prints the text of that flattened form, which the digests
+# of bench/cli/cases.json pin, straight from the representative
+# (surface.print_flattened): no node of the flattened form is built.
 
 
 def _set_key(vs: frozenset[str]) -> str:
@@ -983,7 +984,7 @@ def canonical_constraint(c: Constraint) -> Constraint:
     children in key order (Omega for an empty root); a guard part wraps its
     child's rendering in an EGuard, a binder part in an Exists. So the output
     has one node per trie part and one And per sibling after the first;
-    flatten_constraint puts each item back under its whole prefix.
+    surface.print_flattened prints it with each item under its whole prefix.
     Built bottom-up on an explicit stack: a node's children are rendered
     onto `out`, in order, then joined."""
     root = _trie(c)
@@ -1011,33 +1012,6 @@ def canonical_constraint(c: Constraint) -> Constraint:
         out.append(body if part is None else Exists(part, body) if type(part) is str
                    else EGuard(*part, body))
     return out[0]
-
-
-def flatten_constraint(c: Constraint) -> Constraint:
-    """c with each atom under its whole prefix of ex binders and guards: its
-    items in order, joined by right-nested And (Omega if there are none).
-    The form `fskel --format canonical` prints. One walk, last item first,
-    with the prefix on one shared path list."""
-    out: Constraint | None = None
-    path: list = []
-    stack: list[tuple[Constraint, int]] = [(c, 0)]
-    while stack:
-        node, d = stack.pop()
-        del path[d:]
-        cls = type(node)
-        if cls is Atomic:
-            for p in reversed(path):
-                node = Exists(p.binder, node) if type(p) is Exists \
-                    else EGuard(p.evar, p.forbidden, p.witness, node)
-            out = node if out is None else And(node, out)
-        elif cls is And:
-            stack += ((node.c1, d), (node.c2, d))
-        elif cls is EGuard or cls is Exists:
-            path.append(node)
-            stack.append((node.body, d + 1))
-        elif cls is not Omega:
-            raise TypeError(node)
-    return Omega() if out is None else out
 
 
 def constraint_eq(c1: Constraint, c2: Constraint) -> bool:

@@ -8,17 +8,19 @@ from collections import Counter
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, Exists,
     Expansion, Forall, FreshSupply, Omega, Subst, TVar, Type, TypeEnv,
-    Var, canonical_constraint, canonical_type, constraint_eq, flatten_constraint,
-    fresh_name, ftv, term_alpha_eq, type_eq,
+    Var, canonical_constraint, canonical_type, constraint_eq, fresh_name, ftv,
+    term_alpha_eq, type_eq,
 )
 from fskel.expansion import apply_exp_type, apply_subst
 from fskel.initial import initial_skeleton
 from fskel.solve import REL_EQ, REL_F, solved
 from fskel.surface import (
     parse_constraint, parse_skeleton, parse_term, parse_type, print_constraint,
+    print_flattened,
 )
 from fskel.typecheck import check_skeleton
 import reference_canonical
+import reference_printer
 from generators import evars_of, random_expansion, random_term, random_type
 from helpers import constraint_nodes, count_calls, de_bruijn, lookup_linear
 
@@ -367,17 +369,20 @@ def _rename_ex(c, rng, counter):
     return c
 
 
-def _random_constraint(rng, depth):
+def _random_constraint(rng, depth, omega=False):
+    """A random constraint; with omega, a tenth of its leaves are Omega."""
     names = ["a", "b", "e0", "e1", "b0", "b1"]
     r = rng.random()
     if depth <= 0 or r < 0.3:
+        if omega and r < 0.1:
+            return Omega()
         return Atomic(random_type(rng, names, 3), random_type(rng, names, 3))
     if r < 0.55:
-        return And(_random_constraint(rng, depth - 1), _random_constraint(rng, depth - 1))
+        return And(_random_constraint(rng, depth - 1, omega), _random_constraint(rng, depth - 1, omega))
     if r < 0.8:
-        return Exists(rng.choice(names), _random_constraint(rng, depth - 1))
+        return Exists(rng.choice(names), _random_constraint(rng, depth - 1, omega))
     return EGuard(f"s{rng.randrange(2)}", frozenset(rng.sample(names, rng.randrange(3))),
-                  random_type(rng, names, 2), _random_constraint(rng, depth - 1))
+                  random_type(rng, names, 2), _random_constraint(rng, depth - 1, omega))
 
 
 def test_canonical_constraint_invariant_under_renaming_and_reordering():
@@ -486,7 +491,7 @@ def _items(c):
 
 def _flattened(c):
     """c's items joined by right-nested And, Omega if there are none: the
-    flattened form, written here apart from syntax.flatten_constraint."""
+    flattened form, written here apart from surface.print_flattened."""
     items = _items(c)
     if not items:
         return Omega()
@@ -579,9 +584,21 @@ def test_factored_representative_is_canonical_equal_and_solved_alike():
 
 def test_flattened_representative_prints_the_reference_bytes():
     for c in _corpus():
-        flat = flatten_constraint(canonical_constraint(c))
-        assert flatten_constraint(flat) == flat
-        assert print_constraint(flat) == print_constraint(reference_canonical.canonical(c))
+        assert print_flattened(canonical_constraint(c)) == \
+            print_constraint(reference_canonical.canonical(c))
+
+
+def test_print_flattened_prints_the_flattened_form():
+    rng = random.Random(27)
+    raw = _corpus() + [_random_constraint(rng, 6, omega=True) for _ in range(3000)]
+    for c in raw + [canonical_constraint(c) for c in raw]:
+        assert print_flattened(c) == reference_printer.ref_constraint(_flattened(c))
+    assert print_flattened(Omega()) == print_flattened(EGuard("s", frozenset(), TVar("a"), Omega())) \
+        == "omega"
+    # a guard directly above an ex binder opens a parenthesis its item closes;
+    # the item left of the & is parenthesised, the last one is bare
+    c = parse_constraint("s0^{; a} ((ex b. b <= a) & c <= d)")
+    assert print_flattened(c) == "(s0^{; a} (ex b. b <= a)) & s0^{; a} c <= d"
 
 
 def test_canonical_constraint_is_linear_on_a_deep_guard_chain():
