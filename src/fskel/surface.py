@@ -756,35 +756,52 @@ def _guard_text(g: EGuard) -> str:
 def print_flattened(c: Constraint) -> str:
     """print_constraint of c's flattened form, each atom under its whole
     prefix of ex binders and guards, with no node of it built ("omega" if c
-    has no atom). One walk, last atom first; path[d] holds the texts the
-    depth-d prefix opens and closes (a guard directly above an ex binder
-    opens a parenthesis), so each part's text is made once and shared."""
-    out: list[str] = []  # the pieces, last first
-    path = [("", "")]
+    has no atom). One walk, first atom first. path[d] is the depth-d part:
+    its own text, how many parentheses the prefix through it opens (a guard
+    directly above an ex binder opens one) and, once an atom at depth d is
+    printed, that prefix's joined text and closers; an atom joins only the
+    parts below the nearest depth that has them. So each part's text is
+    made once, and every joined string is one the output holds anyway."""
+    out: list[str] = []
+    last, bare = 0, ()  # where the last item starts, and its pieces unparenthesised
+    path: list[list] = [["", 0, "", ""]]  # entries past the node's depth are stale
     stack: list[tuple[Constraint, int, bool]] = [(c, 0, False)]  # node, depth, under a guard
     while stack:
         node, d, guarded = stack.pop()
-        del path[d + 1:]
-        opens, closes = path[d]
         cls = type(node)
         if cls is Atomic:
+            part = path[d]
+            opens = part[2]
+            if opens is None:
+                e = d - 1
+                while path[e][2] is None:
+                    e -= 1
+                opens = part[2] = path[e][2] + part[0] if e == d - 1 else \
+                    path[e][2] + "".join([p[0] for p in path[e + 1:d + 1]])
+                part[3] = ")" * part[1]
             atom = f"{print_type(node.lhs)} <= {print_type(node.rhs)}"
-            if not out:  # the last item: bare
-                out += (closes, atom, opens)
-            else:  # left of an &: in parentheses if it has a prefix
-                out += (" & ", ")", closes, atom, opens, "(") if d else (" & ", atom)
+            last = len(out)
+            if d:  # left of an &, an item with a prefix is parenthesised
+                bare = opens, atom, part[3]
+                out += ("(", opens, atom, part[3], ") & ")
+            else:
+                bare = atom,
+                out += (atom, " & ")
         elif cls is And:
-            stack += ((node.c1, d, guarded), (node.c2, d, guarded))
+            stack += ((node.c2, d, guarded), (node.c1, d, guarded))
         elif cls is EGuard:
-            path.append((opens + _guard_text(node), closes))
+            path[d + 1:] = [_guard_text(node), path[d][1], None, None],
             stack.append((node.body, d + 1, True))
         elif cls is Exists:
-            text = f"ex {node.binder}. "
-            path.append((f"{opens}({text}", closes + ")") if guarded else (opens + text, closes))
+            text, shut = f"ex {node.binder}. ", path[d][1]
+            path[d + 1:] = [f"({text}", shut + 1, None, None] if guarded else [text, shut, None, None],
             stack.append((node.body, d + 1, False))
         elif cls is not Omega:
             raise TypeError(node)
-    return "".join(reversed(out)) if out else "omega"
+    if not out:
+        return "omega"
+    out[last:] = bare  # the last item is bare
+    return "".join(out)
 
 
 def _print_entries(env: TypeEnv, memo: dict) -> str:

@@ -601,6 +601,23 @@ def test_print_flattened_prints_the_flattened_form():
     assert print_flattened(c) == "(s0^{; a} (ex b. b <= a)) & s0^{; a} c <= d"
 
 
+def test_print_flattened_holds_each_prefix_text_once():
+    # 2,000 guards, each above an ex binder, over one atom: the text is
+    # 46 KB; keeping the joined prefix at every depth took 88 MB here
+    n = 2000
+    c = Atomic(TVar("c"), TVar("c"))
+    for i in reversed(range(n)):
+        c = EGuard(f"s{i}", frozenset(), TVar("c"), Exists(f"x{i}", c))
+    tracemalloc.start()
+    try:
+        text = print_flattened(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "".join(f"s{i}^{{; c}} (ex x{i}. " for i in range(n)) + "c <= c" + ")" * n
+    assert peak < 2 << 20
+
+
 def test_canonical_constraint_is_linear_on_a_deep_guard_chain():
     # built without the parser: 2,000 nested guards, an atom at every level;
     # the flattened form would repeat each atom under its whole prefix
