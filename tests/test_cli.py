@@ -310,41 +310,34 @@ def test_check_reads_parentheses_as_deep_as_the_readme_states():
         assert (code, err) == (EXIT_OK, "") and out
 
 
-def _check_in_256_mb(text):
-    """`fskel check` of text in a child whose address space is capped, so a
-    regression fails fast (MemoryError) instead of exhausting the machine."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-m", "fskel.cli", "check", "-"], input=text,
-                          env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap,
-                          capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (EXIT_OK, "")
-    return done.stdout
-
-
 def test_check_follows_long_evar_prefixes_in_bounded_memory():
     # s0^{} ... s789^{} (\x. x<x: a>): canonicalizing its constraint once
     # took memory cubic in the prefix, and the process was killed at this
-    # length
-    prefix = "".join(f"s{i}^{{}} " for i in range(790))
-    assert _check_in_256_mb(prefix + "(\\x. x<x: a>)").endswith("constraint: omega\n")
-
-
-def test_check_prints_an_atom_under_a_long_evar_prefix_in_bounded_memory():
-    # with an atom below the prefix, guard i's witness is the rest of the
-    # prefix, so the item is about 8n^2/2 = 2.5 MB of text; a printer that
-    # kept the joined prefix at every depth held about 8n^3/3 = 1.3 GB
+    # length. With an atom below the prefix, guard i's witness is the rest
+    # of the prefix, so the constraint is one item of 2.5 MB; a printer that
+    # kept the joined prefix at every depth ran out of memory. The child's
+    # address space is capped, so a regression fails fast (MemoryError)
+    # instead of exhausting the machine.
     n = 790
+    prefix = "".join(f"s{i}^{{}} " for i in range(n))
 
     def rest(i):
         return "".join(f"s{k}^{{}} " for k in range(i + 1, n)) + "(a -> a)" if i + 1 < n \
             else "a -> a"
 
-    out = _check_in_256_mb("".join(f"s{i}^{{}} " for i in range(n)) + "((\\x. x<x: a>) |> a -> a)")
-    expected = "".join(f"s{i}^{{; {rest(i)}}} " for i in range(n)) + "a -> a <= a -> a"
-    assert out.splitlines()[-1] == "constraint: " + expected
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for body, constraint in (
+            ("(\\x. x<x: a>)", "omega"),
+            ("((\\x. x<x: a>) |> a -> a)",
+             "".join(f"s{i}^{{; {rest(i)}}} " for i in range(n)) + "a -> a <= a -> a")):
+        done = subprocess.run([sys.executable, "-m", "fskel.cli", "check", "-"],
+                              input=prefix + body, env={**os.environ, "PYTHONPATH": src},
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+        assert done.stdout.endswith(f"constraint: {constraint}\n")
 
 
 def _id_chain(n):
