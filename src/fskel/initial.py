@@ -1,9 +1,10 @@
 """Initial skeletons of terms, rename-equivalence, the reflexive predicate,
 and the constructive derivation of a substitution mapping an initial skeleton
-onto any valid skeleton of the same term. The derivation types each of its two
-skeletons once and walks the target once; the variables of both skeletons are
-gathered only if the target has a QForall binder to rename, and the
-substitution binds each name once."""
+onto any valid skeleton of the same term. An initial skeleton records its
+variables (allvar) as it is built. The derivation types each of its two
+skeletons once and walks the target once; the target's variables are gathered,
+by one more walk kept in its memo slot, only if the target has a QForall
+binder to rename, and the substitution binds each name once."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ class TermMismatch(Exception):
 
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton,
-    kept in q's memo slot."""
+    kept in q's memo slot (an initial skeleton has it from the start)."""
     found = q._allvar
     if found is not None:
         return found
@@ -40,34 +41,37 @@ def allvar(q: Skeleton) -> frozenset[str]:
         if visit in seen:
             continue
         seen.add(visit)
-        match node:
-            case TVar(a):
-                if a not in bound:
-                    out.add(a)
-            case Arrow(d, c):
-                todo += ((d, bound), (c, bound))
-            case EVarApp(s, forbidden, body) | QEVar(s, forbidden, body):
-                out.add(s)
-                out.update(forbidden - bound)
-                todo.append((body, bound))
-            case QVar(_, env):
-                todo += ((t, bound) for _, t in env.entries)
-            case QApp(f, a):
-                todo += ((f, bound), (a, bound))
-            case QAbs(_, body):
-                todo.append((body, bound))
-            case Forall(a, body) | QForall(a, body):
-                todo.append((body, bound | {a}))
-            case QSub(body, target):
-                todo += ((body, bound), (target, bound))
-            case QWeak(body, extra):
-                todo.append((body, bound))
-                todo += ((t, bound) for _, t in extra.entries)
-            case _:
-                raise TypeError(node)
+        cls = type(node)
+        if cls is TVar:
+            if node.name not in bound:
+                out.add(node.name)
+        elif cls is Arrow:
+            todo += ((node.dom, bound), (node.cod, bound))
+        elif cls is QEVar or cls is EVarApp:
+            out.add(node.evar)
+            out.update(node.forbidden - bound)
+            todo.append((node.body, bound))
+        elif cls is QApp:
+            todo += ((node.fun, bound), (node.arg, bound))
+        elif cls is QSub:
+            todo += ((node.body, bound), (node.target, bound))
+        elif cls is QVar:
+            todo += ((t, bound) for _, t in node.env.entries)
+        elif cls is QAbs:
+            todo.append((node.body, bound))
+        elif cls is Forall or cls is QForall:
+            todo.append((node.body, bound | {node.binder}))
+        elif cls is QWeak:
+            todo.append((node.body, bound))
+            todo += ((t, bound) for _, t in node.extra.entries)
+        else:
+            raise TypeError(node)
     found = frozenset(out)
-    object.__setattr__(q, "_allvar", found)
+    _store_allvar(q, found)
     return found
+
+
+_store_allvar = Skeleton._allvar.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -91,20 +95,25 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
     environment for m's free variables and the advanced supply. Binders are
     renamed so that none shadows another binder or a free variable. Each
     scope's environment is one object, and so is each variable's leaf in
-    it."""
+    it. The skeleton's allvar is the set of names allocated here: each type
+    variable sits in an environment or a |> target, and each E-variable on
+    a node."""
     free = fv(m)
     used = set(free)
     # the supply's counters, advanced in place; one supply is built at the end
     next_tvar, next_evar = supply.tvar_next, supply.evar_next
+    allocated: list[str] = []
 
     def fresh_tvar() -> str:
         nonlocal next_tvar
         name, next_tvar = supply.next_name(supply.tvar_prefix, next_tvar)
+        allocated.append(name)
         return name
 
     def fresh_evar() -> str:
         nonlocal next_evar
         name, next_evar = supply.next_name(supply.evar_prefix, next_evar)
+        allocated.append(name)
         return name
 
     tvar_of: dict[str, str] = {}  # term variable -> type variable, insertion-ordered
@@ -168,6 +177,7 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
         raise TypeError(node)
 
     skel, _ = build(annotated, frozenset())
+    _store_allvar(skel, frozenset(allocated))
     theta = TypeEnv(tuple((x, TVar(a)) for x, a in tvar_of.items() if x in free))
     return skel, theta, FreshSupply(next_tvar, next_evar, supply.avoid,
                                     supply.tvar_prefix, supply.evar_prefix)
@@ -243,72 +253,6 @@ def reflexive(c: Constraint) -> bool:
 # Deriving a substitution from an initial skeleton to a target skeleton
 
 
-def _mentions(q: Skeleton, name: str) -> bool:
-    """Whether name is in allvar(q), found by a walk that stops at the first
-    occurrence. A type counts through its free variables, kept in its memo
-    slot, and its E-variables; each distinct type and environment is
-    entered once. Below a QForall that binds name only E-variables count,
-    so those nodes wait on a stack of their own."""
-    found = q._allvar
-    if found is not None:
-        return name in found
-    no_evar: set[int] = set()  # ids of types with no E-variable named name
-    clear: set[int] = set()  # ids of environments known not to mention name
-    free: list[Skeleton] = [q]
-    bound: list[Skeleton] = []
-
-    def in_type(t: Type, count_free: bool) -> bool:
-        if count_free and name in (t._ftv or ftv(t)):
-            return True
-        types = [t]
-        while types:
-            t = types.pop()
-            if id(t) in no_evar:
-                continue
-            no_evar.add(id(t))
-            cls = type(t)
-            if cls is Arrow:
-                types += (t.dom, t.cod)
-            elif cls is EVarApp:
-                if t.evar == name:
-                    return True
-                types.append(t.body)
-            elif cls is Forall:
-                types.append(t.body)
-        return False
-
-    for todo, is_free in ((free, True), (bound, False)):
-        while todo:
-            q = todo.pop()
-            cls = type(q)
-            if cls is QEVar:
-                if q.evar == name or (is_free and name in q.forbidden):
-                    return True
-                todo.append(q.body)
-            elif cls is QApp:
-                todo.append(q.fun)
-                todo.append(q.arg)
-            elif cls is QSub:
-                if in_type(q.target, is_free):
-                    return True
-                todo.append(q.body)
-            elif cls is QVar or cls is QWeak:
-                env = q.env if cls is QVar else q.extra
-                if id(env) not in clear:
-                    if any(in_type(t, is_free) for _, t in env.entries):
-                        return True
-                    clear.add(id(env))
-                if cls is QWeak:
-                    todo.append(q.body)
-            elif cls is QAbs:
-                todo.append(q.body)
-            elif cls is QForall:
-                (bound if q.binder == name else todo).append(q.body)
-            else:
-                raise TypeError(q)
-    return False
-
-
 def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, TypeEnv]:
     """A substitution phi and extra environment G' such that
     QWeak(apply_subst(phi, q_init), G') reproduces q_target's judgement up to
@@ -320,13 +264,14 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     checked) and one walk of the target, which renames the target's
     binders as it goes instead of rebuilding it and reads each function
     part's type from its judgement.
-    A renamed QForall binder takes the first of fresh_name's candidates
-    (a, a_0, a_1, ...) that is not in allvar of either skeleton, nor free
-    in the target's environment, nor taken by a binder renamed before; each
-    candidate is looked for in the skeletons by a walk that stops where it
-    is found, so allvar's sets are not built. The initial term's free
-    variables are computed only when the target's environment has entries
-    to sort into G'."""
+    A renamed QForall binder takes fresh_name's choice out of allvar of
+    both skeletons, the variables free in the target's environment and the
+    names binders renamed before took. Those sets are read at the first
+    QForall: q_init's allvar is kept from its construction, and the
+    target's is one walk, kept in its memo slot, so a second derivation
+    onto the same target walks nothing. The initial term's free variables
+    are computed only when the target's environment has entries to sort
+    into G'."""
     j_i = check_skeleton(q_init)
     j_t = check_skeleton(q_target)
     if not term_alpha_eq(j_i.term, j_t.term):
@@ -337,16 +282,14 @@ def derive_substitution(q_init: Skeleton, q_target: Skeleton) -> tuple[Subst, Ty
     while type(root) is QWeak:
         root = root.body
 
-    taken: set[str] = set()  # names the renamed binders took
+    avoid: set[str] = set()  # filled at the first QForall, then each binder's name
 
     def fresh(a: str) -> str:
-        """fresh_name(a, avoid), with avoid's members found one at a time."""
-        candidate, i, env_free = a, 0, ftv(j_t.env)
-        while (candidate in taken or candidate in env_free or _mentions(root, candidate)
-               or _mentions(q_init, candidate)):
-            candidate, i = f"{a}_{i}", i + 1
-        taken.add(candidate)
-        return candidate
+        if not avoid:  # the first binder; refilling from empty sets adds nothing
+            avoid.update(allvar(q_init), allvar(root), ftv(j_t.env))
+        a = fresh_name(a, avoid)
+        avoid.add(a)
+        return a
 
     bindings: list[tuple[str, Type | Expansion]] = []
     first: dict[str, Type] = {}  # each term variable's type variable -> its binding

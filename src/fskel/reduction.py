@@ -433,26 +433,21 @@ def _regular(p: SubtypeSkeleton) -> bool:
 
 def _splits(t: Skeleton):
     """For each binder b of t's leading QForall block, outermost first: b,
-    the block without b (so b is free in it) and that block's type."""
+    the block without b (so b is free in it) and that block's type, built
+    on the type check_skeleton gives the block's body (it judges only the
+    nodes a step or T built since)."""
     block = []
     while type(t) is QForall:
         block.append(t.binder)
         t = t.body
     if not block:
         return
-    t_core = _judged_type(t)
+    t_core = check_skeleton(t).rtype
     for i, b in enumerate(block):
         rest, t_rest = t, t_core
         for c in reversed(block[:i] + block[i + 1:]):
             rest, t_rest = QForall(c, rest), Forall(c, t_rest)
         yield b, rest, t_rest
-
-
-def _judged_type(n: Skeleton) -> Type:
-    """n's type: read from its judgement when it has one, else checked by
-    its proofs."""
-    j = n._judgement
-    return check_neq(n)[2] if j is None else j.rtype
 
 
 # ---------------------------------------------------------------------------

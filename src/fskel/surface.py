@@ -6,7 +6,7 @@ Grammar (ASCII):
                 `all` extends maximally right, s^{A} binds tightest)
     Expansion:  id | all a. I | s^{A} I | I |> T
     Subst:      [a := T, s := I]
-    Constraint: omega | T <= T | C & C | ex a. C | s^{A; T} C
+    Constraint: omega | T <= T | C & C | ex a. C | s^{A; T} C  (& right-assoc)
     TypeEnv:    {x: T, y: T}
     Skeleton:   x<x: T> | \\x. Q | Q @ Q | all a. Q | s^{A} Q
                 | Q |> T | Q + {x: T}                   (+ = weakening)
@@ -436,8 +436,12 @@ class Parser:
         return self.conjunction(self.constraint_atom())
 
     def conjunction(self, c: Constraint) -> Constraint:
+        items = [c]
         while self.eat("&"):
-            c = And(c, self.constraint_atom())
+            items.append(self.constraint_atom())
+        c = items.pop()
+        while items:  # & nests to the right, as a conjunction prints
+            c = And(items.pop(), c)
         return c
 
     def constraint_atom(self, in_group: bool = False) -> Constraint | Type:
@@ -723,6 +727,10 @@ def print_subst(phi: Subst) -> str:
 
 
 def print_constraint(c: Constraint) -> str:
+    """c's text. Left of an &, an ex, a guard and a conjunction whose last
+    conjunct is an ex or a guard are parenthesised: an ex body extends to
+    the right, so it would take in what follows the &, and a bare
+    conjunction would read back nested to the right."""
     # an explicit stack of nodes and literal pieces: no recursion on depth
     out: list[str] = []
     todo: list[Constraint | str] = [c]
@@ -735,7 +743,7 @@ def print_constraint(c: Constraint) -> str:
             out.append(f"{print_type(c.lhs)} <= {print_type(c.rhs)}")
         elif cls is And:
             todo += (c.c2, " & ")
-            todo += (")", c.c1, "(") if type(c.c1) in (Exists, EGuard) else (c.c1,)
+            todo += (")", c.c1, "(") if _open_left(c.c1) else (c.c1,)
         elif cls is EGuard:
             out.append(_guard_text(c))
             todo += (")", c.body, "(") if type(c.body) in (And, Exists) else (c.body,)
@@ -747,6 +755,16 @@ def print_constraint(c: Constraint) -> str:
         else:
             raise TypeError(c)
     return "".join(out)
+
+
+def _open_left(c: Constraint) -> bool:
+    """Whether c is parenthesised left of an &: an ex, a guard, or a
+    conjunction whose last conjunct, down its right spine, is one."""
+    cls = type(c)
+    while cls is And:
+        c = c.c2
+        cls = type(c)
+    return cls is Exists or cls is EGuard
 
 
 def _guard_text(g: EGuard) -> str:

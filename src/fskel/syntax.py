@@ -594,7 +594,8 @@ class Skeleton(Node, final=False):
     (typecheck.check_skeleton), its proof-carrying form (reduction.to_neq:
     the skeleton with each redundant |> dropped and each target replaced by
     the end of its proof; NEQ_SELF when that is the node itself, None below
-    a weakening) and its type and expansion variables (initial.allvar).
+    a weakening) and its type and expansion variables (initial.allvar,
+    which initial_skeleton stores on the skeleton it builds).
     Each starts empty when the node is built: None, and NEQ_UNSET for the
     form. A node holds a form only once every atom of its constraint was
     decided under F, or was built by a reduction step whose reduct

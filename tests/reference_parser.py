@@ -2,7 +2,8 @@
 that fskel.surface used before its types, terms, environments and skeletons
 were read on an explicit stack, kept as an oracle for it.
 
-It is the old tokenizer and `Parser`, unchanged but for its imports: every
+It is the old tokenizer and `Parser`, unchanged but for its imports and
+for `&`, which nests to the right as the printers assume: every
 category is read by a method that recurses once or twice per level of
 nesting, and each token is read through `eat`, `expect` or `ident`.  It
 shares no code with fskel.surface and raises a `ParseError` of its own,
@@ -261,8 +262,12 @@ class Parser:
         return self.conjunction(self.constraint_atom())
 
     def conjunction(self, c: Constraint) -> Constraint:
+        items = [c]
         while self.eat("&"):
-            c = And(c, self.constraint_atom())
+            items.append(self.constraint_atom())
+        c = items.pop()
+        while items:
+            c = And(items.pop(), c)
         return c
 
     def constraint_atom(self, in_group: bool = False) -> Constraint | Type:

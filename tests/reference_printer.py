@@ -15,8 +15,10 @@ The printed forms follow the grammar with these conventions:
   postfix operators that chain to the left;
 - `s^{A}` takes an atom;
 - `C & C` keeps its right operand bare and parenthesises a prefix form
-  (`ex a.` or a guard) on its left; a guard's body is an atom, so a
-  conjunction or an `ex` there is parenthesised;
+  (`ex a.` or a guard) on its left, and a conjunction there whose last
+  conjunct is one: an `ex` body would take in the right operand, and `&`
+  reads as right-nested; a guard's body is an atom, so a conjunction or
+  an `ex` there is parenthesised;
 - a variable set is written sorted, separated by "," with no space, and
   an environment's entries are separated by ", ".
 """
@@ -82,6 +84,13 @@ def ref_expansion(i, wanted: int = 0) -> str:
 # Constraints: a position is the whole text (or the body of `ex`, or the
 # right of `&`), the left of `&`, or the body of a guard.
 
+def _ends_in_prefix(c) -> bool:
+    """Whether c's text ends in the body of an `ex` or a guard."""
+    if isinstance(c, And):
+        return _ends_in_prefix(c.c2)
+    return isinstance(c, (Exists, EGuard))
+
+
 def ref_constraint(c, position: str = "top") -> str:
     if isinstance(c, Omega):
         return "omega"
@@ -89,7 +98,8 @@ def ref_constraint(c, position: str = "top") -> str:
         return f"{ref_type(c.lhs)} <= {ref_type(c.rhs)}"
     if isinstance(c, And):
         text = f"{ref_constraint(c.c1, 'left')} & {ref_constraint(c.c2, 'top')}"
-        return f"({text})" if position == "guard" else text
+        wrap = position == "guard" or (position == "left" and _ends_in_prefix(c.c2))
+        return f"({text})" if wrap else text
     if isinstance(c, Exists):
         text = f"ex {c.binder}. {ref_constraint(c.body, 'top')}"
         return text if position == "top" else f"({text})"

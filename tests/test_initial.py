@@ -1,11 +1,13 @@
 """Initial skeleton generation, rename equivalence, derived substitutions."""
 
+import copy
 import hashlib
 import random
 import sys
 
 import pytest
 
+from fskel import initial
 from fskel.expansion import apply_subst, judgements_agree
 from generators import (
     decorate_dummies_inside, random_subst_for, random_term, random_valid_skeleton,
@@ -20,11 +22,13 @@ from fskel.surface import (
     print_type_env,
 )
 from fskel.syntax import (
-    And, App, Arrow, Atomic, Expansion, ForallIntro, FreshSupply, QApp, QForall, QVar, QWeak,
+    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QForall, QVar, QWeak,
     TVar, TypeEnv, Var, env_eq, ftv, term_alpha_eq, type_eq,
 )
 from fskel.typecheck import check_skeleton, relevant
-from helpers import chain_target, closed_corpus, count_calls, decorate, skeleton_for
+from helpers import (
+    chain_target, closed_corpus, count_calls, decorate, skeleton_for, skeleton_nodes,
+)
 
 
 def test_free_variables_get_distinct_type_variables():
@@ -341,26 +345,79 @@ def test_allvar_is_kept_on_the_node():
     assert again is found and visits == 0
 
 
+def test_initial_skeleton_records_its_allvar():
+    """The names initial_skeleton allocates are allvar of what it builds,
+    on chains, the closed corpus, terms with free variables and shadowing
+    binders, and supplies that skip names and start past 0 (a copy starts
+    with empty memo slots, so allvar walks it)."""
+    rng = random.Random(28)
+    terms = [parse_term("\\f. \\x. " + "f @ (" * n + "x" + ")" * n) for n in (1, 2, 10, 40)]
+    terms += closed_corpus()
+    terms += [parse_term(t) for t in ("y", "(\\x. x) @ x", "\\x. \\x. x @ y",
+                                      "(\\x. \\y. x) @ (\\y. y @ x)")]
+    terms += [random_term(rng, rng.randrange(1, 12), ["x0", "y", "z"]) for _ in range(300)]
+    supplies = [FreshSupply(), FreshSupply(3, 5, frozenset({"a4", "a5", "s5", "s7", "x0"})),
+                FreshSupply(0, 0, frozenset({"t0", "e1"}), "t", "e")]
+    for m in terms:
+        for supply in supplies:
+            q = initial_skeleton(m, supply)[0]
+            assert q._allvar is not None
+            assert q._allvar == allvar(copy.copy(q)), print_skeleton(q)
+
+
 def test_derive_substitution_walks_a_target_once():
-    # allvar enters no node of either skeleton, with or without QForall
-    # binders in the target: a binder's candidate names are looked for in
-    # the skeletons one at a time, and allvar is not called
+    # allvar enters no node of an initial skeleton, which records its
+    # variables as it is built, nor of a target with no QForall binder; a
+    # QForall target is walked once, as allvar walks a copy of it, and a
+    # second derivation onto the same target object walks nothing
     qt, m = _left_nested(8)
     q0 = initial_skeleton(m, FreshSupply())[0]
+    found, visits = _allvar_visits(lambda: allvar(q0))
+    assert visits == 0 and found == allvar(copy.copy(q0))
     _, visits = _allvar_visits(lambda: derive_substitution(q0, qt))
     assert visits == 0
     qf = QForall("g", QForall("h", qt))
-    for _ in range(2):
+    _, once = _allvar_visits(lambda: allvar(copy.copy(qf)))
+    assert once >= 17
+    weakened = QWeak(qf, TypeEnv((("zz", TVar("zz")),)))
+    # the weakened target's root, below its weakening, is qf: walked already
+    for target, expected in ((qf, once), (qf, 0), (weakened, 0)):
         q0 = initial_skeleton(m, FreshSupply())[0]
-        _, visits = _allvar_visits(lambda: derive_substitution(q0, qf))
-        assert visits == 0
+        _, visits = _allvar_visits(lambda: derive_substitution(q0, target))
+        assert visits == expected
 
 
-def test_derive_substitution_onto_quantified_targets_calls_no_allvar(monkeypatch):
-    calls = count_calls(monkeypatch, ["initial.allvar"])
-    quantified = sum(isinstance(sigma.bindings[-1][1], ForallIntro)
-                     for _, sigma, _ in _derived(range(300)))
-    assert quantified > 50 and calls["initial.allvar"] == 0
+def test_derive_substitution_walks_only_quantified_targets(monkeypatch):
+    """Over test 8's seeded targets: allvar walks no initial skeleton, walks
+    a target (below its root weakenings) only if it has a QForall binder,
+    then once, and walks nothing on a second derivation onto it."""
+    walked = []
+    real = initial.allvar
+
+    def recording(q):
+        if q._allvar is None:
+            walked.append(q)
+        return real(q)
+
+    monkeypatch.setattr(initial, "allvar", recording)
+    quantified = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        q = random_valid_skeleton(rng)
+        qt = apply_subst(random_subst_for(rng, q), q)
+        root = qt
+        if seed % 3 == 0:
+            qt = QWeak(qt, TypeEnv(((f"zz{seed}", TVar(f"zz{seed}")),)))
+        m = check_skeleton(qt).term
+        walked.clear()
+        derived = derive_substitution(initial_skeleton(m, FreshSupply())[0], qt)
+        has_forall = any(type(n) is QForall for n in skeleton_nodes(root).values())
+        assert [id(n) for n in walked] == ([id(root)] if has_forall else []), seed
+        quantified += has_forall
+        walked.clear()
+        assert derive_substitution(initial_skeleton(m, FreshSupply())[0], qt) == derived
+        assert walked == []
+    assert quantified > 50
 
 
 def test_binder_names_match_allvar_on_seeded_targets():

@@ -1,7 +1,9 @@
 """Call-by-value evaluation, subtyping proofs, the head-exposing
 transformation, and the subject-reduction engine."""
 
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -520,6 +522,65 @@ def test_step_neq_builds_only_its_reduct(monkeypatch):
             n = n2
             steps += 1
     assert steps >= 40
+
+
+def _rebuilt(n):
+    """A proof-carrying n with every node but its leaves built again: empty
+    memo slots, the same proofs."""
+    cls = type(n)
+    if cls is QVar:
+        return n
+    if cls is QSub:
+        return proved(_rebuilt(n.body), n._proof)
+    if cls is QApp:
+        return QApp(_rebuilt(n.fun), _rebuilt(n.arg))
+    return cls(*(getattr(n, f) for f in cls.__match_args__[:-1]), _rebuilt(n.body))
+
+
+def _sorted_sets(text: str) -> str:
+    """A repr with each frozenset's items sorted, so it is the same under
+    any hash seed."""
+    return re.sub(r"frozenset\(\{([^}]*)\}\)",
+                  lambda m: "{" + ", ".join(sorted(m[1].split(", "))) + "}", text)
+
+
+# sha256 of the lines test_transform_T_judges_new_blocks_without_check_neq
+# hashes, recorded from a transform_T that typed a QForall block no typing
+# pass had judged with check_neq, a full re-check of its proofs
+UNJUDGED_T_DIGEST = "5953e2bb3a2c4215e184e83375d078f84cdbeddfb22b8ceba959845b16bd86e0"
+
+
+def test_transform_T_judges_new_blocks_without_check_neq(monkeypatch):
+    # the skeletons T is called on while 1,000 decorated starts are stepped,
+    # each rebuilt so that no typing pass has judged it: T reads the type of
+    # a QForall block's body from check_skeleton, which judges only the
+    # new nodes, and never re-checks the proofs below it
+    inputs = []
+    real = reduction.transform_T
+
+    def recording(q):
+        inputs.append(_rebuilt(q))
+        return real(q)
+
+    monkeypatch.setattr(reduction, "transform_T", recording)
+    for n in _decorated_neq_starts(random.Random(28), 1000):
+        for _ in range(30):
+            if cbv_step(check_neq(n)[0]) is None:
+                break
+            n = step_neq(n)
+    monkeypatch.undo()
+    calls = count_calls(monkeypatch, ["reduction.check_neq", "typecheck._judge"])
+    digest = hashlib.sha256()
+    judged = 0
+    for q in inputs:
+        before = calls["typecheck._judge"]
+        t = transform_T(q)
+        judged += calls["typecheck._judge"] > before
+        line = print_skeleton(t) + " " + _sorted_sets(repr(carried_proofs(t)))
+        digest.update(line.encode() + b"\n")
+    assert len(inputs) == 1774 and judged == 61
+    assert calls["reduction.check_neq"] == 0
+    assert digest.hexdigest() == UNJUDGED_T_DIGEST
 
 
 @pytest.mark.parametrize("chain", [id_chain, poly_chain])

@@ -601,6 +601,29 @@ def test_print_flattened_prints_the_flattened_form():
     assert print_flattened(c) == "(s0^{; a} (ex b. b <= a)) & s0^{; a} c <= d"
 
 
+def test_printed_constraints_read_back():
+    """print_constraint's text, raw or canonical, parses to a constraint
+    equal to the one printed and prints the same text again. An ex body
+    extends to the right, so a conjunction left of an & whose last conjunct
+    is an ex binder is parenthesised, and so is one whose last conjunct is
+    a guard, as & reads back nested to the right."""
+    rng = random.Random(28)
+    raw = _corpus() + [_random_constraint(rng, 6, omega=True) for _ in range(3000)]
+    for c in raw + [canonical_constraint(c) for c in raw]:
+        text = print_constraint(c)
+        back = parse_constraint(text)
+        assert constraint_eq(back, c) and print_constraint(back) == text, text
+    a_a, b_b, b_c = (parse_constraint(t) for t in ("a <= a", "b <= b", "b <= c"))
+    for c, text in [
+            (And(And(a_a, Exists("b", b_b)), b_c), "(a <= a & ex b. b <= b) & b <= c"),
+            (And(And(a_a, EGuard("s", frozenset(), TVar("a"), b_b)), b_c),
+             "(a <= a & s^{; a} b <= b) & b <= c"),
+            (And(a_a, And(Exists("b", b_b), b_c)), "a <= a & (ex b. b <= b) & b <= c"),
+            (Exists("b", And(a_a, And(b_b, b_c))), "ex b. a <= a & b <= b & b <= c")]:
+        assert print_constraint(c) == reference_printer.ref_constraint(c) == text
+        assert parse_constraint(text) == c
+
+
 def test_print_flattened_holds_each_prefix_text_once():
     # 2,000 guards, each above an ex binder, over one atom: the text is
     # 46 KB; keeping the joined prefix at every depth took 88 MB here
