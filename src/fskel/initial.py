@@ -3,8 +3,9 @@ and the constructive derivation of a substitution mapping an initial skeleton
 onto any valid skeleton of the same term. An initial skeleton records its
 variables (allvar) as it is built. The derivation types each of its two
 skeletons once and walks the target once; the target's variables are gathered,
-by one more walk kept in its memo slot, only if the target has a QForall
-binder to rename, and the substitution binds each name once."""
+by one more walk kept in its memo slot, which stops at each type (a type keeps
+its free variables and E-variables), only if the target has a QForall binder
+to rename, and the substitution binds each name once."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .syntax import (
     IOTA, Abs, App, Arrow, Constraint, EVarApp, EVarIntro, Expansion, Forall,
     ForallIntro, FreshSupply, Id, Node, QAbs, QApp, QEVar, QForall, QSub, QVar,
     QWeak, Skeleton, SubStep, Subst, TVar, Term, Type, TypeEnv, Var,
-    as_arrow, fresh_name, ftv, fv, term_alpha_eq,
+    _type_evars, as_arrow, fresh_name, ftv, fv, term_alpha_eq,
 )
 from .expansion import apply_subst, apply_subst_set
 from .solve import REL_EQ, solved
@@ -25,47 +26,52 @@ class TermMismatch(Exception):
 
 def allvar(q: Skeleton) -> frozenset[str]:
     """Free type variables plus all expansion variables of a skeleton,
-    kept in q's memo slot (an initial skeleton has it from the start)."""
+    kept in q's memo slot (an initial skeleton has it from the start); a
+    type's are read from its memo slots (`ftv`, `_type_evars`)."""
     found = q._allvar
     if found is not None:
         return found
-    # free type variables and expansion variables in one walk; `bound`
-    # holds the enclosing binders. A node met again under the same binders
-    # (a shared subtree, an interned type) adds nothing and is skipped.
+    # one walk per set of enclosing binders (a QForall starts one under its
+    # binder); a node met again under the same binders (a shared subtree)
+    # adds nothing and is skipped, and each distinct type met is read once
     out: set[str] = set()
-    seen: set[tuple[int, frozenset[str]]] = set()
-    todo: list[tuple[Skeleton | Type, frozenset[str]]] = [(q, frozenset())]
-    while todo:
-        node, bound = todo.pop()
-        visit = (id(node), bound)
-        if visit in seen:
-            continue
-        seen.add(visit)
-        cls = type(node)
-        if cls is TVar:
-            if node.name not in bound:
-                out.add(node.name)
-        elif cls is Arrow:
-            todo += ((node.dom, bound), (node.cod, bound))
-        elif cls is QEVar or cls is EVarApp:
-            out.add(node.evar)
-            out.update(node.forbidden - bound)
-            todo.append((node.body, bound))
-        elif cls is QApp:
-            todo += ((node.fun, bound), (node.arg, bound))
-        elif cls is QSub:
-            todo += ((node.body, bound), (node.target, bound))
-        elif cls is QVar:
-            todo += ((t, bound) for _, t in node.env.entries)
-        elif cls is QAbs:
-            todo.append((node.body, bound))
-        elif cls is Forall or cls is QForall:
-            todo.append((node.body, bound | {node.binder}))
-        elif cls is QWeak:
-            todo.append((node.body, bound))
-            todo += ((t, bound) for _, t in node.extra.entries)
-        else:
-            raise TypeError(node)
+    walks: list[tuple[Skeleton, frozenset[str]]] = [(q, frozenset())]
+    seen: dict[frozenset[str], set[int]] = {}
+    while walks:
+        node, bound = walks.pop()
+        done = seen.setdefault(bound, set())
+        types: set[Type] = set()
+        todo = [node]
+        while todo:
+            node = todo.pop()
+            if id(node) in done:
+                continue
+            done.add(id(node))
+            cls = type(node)
+            if cls is QApp:
+                todo += (node.fun, node.arg)
+            elif cls is QSub:
+                todo.append(node.body)
+                types.add(node.target)
+            elif cls is QVar:
+                types.update(t for _, t in node.env.entries)
+            elif cls is QEVar:
+                out.add(node.evar)
+                out.update(node.forbidden - bound)
+                todo.append(node.body)
+            elif cls is QAbs:
+                todo.append(node.body)
+            elif cls is QForall:
+                walks.append((node.body, bound | {node.binder}))
+            elif cls is QWeak:
+                todo.append(node.body)
+                types.update(t for _, t in node.extra.entries)
+            else:
+                raise TypeError(node)
+        for t in types:
+            free = ftv(t)
+            out.update(free - bound if bound else free)
+            out.update(_type_evars(t))
     found = frozenset(out)
     _store_allvar(q, found)
     return found
@@ -153,30 +159,33 @@ def initial_skeleton(m: Term, supply: FreshSupply) -> tuple[Skeleton, TypeEnv, F
             got = envs[scope] = env, ftv(env), {}
         return got
 
-    def build(node, scope: frozenset[str]) -> tuple[Skeleton, Type]:
+    def build(node, scope: frozenset[str], typed: bool) -> tuple[Skeleton, Type | None]:
+        """node's skeleton and, when typed, its type: only an argument's
+        type is read, by the |> above the function part."""
         cls = type(node)
         if cls is _AApp:
-            qf, _ = build(node.fun, scope)
-            qa, ta = build(node.arg, scope)
+            qf, _ = build(node.fun, scope, False)
+            qa, ta = build(node.arg, scope, True)
             s, delta = node.evar, env_at(scope)[1]
             a = TVar(node.tvar)
-            return QEVar(s, delta, QApp(QSub(qf, Arrow(ta, a)), qa)), EVarApp(s, delta, a)
+            return (QEVar(s, delta, QApp(QSub(qf, Arrow(ta, a)), qa)),
+                    EVarApp(s, delta, a) if typed else None)
         if cls is _AVar:
             x, s = node.var, node.evar
             env, delta, leaves = env_at(scope)
             leaf = leaves.get(x)
             if leaf is None:
                 leaf = leaves[x] = QVar(x, env)
-            return QEVar(s, delta, leaf), EVarApp(s, delta, TVar(tvar_of[x]))
+            return QEVar(s, delta, leaf), EVarApp(s, delta, TVar(tvar_of[x])) if typed else None
         if cls is _AAbs:
             x = node.binder
-            qb, tb = build(node.body, scope | {x})
+            qb, tb = build(node.body, scope | {x}, typed)
             s, delta = node.evar, env_at(scope)[1]
             return (QEVar(s, delta, QAbs(x, qb)),
-                    EVarApp(s, delta, Arrow(TVar(tvar_of[x]), tb)))
+                    EVarApp(s, delta, Arrow(TVar(tvar_of[x]), tb)) if typed else None)
         raise TypeError(node)
 
-    skel, _ = build(annotated, frozenset())
+    skel, _ = build(annotated, frozenset(), False)
     _store_allvar(skel, frozenset(allocated))
     theta = TypeEnv(tuple((x, TVar(a)) for x, a in tvar_of.items() if x in free))
     return skel, theta, FreshSupply(next_tvar, next_evar, supply.avoid,

@@ -618,12 +618,14 @@ def subst_redex(body: Skeleton, x: str, arg: Skeleton) -> Skeleton:
     environments are extended with the binders crossed above it, typed as in
     that occurrence's own environment. A crossed binder that clashes with a
     name of the argument is renamed on the way down, away from every name
-    below it and every name given before."""
+    below it and every name given before. The argument's names are gathered
+    at the first abstraction crossed: no other node reads them."""
 
     known: dict[int, frozenset[str]] = {}  # the nodes below live as long as this call
-    arg_names = _term_names(arg, known)
+    arg_names: frozenset[str] | None = None
 
     def go(q: Skeleton, crossed: tuple[str, ...], ren: dict[str, str]) -> Skeleton:
+        nonlocal arg_names
         cls = type(q)
         if cls is QVar:
             y, env = q.var, q.env
@@ -639,6 +641,8 @@ def subst_redex(body: Skeleton, x: str, arg: Skeleton) -> Skeleton:
             return _resub(go(q.body, crossed, ren), q)
         if cls is QAbs:
             y, body = q.binder, q.body
+            if arg_names is None:
+                arg_names = _term_names(arg, known)
             if y in arg_names:
                 # body's environments hold x and every binder crossed
                 # before, under its old name; the new names are added

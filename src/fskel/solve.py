@@ -146,9 +146,10 @@ def record_solved(c: Constraint, rel: SubtypingRelation) -> None:
         if rel in rels:
             continue
         _store_solved(node, rels + mark if rels else mark)
-        if isinstance(node, And):
+        cls = type(node)
+        if cls is And:
             todo += (node.c2, node.c1)
-        elif isinstance(node, (Exists, EGuard)):
+        elif cls is Exists or cls is EGuard:
             todo.append(node.body)
 
 

@@ -4,12 +4,14 @@ Every node class derives from `Node`: a frozen, slotted record whose
 fields are its public slots and whose memo slots (slots named with a
 leading `_`) hold facts computed from it at most once.
 
-Types are interned: `TVar`, `Arrow`, `Forall` and `EVarApp` nodes are built
-through one weak table keyed by the class and the fields, so there is one
-live node per distinct type and `==` and `hash` on types are identity.
-`copy`, `deepcopy` and `pickle` return the interned node. A type node has
-four memo slots: its free variables (`ftv`), its canonical form
-(`canonical_type`), its key (`_type_key`) and its text
+Types and terms are interned: `TVar`, `Arrow`, `Forall`, `EVarApp`, `Var`,
+`Abs` and `App` nodes are built through one table keyed by the class and the
+fields, which holds each node strongly and is swept by reference count
+(`_sweep`), so there is one node per distinct type or term and `==` and
+`hash` on them are identity. `copy`, `deepcopy` and `pickle` return the
+interned node. A type node has five memo slots: its free variables
+(`ftv`), its E-variables (`_type_evars`, read by `initial.allvar`), its
+canonical form (`canonical_type`), its key (`_type_key`) and its text
 (`surface.print_type`), each computed at most once; a type with no
 `Forall` in it is marked its own canonical form when it is built.
 Constraints, environments and skeletons are not interned; they compare by
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import copy
 import functools
-import weakref
-from _weakref import _remove_dead_weakref
+from operator import attrgetter
+from sys import getrefcount
 
 
 # The value a memo slot holds from the moment its node is built until its
@@ -36,38 +38,39 @@ MEMO_EMPTY = {"_solved": (), "_neq": NEQ_UNSET}
 
 
 @functools.cache
-def _maker(fields: tuple[str, ...], memo: tuple[str, ...], mark: str | None = None):
+def _maker(fields: tuple[str, ...], memo: tuple[str, ...], interned: bool,
+           mark: str | None = None):
     """Compile a function that takes the fields' and memo slots' setters and
     the memo slots' empty values, and returns a node class's `__init__` and
     `_parts` (the tuple of its fields); classes with the same fields and
-    memo slots share it. Given mark, the source of a new type's `_canonical`
-    value, it returns an interning `__new__` in place of `__init__`, with a
-    fixed arity, and takes `_INTERN` after the empty values."""
+    memo slots share it. For an interned class it returns an interning
+    `__new__` in place of `__init__`, with a fixed arity, and takes
+    `_INTERN` after the empty values; given mark, the source of a new
+    type's `_canonical` value, that slot starts with it."""
     values = {n: f"_empty_{n}" for n in memo}
     if mark is not None:
         values["_canonical"] = mark
-    stores = "".join(f"\n        _set_{n}(self, {n})" for n in fields)
-    stores += "".join(f"\n        _set_{n}(self, {v})" for n, v in values.items())
+    indent = "\n" + " " * (12 if interned else 8)
+    stores = "".join(f"{indent}_set_{n}(self, {n})" for n in fields)
+    stores += "".join(f"{indent}_set_{n}(self, {v})" for n, v in values.items())
     params = [f"_set_{n}" for n in fields + memo] + [f"_empty_{n}" for n in memo]
     args = "".join(f", {n}" for n in fields)
-    if mark is None:
+    if not interned:
         src = [f"    def __init__(self{args}):{stores or ' pass'}"]
     else:
-        params += ["_get", "_new", "_table", "_ref", "_drop", "_NO_FORALL"]
+        params += ["_get", "_new", "_table", "_limit", "_sweep", "_NO_FORALL"]
         src = [f"    def __new__(cls{args}):",
                f"        key = (cls{args},)",
-               "        ref = _get(key)",
-               "        if ref is not None:",
-               "            self = ref()",
-               "            if self is not None:",
-               "                return self",
-               f"        self = _new(cls){stores}",
-               "        ref = _table[key] = _ref(self, _drop)",
-               "        ref.key = key",
+               "        self = _get(key)",
+               "        if self is None:",
+               f"            self = _new(cls){stores}",
+               "            _table[key] = self",
+               "            if len(_table) > _limit[0]:",
+               "                _sweep()",
                "        return self"]
     src = [f"def make({', '.join(params)}):", *src,
            f"    def _parts(self):\n        return ({''.join(f'self.{n}, ' for n in fields)})",
-           f"    return {'__init__' if mark is None else '__new__'}, _parts"]
+           f"    return {'__new__' if interned else '__init__'}, _parts"]
     ns: dict = {}
     exec("\n".join(src), ns)
     return ns["make"]
@@ -90,10 +93,12 @@ def _mark(cls: type, fields: tuple[str, ...]) -> str:
 
 
 # Every node class, and every node class compared by structure (all but
-# the interned types), each with `tuple`: the containers that `_fold` and
-# the structural `==` and `hash` enter.
+# the interned types and terms), each with `tuple`: the containers that
+# `_fold` and the structural `==` and `hash` enter. And the interned
+# classes, whose nodes `_sweep` deletes.
 _NODES: set[type] = {tuple}
 _STRUCTURAL: set[type] = {tuple}
+_INTERNED: set[type] = set()
 
 # CPython's tuple hash (xxHash64, as since 3.8), so that a node hashes as
 # the tuple of its fields does without hashing its parts recursively.
@@ -121,17 +126,18 @@ class Node:
     each field through its slot's member descriptor and each memo slot's
     empty value (`MEMO_EMPTY`, else None), so a memo slot starts empty when
     its node is built and reading it is a plain attribute read. A class
-    compared by identity, a type, gets an interning `__new__` of its own
-    arity in place of `__init__`: it looks the fields up in the weak table
-    and builds a missing node there, its `_canonical` slot marked from its
-    children's (`_mark`). `_defaults` holds values for the last fields, as
-    a function's defaults do. A node has the dataclass repr and refuses
-    assignment.
+    compared by identity, a type or a term, gets an interning `__new__` of
+    its own arity in place of `__init__`: it looks the fields up in the
+    table and builds a missing node there, a type's `_canonical` slot
+    marked from its children's (`_mark`), and sweeps the table once it has
+    outgrown its bound (`_sweep`). `_defaults` holds values for the last
+    fields, as a function's defaults do. A node has the dataclass repr and
+    refuses assignment.
 
-    Every node but an interned type compares by structure: `==` walks both
-    nodes on one explicit stack, entering the fields of nodes and the
-    items of tuples (the entries of an environment, the bindings of a
-    substitution) and comparing anything else, a type too, by its own
+    Every node but an interned type or term compares by structure: `==`
+    walks both nodes on one explicit stack, entering the fields of nodes
+    and the items of tuples (the entries of an environment, the bindings
+    of a substitution) and comparing anything else, a type too, by its own
     `==`; `hash` is that of the tuple of the node's fields, as a dataclass
     has it, computed bottom-up on an explicit stack, with each shared part
     hashed once. `copy` rebuilds a node from its fields, so a copy starts
@@ -163,17 +169,19 @@ class Node:
                 raise TypeError(f"cannot derive {cls.__qualname__} from {base.__qualname__}: "
                                 "a node class is final unless declared with final=False")
         fields = tuple(n for n in cls.__dict__.get("__slots__", ()) if n[0] != "_")
-        interned = cls.__eq__ is object.__eq__  # a type
-        mark = _mark(cls, fields) if interned else None
+        memo = tuple(n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
+                     if n[0] == "_")
+        interned = cls.__eq__ is object.__eq__  # a type or a term
+        mark = _mark(cls, fields) if "_canonical" in memo else None  # a type
         cls._final = final
         _NODES.add(cls)
-        if cls.__eq__ is Node.__eq__:
+        if interned:
+            _INTERNED.add(cls)
+        elif cls.__eq__ is Node.__eq__:
             _STRUCTURAL.add(cls)
         cls.__match_args__ = fields
-        memo = tuple(n for k in reversed(cls.__mro__) for n in k.__dict__.get("__slots__", ())
-                     if n[0] == "_" and n != "__weakref__")
         setters = (getattr(cls, n).__set__ for n in fields + memo)
-        make = _maker(fields, memo, mark)
+        make = _maker(fields, memo, interned, mark)
         init, parts = make(*setters, *(MEMO_EMPTY.get(n) for n in memo),
                            *(_INTERN if interned else ()))
         init.__defaults__ = cls._defaults
@@ -293,13 +301,83 @@ def _copy_of(v, parts: list):
 
 
 # ---------------------------------------------------------------------------
+# The intern table
+
+
+# Every type and term node is interned: the table maps (class, *fields) to
+# the one node with those fields, which it holds strongly, so a node
+# outlives its last holder elsewhere until the next sweep, and a node built
+# again meanwhile is the very one. Its key holds the node's parts.
+_TYPES: dict[tuple, Node] = {}
+# The table's size past which the next node built sweeps it.
+_limit = [4096]
+
+
+def _table_alone() -> int:
+    """What sys.getrefcount reads, in `_sweep`'s loop, for a node that no
+    one but the table holds: the count is the interpreter's to define (the
+    reference the call's argument takes, for one), so it is measured."""
+    table = {0: object()}
+    node = table.get(0)
+    return getrefcount(node)
+
+
+_TABLE_ALONE = _table_alone()
+
+
+def _sweep() -> None:
+    """Delete every entry whose node no one but the table holds, then set
+    the bound to twice the entries left (at least 4096), so a sweep costs
+    amortized O(1) per node built. Entries go newest first: a node's parts
+    were built before it, so once its entry and the key that holds them are
+    gone, the same pass finds the parts held by no one else and deletes
+    them too. A type's canonical form may be newer than the type; it is
+    looked at again, with the parts it held, when the type is deleted."""
+    table = _TYPES
+    get = table.get
+    keys = list(table)
+    again: list[Node] = []  # released by a node deleted, and maybe passed
+    while keys or again:
+        if again:
+            key = None
+            node = again.pop()
+        else:
+            key = keys.pop()
+            node = get(key)
+            if node is None:  # deleted with a node in `again`
+                continue
+        if getrefcount(node) != _TABLE_ALONE:
+            continue
+        if key is None:
+            key = (type(node), *node._parts())
+            again += (p for p in node._parts() if type(p) in _INTERNED)
+        del table[key]
+        if isinstance(node, Type) and isinstance(node._canonical, Type):
+            again.append(node._canonical)
+    _limit[0] = max(2 * len(table), 4096)
+
+
+# The `_canonical` slot of a node that is its own canonical form (the node
+# itself there would be a reference cycle), and of one with no Forall in it,
+# which is so by construction and lets its parents be marked in turn.
+_IS_CANONICAL = object()
+_NO_FORALL = object()
+# What an interning constructor takes besides setters and empty values.
+_INTERN = (_TYPES.get, object.__new__, _TYPES, _limit, _sweep, _NO_FORALL)
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
 class Term(Node, final=False):
-    """Untyped lambda-term."""
+    """Untyped lambda-term. Nodes are interned, so `==` and `hash` are
+    identity, and copies rebuild through the table."""
 
     __slots__ = ()
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 class Var(Term):
@@ -365,41 +443,18 @@ def term_alpha_eq(m1: Term, m2: Term) -> bool:
 # Types
 
 
-# Every type node is interned: the table maps (class, *fields) to a weak
-# reference to the one live node with those fields, so a node is freed with
-# its last outside reference (the key holds only the node's children), and
-# the reference's callback then deletes the entry if it is still the dead one.
-_TYPES: dict[tuple, _TypeRef] = {}
-
-
-class _TypeRef(weakref.ref):
-    __slots__ = ("key",)
-
-
-def _drop(ref: _TypeRef) -> None:
-    _remove_dead_weakref(_TYPES, ref.key)
-
-
-# The `_canonical` slot of a node that is its own canonical form (the node
-# itself there would be a reference cycle), and of one with no Forall in it,
-# which is so by construction and lets its parents be marked in turn.
-_IS_CANONICAL = object()
-_NO_FORALL = object()
-# What an interning constructor takes besides setters and empty values.
-_INTERN = (_TYPES.get, object.__new__, _TYPES, _TypeRef, _drop, _NO_FORALL)
-
-
 class Type(Node, final=False):
     """System Fs type. Nodes are interned, so `==` and `hash` are identity,
     and copies rebuild through the table. The memo slots hold pure
     functions of the node, each computed at most once: its free variables
-    (`ftv`), its canonical form (`canonical_type`), its key (`_type_key`)
-    and its text (`surface.print_type`). Each type class with fields
+    (`ftv`), its E-variables (`_type_evars`, read by `initial.allvar`),
+    its canonical form (`canonical_type`), its key (`_type_key`) and its
+    text (`surface.print_type`). Each type class with fields
     states `_kids`, those that hold types, from which a new node's
     no-Forall mark is read (`_mark`); Forall states None, as no Forall is
     so marked."""
 
-    __slots__ = ("_ftv", "_canonical", "_key", "_text", "__weakref__")
+    __slots__ = ("_ftv", "_evars", "_canonical", "_key", "_text")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -509,7 +564,7 @@ class Constraint(Node, final=False):
     relations solve.solved found, and REL_F on the constraint of a reduct
     that reduction.preserve returns, which holds under F by construction.
     Constraints are not interned: they compare by structure, as every node
-    but a type does."""
+    but a type or a term does."""
 
     __slots__ = ("_solved",)
 
@@ -711,20 +766,71 @@ def ftv(subject) -> frozenset[str]:
 
 def _type_ftv(t: Type) -> frozenset[str]:
     free = t._ftv
-    if free is None:
-        cls = type(t)
+    return _fill(t, _get_ftv, _ftv_of) if free is None else free
+
+
+def _type_evars(t: Type) -> frozenset[str]:
+    """The E-variables of a type, kept in its memo slot."""
+    found = t._evars
+    return _fill(t, _get_evars, _evars_of) if found is None else found
+
+
+def _fill(t: Type, get, fill):
+    """get(t), once fill(u), which stores u's memo from its parts', has run
+    on t and on each part of t whose memo is None: bottom-up on an explicit
+    stack, so a type of any depth has it."""
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if get(u) is not None:
+            todo.pop()
+            continue
+        cls = type(u)
         if cls is Arrow:
-            free = _type_ftv(t.dom) | _type_ftv(t.cod)
+            parts = (u.dom, u.cod)
         elif cls is TVar:
-            free = frozenset((t.name,))
-        elif cls is Forall:
-            free = _type_ftv(t.body) - {t.binder}
-        elif cls is EVarApp:
-            free = _type_ftv(t.body) | t.forbidden
+            parts = ()
+        elif cls is Forall or cls is EVarApp:
+            parts = (u.body,)
         else:
-            raise TypeError(t)
-        object.__setattr__(t, "_ftv", free)
-    return free
+            raise TypeError(u)
+        missing = [p for p in parts if get(p) is None]
+        if missing:
+            todo += missing
+        else:
+            todo.pop()
+            fill(u)
+    return get(t)
+
+
+def _ftv_of(t: Type) -> None:
+    cls = type(t)
+    if cls is Arrow:
+        free = t.dom._ftv | t.cod._ftv
+    elif cls is TVar:
+        free = frozenset((t.name,))
+    elif cls is Forall:
+        free = t.body._ftv - {t.binder}
+    else:
+        free = t.body._ftv | t.forbidden
+    _set_ftv(t, free)
+
+
+def _evars_of(t: Type) -> None:
+    cls = type(t)
+    if cls is Arrow:
+        found = t.dom._evars | t.cod._evars
+    elif cls is TVar:
+        found = frozenset()
+    elif cls is Forall:
+        found = t.body._evars
+    else:
+        found = t.body._evars | {t.evar}
+    _set_evars(t, found)
+
+
+_get_ftv, _get_evars = attrgetter("_ftv"), attrgetter("_evars")
+_set_ftv, _set_evars = Type._ftv.__set__, Type._evars.__set__
 
 
 # ---------------------------------------------------------------------------

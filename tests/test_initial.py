@@ -10,7 +10,8 @@ import pytest
 from fskel import initial
 from fskel.expansion import apply_subst, judgements_agree
 from generators import (
-    decorate_dummies_inside, random_subst_for, random_term, random_valid_skeleton,
+    decorate_dummies_inside, random_subst_for, random_term, random_type,
+    random_valid_skeleton,
 )
 from fskel.solve import RELATIONS, solved
 from fskel.initial import (
@@ -22,8 +23,8 @@ from fskel.surface import (
     print_type_env,
 )
 from fskel.syntax import (
-    And, App, Arrow, Atomic, Expansion, FreshSupply, QApp, QForall, QVar, QWeak,
-    TVar, TypeEnv, Var, env_eq, ftv, term_alpha_eq, type_eq,
+    And, App, Arrow, Atomic, EVarApp, Expansion, Forall, FreshSupply, QAbs, QApp, QEVar,
+    QForall, QSub, QVar, QWeak, TVar, TypeEnv, Var, env_eq, ftv, term_alpha_eq, type_eq,
 )
 from fskel.typecheck import check_skeleton, relevant
 from helpers import (
@@ -200,6 +201,58 @@ def test_derive_substitution_rejects_skeletons_that_are_not_initial():
 def test_allvar():
     q = parse_skeleton("s^{a} x<x: a>")
     assert allvar(q) == {"s", "a"}
+
+
+def _names(n, bound: frozenset) -> set:
+    """allvar by its definition, entering every type node: the type
+    variables free under bound, and every E-variable."""
+    if isinstance(n, TypeEnv):
+        return set().union(*(_names(t, bound) for _, t in n.entries))
+    if type(n) is TVar:
+        return set() if n.name in bound else {n.name}
+    if type(n) in (QForall, Forall):
+        return _names(n.body, bound | {n.binder})
+    if type(n) in (QEVar, EVarApp):
+        return {n.evar} | (n.forbidden - bound) | _names(n.body, bound)
+    return set().union(*(_names(p, bound) for p in n._parts() if not isinstance(p, str)))
+
+
+def _shape(rng: random.Random, depth: int):
+    """A skeleton, not necessarily valid, whose types hold binders and
+    E-variables named as its binders and E-variables are (a, t0, u0, ...)."""
+    tvars = ["a", "b", "t0", "u0"]
+    if depth <= 0 or rng.random() < 0.25:
+        return QVar("x", TypeEnv((("x", random_type(rng, tvars, 4)),
+                                  ("y", random_type(rng, tvars, 3)))))
+    match rng.randrange(6):
+        case 0:
+            return QApp(_shape(rng, depth - 1), _shape(rng, depth - 1))
+        case 1:
+            return QForall(rng.choice(["a", "t0", "u1"]), _shape(rng, depth - 1))
+        case 2:
+            return QEVar(rng.choice(["u0", "a"]), frozenset(rng.sample(tvars, 2)),
+                         _shape(rng, depth - 1))
+        case 3:
+            return QSub(_shape(rng, depth - 1), random_type(rng, tvars, 4))
+        case 4:
+            return QWeak(_shape(rng, depth - 1), TypeEnv((("z", random_type(rng, tvars, 3)),)))
+        case _:
+            return QAbs("x", _shape(rng, depth - 1))
+
+
+def test_allvar_reads_each_type_from_its_memo_slots():
+    # allvar stops at a type, reading its free variables and E-variables
+    # from the type's memo slots, under every set of binders above it
+    rng = random.Random(29)
+    for _ in range(400):
+        q = _shape(rng, 6)
+        assert allvar(q) == _names(q, frozenset()), print_skeleton(q)
+    # types of any depth: their memo slots are filled on an explicit stack
+    deep = TVar("a")
+    for i in range(3000):
+        deep = Arrow(TVar(f"d{i % 7}"), EVarApp("u9", frozenset(), Forall("a", deep)))
+    assert allvar(QVar("x", TypeEnv((("x", deep),)))) == {f"d{i}" for i in range(7)} | {"u9"}
+    assert ftv(deep) == {f"d{i}" for i in range(7)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,21 @@
-"""Interned types: one node per distinct type, held in a weak table, with its
-free variables, canonical form and key kept in memo slots of the node."""
+"""Interned types and terms: one node per distinct type or term, held in one
+table that a sweep clears of the nodes nothing else holds, with a type's free
+variables, canonical form and key kept in memo slots of the node."""
 
 import copy
 import gc
 import pickle
 import random
-import weakref
 
 import pytest
 
 from fskel import syntax
 from fskel.surface import parse_skeleton, parse_type
 from fskel.syntax import (
-    Arrow, EVarApp, Forall, TVar, _canon, _type_key, canonical_type, ftv,
+    Abs, App, Arrow, EVarApp, Forall, QAbs, QVar, TVar, TypeEnv, Var, _canon, _type_key,
+    canonical_type, ftv,
 )
+from fskel.typecheck import check_skeleton
 from generators import random_type
 from helpers import count_calls
 
@@ -83,19 +85,40 @@ def test_canonical_form_is_its_own_canonical_form():
         assert _canon(c, [0], ftv(c)) is c
 
 
-def test_table_is_weak_and_slots_make_no_cycle():
+def _named_ids(text: str) -> set[int]:
+    """The ids of the table's nodes that show text in a name: the table
+    lists a node's parts before it."""
+    named = set()
+    for key, node in syntax._TYPES.items():
+        if any(id(f) in named or isinstance(f, (str, frozenset)) and text in repr(f)
+               for f in key[1:]):
+            named.add(id(node))
+    return named
+
+
+def test_table_is_swept_and_slots_make_no_cycle():
     gc.disable()
     try:
-        before = len(syntax._TYPES)
         t = Arrow(Forall("a", Forall("z", TVar("a"))), TVar("interning_only"))
-        c = canonical_type(t)
-        assert c is not t
-        ftv(t), _type_key(t), _type_key(c)
-        assert len(syntax._TYPES) > before
-        refs = [weakref.ref(t), weakref.ref(c)]
-        del t, c
-        assert [r() for r in refs] == [None, None]
-        assert len(syntax._TYPES) == before
+        canonical_type(t)
+        ftv(t), _type_key(t), _type_key(t._canonical)
+        syntax._sweep()
+        form = t._canonical
+        assert form is not t and syntax._TYPES[(Arrow, *form._parts())] is form
+        del form
+        del t
+        # one sweep deletes t and, though it is newer than t, t's canonical
+        # form, which only t's memo slot held, with the parts it held
+        syntax._sweep()
+        assert len(_named_ids("interning_only")) == 0
+        # no memo slot holds its own node: a canonical form held here is
+        # left alone with its leaf, and goes at the sweep after its release
+        c = canonical_type(Arrow(Forall("a", Forall("z", TVar("a"))), TVar("interning_only")))
+        syntax._sweep()
+        assert len(_named_ids("interning_only")) == 2
+        del c
+        syntax._sweep()
+        assert len(_named_ids("interning_only")) == 0
     finally:
         gc.enable()
 
@@ -139,7 +162,6 @@ def test_generated_constructors_intern_mark_and_drop():
     rng = random.Random(1101)
     gc.disable()
     try:
-        before = len(syntax._TYPES)
         kept = []
         for _ in range(600):
             t = _own_type(rng, 6)
@@ -153,16 +175,18 @@ def test_generated_constructors_intern_mark_and_drop():
             for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
                 assert copied is t
             kept.append(t)
-        assert len(syntax._TYPES) > before
-        # a dead node's entry is removed, and only its own
+        assert _named_ids("own_")
+        # a dead node's entry is removed at the next sweep, and only its own
         leaf = TVar("own_dead")
         t = Arrow(leaf, leaf)
         key = (Arrow, leaf, leaf)
-        alive = syntax._TYPES[key]() is t
+        alive = syntax._TYPES[key] is t
         del t
+        syntax._sweep()
         assert alive and key not in syntax._TYPES and TVar("own_dead") is leaf
         del kept, copied, key, leaf
-        assert len(syntax._TYPES) == before
+        syntax._sweep()
+        assert len(_named_ids("own_")) == 0
     finally:
         gc.enable()
 
@@ -192,3 +216,118 @@ def test_each_type_class_states_the_fields_its_mark_reads():
             __slots__ = ("left", "right")
             _kids = ("dom", "cod")
     assert syntax._NODES == nodes
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: a node anything but the table holds is kept; one nothing else
+# holds is gone after one sweep.
+
+_SW = ("sw_a", "sw_b", "sw_c")
+
+
+def _sw_type(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return TVar(rng.choice(_SW))
+    match rng.randrange(4):
+        case 0 | 1:
+            return Arrow(_sw_type(rng, depth - 1), _sw_type(rng, depth - 1))
+        case 2:
+            return Forall(rng.choice(_SW), _sw_type(rng, depth - 1))
+        case _:
+            forbidden = frozenset(rng.sample(_SW, rng.randrange(3)))
+            return EVarApp("sw_s", forbidden, _sw_type(rng, depth - 1))
+
+
+def _sw_term(rng: random.Random, depth: int):
+    if depth <= 0 or rng.random() < 0.3:
+        return Var(rng.choice(_SW))
+    if rng.random() < 0.4:
+        return Abs(rng.choice(_SW), _sw_term(rng, depth - 1))
+    return App(_sw_term(rng, depth - 1), _sw_term(rng, depth - 1))
+
+
+def _grow(rng: random.Random, roots: list) -> None:
+    """Append to roots 20 holders of fresh or rebuilt nodes: a type or
+    term held as a local is; a part held only by a parent's field and key;
+    a canonical form held only by its type's memo slot; a term and types
+    held only by a skeleton's judgement, or by a judgement alone."""
+    for _ in range(20):
+        kind = rng.randrange(5)
+        if kind == 0:
+            roots.append(_sw_type(rng, 4))
+        elif kind == 1:
+            roots.append(_sw_term(rng, 4))
+        elif kind == 2:
+            t = _sw_type(rng, 3)
+            roots.append(Arrow(t, t) if rng.random() < 0.5 else App(_sw_term(rng, 3), Var("sw_a")))
+        elif kind == 3:
+            t = Forall("sw_a", Arrow(TVar("sw_a"), _sw_type(rng, 3)))
+            canonical_type(t)
+            roots.append(t)
+        else:
+            x = rng.choice(_SW)
+            q = QAbs(x, QVar(x, TypeEnv(((x, _sw_type(rng, 3)),))))
+            roots.append(q if rng.random() < 0.5 else check_skeleton(q))
+            check_skeleton(q)
+
+
+def _reachable(roots: list) -> dict[int, object]:
+    """Every interned node that roots hold, by id: through fields (and
+    tuples), a type's canonical form and a skeleton's judgement."""
+    held, todo = {}, list(roots)
+    while todo:
+        v = todo.pop()
+        if type(v) is tuple:
+            todo += v
+        elif isinstance(v, syntax.Node):
+            if type(v) in syntax._INTERNED:
+                if id(v) in held:
+                    continue
+                held[id(v)] = v
+            todo += v._parts()
+            if isinstance(v, syntax.Type) and isinstance(v._canonical, syntax.Type):
+                todo.append(v._canonical)
+            if isinstance(v, syntax.Skeleton) and v._judgement is not None:
+                todo.append(v._judgement)
+    return held
+
+
+def _check_sweep(roots: list) -> None:
+    """Sweep, then check the table against what roots hold; the nodes
+    this reads are let go on return, before the next sweep."""
+    syntax._sweep()
+    held = _reachable(roots)
+    for node in held.values():
+        key = (type(node), *node._parts())
+        assert syntax._TYPES[key] is node and type(node)(*node._parts()) is node
+    # nothing that only the table held is left: every node over these names
+    # that is still there is held from here
+    assert _named_ids("sw_") <= held.keys()
+    # the sweep left only live entries, and the next comes at twice those
+    size = len(syntax._TYPES)
+    assert syntax._limit[0] == max(2 * size, 4096)
+    syntax._sweep()
+    assert len(syntax._TYPES) == size
+    for m in (r for r in roots if isinstance(r, syntax.Term)):
+        for copied in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert copied is m
+
+
+def test_sweeps_keep_held_nodes_and_drop_the_rest():
+    rng = random.Random(2912)
+    roots: list = []
+    auto = 0  # sweeps set off by a node built
+    for step in range(30):
+        _grow(rng, roots)
+        size = len(syntax._TYPES)
+        for i in range(rng.randrange(1500)):  # garbage
+            Arrow(TVar(f"sw_g{step}_{i}"), TVar("sw_a")), App(Var(f"sw_g{i}"), Var("sw_b"))
+            auto += len(syntax._TYPES) < size
+            size = len(syntax._TYPES)
+            assert size <= syntax._limit[0]
+        roots = [r for r in roots if rng.random() < 0.7]
+        _check_sweep(roots)
+    assert auto >= 3
+    roots.clear()
+    syntax._sweep()
+    assert _named_ids("sw_") == set()

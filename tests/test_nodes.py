@@ -33,16 +33,16 @@ QX = QVar("x", ENV)
 NX = QVar("x", ENV)
 INST = reduction.Inst(Forall("a", A), B)
 
-# How each class compares: by identity (interned types), or by its fields,
+# How each class compares: by identity (interned types and terms), or by its fields,
 # on an explicit stack, with the hash of the tuple of its fields (as a
 # dataclass with eq=True did) for every other class, constraints too.
 FIELDS, IDENTITY = "fields", "identity"
 
 # (factory, how it compares, its repr); a factory builds a fresh node.
 CASES = [
-    (lambda: Var("x"), FIELDS, "Var(name='x')"),
-    (lambda: Abs("x", Var("x")), FIELDS, "Abs(binder='x', body=Var(name='x'))"),
-    (lambda: App(Var("f"), Var("x")), FIELDS, "App(fun=Var(name='f'), arg=Var(name='x'))"),
+    (lambda: Var("x"), IDENTITY, "Var(name='x')"),
+    (lambda: Abs("x", Var("x")), IDENTITY, "Abs(binder='x', body=Var(name='x'))"),
+    (lambda: App(Var("f"), Var("x")), IDENTITY, "App(fun=Var(name='f'), arg=Var(name='x'))"),
     (lambda: TVar("a"), IDENTITY, "TVar(name='a')"),
     (lambda: Arrow(A, B), IDENTITY, "Arrow(dom=TVar(name='a'), cod=TVar(name='b'))"),
     (lambda: Forall("a", A), IDENTITY, "Forall(binder='a', body=TVar(name='a'))"),

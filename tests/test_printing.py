@@ -171,12 +171,12 @@ def test_one_table_over_many_short_lived_nodes():
 # Cost: each node is rendered once
 
 
-def _chain_skeleton(n: int):
+def _chain_skeleton(n: int, supply: FreshSupply = FreshSupply()):
     """The initial skeleton of \\g. \\y. g @ (... @ y) with n applications."""
     text = "y"
     for _ in range(n):
         text = f"g @ ({text})"
-    q, _, _ = initial_skeleton(parse_term("\\g. \\y. " + text), FreshSupply())
+    q, _, _ = initial_skeleton(parse_term("\\g. \\y. " + text), supply)
     return q
 
 
@@ -234,7 +234,8 @@ def test_tree_lines_render_each_term_node_once(monkeypatch):
 
 
 def test_print_type_formats_each_live_type_once(monkeypatch):
-    q = _chain_skeleton(20)
+    # names no other test gives, so every type of q is formatted here first
+    q = _chain_skeleton(20, FreshSupply(tvar_prefix="fmt_a", evar_prefix="fmt_s"))
     formatted = []
     real = surface.print_type
 

@@ -2,12 +2,16 @@
 transformation, and the subject-reduction engine."""
 
 import hashlib
+import importlib.util
 import random
 import re
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
-from fskel import reduction
+from fskel import reduction, syntax
 from fskel.expansion import judgements_agree
 from generators import (
     decorate_dummies_inside, random_neq_decoration, random_term, random_type,
@@ -812,3 +816,46 @@ def test_type_substitution_into_proofs_agrees_with_the_reference():
     assert kinds == {"Inst", "QuantComm", "DummyIn", "DummyElim", "FunCong",
                      "EVarCong", "QuantCong"}
     assert renamed >= 30, renamed
+
+
+def _bench_inputs():
+    """The benchmark's input builder, bench/inputs.py, which imports no fskel."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_preserve_compares_an_interned_reduct_at_its_root(monkeypatch):
+    # A reduct's judged term and the term cbv_step built are one interned
+    # node unless a binder was renamed, so term_alpha_eq inside preserve
+    # returns at the root: over the seed-1 reduce_nf block it enters at most
+    # 1.2 pairs of terms per step (about 13 when terms were not interned).
+    go = next(c for c in syntax.term_alpha_eq.__code__.co_consts
+              if isinstance(c, types.CodeType) and c.co_name == "go")
+    pairs = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is go:
+            pairs[0] += 1
+
+    real = reduction.term_alpha_eq
+
+    def counted(m1, m2):
+        sys.setprofile(profile)
+        try:
+            return real(m1, m2)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(reduction, "term_alpha_eq", counted)
+    steps = 0
+    for op in _bench_inputs().reduce_nf(1, 1)[0]:
+        q = parse_skeleton(op["skeleton"])
+        m = check_skeleton(q).term
+        while (nxt := cbv_step(m)) is not None:
+            q = preserve(q, nxt)
+            m = check_skeleton(q).term
+            steps += 1
+    assert steps > 800 and pairs[0] <= 1.2 * steps
