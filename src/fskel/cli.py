@@ -44,16 +44,14 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _print_judgement(j: Judgement, fmt: str, memo: dict | None = None) -> None:
-    """Print j; memo is the printers' table (see `surface`), which a caller
-    printing several judgements that share subterms passes to each."""
+def _print_judgement(j: Judgement, fmt: str) -> None:
     rtype = canonical_type(j.rtype) if fmt == "canonical" else j.rtype
     # printed flattened, each atom under its whole prefix: the text that the
     # digests in bench/cli/cases.json pin
     cons = print_flattened(canonical_constraint(j.constraint)) if fmt == "canonical" \
         else print_constraint(j.constraint)
-    print(f"term: {print_term(j.term, memo)}")
-    print(f"env: {print_type_env(j.env, memo)}")
+    print(f"term: {print_term(j.term)}")
+    print(f"env: {print_type_env(j.env)}")
     print(f"rtype: {print_type(rtype)}")
     print(f"constraint: {cons}")
 
@@ -117,13 +115,10 @@ def cmd_reduce(args) -> int:
     q = parse_skeleton(_read(args.file))
     rel = RELATIONS[args.rel]
     step = 0
-    # a step returns the subterms off the redex path as the same objects,
-    # so one printers' table over all steps renders each of them once
-    memo: dict = {}
     while True:
         j = check_skeleton(q)
-        print(f"step {step}: {print_term(j.term, memo)}")
-        _print_judgement(j, args.format, memo)
+        print(f"step {step}: {print_term(j.term)}")
+        _print_judgement(j, args.format)
         ok = solved(j.constraint, rel)
         print(f"solved ({rel.name}): {'yes' if ok else 'no'}")
         if not ok:
@@ -159,19 +154,18 @@ def _children(q: Skeleton) -> list[Skeleton]:
 
 def _tree_lines(q: Skeleton) -> list[str]:
     """One line per node, with its whole judgement. A node's term is built
-    from its premises' terms (`check_skeleton`), so with one printers'
-    table each term, environment and type node is rendered once: the
-    Python work is linear in the number of nodes, while the output of a
-    chain of n applications is Θ(n²) characters."""
+    from its premises' terms (`check_skeleton`), and each term, environment
+    and type node keeps its text, so each is rendered once: the Python work
+    is linear in the number of nodes, while the output of a chain of n
+    applications is Θ(n²) characters."""
     check_skeleton(q)  # judges every node, or raises
     out: list[str] = []
-    memo: dict = {}
 
     def go(q: Skeleton, prefix: str) -> None:
         j = check_skeleton(q)
         label = type(q).__name__[1:].lower()  # QEVar -> evar
-        out.append(f"{prefix}{label}: {print_term(j.term, memo)} : "
-                   f"{print_type_env(j.env, memo)} |- {print_type(j.rtype)}")
+        out.append(f"{prefix}{label}: {print_term(j.term)} : "
+                   f"{print_type_env(j.env)} |- {print_type(j.rtype)}")
         for kid in _children(q):
             go(kid, prefix + "  ")
 

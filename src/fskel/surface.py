@@ -51,8 +51,9 @@ of times: a substitution value is read as an expansion and, if that
 fails, once more as a type; a constraint atom not opening with '(' is
 read as "T <= T" and, if that fails, as a guard.  The choice between a parenthesised type and a parenthesised
 constraint is left-factored, so a constraint atom that opens with k
-parentheses is read once.  The type and skeleton printers emit into one
-list from an explicit stack; see "Printers" below.
+parentheses is read once.  The skeleton printer emits into one list from
+an explicit stack, and the type and term printers fill memo slots
+bottom-up on one; see "Printers" below.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro,
     Exists, Expansion, Forall, ForallIntro, Id, Omega, QAbs, QApp, QEVar,
     QForall, QSub, QVar, QWeak, Skeleton, SubStep, Subst, TVar, Term, Type,
-    TypeEnv, Var,
+    TypeEnv, Var, _fill,
 )
 
 
@@ -613,40 +614,56 @@ parse_var_list = _entry(Parser.var_list)
 # ---------------------------------------------------------------------------
 # Printers
 #
-# A type keeps its text in its `_text` memo slot, made once per type node.
-# Terms and environments are not interned, so their printers take a table,
-# `memo`, that maps id(node) to (node, text): holding the node keeps its id
-# from being reused while the table lives. A caller that prints many nodes
-# sharing subterms passes one table to every call; without one, each call
-# starts a table of its own. print_skeleton keeps no text of a skeleton
-# node, only of the environments it meets, so its output is the only text
-# it holds that grows with depth; it, print_constraint and print_flattened
-# walk an explicit stack. print_term and print_expansion recurse.
+# A type or a term keeps its text in its `_text` memo slot, made once per
+# node while it is in the intern table: `syntax._fill` renders the parts
+# that have none yet bottom-up on an explicit stack, through `_text_of`. An
+# environment keeps the text of its entries in its own `_text` slot.
+# print_skeleton keeps no text of a skeleton node, so its output is the only
+# text it holds that grows with depth; it, print_constraint and
+# print_flattened walk an explicit stack. print_expansion recurses.
 
 
-def print_term(m: Term, memo: dict | None = None) -> str:
-    if memo is None:
-        memo = {}
-    hit = memo.get(id(m))
-    if hit is not None:
-        return hit[1]
-    cls = type(m)
-    if cls is Var:
-        text = m.name
-    elif cls is Abs:
-        text = f"\\{m.binder}. {print_term(m.body, memo)}"
+def _text_of(n: Type | Term) -> None:
+    """Store n's text, made from its parts' texts."""
+    cls = type(n)
+    if cls is Arrow:
+        d = n.dom
+        ds = d._text
+        if type(d) is Arrow or type(d) is Forall:
+            ds = f"({ds})"
+        text = f"{ds} -> {n.cod._text}"
+    elif cls is TVar or cls is Var:
+        text = n.name
     elif cls is App:
-        fs = print_term(m.fun, memo)
-        if type(m.fun) is Abs:
+        f, a = n.fun, n.arg
+        fs, as_ = f._text, a._text
+        if type(f) is Abs:
             fs = f"({fs})"
-        as_ = print_term(m.arg, memo)
-        if type(m.arg) in (Abs, App):
+        if type(a) is not Var:
             as_ = f"({as_})"
         text = f"{fs} @ {as_}"
+    elif cls is Abs:
+        text = f"\\{n.binder}. {n.body._text}"
+    elif cls is Forall:
+        text = f"all {n.binder}. {n.body._text}"
     else:
-        raise TypeError(m)
-    memo[id(m)] = m, text
-    return text
+        body = n.body
+        bs = body._text
+        if type(body) is Arrow or type(body) is Forall:
+            bs = f"({bs})"
+        text = f"{n.evar}^{{{print_var_set(n.forbidden)}}} {bs}"
+    object.__setattr__(n, "_text", text)
+
+
+# Read through the descriptors, so that a node of the other category raises
+# TypeError.
+_type_text, _term_text = Type._text.__get__, Term._text.__get__
+
+
+def print_term(m: Term) -> str:
+    """m's text, kept in its memo slot."""
+    text = _term_text(m)
+    return _fill(m, _term_text, _text_of) if text is None else text
 
 
 def print_var_set(vs: frozenset[str]) -> str:
@@ -654,49 +671,9 @@ def print_var_set(vs: frozenset[str]) -> str:
 
 
 def print_type(t: Type) -> str:
-    """t's text, kept in its memo slot: the parts that have none yet are
-    rendered bottom-up on an explicit stack."""
-    text = t._text
-    if text is not None:
-        return text
-    todo = [t]
-    while todo:
-        t = todo[-1]
-        cls = type(t)
-        if cls is TVar:
-            text = t.name
-        elif cls is Arrow:
-            d, c = t.dom, t.cod
-            ds, cs = d._text, c._text
-            if ds is None or cs is None:
-                if ds is None:
-                    todo.append(d)
-                if cs is None and c is not d:
-                    todo.append(c)
-                continue
-            if type(d) is Arrow or type(d) is Forall:
-                ds = f"({ds})"
-            text = f"{ds} -> {cs}"
-        elif cls is EVarApp:
-            body = t.body
-            bs = body._text
-            if bs is None:
-                todo.append(body)
-                continue
-            if type(body) is Arrow or type(body) is Forall:
-                bs = f"({bs})"
-            text = f"{t.evar}^{{{print_var_set(t.forbidden)}}} {bs}"
-        elif cls is Forall:
-            bs = t.body._text
-            if bs is None:
-                todo.append(t.body)
-                continue
-            text = f"all {t.binder}. {bs}"
-        else:
-            raise TypeError(t)
-        object.__setattr__(t, "_text", text)
-        todo.pop()
-    return text
+    """t's text, kept in its memo slot."""
+    text = _type_text(t)
+    return _fill(t, _type_text, _text_of) if text is None else text
 
 
 def print_expansion(i: Expansion) -> str:
@@ -822,17 +799,17 @@ def print_flattened(c: Constraint) -> str:
     return "".join(out)
 
 
-def _print_entries(env: TypeEnv, memo: dict) -> str:
-    hit = memo.get(id(env))
-    if hit is not None:
-        return hit[1]
-    text = ", ".join(f"{x}: {print_type(t)}" for x, t in env.entries)
-    memo[id(env)] = env, text
+def _print_entries(env: TypeEnv) -> str:
+    """The text of env's entries, kept in its memo slot."""
+    text = env._text
+    if text is None:
+        text = ", ".join(f"{x}: {print_type(t)}" for x, t in env.entries)
+        object.__setattr__(env, "_text", text)
     return text
 
 
-def print_type_env(env: TypeEnv, memo: dict | None = None) -> str:
-    return "{" + _print_entries(env, {} if memo is None else memo) + "}"
+def print_type_env(env: TypeEnv) -> str:
+    return "{" + _print_entries(env) + "}"
 
 
 # Where a skeleton printer puts parentheses: around a function part or an
@@ -844,13 +821,11 @@ _BARE_EVAR_BODY = frozenset((QVar, QEVar))
 _WRAP_STEP_BODY = frozenset((QAbs, QForall))
 
 
-def print_skeleton(q: Skeleton, memo: dict | None = None) -> str:
+def print_skeleton(q: Skeleton) -> str:
     """q's text, emitted into one list from one explicit stack of nodes and
     literal pieces. An environment's text is made once per environment
-    object, through memo if one is given; no skeleton node keeps its text,
-    so the call holds O(output) characters."""
-    if memo is None:
-        memo = {}
+    object and kept on it; no skeleton node keeps its text, so the call
+    holds O(output) characters."""
     out: list[str] = []
     todo: list = [q]
     while todo:
@@ -871,7 +846,7 @@ def print_skeleton(q: Skeleton, memo: dict | None = None) -> str:
             todo.append(f" |> {print_type(q.target)}")
             todo += (")", body, "(") if type(body) in _WRAP_STEP_BODY else (body,)
         elif cls is QVar:
-            out.append(f"{q.var}<{_print_entries(q.env, memo)}>")
+            out.append(f"{q.var}<{_print_entries(q.env)}>")
         elif cls is QAbs:
             out.append(f"\\{q.binder}. ")
             todo.append(q.body)
@@ -880,7 +855,7 @@ def print_skeleton(q: Skeleton, memo: dict | None = None) -> str:
             todo.append(q.body)
         elif cls is QWeak:
             body = q.body
-            todo.append(f" + {{{_print_entries(q.extra, memo)}}}")
+            todo.append(f" + {{{_print_entries(q.extra)}}}")
             todo += (")", body, "(") if type(body) in _WRAP_STEP_BODY else (body,)
         else:
             raise TypeError(q)

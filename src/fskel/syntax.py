@@ -12,8 +12,11 @@ fields, which holds each node strongly and is swept by reference count
 interned node. A type node has five memo slots: its free variables
 (`ftv`), its E-variables (`_type_evars`, read by `initial.allvar`), its
 canonical form (`canonical_type`), its key (`_type_key`) and its text
-(`surface.print_type`), each computed at most once; a type with no
-`Forall` in it is marked its own canonical form when it is built.
+(`surface.print_type`); a term node has two: its free variables (`fv`) and
+its text (`surface.print_term`); an environment keeps its text. Each is
+computed at most once, and each but the canonical form and an
+environment's text is filled bottom-up by one walker, `_fill`; a type with
+no `Forall` in it is marked its own canonical form when it is built.
 Constraints, environments and skeletons are not interned; they compare by
 structure. The canonical form of a constraint is its trie of items,
 factored: one node per trie part, built anew by each call.
@@ -372,9 +375,11 @@ _INTERN = (_TYPES.get, object.__new__, _TYPES, _limit, _sweep, _NO_FORALL)
 
 class Term(Node, final=False):
     """Untyped lambda-term. Nodes are interned, so `==` and `hash` are
-    identity, and copies rebuild through the table."""
+    identity, and copies rebuild through the table. The memo slots hold
+    pure functions of the node, each computed at most once: its free
+    variables (`fv`) and its text (`surface.print_term`)."""
 
-    __slots__ = ()
+    __slots__ = ("_fv", "_text")
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -399,15 +404,25 @@ class App(Term):
 
 
 def fv(m: Term) -> frozenset[str]:
-    """Free term variables of a term."""
+    """Free term variables of a term, kept in its memo slot."""
+    free = _get_fv(m)
+    return _fill(m, _get_fv, _fv_of) if free is None else free
+
+
+def _fv_of(m: Term) -> None:
     cls = type(m)
-    if cls is Abs:
-        return fv(m.body) - {m.binder}
-    if cls is Var:
-        return frozenset({m.name})
     if cls is App:
-        return fv(m.fun) | fv(m.arg)
-    raise TypeError(m)
+        free = m.fun._fv | m.arg._fv
+    elif cls is Var:
+        free = frozenset((m.name,))
+    else:
+        free = m.body._fv - {m.binder}
+    _set_fv(m, free)
+
+
+# Read through the descriptor, so that a node that is not a term raises
+# TypeError.
+_get_fv, _set_fv = Term._fv.__get__, Term._fv.__set__
 
 
 def term_alpha_eq(m1: Term, m2: Term) -> bool:
@@ -604,9 +619,10 @@ class EGuard(Constraint):
 
 
 class TypeEnv(Node):
-    """Ordered list of (term variable, type) pairs."""
+    """Ordered list of (term variable, type) pairs. Its memo slot holds the
+    text of its entries (`surface.print_type_env`)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("entries", "_text")
     _defaults = ((),)
 
     def well_formed(self) -> bool:
@@ -775,10 +791,12 @@ def _type_evars(t: Type) -> frozenset[str]:
     return _fill(t, _get_evars, _evars_of) if found is None else found
 
 
-def _fill(t: Type, get, fill):
+def _fill(t: Type | Term, get, fill):
     """get(t), once fill(u), which stores u's memo from its parts', has run
     on t and on each part of t whose memo is None: bottom-up on an explicit
-    stack, so a type of any depth has it."""
+    stack, so a type or a term of any depth has it. Every bottom-up fact of
+    a type or a term is filled here: its free variables (`ftv`, `fv`), its
+    E-variables, its key (`_type_key`) and its text (`surface`)."""
     todo = [t]
     while todo:
         u = todo[-1]
@@ -788,9 +806,11 @@ def _fill(t: Type, get, fill):
         cls = type(u)
         if cls is Arrow:
             parts = (u.dom, u.cod)
-        elif cls is TVar:
+        elif cls is App:
+            parts = (u.fun, u.arg)
+        elif cls is TVar or cls is Var:
             parts = ()
-        elif cls is Forall or cls is EVarApp:
+        elif cls is Forall or cls is EVarApp or cls is Abs:
             parts = (u.body,)
         else:
             raise TypeError(u)
@@ -870,8 +890,6 @@ def _canon(t: Type, counter: list[int], avoid: frozenset[str]) -> Type:
     if t._canonical is _NO_FORALL:
         return t
     match t:
-        case TVar(_):
-            return t
         case Arrow(d, c):
             return Arrow(_canon(d, counter, avoid), _canon(c, counter, avoid))
         case EVarApp(s, forbidden, body):
@@ -994,30 +1012,33 @@ def as_arrow(t: Type) -> Arrow | None:
 # (surface.print_flattened): no node of the flattened form is built.
 
 
-def _set_key(vs: frozenset[str]) -> str:
+def _vars_key(vs: frozenset[str]) -> str:
     return f"frozenset({{{', '.join(map(repr, sorted(vs)))}}})" if vs else "frozenset()"
 
 
 def _type_key(t: Type) -> str:
     key = t._key
-    if key is None:
-        match t:
-            case TVar(a):
-                key = f"TVar(name={a!r})"
-            case Arrow(d, c):
-                key = f"Arrow(dom={_type_key(d)}, cod={_type_key(c)})"
-            case Forall(a, body):
-                key = f"Forall(binder={a!r}, body={_type_key(body)})"
-            case EVarApp(s, forbidden, body):
-                key = f"EVarApp(evar={s!r}, forbidden={_set_key(forbidden)}, body={_type_key(body)})"
-            case _:
-                raise TypeError(t)
-        object.__setattr__(t, "_key", key)
-    return key
+    return _fill(t, _get_key, _key_of) if key is None else key
+
+
+def _key_of(t: Type) -> None:
+    cls = type(t)
+    if cls is Arrow:
+        key = f"Arrow(dom={t.dom._key}, cod={t.cod._key})"
+    elif cls is TVar:
+        key = f"TVar(name={t.name!r})"
+    elif cls is Forall:
+        key = f"Forall(binder={t.binder!r}, body={t.body._key})"
+    else:
+        key = f"EVarApp(evar={t.evar!r}, forbidden={_vars_key(t.forbidden)}, body={t.body._key})"
+    _set_key(t, key)
+
+
+_get_key, _set_key = attrgetter("_key"), Type._key.__set__
 
 
 def _guard_key(s: str, forbidden: frozenset[str], witness: Type) -> str:
-    return f"EGuard(evar={s!r}, forbidden={_set_key(forbidden)}, witness={_type_key(witness)}, body="
+    return f"EGuard(evar={s!r}, forbidden={_vars_key(forbidden)}, witness={_type_key(witness)}, body="
 
 
 _KEYS = (lambda p: f"Atomic(lhs={_type_key(p[0])}, rhs={_type_key(p[1])})",

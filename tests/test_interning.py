@@ -1,6 +1,7 @@
 """Interned types and terms: one node per distinct type or term, held in one
 table that a sweep clears of the nodes nothing else holds, with a type's free
-variables, canonical form and key kept in memo slots of the node."""
+variables, canonical form, key and text, and a term's free variables and
+text, kept in memo slots of the node."""
 
 import copy
 import gc
@@ -10,14 +11,15 @@ import random
 import pytest
 
 from fskel import syntax
-from fskel.surface import parse_skeleton, parse_type
+from fskel.surface import parse_skeleton, parse_type, print_term, print_type
 from fskel.syntax import (
     Abs, App, Arrow, EVarApp, Forall, QAbs, QVar, TVar, TypeEnv, Var, _canon, _type_key,
-    canonical_type, ftv,
+    canonical_type, ftv, fv,
 )
 from fskel.typecheck import check_skeleton
 from generators import random_type
 from helpers import count_calls
+from reference_printer import ref_term, ref_type
 
 
 def test_built_and_parsed_types_are_one_object():
@@ -292,14 +294,49 @@ def _reachable(roots: list) -> dict[int, object]:
     return held
 
 
+def _fill_memos(roots: list) -> None:
+    """Fill the free variables, text and key of every node roots hold; the
+    nodes this reads are let go on return."""
+    for node in _reachable(roots).values():
+        if isinstance(node, syntax.Term):
+            fv(node), print_term(node)
+        else:
+            _type_key(node), print_type(node)
+
+
+def _ref_fv(m) -> frozenset:
+    if type(m) is Var:
+        return frozenset({m.name})
+    if type(m) is Abs:
+        return _ref_fv(m.body) - {m.binder}
+    return _ref_fv(m.fun) | _ref_fv(m.arg)
+
+
+def _ref_key(t) -> str:
+    """The repr of t, with each variable set's names in order."""
+    if type(t) is EVarApp:
+        names = ", ".join(map(repr, sorted(t.forbidden)))
+        forbidden = f"frozenset({{{names}}})" if names else "frozenset()"
+        return f"EVarApp(evar={t.evar!r}, forbidden={forbidden}, body={_ref_key(t.body)})"
+    fields = (f"{n}={_ref_key(v) if isinstance(v, syntax.Type) else repr(v)}"
+              for n, v in zip(t.__match_args__, t._parts()))
+    return f"{type(t).__name__}({', '.join(fields)})"
+
+
 def _check_sweep(roots: list) -> None:
-    """Sweep, then check the table against what roots hold; the nodes
-    this reads are let go on return, before the next sweep."""
+    """Fill the held nodes' memos and sweep, then check the table, and the
+    memos, against what roots hold; the nodes this reads are let go on
+    return, before the next sweep."""
+    _fill_memos(roots)
     syntax._sweep()
     held = _reachable(roots)
     for node in held.values():
         key = (type(node), *node._parts())
         assert syntax._TYPES[key] is node and type(node)(*node._parts()) is node
+        if isinstance(node, syntax.Term):
+            assert node._fv == _ref_fv(node) and node._text == ref_term(node)
+        else:
+            assert node._key == _ref_key(node) and node._text == ref_type(node)
     # nothing that only the table held is left: every node over these names
     # that is still there is held from here
     assert _named_ids("sw_") <= held.keys()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from fskel import initial, reduction, solve, syntax, typecheck
+from fskel import initial, reduction, solve, surface, syntax, typecheck
 from fskel.syntax import (
     Abs, And, App, Arrow, Atomic, Constraint, EGuard, EVarApp, EVarIntro, Exists,
     Forall, ForallIntro, FreshSupply, Id, Node, Omega, QAbs, QApp, QEVar, QForall,
@@ -398,6 +398,7 @@ FOREIGN = [
     ("syntax.ftv", lambda: syntax.ftv(Var("x"))),
     ("syntax._type_ftv", lambda: syntax.ftv(_StrayType())),
     ("syntax.fv", lambda: syntax.fv(A)),
+    ("surface.print_term", lambda: surface.print_term(A)),
     ("solve.solved", lambda: solve.solved(_StrayConstraint(), solve.REL_F)),
 ]
 

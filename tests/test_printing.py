@@ -1,9 +1,10 @@
 """The printers against the reference printer, on trees, on shared subterms
-and through one table; and the cost of printing a derivation tree."""
+and on short-lived nodes of the intern table; and the cost of printing a
+derivation tree."""
 
 import random
 
-from fskel import cli, surface
+from fskel import cli, surface, syntax
 from fskel.initial import initial_skeleton
 from fskel.surface import (
     parse_term, print_constraint, print_expansion, print_skeleton, print_term,
@@ -11,7 +12,7 @@ from fskel.surface import (
 )
 from fskel.syntax import (
     Abs, And, App, Atomic, EGuard, Exists, FreshSupply, Omega, QAbs, QApp,
-    QEVar, QForall, QSub, QVar, QWeak, TypeEnv, Var,
+    QEVar, QForall, QSub, QVar, QWeak, Term, TypeEnv, Var,
 )
 from fskel.typecheck import check_skeleton
 
@@ -136,47 +137,49 @@ def _nodes(q):
 
 def test_judgement_terms_of_real_skeletons_match_the_reference():
     # a node's judgement term is built from its premises' terms, so the
-    # terms of one derivation share subterms; print them through one table
+    # terms of one derivation share subterms, each keeping its text
     rng = random.Random(1403)
     for _ in range(CASES // 4):
         q = random_valid_skeleton(rng, 6)
-        memo: dict = {}
         expected = []
         for node, depth in _nodes(q):
             j = check_skeleton(node)
-            assert print_term(j.term, memo) == ref_term(j.term)
-            assert print_type_env(j.env, memo) == ref_type_env(j.env)
+            assert print_term(j.term) == ref_term(j.term)
+            assert print_type_env(j.env) == ref_type_env(j.env)
             label = type(node).__name__[1:].lower()
             expected.append(f"{'  ' * depth}{label}: {ref_term(j.term)} : "
                             f"{ref_type_env(j.env)} |- {ref_type(j.rtype)}")
-        assert print_skeleton(q, memo) == ref_skeleton(q)
+        assert print_skeleton(q) == ref_skeleton(q)
         assert cli._tree_lines(q) == expected
 
 
 def test_one_table_over_many_short_lived_nodes():
-    # the table holds every node it has rendered, so a node freed by the
-    # caller cannot hand its id, and with it its text, to a new node
+    # a text lives on its node, which the one intern table holds until a
+    # sweep after nothing else does; a node built again after that starts
+    # with no text, so no text outlives its node or lands on another
     rng = random.Random(1404)
-    memo: dict = {}
-    for _ in range(CASES):
+    for i in range(CASES):
         m = random_term(rng, rng.randrange(1, 8), [])
-        assert print_term(m, memo) == ref_term(m)
+        assert print_term(m) == ref_term(m)
         q = random_skeleton_shape(rng, TVARS, TERM_VARS, rng.randrange(4))
-        assert print_skeleton(q, memo) == ref_skeleton(q)
+        assert print_skeleton(q) == ref_skeleton(q)
         env = random_env(rng, TVARS, TERM_VARS)
-        assert print_type_env(env, memo) == ref_type_env(env)
+        assert print_type_env(env) == ref_type_env(env)
+        if i % 100 == 0:
+            del m, q, env
+            syntax._sweep()
 
 
 # ---------------------------------------------------------------------------
 # Cost: each node is rendered once
 
 
-def _chain_skeleton(n: int, supply: FreshSupply = FreshSupply()):
+def _chain_skeleton(n: int, supply: FreshSupply = FreshSupply(), g: str = "g", y: str = "y"):
     """The initial skeleton of \\g. \\y. g @ (... @ y) with n applications."""
-    text = "y"
+    text = y
     for _ in range(n):
-        text = f"g @ ({text})"
-    q, _, _ = initial_skeleton(parse_term("\\g. \\y. " + text), supply)
+        text = f"{g} @ ({text})"
+    q, _, _ = initial_skeleton(parse_term(f"\\{g}. \\{y}. " + text), supply)
     return q
 
 
@@ -196,41 +199,36 @@ def _term_nodes(m) -> tuple[int, int]:
 
 
 def _tree_term_renders(monkeypatch, q):
-    """_tree_lines(q), the term nodes it rendered (not read from its table)
-    and its calls of print_term."""
-    rendered, calls = [], [0]
-    real = surface.print_term
+    """_tree_lines(q) and the term nodes whose text it made."""
+    rendered = []
+    real = surface._text_of
 
-    def counted(m, memo=None):
-        calls[0] += 1
-        if memo is None or id(m) not in memo:
-            rendered.append(m)
-        return real(m, memo)
+    def counted(n):
+        if isinstance(n, Term):
+            rendered.append(n)
+        real(n)
 
     with monkeypatch.context() as mp:
-        mp.setattr(surface, "print_term", counted)
-        mp.setattr(cli, "print_term", counted)
+        mp.setattr(surface, "_text_of", counted)
         lines = cli._tree_lines(q)
-    return lines, rendered, calls[0]
+    return lines, rendered
 
 
 def test_tree_lines_render_each_term_node_once(monkeypatch):
-    renders, calls = {}, {}
+    renders = {}
     for n in (10, 20, 40):
-        q = _chain_skeleton(n)
-        lines, rendered, calls[n] = _tree_term_renders(monkeypatch, q)
-        assert lines == cli._tree_lines(q)
+        # names no other test gives, so no term of q has its text yet
+        q = _chain_skeleton(n, g=f"tl{n}_g", y=f"tl{n}_y")
+        lines, rendered = _tree_term_renders(monkeypatch, q)
         assert len({id(m) for m in rendered}) == len(rendered)
         nodes, links = _term_nodes(check_skeleton(q).term)
         assert len(rendered) == nodes
-        # each line reads its term from the table but the first, and each
-        # node rendered reads its children: a shared one from the table
-        assert calls[n] == len(lines) + links
         assert links > nodes - 1  # the leaves g are one Var
+        # each node keeps its text: printing the tree again renders none
+        assert _tree_term_renders(monkeypatch, q) == (lines, [])
         renders[n] = len(rendered)
-    # linear in n: the same number of renders and calls per application
+    # linear in n: the same number of renders per application
     assert renders[40] - renders[20] == 2 * (renders[20] - renders[10])
-    assert calls[40] - calls[20] == 2 * (calls[20] - calls[10])
 
 
 def test_print_type_formats_each_live_type_once(monkeypatch):

@@ -1,22 +1,24 @@
 """The explicit-stack reader against the recursive reference parser on
 seeded printed and mutated texts of every category; read-back of printed
-skeletons, terms and types 1,000 levels deep; and the memory one print of
-a skeleton holds."""
+skeletons, terms and types 1,000 levels deep, and terms 1,500 deep; the
+free variables of deep terms, and the canonical constraint of atoms over a
+deep type; and the memory one print of a skeleton holds."""
 
 import random
 import tracemalloc
 
 import reference_parser as ref
-from fskel import surface
+from fskel import cli, surface
 from fskel.initial import initial_skeleton
 from fskel.surface import (
     ParseError, parse_skeleton, parse_term, parse_type, print_expansion,
     print_skeleton, print_term, print_type, print_type_env,
 )
 from fskel.syntax import (
-    Abs, App, Arrow, Forall, FreshSupply, QAbs, QApp, QEVar, QForall, QSub,
-    QVar, QWeak, TVar, TypeEnv, Var,
+    Abs, And, App, Arrow, Forall, FreshSupply, QAbs, QApp, QEVar, QForall, QSub,
+    QVar, QWeak, TVar, TypeEnv, Var, canonical_constraint, fv,
 )
+from fskel.typecheck import check_skeleton
 from generators import (
     mutate_text, random_env, random_expansion, random_skeleton_shape, random_term,
     random_type, random_valid_skeleton,
@@ -130,6 +132,45 @@ def test_terms_and_types_read_at_depth():
         t, text = Forall("a", Arrow(t, A)), f"all a. ({text}) -> a"
     assert parse_type(text) is t
     assert parse_type(print_type(t)) is t
+
+
+def test_deep_terms_have_free_variables_and_read_back():
+    # 1,500 levels: past Python's default recursion limit
+    x, y = Var("x"), Var("y")
+    nests = {"abstractions": (x, lambda m: Abs("x", m), frozenset()),
+             "left applications": (x, lambda m: App(m, y), frozenset({"x", "y"})),
+             "right applications": (y, lambda m: App(x, m), frozenset({"x", "y"}))}
+    for name, (m, grow, free) in nests.items():
+        for _ in range(1_500):
+            m = grow(m)
+        assert fv(m) == free, name
+        assert parse_term(print_term(m)) is m, name
+
+
+def _deep_atoms_skeleton(depth: int):
+    """(f<E> |> T -> T) @ (x<E> |> T), E = {f: T -> T, x: T}, T an arrow
+    nested depth deep: its constraint has two sibling atoms over T."""
+    t = A
+    for _ in range(depth):
+        t = Arrow(A, t)
+    env = TypeEnv((("f", Arrow(t, t)), ("x", t)))
+    return QApp(QSub(QVar("f", env), Arrow(t, t)), QSub(QVar("x", env), t)), t
+
+
+def test_sibling_atoms_over_a_deep_type_canonicalize():
+    # ordering two sibling atoms builds the key of each side
+    q, t = _deep_atoms_skeleton(1_100)
+    c = canonical_constraint(check_skeleton(q).constraint)
+    assert type(c) is And and {(c.c1.lhs, c.c1.rhs), (c.c2.lhs, c.c2.rhs)} == \
+        {(t, t), (Arrow(t, t), Arrow(t, t))}
+
+
+def test_check_prints_sibling_atoms_over_a_deep_type(tmp_path, capsys):
+    q, t = _deep_atoms_skeleton(1_100)
+    path = tmp_path / "deep_atoms.skel"
+    path.write_text(print_skeleton(q))
+    assert cli.main(["check", str(path)]) == 0
+    assert f"rtype: {print_type(t)}\n" in capsys.readouterr().out
 
 
 def _chain_skeleton(n: int):

@@ -40,9 +40,10 @@ def test_a_printed_chain_reads_back_with_one_leaf_per_text(monkeypatch, n):
     assert len(re.findall(r"\w+<[^>]*>", text)) == n + 1
     assert len(set(re.findall(r"\w+<[^>]*>", text))) == 2
     assert len(_leaves(q)) == len(_leaves(q2)) == 2
-    memo: dict = {}
-    assert print_skeleton(q2, memo) == text
-    assert len(memo) == 1  # the one environment, made into text once
+    # the one environment keeps its text, made once, for every leaf
+    assert print_skeleton(q2) == text
+    assert len({id(v.env) for v in _leaves(q2)}) == 1
+    assert _leaves(q2)[0].env._text == text[text.index("<") + 1:text.index(">")]
     built = count_instances(monkeypatch, Judgement)
     check_skeleton(q2)
     assert built[0] == len(skeleton_nodes(q2))
